@@ -255,11 +255,11 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
     cand.gemm(a, b, c);
 
     // One side's turn: a short block of consecutive calls, best-of.
-    // A single alternated call would hand each kernel the OTHER
-    // kernel's cache leavings (the blocked and packed kernels walk B
-    // in different layouts), understating both; a block re-warms the
-    // kernel's own state while staying far below the seconds-scale
-    // drift this function exists to cancel. Returns the block's best
+    // A single alternated call would hand each side the OTHER side's
+    // cache leavings (the pooled side's rows were last touched by
+    // other cores), understating both; a block re-warms each side's
+    // own state while staying far below the seconds-scale drift this
+    // function exists to cancel. Returns the block's best
     // single-call time and its total wall time.
     constexpr int kCallsPerRound = 3;
     const auto turn = [&](cta::core::Backend &backend) {
@@ -322,10 +322,10 @@ retimeGemmPair(cta::core::Backend &base, cta::core::Backend &cand,
  * table against the measured register-resident FMA peak, and writes
  * the results as BENCH_micro_kernels.json in the working directory.
  *
- * Returns false when the thread-scaling gate fails: for each pooled
- * backend family and size, the 8-thread variant must not fall below
- * kScalingTolerance x the 1-thread variant (the PR-7 serial-cutover
- * regression this bench exists to catch). A pair that fails on the
+ * Returns false when the thread-scaling gate fails: at each size the
+ * 8-thread simd backend must not fall below kScalingTolerance x the
+ * 1-thread one (the serial-cutover regression this bench exists to
+ * catch). A pair that fails on the
  * sweep numbers is re-timed back-to-back (retimeGemmPair) before
  * being declared a regression.
  */
@@ -346,9 +346,6 @@ gemmSweep()
 
     std::vector<std::unique_ptr<cta::core::Backend>> backends;
     backends.push_back(cta::core::makeBackend("naive"));
-    for (const int t : {1, 2, 4, 8})
-        backends.push_back(
-            cta::core::makeBackend("parallel:" + std::to_string(t)));
     for (const int t : {1, 8})
         backends.push_back(
             cta::core::makeBackend("simd:" + std::to_string(t)));
@@ -398,15 +395,14 @@ gemmSweep()
                   threads);
     };
     bool scaling_ok = true;
-    const auto checkPair = [&](Index n, const char *family,
-                               const std::string &prefix) {
-        GemmPoint &p1 = pointAt(n, prefix, 1);
-        GemmPoint &p8 = pointAt(n, prefix, 8);
+    const auto checkPair = [&](Index n) {
+        GemmPoint &p1 = pointAt(n, "simd[", 1);
+        GemmPoint &p8 = pointAt(n, "simd[", 8);
         if (p8.gflops >= p1.gflops)
             return;
         const double g1 = p1.gflops, g8 = p8.gflops;
         auto [r1, r8] = retimeGemmPair(
-            backendByName(prefix, 1), backendByName(prefix, 8), n);
+            backendByName("simd[", 1), backendByName("simd[", 8), n);
         // Statistical tie: best-of estimates of one shared floor
         // carry no ordering information inside the measured noise
         // floor — timer quantization (sub-percent at the small sizes)
@@ -418,12 +414,11 @@ gemmSweep()
         // estimator happened to sample closer to it.
         constexpr double kTieFraction = 0.03;
         if (r8 < r1 && r8 >= (1.0 - kTieFraction) * r1) {
-            std::printf("  [%s:8 %.2f vs %s:1 %.2f GFLOP/s at %lld^3 "
-                        "re-timed to %.2f vs %.2f — within %.0f%%, a "
-                        "statistical tie; recording both at the "
-                        "common floor]\n",
-                        family, g8, family, g1,
-                        static_cast<long long>(n), r8, r1,
+            std::printf("  [simd:8 %.2f vs simd:1 %.2f GFLOP/s at "
+                        "%lld^3 re-timed to %.2f vs %.2f — within "
+                        "%.0f%%, a statistical tie; recording both at "
+                        "the common floor]\n",
+                        g8, g1, static_cast<long long>(n), r8, r1,
                         kTieFraction * 100.0);
             r8 = r1 = std::max(r1, r8);
         }
@@ -435,42 +430,24 @@ gemmSweep()
         if (r8 >= r1)
             return;
         if (r8 >= kScalingTolerance * r1) {
-            std::printf("  [%s:8 %.2f vs %s:1 %.2f GFLOP/s at %lld^3 "
-                        "was clock drift; re-timed %.2f vs %.2f]\n",
-                        family, g8, family, g1,
-                        static_cast<long long>(n), r8, r1);
+            std::printf("  [simd:8 %.2f vs simd:1 %.2f GFLOP/s at "
+                        "%lld^3 was clock drift; re-timed %.2f vs "
+                        "%.2f]\n",
+                        g8, g1, static_cast<long long>(n), r8, r1);
             return;
         }
-        std::printf("  SCALING REGRESSION at %lld^3: %s:8 %.2f < "
-                    "%.2f x %s:1 %.2f GFLOP/s (re-timed "
+        std::printf("  SCALING REGRESSION at %lld^3: simd:8 %.2f < "
+                    "%.2f x simd:1 %.2f GFLOP/s (re-timed "
                     "back-to-back)\n",
-                    static_cast<long long>(n), family, r8,
-                    kScalingTolerance, family, r1);
+                    static_cast<long long>(n), r8, kScalingTolerance,
+                    r1);
         scaling_ok = false;
     };
-    for (const Index n : {128, 256, 512}) {
-        checkPair(n, "parallel", "parallel:");
-        checkPair(n, "simd", "simd[");
-    }
+    for (const Index n : {128, 256, 512})
+        checkPair(n);
     if (scaling_ok)
-        std::printf("  thread scaling: OK (parallel:8 >= parallel:1 "
-                    "and simd:8 >= simd:1 at every size, re-timed "
-                    "where the sweep disagreed)\n");
-
-    // Headline ratios: the historical blocked-parallel:4 vs naive
-    // number, plus what this PR is judged by — the simd kernel vs
-    // the best pre-simd backend at 512^3. Each ratio is measured as
-    // a back-to-back pair: sweep points sampled seconds apart sit in
-    // different clock windows on a shared host, and a ratio of two
-    // windows measures the drift, not the kernels.
-    const auto [naive512, par4_512] = retimeGemmPair(
-        backendByName("naive", 1), backendByName("parallel:", 4), 512);
-    const auto [par1_512, simd512] = retimeGemmPair(
-        backendByName("parallel:", 1), backendByName("simd[", 1), 512);
-    std::printf("\n  512^3 parallel:4 vs naive: %.2fx\n",
-                par4_512 / naive512);
-    std::printf("  512^3 simd vs parallel:1: %.2fx\n",
-                simd512 / par1_512);
+        std::printf("  thread scaling: OK (simd:8 >= simd:1 at every "
+                    "size, re-timed where the sweep disagreed)\n");
 
     std::FILE *out = std::fopen("BENCH_micro_kernels.json", "w");
     if (!out) {
@@ -482,14 +459,11 @@ gemmSweep()
                  "  \"flops_per_mac\": 2,\n"
                  "  \"fma_peak_gflops\": %.1f,\n"
                  "  \"simd_level\": \"%s\",\n"
-                 "  \"speedup_512_parallel4_vs_naive\": %.3f,\n"
-                 "  \"speedup_512_simd_vs_parallel1\": %.3f,\n"
                  "  \"scaling_ok\": %s,\n"
                  "  \"results\": [\n",
                  peak,
                  cta::core::simdLevelName(
                      cta::core::activeSimdLevel()),
-                 par4_512 / naive512, simd512 / par1_512,
                  scaling_ok ? "true" : "false");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];

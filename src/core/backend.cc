@@ -21,10 +21,10 @@ namespace {
 constexpr Index kRowGrain = 8;
 
 /**
- * GEMMs below this MAC count run inline even on pooled backends.
+ * GEMMs below this MAC count run inline even on the pooled backend.
  * Sized from the micro-kernel sweep: at 128^3 (2.1M MACs) the serial
- * blocked kernel beats any fan-out — dispatch overhead dominates —
- * while 256^3 (16.8M) gains from the pool. Outputs are unchanged
+ * kernel beats any fan-out — dispatch overhead dominates — while
+ * 256^3 (16.8M) gains from the pool. Outputs are unchanged
  * either way (the determinism contract makes the partition
  * invisible), so the cutover is purely a scheduling decision.
  */
@@ -63,120 +63,6 @@ gemmTransBRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
             for (Index k = 0; k < a.cols(); ++k)
                 acc += static_cast<Wide>(arow[k]) * brow[k];
             c(i, j) = static_cast<Real>(acc);
-        }
-    }
-}
-
-/** Register-tile width of the blocked GEMM micro-kernel. */
-constexpr Index kNr = 16;
-
-/**
- * 1 x kNr GEMM micro-kernel: one output row's kNr-column tile
- * accumulated in registers across the full depth (k ascending, so
- * each element's rounding sequence matches gemmRowsNaive).
- */
-inline void
-gemmTile1(const Real *__restrict a0, const Real *__restrict bcol,
-          Real *__restrict c0, Index depth, Index width)
-{
-    Real acc0[kNr];
-    for (Index t = 0; t < kNr; ++t)
-        acc0[t] = c0[t];
-    for (Index k = 0; k < depth; ++k) {
-        const Real *__restrict brow = bcol + k * width;
-        const Real a0k = a0[k];
-        for (Index t = 0; t < kNr; ++t)
-            acc0[t] += a0k * brow[t];
-    }
-    for (Index t = 0; t < kNr; ++t)
-        c0[t] = acc0[t];
-}
-
-/**
- * Blocked GEMM over output rows [row_begin, row_end): a 4 x kNr
- * register tile of C accumulates across the whole depth, so each
- * C element is read and written once instead of once per k (the
- * naive ikj order re-touches the full C row every k iteration). B
- * columns stream tile-by-tile; the 4-row block reuses each B load
- * 4x and gives 4 independent accumulator chains per column. k is
- * ascending per output element — bit-identical to gemmRowsNaive.
- */
-void
-gemmRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
-                Index row_begin, Index row_end)
-{
-    const Index depth = a.cols();
-    const Index width = b.cols();
-    const Real *__restrict bd = b.data();
-    Index i = row_begin;
-    for (; i + 4 <= row_end; i += 4) {
-        const Real *__restrict a0 = a.row(i).data();
-        const Real *__restrict a1 = a.row(i + 1).data();
-        const Real *__restrict a2 = a.row(i + 2).data();
-        const Real *__restrict a3 = a.row(i + 3).data();
-        Real *__restrict c0 = c.row(i).data();
-        Real *__restrict c1 = c.row(i + 1).data();
-        Real *__restrict c2 = c.row(i + 2).data();
-        Real *__restrict c3 = c.row(i + 3).data();
-        Index j = 0;
-        for (; j + kNr <= width; j += kNr) {
-            Real acc0[kNr], acc1[kNr], acc2[kNr], acc3[kNr];
-            for (Index t = 0; t < kNr; ++t) {
-                acc0[t] = c0[j + t];
-                acc1[t] = c1[j + t];
-                acc2[t] = c2[j + t];
-                acc3[t] = c3[j + t];
-            }
-            const Real *__restrict bcol = bd + j;
-            for (Index k = 0; k < depth; ++k) {
-                const Real *__restrict brow = bcol + k * width;
-                const Real a0k = a0[k];
-                const Real a1k = a1[k];
-                const Real a2k = a2[k];
-                const Real a3k = a3[k];
-                for (Index t = 0; t < kNr; ++t) {
-                    const Real bkt = brow[t];
-                    acc0[t] += a0k * bkt;
-                    acc1[t] += a1k * bkt;
-                    acc2[t] += a2k * bkt;
-                    acc3[t] += a3k * bkt;
-                }
-            }
-            for (Index t = 0; t < kNr; ++t) {
-                c0[j + t] = acc0[t];
-                c1[j + t] = acc1[t];
-                c2[j + t] = acc2[t];
-                c3[j + t] = acc3[t];
-            }
-        }
-        // Column tail: per-element register accumulation, k ascending.
-        for (; j < width; ++j) {
-            Real s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-            for (Index k = 0; k < depth; ++k) {
-                const Real bkj = bd[k * width + j];
-                s0 += a0[k] * bkj;
-                s1 += a1[k] * bkj;
-                s2 += a2[k] * bkj;
-                s3 += a3[k] * bkj;
-            }
-            c0[j] = s0;
-            c1[j] = s1;
-            c2[j] = s2;
-            c3[j] = s3;
-        }
-    }
-    // Row tail (< 4 rows): 1 x kNr tiles, then scalar columns.
-    for (; i < row_end; ++i) {
-        const Real *__restrict a0 = a.row(i).data();
-        Real *__restrict c0 = c.row(i).data();
-        Index j = 0;
-        for (; j + kNr <= width; j += kNr)
-            gemmTile1(a0, bd + j, c0 + j, depth, width);
-        for (; j < width; ++j) {
-            Real s0 = c0[j];
-            for (Index k = 0; k < depth; ++k)
-                s0 += a0[k] * bd[k * width + j];
-            c0[j] = s0;
         }
     }
 }
@@ -276,90 +162,19 @@ NaiveBackend::reduceRows(Index rows,
     return combineChunks(partials);
 }
 
-ParallelBackend::ParallelBackend(int threads)
+SimdBackend::SimdBackend(int threads)
 {
     CTA_REQUIRE(threads >= 0, "negative thread count ", threads);
     if (threads > 0)
         owned_ = std::make_unique<ThreadPool>(threads);
 }
 
-ParallelBackend::~ParallelBackend() = default;
+SimdBackend::~SimdBackend() = default;
 
 ThreadPool &
-ParallelBackend::pool() const
+SimdBackend::pool() const
 {
     return owned_ ? *owned_ : ThreadPool::global();
-}
-
-std::string
-ParallelBackend::name() const
-{
-    return "parallel:" + std::to_string(threadCount());
-}
-
-int
-ParallelBackend::threadCount() const
-{
-    return pool().threadCount();
-}
-
-void
-ParallelBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
-{
-    if (a.rows() * a.cols() * b.cols() <= kSerialGemmMacs) {
-        gemmRowsBlocked(a, b, c, 0, a.rows());
-        return;
-    }
-    parallelFor(pool(), 0, a.rows(),
-                [&](Index row_begin, Index row_end) {
-                    gemmRowsBlocked(a, b, c, row_begin, row_end);
-                },
-                /*grain=*/4);
-}
-
-void
-ParallelBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
-                                 Matrix &c) const
-{
-    if (a.rows() * a.cols() * b.rows() <= kSerialGemmMacs) {
-        gemmTransBRowsBlocked(a, b, c, 0, a.rows());
-        return;
-    }
-    parallelFor(pool(), 0, a.rows(),
-                [&](Index row_begin, Index row_end) {
-                    gemmTransBRowsBlocked(a, b, c, row_begin, row_end);
-                },
-                /*grain=*/4);
-}
-
-void
-ParallelBackend::mapRows(Index rows,
-                         const std::function<void(Index, Index)> &body)
-    const
-{
-    parallelFor(pool(), 0, rows, body, kRowGrain);
-}
-
-Wide
-ParallelBackend::reduceRows(Index rows,
-                            const std::function<Wide(Index, Index)>
-                                &body) const
-{
-    const auto spans = chunkSpans(0, rows, kRowGrain);
-    if (spans.size() <= 1) {
-        std::vector<Wide> partials(spans.size());
-        for (std::size_t chunk = 0; chunk < spans.size(); ++chunk)
-            partials[chunk] =
-                body(spans[chunk].first, spans[chunk].second);
-        return combineChunks(partials);
-    }
-    std::vector<Wide> partials(spans.size());
-    pool().run(static_cast<Index>(spans.size()), [&](Index chunk) {
-        const auto &span = spans[static_cast<std::size_t>(chunk)];
-        partials[static_cast<std::size_t>(chunk)] =
-            body(span.first, span.second);
-    });
-    return combineChunks(partials);
 }
 
 std::string
@@ -368,6 +183,12 @@ SimdBackend::name() const
     return std::string("simd[") +
            simdLevelName(activeSimdLevel()) + "]:" +
            std::to_string(threadCount());
+}
+
+int
+SimdBackend::threadCount() const
+{
+    return pool().threadCount();
 }
 
 void
@@ -425,6 +246,50 @@ SimdBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
     }
 }
 
+void
+SimdBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
+                             Matrix &c) const
+{
+    if (a.rows() * a.cols() * b.rows() <= kSerialGemmMacs) {
+        gemmTransBRowsBlocked(a, b, c, 0, a.rows());
+        return;
+    }
+    parallelFor(pool(), 0, a.rows(),
+                [&](Index row_begin, Index row_end) {
+                    gemmTransBRowsBlocked(a, b, c, row_begin, row_end);
+                },
+                /*grain=*/4);
+}
+
+void
+SimdBackend::mapRows(Index rows,
+                     const std::function<void(Index, Index)> &body) const
+{
+    parallelFor(pool(), 0, rows, body, kRowGrain);
+}
+
+Wide
+SimdBackend::reduceRows(Index rows,
+                        const std::function<Wide(Index, Index)> &body)
+    const
+{
+    const auto spans = chunkSpans(0, rows, kRowGrain);
+    if (spans.size() <= 1) {
+        std::vector<Wide> partials(spans.size());
+        for (std::size_t chunk = 0; chunk < spans.size(); ++chunk)
+            partials[chunk] =
+                body(spans[chunk].first, spans[chunk].second);
+        return combineChunks(partials);
+    }
+    std::vector<Wide> partials(spans.size());
+    pool().run(static_cast<Index>(spans.size()), [&](Index chunk) {
+        const auto &span = spans[static_cast<std::size_t>(chunk)];
+        partials[static_cast<std::size_t>(chunk)] =
+            body(span.first, span.second);
+    });
+    return combineChunks(partials);
+}
+
 namespace {
 
 /** Test override slot; nullptr means "use the environment default". */
@@ -466,29 +331,22 @@ setActiveBackend(Backend *backend)
 std::unique_ptr<Backend>
 makeBackend(const std::string &spec)
 {
-    const auto pooledThreads = [&spec](const char *prefix) {
+    constexpr const char *kPooledPrefix = "simd:";
+    if (spec == "naive")
+        return std::make_unique<NaiveBackend>();
+    if (spec == "simd")
+        return std::make_unique<SimdBackend>();
+    if (spec.rfind(kPooledPrefix, 0) == 0) {
         const long threads =
-            parseEnvInt(spec.c_str() + std::strlen(prefix),
+            parseEnvInt(spec.c_str() + std::strlen(kPooledPrefix),
                         "CTA_BACKEND thread count");
         CTA_REQUIRE(threads >= 1 && threads <= 64,
                     "backend thread count in '", spec,
                     "' outside [1, 64]");
-        return static_cast<int>(threads);
-    };
-    if (spec == "naive")
-        return std::make_unique<NaiveBackend>();
-    if (spec == "parallel")
-        return std::make_unique<ParallelBackend>();
-    if (spec == "simd")
-        return std::make_unique<SimdBackend>();
-    if (spec.rfind("parallel:", 0) == 0)
-        return std::make_unique<ParallelBackend>(
-            pooledThreads("parallel:"));
-    if (spec.rfind("simd:", 0) == 0)
-        return std::make_unique<SimdBackend>(pooledThreads("simd:"));
+        return std::make_unique<SimdBackend>(static_cast<int>(threads));
+    }
     CTA_PANIC("unknown backend '", spec,
-              "' (expected naive | parallel[:<threads>] | "
-              "simd[:<threads>])");
+              "' (expected naive | simd[:<threads>])");
 }
 
 } // namespace cta::core

@@ -5,17 +5,17 @@
  * Every dense kernel in the library (GEMM, transposed-B GEMM, the
  * element-wise maps and row reductions) dispatches through the
  * process-active Backend, so an algorithm path never names an
- * implementation: swapping naive loops for blocked multithreaded
- * kernels — or, later, SIMD / batched / sharded ones — is a matter
- * of installing another backend.
+ * implementation: swapping the reference loops for pooled vector
+ * kernels — or, later, batched / sharded ones — is a matter of
+ * installing another backend.
  *
- * Three implementations ship today:
+ * Two implementations ship today:
  *  - NaiveBackend: the original single-threaded reference kernels,
  *    kept verbatim as the op-count and bit-exactness reference.
- *  - ParallelBackend: cache-blocked, register-tiled kernels fanned
- *    out over a persistent thread pool (core/parallel.h).
- *  - SimdBackend: ParallelBackend plus a packed-panel vectorized
- *    GEMM with runtime ISA dispatch (core/simd.h; CTA_SIMD knob).
+ *  - SimdBackend: the production backend — a packed-panel vectorized
+ *    GEMM with runtime ISA dispatch (core/simd.h; CTA_SIMD knob) plus
+ *    blocked transposed-B GEMM, row maps and row reductions, all
+ *    fanned out over a persistent thread pool (core/parallel.h).
  *
  * Determinism contract: every backend produces results that are a
  * pure function of the inputs — independent of thread count. Work is
@@ -23,21 +23,20 @@
  * fixed accumulation order (ascending k); reductions combine
  * per-chunk partials in ascending chunk order with
  * thread-count-independent chunking (core/parallel.h chunkSpans).
- * naive and parallel are bit-identical to each other everywhere;
- * simd is additionally bit-identical to them for gemmTransposedB,
- * mapRows and reduceRows, while its gemm uses one k-ascending FMA
- * chain per output element regardless of shape — bit-identical
- * across every ISA level, thread count and internal kernel routing,
- * differing from the reference chain only by FMA's removed
- * intermediate roundings (so the incremental-equals-batch serving
- * contracts hold within each backend). OpCounts are charged
- * analytically by the calling kernel wrappers and therefore never
- * depend on the backend or thread count.
+ * simd is bit-identical to naive for gemmTransposedB, mapRows and
+ * reduceRows, while its gemm uses one k-ascending FMA chain per
+ * output element regardless of shape — bit-identical across every
+ * ISA level, thread count and internal kernel routing, differing
+ * from the reference chain only by FMA's removed intermediate
+ * roundings (so the incremental-equals-batch serving contracts hold
+ * within each backend). OpCounts are charged analytically by the
+ * calling kernel wrappers and therefore never depend on the backend
+ * or thread count.
  *
  * Selection: the default backend is chosen once from the CTA_BACKEND
- * environment variable ("simd", the default, "parallel", or
- * "naive"), with the thread count from CTA_THREADS; tests override
- * it with setActiveBackend().
+ * environment variable ("simd", the default, or "naive"), with the
+ * thread count from CTA_THREADS; tests override it with
+ * setActiveBackend().
  */
 
 #pragma once
@@ -59,7 +58,7 @@ class Backend
   public:
     virtual ~Backend() = default;
 
-    /** Human-readable backend name (e.g. "naive", "parallel:8"). */
+    /** Human-readable backend name (e.g. "naive", "simd[avx2]:8"). */
     virtual std::string name() const = 0;
 
     /** Worker threads this backend may use (1 for serial backends). */
@@ -107,7 +106,7 @@ class Backend
  * The original single-threaded kernels, unchanged — the reference
  * every other backend is validated against (tests/backend_test.cc).
  */
-class NaiveBackend : public Backend
+class NaiveBackend final : public Backend
 {
   public:
     std::string name() const override { return "naive"; }
@@ -123,23 +122,30 @@ class NaiveBackend : public Backend
 };
 
 /**
- * Cache-blocked, register-tiled kernels over a persistent thread
- * pool. Bit-identical to NaiveBackend at any thread count (see the
- * determinism contract above): row-range partitioning plus
- * ascending-k accumulation per output element.
+ * The production backend: vectorized GEMM from core/simd.h
+ * (AVX-512 / AVX2 / NEON with a scalar fallback, dispatched at
+ * runtime and forceable via CTA_SIMD) over a persistent thread pool.
+ * Every gemm output element is one k-ascending FMA chain: GEMMs with
+ * fewer than kSimdMr rows — every per-token decode GEMM — skip the B
+ * pack but keep the identical chain, so a value never depends on
+ * shape routing, ISA level or thread count (see core/simd.h).
+ * gemmTransposedB, mapRows and reduceRows are bit-identical to
+ * NaiveBackend at any thread count (row-range partitioning plus
+ * ascending-k accumulation per output element).
  */
-class ParallelBackend : public Backend
+class SimdBackend final : public Backend
 {
   public:
     /**
      * @param threads worker count; 0 uses the process-global pool
      *        sized by CTA_THREADS / hardware concurrency.
      */
-    explicit ParallelBackend(int threads = 0);
-    ~ParallelBackend() override;
+    explicit SimdBackend(int threads = 0);
+    ~SimdBackend() override;
 
     std::string name() const override;
     int threadCount() const override;
+    bool gemmFmaChains() const override { return true; }
     void gemm(const Matrix &a, const Matrix &b,
               Matrix &c) const override;
     void gemmTransposedB(const Matrix &a, const Matrix &b,
@@ -149,31 +155,10 @@ class ParallelBackend : public Backend
     Wide reduceRows(Index rows, const std::function<Wide(Index, Index)>
                                     &body) const override;
 
-  protected:
+  private:
     ThreadPool &pool() const;
 
-  private:
     std::unique_ptr<ThreadPool> owned_; ///< set when threads > 0
-};
-
-/**
- * ParallelBackend with the GEMM replaced by the vectorized kernels
- * from core/simd.h (AVX-512 / AVX2 / NEON with a scalar fallback,
- * dispatched at runtime and forceable via CTA_SIMD). Every output
- * element is one k-ascending FMA chain: GEMMs with fewer than
- * kSimdMr rows — every per-token decode GEMM — skip the B pack but
- * keep the identical chain, so a value never depends on shape
- * routing, ISA level or thread count (see core/simd.h).
- */
-class SimdBackend : public ParallelBackend
-{
-  public:
-    using ParallelBackend::ParallelBackend;
-
-    std::string name() const override;
-    bool gemmFmaChains() const override { return true; }
-    void gemm(const Matrix &a, const Matrix &b,
-              Matrix &c) const override;
 };
 
 /**
@@ -192,8 +177,8 @@ Backend &activeBackend();
 Backend *setActiveBackend(Backend *backend);
 
 /**
- * Factory: "naive", "parallel" or "simd" (the pooled ones optionally
- * suffixed ":<threads>"). Fatal on unknown names.
+ * Factory: "naive" or "simd" (optionally suffixed ":<threads>").
+ * Fatal on unknown names.
  */
 std::unique_ptr<Backend> makeBackend(const std::string &spec);
 

@@ -271,20 +271,6 @@ TEST(SimdBackendTest, NameCarriesLevelAndThreads)
     EXPECT_EQ(backend.name(), "simd[scalar]:3");
     EXPECT_TRUE(backend.gemmFmaChains());
     EXPECT_FALSE(cta::core::NaiveBackend().gemmFmaChains());
-    EXPECT_FALSE(cta::core::ParallelBackend(1).gemmFmaChains());
-}
-
-TEST(SimdBackendTest, InheritedKernelsMatchNaiveBitwise)
-{
-    // gemmTransposedB / mapRows / reduceRows come from
-    // ParallelBackend unchanged — still bit-identical to naive.
-    Rng rng(17);
-    const Matrix a = Matrix::randomNormal(33, 48, rng);
-    const Matrix b = Matrix::randomNormal(29, 48, rng);
-    Matrix ref(33, 29), out(33, 29);
-    cta::core::NaiveBackend().gemmTransposedB(a, b, ref);
-    SimdBackend(8).gemmTransposedB(a, b, out);
-    EXPECT_TRUE(bitIdentical(out, ref));
 }
 
 TEST(SimdBackendTest, FactoryParsesSimdSpecs)
