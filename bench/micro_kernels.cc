@@ -26,10 +26,12 @@
 #include "core/backend.h"
 #include "core/logging.h"
 #include "core/matrix.h"
+#include "core/page_arena.h"
 #include "core/rng.h"
 #include "core/simd.h"
 #include "cta/compressed_attention.h"
 #include "cta/config.h"
+#include "cta/fused_decode.h"
 #include "elsa/elsa_attention.h"
 #include "nn/workload.h"
 #include "obs/trace.h"
@@ -188,6 +190,69 @@ BM_Gemm(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
+
+/** Q * K^T at head dim 64: range(0) query rows (1 = one decode
+ *  step's scores, otherwise a prefill/encoder head), range(1) keys. */
+void
+BM_GemmTransposedB(benchmark::State &state)
+{
+    const Index m = state.range(0);
+    const Index n = state.range(1);
+    constexpr Index kHeadDim = 64;
+    Rng rng(16);
+    const Matrix a = Matrix::randomNormal(m, kHeadDim, rng);
+    const Matrix b = Matrix::randomNormal(n, kHeadDim, rng);
+    for (auto _ : state) {
+        auto c = matmulTransB(a, b);
+        benchmark::DoNotOptimize(c);
+    }
+    state.SetItemsProcessed(state.iterations() * m * n * kHeadDim);
+}
+BENCHMARK(BM_GemmTransposedB)->Args({1, 448})->Args({512, 512});
+
+/**
+ * One fused decode-attention step (CTA stages 3-5) over a context of
+ * range(0) tokens, at head dim 64, with ctx/8 level-1 and 3ctx/4
+ * level-2 cluster rows and one (c1, c2) pair per token — about the
+ * 0.84 cluster rows per token the serving workloads decode at.
+ */
+void
+BM_FusedDecodeAttend(benchmark::State &state)
+{
+    const Index ctx = state.range(0);
+    constexpr Index kHeadDim = 64;
+    const Index k1 = ctx / 8, k2 = ctx * 3 / 4;
+    Rng rng(17);
+    const auto arena = std::make_shared<cta::core::PageArena>(4096);
+    const auto paged = [&](Index rows) {
+        cta::core::PagedRows out(arena, kHeadDim);
+        const Matrix m = Matrix::randomNormal(rows, kHeadDim, rng);
+        for (Index r = 0; r < rows; ++r)
+            out.appendRow(m.row(r));
+        return out;
+    };
+    const cta::core::PagedRows k_bar1 = paged(k1), k_bar2 = paged(k2);
+    const cta::core::PagedRows v_bar1 = paged(k1), v_bar2 = paged(k2);
+    cta::alg::ClusterPairCounts pairs;
+    for (Index t = 0; t < ctx; ++t)
+        pairs.add(static_cast<Index>(rng.uniformInt(
+                      static_cast<std::uint64_t>(k1))),
+                  static_cast<Index>(rng.uniformInt(
+                      static_cast<std::uint64_t>(k2))));
+    const Matrix q = Matrix::randomNormal(1, kHeadDim, rng);
+    const bool fma = cta::core::activeBackend().gemmFmaChains();
+    cta::alg::FusedDecodeScratch scratch;
+    for (auto _ : state) {
+        const auto sum = cta::alg::fusedDecodeAttend(
+            q, k_bar1, k_bar2, v_bar1, v_bar2, pairs, 0.125f, true, fma,
+            scratch);
+        benchmark::DoNotOptimize(sum);
+        benchmark::DoNotOptimize(scratch.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * (k1 + k2));
+}
+BENCHMARK(BM_FusedDecodeAttend)->Arg(512)->Arg(1024);
 
 /** One GEMM sweep point: median-of-reps wall time on one backend. */
 struct GemmPoint

@@ -68,50 +68,6 @@ gemmTransBRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 /**
- * Blocked A * B^T over output rows [row_begin, row_end): 4 B rows
- * share one pass over the A row, turning the latency-bound single
- * accumulator chain into 4 independent chains. Each output element
- * keeps one accumulator with k ascending — bit-identical to
- * gemmTransBRowsNaive.
- */
-void
-gemmTransBRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
-                      Index row_begin, Index row_end)
-{
-    const Index depth = a.cols();
-    const Index n = b.rows();
-    for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        Index j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const Real *b0 = b.row(j).data();
-            const Real *b1 = b.row(j + 1).data();
-            const Real *b2 = b.row(j + 2).data();
-            const Real *b3 = b.row(j + 3).data();
-            Wide acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-            for (Index k = 0; k < depth; ++k) {
-                const Wide ak = arow[k];
-                acc0 += ak * b0[k];
-                acc1 += ak * b1[k];
-                acc2 += ak * b2[k];
-                acc3 += ak * b3[k];
-            }
-            c(i, j) = static_cast<Real>(acc0);
-            c(i, j + 1) = static_cast<Real>(acc1);
-            c(i, j + 2) = static_cast<Real>(acc2);
-            c(i, j + 3) = static_cast<Real>(acc3);
-        }
-        for (; j < n; ++j) {
-            const Real *brow = b.row(j).data();
-            Wide acc = 0;
-            for (Index k = 0; k < depth; ++k)
-                acc += static_cast<Wide>(arow[k]) * brow[k];
-            c(i, j) = static_cast<Real>(acc);
-        }
-    }
-}
-
-/**
  * Deterministic chunked reduction shared by every backend: partials
  * over chunkSpans(0, rows, kRowGrain) summed in ascending chunk
  * order. @p partial_fn fills partials[chunk]; it may run serially or
@@ -250,15 +206,23 @@ void
 SimdBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
                              Matrix &c) const
 {
-    if (a.rows() * a.cols() * b.rows() <= kSerialGemmMacs) {
-        gemmTransBRowsBlocked(a, b, c, 0, a.rows());
+    // Every element is the reference Wide chain, run one B row per
+    // SIMD lane (core/simd.h), so neither routing nor the row
+    // partition can change a bit.
+    const Index n = b.rows();
+    std::vector<const Real *> rows(static_cast<std::size_t>(n));
+    for (Index j = 0; j < n; ++j)
+        rows[static_cast<std::size_t>(j)] = b.row(j).data();
+    const auto dotRange = [&](Index row_begin, Index row_end) {
+        for (Index i = row_begin; i < row_end; ++i)
+            simdDotRows(a.row(i).data(), rows.data(), n, a.cols(),
+                        c.row(i).data());
+    };
+    if (a.rows() * a.cols() * n <= kSerialGemmMacs) {
+        dotRange(0, a.rows());
         return;
     }
-    parallelFor(pool(), 0, a.rows(),
-                [&](Index row_begin, Index row_end) {
-                    gemmTransBRowsBlocked(a, b, c, row_begin, row_end);
-                },
-                /*grain=*/4);
+    parallelFor(pool(), 0, a.rows(), dotRange, /*grain=*/4);
 }
 
 void

@@ -14,8 +14,8 @@
  *    kept verbatim as the op-count and bit-exactness reference.
  *  - SimdBackend: the production backend — a packed-panel vectorized
  *    GEMM with runtime ISA dispatch (core/simd.h; CTA_SIMD knob) plus
- *    blocked transposed-B GEMM, row maps and row reductions, all
- *    fanned out over a persistent thread pool (core/parallel.h).
+ *    a lane-per-row transposed-B GEMM, row maps and row reductions,
+ *    all fanned out over a persistent thread pool (core/parallel.h).
  *
  * Determinism contract: every backend produces results that are a
  * pure function of the inputs — independent of thread count. Work is
@@ -129,8 +129,9 @@ class NaiveBackend final : public Backend
  * fewer than kSimdMr rows — every per-token decode GEMM — skip the B
  * pack but keep the identical chain, so a value never depends on
  * shape routing, ISA level or thread count (see core/simd.h).
- * gemmTransposedB, mapRows and reduceRows are bit-identical to
- * NaiveBackend at any thread count (row-range partitioning plus
+ * gemmTransposedB (one B row per SIMD lane, core::simdDotRows),
+ * mapRows and reduceRows are bit-identical to NaiveBackend at any
+ * thread count and ISA level (row-range partitioning plus one
  * ascending-k accumulation per output element).
  */
 class SimdBackend final : public Backend

@@ -1,5 +1,7 @@
 #include "core/page_arena.h"
 
+#include <algorithm>
+
 #include "core/env.h"
 
 namespace cta::core {
@@ -243,6 +245,21 @@ PagedRows::rowPtr(Index r) const
         static_cast<std::size_t>(cols_) * sizeof(Real);
     return reinterpret_cast<const Real *>(pages_[page_idx].data +
                                           offset);
+}
+
+void
+PagedRows::appendRowPointers(std::vector<const Real *> &out) const
+{
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(cols_) * sizeof(Real);
+    Index left = rows_;
+    for (const PageRef &page : pages_) {
+        const Index in_page = std::min(left, rowsPerPage_);
+        for (Index r = 0; r < in_page; ++r)
+            out.push_back(reinterpret_cast<const Real *>(
+                page.data + static_cast<std::size_t>(r) * row_bytes));
+        left -= in_page;
+    }
 }
 
 void

@@ -321,6 +321,11 @@ class PagedRows
         return {rowPtr(r), static_cast<std::size_t>(cols_)};
     }
 
+    /** Appends a pointer to each row, in row order, to @p out — one
+     *  page walk instead of a per-row page lookup. The pointers are
+     *  valid until the next mutation of this store. */
+    void appendRowPointers(std::vector<const Real *> &out) const;
+
     /** CoW: privatises the page holding row @p r before returning a
      *  writable view. */
     std::span<Real> writableRow(Index r);

@@ -53,20 +53,6 @@ addRowScalar(Real *acc, const Real *x, Index n)
         acc[j] += x[j];
 }
 
-void
-mulAddRowScalar(Real *acc, const Real *x, Real w, Index n)
-{
-    for (Index j = 0; j < n; ++j)
-        acc[j] += w * x[j];
-}
-
-void
-fmaRowScalar(Real *acc, const Real *x, Real w, Index n)
-{
-    for (Index j = 0; j < n; ++j)
-        acc[j] = std::fmaf(w, x[j], acc[j]);
-}
-
 /** One panel column's FMA chain: c += sum_k a[k] * panel[k*stride +
  *  t], rounded once per step — the element semantics of every packed
  *  GEMM path. @p stride is kW for a simdPackB image and B's row
@@ -134,6 +120,46 @@ vecMatRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
     }
 }
 
+/** One multi-row accumulation step: the simdFmaRows element step
+ *  when @p Fma, the simdMulAddRows one otherwise. */
+template <bool Fma>
+inline Real
+accStep(Real w, Real x, Real acc)
+{
+    return Fma ? std::fmaf(w, x, acc) : acc + w * x;
+}
+
+template <bool Fma>
+void
+accumulateRowsScalar(Real *acc, const Real *const *rows, const Real *w,
+                     Index n, Index d)
+{
+    for (Index j = 0; j < n; ++j)
+        for (Index t = 0; t < d; ++t)
+            acc[t] = accStep<Fma>(w[j], rows[j][t], acc[t]);
+}
+
+// Lane-per-row dot products (simd.h contract). The scalar level runs
+// kSimdDotRows independent chains side by side — one per row, each
+// exactly the reference element's sequence.
+
+void
+dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
+              Real *out)
+{
+    for (Index j = 0; j < n; j += kSimdDotRows) {
+        const Index lanes = std::min(kSimdDotRows, n - j);
+        Wide acc[kSimdDotRows] = {};
+        for (Index k = 0; k < d; ++k) {
+            const Wide qk = q[k];
+            for (Index l = 0; l < lanes; ++l)
+                acc[l] += qk * rows[j + l][k];
+        }
+        for (Index l = 0; l < lanes; ++l)
+            out[j + l] = static_cast<Real>(acc[l]);
+    }
+}
+
 #if CTA_SIMD_X86
 
 // ---------------------------------------------------------------
@@ -181,33 +207,6 @@ addRowAvx2(Real *acc, const Real *x, Index n)
                                        _mm256_loadu_ps(x + j)));
     for (; j < n; ++j)
         acc[j] += x[j];
-}
-
-__attribute__((target("avx2,fma"))) void
-mulAddRowAvx2(Real *acc, const Real *x, Real w, Index n)
-{
-    const __m256 vw = _mm256_set1_ps(w);
-    Index j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 prod = _mm256_mul_ps(vw, _mm256_loadu_ps(x + j));
-        _mm256_storeu_ps(
-            acc + j, _mm256_add_ps(_mm256_loadu_ps(acc + j), prod));
-    }
-    for (; j < n; ++j)
-        acc[j] += w * x[j];
-}
-
-__attribute__((target("avx2,fma"))) void
-fmaRowAvx2(Real *acc, const Real *x, Real w, Index n)
-{
-    const __m256 vw = _mm256_set1_ps(w);
-    Index j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(acc + j,
-                         _mm256_fmadd_ps(vw, _mm256_loadu_ps(x + j),
-                                         _mm256_loadu_ps(acc + j)));
-    for (; j < n; ++j)
-        acc[j] = std::fmaf(w, x[j], acc[j]);
 }
 
 /** 4 x 16 FMA micro-kernel on one packed panel (stride kW): 8 ymm
@@ -442,6 +441,148 @@ vecMatRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c,
     }
 }
 
+template <bool Fma>
+__attribute__((target("avx2,fma"))) inline __m256
+accStepAvx2(__m256 w, __m256 x, __m256 acc)
+{
+    return Fma ? _mm256_fmadd_ps(w, x, acc)
+               : _mm256_add_ps(acc, _mm256_mul_ps(w, x));
+}
+
+template <bool Fma>
+__attribute__((target("avx2,fma"))) void
+accumulateRowsAvx2(Real *acc, const Real *const *rows, const Real *w,
+                   Index n, Index d)
+{
+    Index t = 0;
+    for (; t + 32 <= d; t += 32) {
+        __m256 s0 = _mm256_loadu_ps(acc + t);
+        __m256 s1 = _mm256_loadu_ps(acc + t + 8);
+        __m256 s2 = _mm256_loadu_ps(acc + t + 16);
+        __m256 s3 = _mm256_loadu_ps(acc + t + 24);
+        for (Index j = 0; j < n; ++j) {
+            const __m256 wv = _mm256_set1_ps(w[j]);
+            const Real *x = rows[j] + t;
+            s0 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x), s0);
+            s1 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 8), s1);
+            s2 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 16), s2);
+            s3 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 24), s3);
+        }
+        _mm256_storeu_ps(acc + t, s0);
+        _mm256_storeu_ps(acc + t + 8, s1);
+        _mm256_storeu_ps(acc + t + 16, s2);
+        _mm256_storeu_ps(acc + t + 24, s3);
+    }
+    for (; t + 8 <= d; t += 8) {
+        __m256 s0 = _mm256_loadu_ps(acc + t);
+        for (Index j = 0; j < n; ++j)
+            s0 = accStepAvx2<Fma>(_mm256_set1_ps(w[j]),
+                                  _mm256_loadu_ps(rows[j] + t), s0);
+        _mm256_storeu_ps(acc + t, s0);
+    }
+    for (; t < d; ++t) {
+        Real s = acc[t];
+        for (Index j = 0; j < n; ++j)
+            s = accStep<Fma>(w[j], rows[j][t], s);
+        acc[t] = s;
+    }
+}
+
+/** 4 floats of @p lo in the low half, 4 of @p hi in the high half. */
+__attribute__((target("avx2"))) inline __m256
+loadRowPair(const Real *lo, const Real *hi)
+{
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(lo)),
+                                _mm_loadu_ps(hi), 1);
+}
+
+/**
+ * In-register transpose of k-steps [k, k + 4) of the 8 rows @p r:
+ * c[s] holds rows 0..7 at k + s. Rows l and l + 4 share one ymm from
+ * two 128-bit loads, so the 4 x 8 -> 8 x 4 transpose costs 8
+ * shuffles. Pure data movement.
+ */
+__attribute__((target("avx2"))) inline void
+transposeRows8x4(const Real *const r[kSimdDotRows], Index k,
+                 __m256 c[4])
+{
+    const __m256 v0 = loadRowPair(r[0] + k, r[4] + k);
+    const __m256 v1 = loadRowPair(r[1] + k, r[5] + k);
+    const __m256 v2 = loadRowPair(r[2] + k, r[6] + k);
+    const __m256 v3 = loadRowPair(r[3] + k, r[7] + k);
+    const __m256 t0 = _mm256_unpacklo_ps(v0, v1);
+    const __m256 t1 = _mm256_unpackhi_ps(v0, v1);
+    const __m256 t2 = _mm256_unpacklo_ps(v2, v3);
+    const __m256 t3 = _mm256_unpackhi_ps(v2, v3);
+    c[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+    c[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+    c[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+    c[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+}
+
+/** Rows 0..7 of @p r at one k (the k tail past the last full
+ *  transpose step). */
+__attribute__((target("avx2"))) inline __m256
+rowsColumn8(const Real *const r[kSimdDotRows], Index k)
+{
+    return _mm256_setr_ps(r[0][k], r[1][k], r[2][k], r[3][k], r[4][k],
+                          r[5][k], r[6][k], r[7][k]);
+}
+
+/** Stores the first @p lanes of the 8 narrowed outputs @p v. */
+__attribute__((target("avx2"))) inline void
+storeLanes8(Real *out, __m256 v, Index lanes)
+{
+    if (lanes == kSimdDotRows) {
+        _mm256_storeu_ps(out, v);
+        return;
+    }
+    Real tmp[kSimdDotRows];
+    _mm256_storeu_ps(tmp, v);
+    std::memcpy(out, tmp, static_cast<std::size_t>(lanes) * sizeof(Real));
+}
+
+/** One k step of the two 4-lane chains of an AVX2 dot block. */
+__attribute__((target("avx2,fma"))) inline void
+dotStepAvx2(Real qk, __m256 col, __m256d &lo, __m256d &hi)
+{
+    const __m256d qv = _mm256_set1_pd(qk);
+    lo = _mm256_fmadd_pd(qv, _mm256_cvtps_pd(_mm256_castps256_ps128(col)),
+                         lo);
+    hi = _mm256_fmadd_pd(qv, _mm256_cvtps_pd(_mm256_extractf128_ps(col, 1)),
+                         hi);
+}
+
+/** AVX2 dot block: rows 0-3 and 4-7 of each block run as two 4-lane
+ *  double chains (lo, hi). Lanes past n repeat the last row so every
+ *  load stays in bounds; their outputs are never stored. */
+__attribute__((target("avx2,fma"))) void
+dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
+            Real *out)
+{
+    for (Index j = 0; j < n; j += kSimdDotRows) {
+        const Index lanes = std::min(kSimdDotRows, n - j);
+        const Real *r[kSimdDotRows];
+        for (Index l = 0; l < kSimdDotRows; ++l)
+            r[l] = rows[std::min(j + l, n - 1)];
+        __m256d lo = _mm256_setzero_pd();
+        __m256d hi = _mm256_setzero_pd();
+        Index k = 0;
+        for (; k + 4 <= d; k += 4) {
+            __m256 c[4];
+            transposeRows8x4(r, k, c);
+            for (int s = 0; s < 4; ++s)
+                dotStepAvx2(q[k + s], c[s], lo, hi);
+        }
+        for (; k < d; ++k)
+            dotStepAvx2(q[k], rowsColumn8(r, k), lo, hi);
+        storeLanes8(out + j,
+                    _mm256_set_m128(_mm256_cvtpd_ps(hi),
+                                    _mm256_cvtpd_ps(lo)),
+                    lanes);
+    }
+}
+
 // ---------------------------------------------------------------
 // AVX-512F kernels (16-lane float).
 // ---------------------------------------------------------------
@@ -495,45 +636,6 @@ addRowAvx512(Real *acc, const Real *x, Index n)
         const __m512 av = _mm512_maskz_loadu_ps(m, acc + j);
         const __m512 xv = _mm512_maskz_loadu_ps(m, x + j);
         _mm512_mask_storeu_ps(acc + j, m, _mm512_add_ps(av, xv));
-    }
-}
-
-__attribute__((target("avx512f"))) void
-mulAddRowAvx512(Real *acc, const Real *x, Real w, Index n)
-{
-    const __m512 vw = _mm512_set1_ps(w);
-    Index j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod = _mm512_mul_ps(vw, _mm512_loadu_ps(x + j));
-        _mm512_storeu_ps(
-            acc + j, _mm512_add_ps(_mm512_loadu_ps(acc + j), prod));
-    }
-    if (j < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - j)) - 1u);
-        const __m512 av = _mm512_maskz_loadu_ps(m, acc + j);
-        const __m512 xv = _mm512_maskz_loadu_ps(m, x + j);
-        _mm512_mask_storeu_ps(
-            acc + j, m, _mm512_add_ps(av, _mm512_mul_ps(vw, xv)));
-    }
-}
-
-__attribute__((target("avx512f"))) void
-fmaRowAvx512(Real *acc, const Real *x, Real w, Index n)
-{
-    const __m512 vw = _mm512_set1_ps(w);
-    Index j = 0;
-    for (; j + 16 <= n; j += 16)
-        _mm512_storeu_ps(acc + j,
-                         _mm512_fmadd_ps(vw, _mm512_loadu_ps(x + j),
-                                         _mm512_loadu_ps(acc + j)));
-    if (j < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - j)) - 1u);
-        const __m512 av = _mm512_maskz_loadu_ps(m, acc + j);
-        const __m512 xv = _mm512_maskz_loadu_ps(m, x + j);
-        _mm512_mask_storeu_ps(acc + j, m,
-                              _mm512_fmadd_ps(vw, xv, av));
     }
 }
 
@@ -799,6 +901,122 @@ vecMatRowsAvx512(const Matrix &a, const Matrix &b, Matrix &c,
     }
 }
 
+template <bool Fma>
+__attribute__((target("avx512f"))) inline __m512
+accStepAvx512(__m512 w, __m512 x, __m512 acc)
+{
+    return Fma ? _mm512_fmadd_ps(w, x, acc)
+               : _mm512_add_ps(acc, _mm512_mul_ps(w, x));
+}
+
+/** Column blocks of 64 (four zmm accumulators), then of 16, then
+ *  one masked tail; each block's accumulators live across all n
+ *  rows. */
+template <bool Fma>
+__attribute__((target("avx512f"))) void
+accumulateRowsAvx512(Real *acc, const Real *const *rows, const Real *w,
+                     Index n, Index d)
+{
+    Index t = 0;
+    for (; t + 64 <= d; t += 64) {
+        __m512 s0 = _mm512_loadu_ps(acc + t);
+        __m512 s1 = _mm512_loadu_ps(acc + t + 16);
+        __m512 s2 = _mm512_loadu_ps(acc + t + 32);
+        __m512 s3 = _mm512_loadu_ps(acc + t + 48);
+        for (Index j = 0; j < n; ++j) {
+            const __m512 wv = _mm512_set1_ps(w[j]);
+            const Real *x = rows[j] + t;
+            s0 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x), s0);
+            s1 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 16), s1);
+            s2 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 32), s2);
+            s3 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 48), s3);
+        }
+        _mm512_storeu_ps(acc + t, s0);
+        _mm512_storeu_ps(acc + t + 16, s1);
+        _mm512_storeu_ps(acc + t + 32, s2);
+        _mm512_storeu_ps(acc + t + 48, s3);
+    }
+    for (; t < d; t += 16) {
+        const Index rem = std::min<Index>(16, d - t);
+        const auto m = static_cast<__mmask16>((1u << rem) - 1u);
+        __m512 s0 = _mm512_maskz_loadu_ps(m, acc + t);
+        for (Index j = 0; j < n; ++j)
+            s0 = accStepAvx512<Fma>(_mm512_set1_ps(w[j]),
+                                    _mm512_maskz_loadu_ps(m, rows[j] + t),
+                                    s0);
+        _mm512_mask_storeu_ps(acc + t, m, s0);
+    }
+}
+
+// Exact float -> double widening and the final double -> float
+// narrowing of 8 lanes. The merge-masked forms with an all-ones mask
+// compile to the plain instructions; the unmasked intrinsics trip
+// GCC 12's -Wmaybe-uninitialized inside the intrinsic headers.
+
+__attribute__((target("avx512f"))) inline __m512d
+widen8(__m256 x)
+{
+    return _mm512_mask_cvtps_pd(_mm512_setzero_pd(), 0xFF, x);
+}
+
+__attribute__((target("avx512f"))) inline __m256
+narrow8(__m512d x)
+{
+    return _mm512_mask_cvtpd_ps(_mm256_setzero_ps(), 0xFF, x);
+}
+
+/** One k step of an AVX-512 dot block's 8-lane chain. */
+__attribute__((target("avx512f"))) inline __m512d
+dotStepAvx512(Real qk, __m256 col, __m512d acc)
+{
+    return _mm512_fmadd_pd(_mm512_set1_pd(qk), widen8(col), acc);
+}
+
+/** AVX-512 dot blocks, two at a time: 16 rows as two independent
+ *  8-lane chains. Lanes past n repeat the last row so every load
+ *  stays in bounds; their outputs are never stored. */
+__attribute__((target("avx512f"))) void
+dotRowsAvx512(const Real *q, const Real *const *rows, Index n, Index d,
+              Real *out)
+{
+    constexpr Index kPair = 2 * kSimdDotRows;
+    for (Index j = 0; j < n; j += kPair) {
+        const Real *r[kPair];
+        for (Index l = 0; l < kPair; ++l)
+            r[l] = rows[std::min(j + l, n - 1)];
+        __m512d acc0 = _mm512_setzero_pd();
+        __m512d acc1 = _mm512_setzero_pd();
+        Index k = 0;
+        for (; k + 4 <= d; k += 4) {
+            // Fetch the next 16 rows one cache line ahead of use: the
+            // rows sit on scattered arena pages, which the hardware
+            // prefetcher does not follow from one row to the next.
+            if (k % 16 == 0)
+                for (Index l = 0; l < kPair; ++l)
+                    _mm_prefetch(reinterpret_cast<const char *>(
+                                     rows[std::min(j + kPair + l, n - 1)] +
+                                     k),
+                                 _MM_HINT_T0);
+            __m256 c0[4], c1[4];
+            transposeRows8x4(r, k, c0);
+            transposeRows8x4(r + kSimdDotRows, k, c1);
+            for (int s = 0; s < 4; ++s) {
+                acc0 = dotStepAvx512(q[k + s], c0[s], acc0);
+                acc1 = dotStepAvx512(q[k + s], c1[s], acc1);
+            }
+        }
+        for (; k < d; ++k) {
+            acc0 = dotStepAvx512(q[k], rowsColumn8(r, k), acc0);
+            acc1 = dotStepAvx512(q[k], rowsColumn8(r + kSimdDotRows, k),
+                                 acc1);
+        }
+        storeLanes8(out + j, narrow8(acc0), std::min(kSimdDotRows, n - j));
+        if (n - j > kSimdDotRows)
+            storeLanes8(out + j + kSimdDotRows, narrow8(acc1),
+                        std::min(kSimdDotRows, n - j - kSimdDotRows));
+    }
+}
+
 #endif // CTA_SIMD_X86
 
 #if CTA_SIMD_NEON
@@ -841,30 +1059,6 @@ addRowNeon(Real *acc, const Real *x, Index n)
                   vaddq_f32(vld1q_f32(acc + j), vld1q_f32(x + j)));
     for (; j < n; ++j)
         acc[j] += x[j];
-}
-
-void
-mulAddRowNeon(Real *acc, const Real *x, Real w, Index n)
-{
-    Index j = 0;
-    for (; j + 4 <= n; j += 4)
-        vst1q_f32(acc + j,
-                  vaddq_f32(vld1q_f32(acc + j),
-                            vmulq_n_f32(vld1q_f32(x + j), w)));
-    for (; j < n; ++j)
-        acc[j] += w * x[j];
-}
-
-void
-fmaRowNeon(Real *acc, const Real *x, Real w, Index n)
-{
-    Index j = 0;
-    for (; j + 4 <= n; j += 4)
-        vst1q_f32(acc + j,
-                  vfmaq_n_f32(vld1q_f32(acc + j), vld1q_f32(x + j),
-                              w));
-    for (; j < n; ++j)
-        acc[j] = std::fmaf(w, x[j], acc[j]);
 }
 
 void
@@ -946,6 +1140,45 @@ vecMatRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
                 s = std::fmaf(arow[k], b.row(k).data()[j], s);
             crow[j] = s;
         }
+    }
+}
+
+template <bool Fma>
+inline float32x4_t
+accStepNeon(Real w, float32x4_t x, float32x4_t acc)
+{
+    return Fma ? vfmaq_n_f32(acc, x, w)
+               : vaddq_f32(acc, vmulq_n_f32(x, w));
+}
+
+template <bool Fma>
+void
+accumulateRowsNeon(Real *acc, const Real *const *rows, const Real *w,
+                   Index n, Index d)
+{
+    Index t = 0;
+    for (; t + 16 <= d; t += 16) {
+        float32x4_t s0 = vld1q_f32(acc + t);
+        float32x4_t s1 = vld1q_f32(acc + t + 4);
+        float32x4_t s2 = vld1q_f32(acc + t + 8);
+        float32x4_t s3 = vld1q_f32(acc + t + 12);
+        for (Index j = 0; j < n; ++j) {
+            const Real *x = rows[j] + t;
+            s0 = accStepNeon<Fma>(w[j], vld1q_f32(x), s0);
+            s1 = accStepNeon<Fma>(w[j], vld1q_f32(x + 4), s1);
+            s2 = accStepNeon<Fma>(w[j], vld1q_f32(x + 8), s2);
+            s3 = accStepNeon<Fma>(w[j], vld1q_f32(x + 12), s3);
+        }
+        vst1q_f32(acc + t, s0);
+        vst1q_f32(acc + t + 4, s1);
+        vst1q_f32(acc + t + 8, s2);
+        vst1q_f32(acc + t + 12, s3);
+    }
+    for (; t < d; ++t) {
+        Real s = acc[t];
+        for (Index j = 0; j < n; ++j)
+            s = accStep<Fma>(w[j], rows[j][t], s);
+        acc[t] = s;
     }
 }
 
@@ -1300,50 +1533,6 @@ simdAddRow(Real *acc, const Real *x, Index n)
 }
 
 void
-simdMulAddRow(Real *acc, const Real *x, Real w, Index n)
-{
-    switch (activeSimdLevel()) {
-#if CTA_SIMD_X86
-    case SimdLevel::Avx512:
-        mulAddRowAvx512(acc, x, w, n);
-        return;
-    case SimdLevel::Avx2:
-        mulAddRowAvx2(acc, x, w, n);
-        return;
-#endif
-#if CTA_SIMD_NEON
-    case SimdLevel::Neon:
-        mulAddRowNeon(acc, x, w, n);
-        return;
-#endif
-    default:
-        mulAddRowScalar(acc, x, w, n);
-    }
-}
-
-void
-simdFmaRow(Real *acc, const Real *x, Real w, Index n)
-{
-    switch (activeSimdLevel()) {
-#if CTA_SIMD_X86
-    case SimdLevel::Avx512:
-        fmaRowAvx512(acc, x, w, n);
-        return;
-    case SimdLevel::Avx2:
-        fmaRowAvx2(acc, x, w, n);
-        return;
-#endif
-#if CTA_SIMD_NEON
-    case SimdLevel::Neon:
-        fmaRowNeon(acc, x, w, n);
-        return;
-#endif
-    default:
-        fmaRowScalar(acc, x, w, n);
-    }
-}
-
-void
 simdPackB(const Matrix &b, std::vector<Real> &packed)
 {
     const Index depth = b.rows();
@@ -1413,6 +1602,70 @@ simdVecMatRows(const Matrix &a, const Matrix &b, Matrix &c,
 #endif
     default:
         vecMatRowsScalar(a, b, c, row_begin, row_end);
+    }
+}
+
+void
+simdFmaRows(Real *acc, const Real *const *rows, const Real *w, Index n,
+            Index d)
+{
+    switch (activeSimdLevel()) {
+#if CTA_SIMD_X86
+    case SimdLevel::Avx512:
+        accumulateRowsAvx512<true>(acc, rows, w, n, d);
+        return;
+    case SimdLevel::Avx2:
+        accumulateRowsAvx2<true>(acc, rows, w, n, d);
+        return;
+#endif
+#if CTA_SIMD_NEON
+    case SimdLevel::Neon:
+        accumulateRowsNeon<true>(acc, rows, w, n, d);
+        return;
+#endif
+    default:
+        accumulateRowsScalar<true>(acc, rows, w, n, d);
+    }
+}
+
+void
+simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
+               Index n, Index d)
+{
+    switch (activeSimdLevel()) {
+#if CTA_SIMD_X86
+    case SimdLevel::Avx512:
+        accumulateRowsAvx512<false>(acc, rows, w, n, d);
+        return;
+    case SimdLevel::Avx2:
+        accumulateRowsAvx2<false>(acc, rows, w, n, d);
+        return;
+#endif
+#if CTA_SIMD_NEON
+    case SimdLevel::Neon:
+        accumulateRowsNeon<false>(acc, rows, w, n, d);
+        return;
+#endif
+    default:
+        accumulateRowsScalar<false>(acc, rows, w, n, d);
+    }
+}
+
+void
+simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
+            Real *out)
+{
+    switch (activeSimdLevel()) {
+#if CTA_SIMD_X86
+    case SimdLevel::Avx512:
+        dotRowsAvx512(q, rows, n, d, out);
+        return;
+    case SimdLevel::Avx2:
+        dotRowsAvx2(q, rows, n, d, out);
+        return;
+#endif
+    default:
+        dotRowsScalar(q, rows, n, d, out);
     }
 }
 

@@ -17,9 +17,23 @@
  *
  *  - simdRowMax: max is exact (no rounding), so any scan order gives
  *    the same result for finite/-inf data.
- *  - simdScaleRow / simdAddRow / simdMulAddRow / simdFmaRow: one
- *    multiply and/or one add (or one fused multiply-add) per element
- *    — identical at every width.
+ *  - simdScaleRow / simdAddRow: one multiply or one add per element
+ *    — identical at every width. simdFmaRows / simdMulAddRows apply
+ *    one fused multiply-add (or one multiply, then one add) per
+ *    element for each row in ascending row order; holding the
+ *    accumulator in a register between rows stores nothing that
+ *    could round.
+ *  - simdDotRows: per output ONE k-ascending
+ *    chain in double (Wide), the reference transposed-B GEMM
+ *    element. Vectors run one ROW per lane, never one k per lane, so
+ *    no chain is split or reassociated: each lane performs exactly
+ *    its row's scalar sequence. The chain's vector FMA equals the
+ *    scalar multiply-then-add because the product of two widened
+ *    floats (24-bit significands) fits a double's 53 bits exactly —
+ *    fma(q, r, acc) and acc + q * r both round only the add. The
+ *    in-register transpose only moves and widens values (both
+ *    exact), so the result is bit-identical to the naive reference
+ *    at every ISA level, block width and thread count.
  *  - simdVecMatRows / simdGemmRowsPacked: per output element ONE
  *    k-ascending fused-multiply-add chain — the same chain class in
  *    both, so routing between them is bitwise-invisible. FMA rounds
@@ -95,13 +109,38 @@ void simdScaleRow(Real *x, Index n, Real s);
 /** acc[j] += x[j] for j in [0, n). */
 void simdAddRow(Real *acc, const Real *x, Index n);
 
-/** acc[j] += w * x[j] (multiply, then add — the reference GEMM
- *  accumulation step) for j in [0, n). */
-void simdMulAddRow(Real *acc, const Real *x, Real w, Index n);
+/**
+ * acc[t] = fma(w[j], rows[j][t], acc[t]) for j = 0..n-1 ascending and
+ * t in [0, d) — the SimdBackend GEMM accumulation step (one rounding
+ * per element) over n weighted rows, with the d-wide accumulator row
+ * kept in registers across all n rows instead of loaded and stored
+ * once per row.
+ */
+void simdFmaRows(Real *acc, const Real *const *rows, const Real *w,
+                 Index n, Index d);
 
-/** acc[j] = fma(w, x[j], acc[j]) for j in [0, n) — the SimdBackend
- *  GEMM accumulation step (one rounding per element). */
-void simdFmaRow(Real *acc, const Real *x, Real w, Index n);
+/** simdFmaRows with acc[t] += w[j] * rows[j][t] (multiply, then add —
+ *  the reference GEMM accumulation step), in the same row order and
+ *  with the same register-resident accumulator. */
+void simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
+                    Index n, Index d);
+
+/** Rows per lane-per-row dot block: one double lane per row, 8 rows
+ *  per zmm at AVX-512 and per ymm pair at AVX2. */
+inline constexpr Index kSimdDotRows = 8;
+
+/**
+ * Lane-per-row dot products:
+ *   out[j] = Real(sum over k ascending of Wide(q[k]) * Wide(rows[j][k]))
+ * for j in [0, n), each row being @p d floats at its own address —
+ * bit-identical to the reference transposed-B GEMM element (one Wide
+ * accumulator per output, k ascending, one final narrowing). Rows are
+ * transposed in registers kSimdDotRows at a time so each SIMD lane
+ * runs one row's scalar chain; see the file contract for why that
+ * cannot change a bit.
+ */
+void simdDotRows(const Real *q, const Real *const *rows, Index n,
+                 Index d, Real *out);
 
 /** Width of one packed B panel (simdPackB / simdGemmRowsPacked). */
 inline constexpr Index kSimdPanelWidth = 64;

@@ -46,19 +46,18 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     scratch.out.assign(static_cast<std::size_t>(d_v), Real{0});
     const Real *q = q_bar.row(0).data();
     Real *srow = scratch.scores.data();
+    std::vector<const Real *> &rows = scratch.rows;
 
     // Stage 3 scores, straight off the paged projection rows: per
-    // element the same Wide k-ascending chain as gemmTransposedB,
-    // then the same cast-then-multiply scale() performs — the
-    // concatenated [K1-bar; K2-bar] matrix is never built.
-    for (Index j = 0; j < k_total; ++j) {
-        const Real *krow =
-            (j < k1 ? k_bar1.row(j) : k_bar2.row(j - k1)).data();
-        Wide acc = 0;
-        for (Index k = 0; k < d; ++k)
-            acc += static_cast<Wide>(q[k]) * krow[k];
-        srow[j] = static_cast<Real>(acc) * inv_sqrt_d;
-    }
+    // element the Wide k-ascending chain of gemmTransposedB (the same
+    // simdDotRows kernel, one row per lane), then the cast-then-
+    // multiply scale() performs — the concatenated [K1-bar; K2-bar]
+    // matrix is never built.
+    rows.clear();
+    k_bar1.appendRowPointers(rows);
+    k_bar2.appendRowPointers(rows);
+    core::simdDotRows(q, rows.data(), k_total, d, srow);
+    core::simdScaleRow(srow, k_total, inv_sqrt_d);
 
     // Level-1 row-max shift of the level-2 scores: sequential scan,
     // matching the unfused step() loop comparison for comparison.
@@ -97,16 +96,16 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     // the accumulation step class of the active backend's GEMM: FMA
     // when its GEMM fuses (SimdBackend), mul-then-add otherwise —
     // that is what keeps fused == unfused bitwise under EVERY backend.
-    Real *orow = scratch.out.data();
-    for (Index j = 0; j < k_total; ++j) {
-        const Real w = aprow[j];
-        const Real *vrow =
-            (j < k1 ? v_bar1.row(j) : v_bar2.row(j - k1)).data();
-        if (fma_chains)
-            core::simdFmaRow(orow, vrow, w, d_v);
-        else
-            core::simdMulAddRow(orow, vrow, w, d_v);
-    }
+    // The d_v-wide output row stays in registers across all rows.
+    rows.clear();
+    v_bar1.appendRowPointers(rows);
+    v_bar2.appendRowPointers(rows);
+    if (fma_chains)
+        core::simdFmaRows(scratch.out.data(), rows.data(), aprow,
+                          k_total, d_v);
+    else
+        core::simdMulAddRows(scratch.out.data(), rows.data(), aprow,
+                             k_total, d_v);
 
     if (counts) {
         const auto kt = static_cast<std::uint64_t>(k_total);

@@ -13,10 +13,14 @@
  *
  * Bit-exactness contract (tests/fused_decode_test.cc): the kernel
  * performs the exact per-element operation sequence of the unfused
- * grouped path — the same Wide k-ascending score chains as
- * gemmTransposedB, the same cast-then-scale, the same sequential
- * row-max scan, the same pair-ordered exp/aggregate loop with one
- * Wide total chain, and the same k-ascending AV accumulation, using
+ * grouped path. The scores run through core::simdDotRows, the
+ * lane-per-row kernel behind SimdBackend::gemmTransposedB — the
+ * reference Wide k-ascending chain per row, 8 rows at a time, read
+ * straight from the paged rows — then the same cast-then-scale. Then
+ * come the same sequential row-max scan, the same pair-ordered
+ * exp/aggregate loop with one Wide total chain, and the same
+ * k-ascending AV accumulation (core::simdFmaRows / simdMulAddRows,
+ * the output row held in registers across the cluster rows), using
  * FMA steps when the active backend's GEMM does (fma_chains — see
  * Backend::gemmFmaChains) and mul-then-add steps otherwise. Outputs
  * are therefore bit-identical to the unfused path under EVERY
@@ -24,11 +28,11 @@
  *
  * fused_decode.cc is compiled with -ffp-contract=off (see
  * src/CMakeLists.txt), matching core/backend.cc and core/simd.cc, so
- * the replicated Wide score chains and scalar steps round exactly as
- * written. The pair loop replicated from cta/compressed_attention.cc
- * (a default-flags TU) contains no operation a baseline x86 build
- * could contract; tests/fused_decode_test.cc verifies the resulting
- * bit-identity on the build host.
+ * its scalar steps round exactly as written. The pair loop
+ * replicated from cta/compressed_attention.cc (a default-flags TU)
+ * contains no operation a baseline x86 build could contract;
+ * tests/fused_decode_test.cc verifies the resulting bit-identity on
+ * the build host.
  */
 
 #pragma once
@@ -55,6 +59,7 @@ struct FusedDecodeScratch
     std::vector<core::Real> scores; ///< k1 + k2 scaled scores
     std::vector<core::Real> ap;     ///< k1 + k2 aggregated probabilities
     std::vector<core::Real> out;    ///< d un-normalized output row
+    std::vector<const core::Real *> rows; ///< K- then V-bar row pointers
 };
 
 /**

@@ -2,7 +2,8 @@
  * @file
  * Parity tests for the compute-backend layer (core/backend.h): the
  * SimdBackend's transposed-B GEMM, row maps and row reductions must
- * be bit-identical to NaiveBackend at every thread count, its GEMM
+ * be bit-identical to NaiveBackend at every thread count (and, for
+ * the transposed-B GEMM, at every SIMD level), its GEMM
  * bit-identical across its own thread counts and close to naive,
  * OpCounts must not depend on the installed backend, and the
  * end-to-end CTA pipeline must produce identical op accounting and
@@ -23,6 +24,7 @@
 #include "core/op_counter.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "cta/compressed_attention.h"
 #include "nn/attention.h"
 #include "nn/workload.h"
@@ -39,6 +41,7 @@ using cta::core::Real;
 using cta::core::Rng;
 using cta::core::setActiveBackend;
 using cta::core::SimdBackend;
+using cta::core::SimdLevel;
 using cta::core::Wide;
 
 /** RAII guard restoring the previously active backend. */
@@ -104,22 +107,40 @@ TEST(BackendParityTest, GemmBitIdenticalAcrossThreadCountsAndCloseToNaive)
     }
 }
 
-TEST(BackendParityTest, GemmTransposedBBitIdenticalAcrossThreadCounts)
+TEST(BackendParityTest, GemmTransposedBBitIdenticalToNaiveAtEveryLevel)
 {
+    // Ragged shapes (m, n, depth outside 8Z) for the 8-row dot
+    // blocks: one query row, several rows below the serial-inline
+    // threshold, and one shape past kSerialGemmMacs (300 * 129 * 131
+    // ~ 5.1M MACs > 4M) that fans out over the pool.
+    const std::vector<GemmShape> shapes = {
+        {1, 1, 1},    {1, 65, 449},  {2, 7, 9},     {3, 5, 7},
+        {17, 33, 9},  {65, 63, 66},  {70, 128, 96}, {128, 96, 130},
+        {300, 129, 131},
+    };
     NaiveBackend naive;
     Rng rng(11);
-    for (const auto &[m, k, n] : kShapes) {
+    for (const auto &[m, k, n] : shapes) {
         const Matrix a = Matrix::randomNormal(m, k, rng);
         const Matrix b = Matrix::randomNormal(n, k, rng);
         Matrix ref(m, n);
         naive.gemmTransposedB(a, b, ref);
-        for (const int threads : {1, 2, 8}) {
-            SimdBackend simd(threads);
-            Matrix out(m, n);
-            simd.gemmTransposedB(a, b, out);
-            EXPECT_TRUE(bitIdentical(out, ref))
-                << "gemmTransB " << m << "x" << k << "x" << n
-                << " with " << threads << " threads";
+        for (const SimdLevel level :
+             {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512,
+              SimdLevel::Neon}) {
+            if (!cta::core::simdLevelSupported(level))
+                continue;
+            const SimdLevel previous = cta::core::setSimdLevel(level);
+            for (const int threads : {1, 2, 8}) {
+                SimdBackend simd(threads);
+                Matrix out(m, n);
+                simd.gemmTransposedB(a, b, out);
+                EXPECT_TRUE(bitIdentical(out, ref))
+                    << "gemmTransB " << m << "x" << k << "x" << n
+                    << " level " << cta::core::simdLevelName(level)
+                    << " with " << threads << " threads";
+            }
+            cta::core::setSimdLevel(previous);
         }
     }
 }

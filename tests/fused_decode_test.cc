@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,18 +86,28 @@ sampleTokens(Index n, Index dim, std::uint64_t seed)
     return gen.sampleTokens();
 }
 
+/** Lane-per-row block geometry a decode step ran under. */
+struct BlockCoverage
+{
+    bool seamInsideBlock = false; ///< some block held K1 and K2 rows
+    bool raggedRowCount = false;  ///< k1 + k2 not a multiple of 8
+    bool pageInsideBlock = false; ///< fewer rows per page than a block
+};
+
 /**
  * Decodes the same stream through a fused and an unfused session and
  * asserts bitwise-identical outputs and identical per-step OpCounts
  * at every prefix length. Sessions share (params, tokenDim) and
  * differ ONLY in config.fusedDecode; the standalone constructor
  * samples its LSH set deterministically from the config, so both see
- * identical compression state.
+ * identical compression state. @p coverage, when set, records the
+ * block geometry the steps ran under.
  */
 void
 expectFusedMatchesUnfused(Index prefill, Index steps,
                           std::uint64_t seed, ServeConfig base,
-                          const std::string &what)
+                          const std::string &what,
+                          BlockCoverage *coverage = nullptr)
 {
     const Index dim = 32, d = 16;
     const Matrix tokens = sampleTokens(prefill + steps, dim, seed);
@@ -126,8 +138,42 @@ expectFusedMatchesUnfused(Index prefill, Index steps,
             << what << ": op counts diverge at prefix " << i;
         ASSERT_FALSE(fused_session.fallbackActive());
         ASSERT_FALSE(unfused_session.fallbackActive());
+        if (coverage) {
+            const Index k1 = fused_session.kBar(1).rows();
+            const Index k2 = fused_session.kBar(2).rows();
+            const Index block = cta::core::kSimdDotRows;
+            coverage->seamInsideBlock |= k1 % block != 0 && k2 > 0;
+            coverage->raggedRowCount |= (k1 + k2) % block != 0;
+            coverage->pageInsideBlock |=
+                fused_session.arena()->pageBytes() /
+                    (static_cast<std::size_t>(d) * sizeof(Real)) <
+                static_cast<std::size_t>(block);
+        }
     }
 }
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            previous_ = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (previous_)
+            setenv(name_, previous_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> previous_;
+};
 
 TEST(FusedDecodeTest, BitIdenticalToUnfusedAtEveryPrefixLength)
 {
@@ -158,6 +204,28 @@ TEST(FusedDecodeTest, BitIdenticalAcrossBackendsAndThreadCounts)
         ScopedBackend guard(backend.get());
         expectFusedMatchesUnfused(16, 24, 23, ServeConfig{},
                                   std::string("backend ") + spec);
+    }
+}
+
+TEST(FusedDecodeTest, BitIdenticalWhenDotBlocksStraddleSeamAndPages)
+{
+    // The score kernel dots kSimdDotRows cluster rows per block,
+    // gathered by pointer from the paged K1-bar and K2-bar stores.
+    // Three 64-byte rows per page put a page boundary inside every
+    // block, and decoding from a short prefill walks k1 and k1 + k2
+    // through values that are not multiples of the block, so blocks
+    // straddle the K1/K2 seam and end ragged.
+    ScopedEnv pages("CTA_PAGE_BYTES", "192");
+    for (const char *spec : {"naive", "simd:1", "simd:4"}) {
+        const auto backend = cta::core::makeBackend(spec);
+        ScopedBackend guard(backend.get());
+        BlockCoverage coverage;
+        expectFusedMatchesUnfused(4, 40, 31, ServeConfig{},
+                                  std::string("small pages, ") + spec,
+                                  &coverage);
+        EXPECT_TRUE(coverage.seamInsideBlock) << spec;
+        EXPECT_TRUE(coverage.raggedRowCount) << spec;
+        EXPECT_TRUE(coverage.pageInsideBlock) << spec;
     }
 }
 

@@ -2,7 +2,9 @@
  * @file
  * Tests for the runtime-dispatched SIMD layer (core/simd.h): level
  * detection and forcing, bitwise parity of every vector primitive
- * against its scalar reference at every supported ISA level, the
+ * against its scalar reference at every supported ISA level (the
+ * lane-per-row dot and multi-row accumulate kernels included, on
+ * ragged shapes, scattered rows and non-finite inputs), the
  * FMA-chain routing contract of the packed/vecmat GEMM paths, and
  * the SimdBackend's cross-level / cross-thread bit-identity.
  */
@@ -10,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,13 +179,147 @@ TEST(SimdPrimitiveTest, ElementwiseKernelsMatchScalarAtEveryLevel)
             cta::core::simdAddRow(got.data(), x.data(), n);
             EXPECT_EQ(got, ref_add) << "add n=" << n;
 
+            // One weighted row through the multi-row accumulators.
+            const Real *xrow = x.data();
             got = acc0;
-            cta::core::simdMulAddRow(got.data(), x.data(), w, n);
+            cta::core::simdMulAddRows(got.data(), &xrow, &w, 1, n);
             EXPECT_EQ(got, ref_mul) << "muladd n=" << n;
 
             got = acc0;
-            cta::core::simdFmaRow(got.data(), x.data(), w, n);
+            cta::core::simdFmaRows(got.data(), &xrow, &w, 1, n);
             EXPECT_EQ(got, ref_fma) << "fma n=" << n;
+        }
+    }
+}
+
+/** Row counts around the 8-row dot block and depths around its
+ *  4-step transpose, including one-element rows. */
+const std::vector<Index> kDotRows = {1, 7, 8, 9, 63, 65};
+const std::vector<Index> kDotDepths = {1, 7, 64, 65};
+
+/**
+ * Same value bit for bit, except that two NaNs match whatever their
+ * sign or payload: vector and scalar units may propagate different
+ * NaN bits, and nothing downstream reads them.
+ */
+bool
+sameValues(const std::vector<Real> &a, const std::vector<Real> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::isnan(a[i]) && std::isnan(b[i]))
+            continue;
+        if (std::memcmp(&a[i], &b[i], sizeof(Real)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * @p n rows of @p d floats scattered through one buffer: stored in
+ * reverse order, each at an odd float offset with a gap after it,
+ * so no row is vector-aligned or adjacent to its neighbour in the
+ * row list. @p poison (when set) plants +inf, -inf and NaN.
+ */
+struct ScatteredRows
+{
+    std::vector<Real> storage;
+    std::vector<const Real *> rows;
+
+    ScatteredRows(Index n, Index d, Rng &rng, bool poison)
+    {
+        const Index stride = d + 3;
+        storage = randomVec(n * stride + 1, rng);
+        if (poison) {
+            constexpr Real kInf = std::numeric_limits<Real>::infinity();
+            // Sparse enough that most outputs stay non-NaN: a row
+            // meets one infinity, both signs, a NaN, or none.
+            for (std::size_t i = 0; i < storage.size(); i += 37)
+                storage[i] = (i / 37) % 3 == 0   ? kInf
+                             : (i / 37) % 3 == 1 ? -kInf
+                                                 : std::nanf("");
+        }
+        for (Index j = 0; j < n; ++j)
+            rows.push_back(storage.data() + 1 + (n - 1 - j) * stride);
+    }
+};
+
+/** The reference transposed-B GEMM element: one Wide chain, k
+ *  ascending, narrowed once. */
+Real
+wideDot(const Real *q, const Real *row, Index d)
+{
+    cta::core::Wide acc = 0;
+    for (Index k = 0; k < d; ++k)
+        acc += static_cast<cta::core::Wide>(q[k]) * row[k];
+    return static_cast<Real>(acc);
+}
+
+TEST(SimdDotRowsTest, MatchesWideChainAtEveryLevel)
+{
+    Rng rng(17);
+    for (const bool poison : {false, true}) {
+        for (const Index n : kDotRows) {
+            for (const Index d : kDotDepths) {
+                const ScatteredRows b(n, d, rng, poison);
+                const auto q = randomVec(d, rng);
+                std::vector<Real> ref;
+                for (const Real *row : b.rows)
+                    ref.push_back(wideDot(q.data(), row, d));
+                for (const SimdLevel level : supportedLevels()) {
+                    ScopedSimdLevel guard(level);
+                    std::vector<Real> got(static_cast<std::size_t>(n));
+                    cta::core::simdDotRows(q.data(), b.rows.data(), n, d,
+                                           got.data());
+                    EXPECT_TRUE(sameValues(got, ref))
+                        << "n=" << n << " d=" << d << " poison=" << poison
+                        << " level=" << cta::core::simdLevelName(level);
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdAccumulateRowsTest, MatchesScalarChainsAtEveryLevel)
+{
+    // The multi-row accumulators must equal the scalar fma / mul-add
+    // chains, rows ascending, at every level, column tail and row
+    // count.
+    Rng rng(23);
+    for (const bool poison : {false, true}) {
+        for (const Index n : kDotRows) {
+            for (const Index d : kDotDepths) {
+                const ScatteredRows x(n, d, rng, poison);
+                const auto w = randomVec(n, rng);
+                const auto acc0 = randomVec(d, rng);
+                const auto sd = static_cast<std::size_t>(d);
+                std::vector<Real> ref_fma(acc0), ref_mul(acc0);
+                for (Index j = 0; j < n; ++j) {
+                    const Real wj = w[static_cast<std::size_t>(j)];
+                    const Real *xj = x.rows[static_cast<std::size_t>(j)];
+                    for (std::size_t t = 0; t < sd; ++t) {
+                        ref_fma[t] = std::fma(wj, xj[t], ref_fma[t]);
+                        ref_mul[t] += wj * xj[t];
+                    }
+                }
+                for (const SimdLevel level : supportedLevels()) {
+                    ScopedSimdLevel guard(level);
+                    std::vector<Real> got_fma(acc0), got_mul(acc0);
+                    cta::core::simdFmaRows(got_fma.data(), x.rows.data(),
+                                           w.data(), n, d);
+                    cta::core::simdMulAddRows(got_mul.data(), x.rows.data(),
+                                              w.data(), n, d);
+                    const std::string where =
+                        "n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                        " poison=" + std::to_string(poison) + " level=" +
+                        cta::core::simdLevelName(level);
+                    EXPECT_TRUE(sameValues(got_fma, ref_fma))
+                        << "fma " << where;
+                    EXPECT_TRUE(sameValues(got_mul, ref_mul))
+                        << "muladd " << where;
+                }
+            }
         }
     }
 }
