@@ -35,6 +35,7 @@
 #include "elsa/elsa_attention.h"
 #include "nn/workload.h"
 #include "obs/trace.h"
+#include "serve/decode_session.h"
 
 namespace {
 
@@ -68,6 +69,39 @@ BM_LshHash(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_LshHash)->Arg(128)->Arg(512);
+
+/**
+ * DecodeSession::prefill of a range(0)-token prompt into a fresh
+ * session — batch hash, cluster inserts and one projection per
+ * touched centroid — at token and head dim 64 under the CTA-0.5
+ * operating point calibrated on the prompt. The "s_per_token" counter
+ * is the prefill cost per prompt token (session construction
+ * included, a few small allocations).
+ */
+void
+BM_DecodePrefill(benchmark::State &state)
+{
+    const Index n = state.range(0);
+    constexpr Index kDim = 64;
+    const Matrix prompt = clusteredTokens(n, kDim, 7);
+    Rng rng(8);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kDim, rng);
+    cta::serve::ServeConfig config;
+    config.cta =
+        cta::alg::calibrate(prompt, prompt, cta::alg::Preset::Cta05);
+    for (auto _ : state) {
+        cta::serve::DecodeSession session(params, config, kDim);
+        session.prefill(prompt);
+        benchmark::DoNotOptimize(session.contextLength());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+    state.counters["s_per_token"] = benchmark::Counter(
+        static_cast<double>(n),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DecodePrefill)->Arg(128)->Arg(1024);
 
 void
 BM_ClusterTree(benchmark::State &state)

@@ -68,6 +68,18 @@ Matrix::fill(Real value)
     std::fill(data_.begin(), data_.end(), value);
 }
 
+void
+Matrix::resize(Index rows, Index cols)
+{
+    CTA_REQUIRE(rows >= 0 && cols >= 0,
+                "matrix dims must be non-negative, got ", rows, "x", cols);
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<std::size_t>(rows) *
+                     static_cast<std::size_t>(cols),
+                 0.0f);
+}
+
 Matrix
 Matrix::rowSlice(Index begin, Index end) const
 {
@@ -131,9 +143,17 @@ Matrix::identity(Index order)
 Matrix
 matmul(const Matrix &a, const Matrix &b, OpCounts *counts)
 {
+    Matrix c;
+    matmulInto(a, b, c, counts);
+    return c;
+}
+
+void
+matmulInto(const Matrix &a, const Matrix &b, Matrix &c, OpCounts *counts)
+{
     CTA_REQUIRE(a.cols() == b.rows(), "matmul shape mismatch: ",
                 a.rows(), "x", a.cols(), " * ", b.rows(), "x", b.cols());
-    Matrix c(a.rows(), b.cols());
+    c.resize(a.rows(), b.cols());
     activeBackend().gemm(a, b, c);
     // Op accounting is analytic — identical for every backend and
     // thread count (the OpCounts determinism contract).
@@ -141,7 +161,6 @@ matmul(const Matrix &a, const Matrix &b, OpCounts *counts)
         counts->macs += static_cast<std::uint64_t>(a.rows()) *
                         static_cast<std::uint64_t>(a.cols()) *
                         static_cast<std::uint64_t>(b.cols());
-    return c;
 }
 
 Matrix

@@ -78,6 +78,10 @@ class Matrix
     /** Sets every element to @p value. */
     void fill(Real value);
 
+    /** Becomes a zero-filled rows x cols matrix, reusing the storage
+     *  — no allocation once the capacity covers the new size. */
+    void resize(Index rows, Index cols);
+
     /** Returns a new matrix holding rows [begin, end). */
     Matrix rowSlice(Index begin, Index end) const;
 
@@ -108,6 +112,12 @@ class Matrix
  */
 Matrix matmul(const Matrix &a, const Matrix &b,
               OpCounts *counts = nullptr);
+
+/** matmul() into @p c, resized to rows(A) x cols(B) — its storage is
+ *  reused, so a caller-kept @p c makes repeated products
+ *  allocation-free. */
+void matmulInto(const Matrix &a, const Matrix &b, Matrix &c,
+                OpCounts *counts = nullptr);
 
 /** C = A * B^T (the natural shape for Q . K^T). */
 Matrix matmulTransB(const Matrix &a, const Matrix &b,

@@ -141,11 +141,13 @@ accumulateRowsScalar(Real *acc, const Real *const *rows, const Real *w,
 
 // Lane-per-row dot products (simd.h contract). The scalar level runs
 // kSimdDotRows independent chains side by side — one per row, each
-// exactly the reference element's sequence.
+// exactly the reference element's sequence. Out = Real narrows each
+// chain once at the store; Out = Wide stores it as is.
 
+template <typename Out>
 void
 dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
-              Real *out)
+              Out *out)
 {
     for (Index j = 0; j < n; j += kSimdDotRows) {
         const Index lanes = std::min(kSimdDotRows, n - j);
@@ -156,7 +158,7 @@ dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
                 acc[l] += qk * rows[j + l][k];
         }
         for (Index l = 0; l < lanes; ++l)
-            out[j + l] = static_cast<Real>(acc[l]);
+            out[j + l] = static_cast<Out>(acc[l]);
     }
 }
 
@@ -553,12 +555,33 @@ dotStepAvx2(Real qk, __m256 col, __m256d &lo, __m256d &hi)
                          hi);
 }
 
+/** Stores the first @p lanes of an AVX2 dot block's chains (rows
+ *  0-3 in @p lo, 4-7 in @p hi), narrowed to float. */
+__attribute__((target("avx2"))) inline void
+storeDotLanesAvx2(Real *out, __m256d lo, __m256d hi, Index lanes)
+{
+    storeLanes8(out,
+                _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)),
+                lanes);
+}
+
+/** The same store without the narrowing: the chains as doubles. */
+__attribute__((target("avx2"))) inline void
+storeDotLanesAvx2(Wide *out, __m256d lo, __m256d hi, Index lanes)
+{
+    Wide tmp[kSimdDotRows];
+    _mm256_storeu_pd(tmp, lo);
+    _mm256_storeu_pd(tmp + 4, hi);
+    std::memcpy(out, tmp, static_cast<std::size_t>(lanes) * sizeof(Wide));
+}
+
 /** AVX2 dot block: rows 0-3 and 4-7 of each block run as two 4-lane
  *  double chains (lo, hi). Lanes past n repeat the last row so every
  *  load stays in bounds; their outputs are never stored. */
+template <typename Out>
 __attribute__((target("avx2,fma"))) void
 dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
-            Real *out)
+            Out *out)
 {
     for (Index j = 0; j < n; j += kSimdDotRows) {
         const Index lanes = std::min(kSimdDotRows, n - j);
@@ -576,10 +599,7 @@ dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
         }
         for (; k < d; ++k)
             dotStepAvx2(q[k], rowsColumn8(r, k), lo, hi);
-        storeLanes8(out + j,
-                    _mm256_set_m128(_mm256_cvtpd_ps(hi),
-                                    _mm256_cvtpd_ps(lo)),
-                    lanes);
+        storeDotLanesAvx2(out + j, lo, hi, lanes);
     }
 }
 
@@ -972,12 +992,29 @@ dotStepAvx512(Real qk, __m256 col, __m512d acc)
     return _mm512_fmadd_pd(_mm512_set1_pd(qk), widen8(col), acc);
 }
 
+/** Stores the first @p lanes of an 8-lane AVX-512 dot chain,
+ *  narrowed to float. */
+__attribute__((target("avx512f"))) inline void
+storeDotLanesAvx512(Real *out, __m512d acc, Index lanes)
+{
+    storeLanes8(out, narrow8(acc), lanes);
+}
+
+/** The same store without the narrowing: the chain as doubles. */
+__attribute__((target("avx512f"))) inline void
+storeDotLanesAvx512(Wide *out, __m512d acc, Index lanes)
+{
+    _mm512_mask_storeu_pd(out, static_cast<__mmask8>((1u << lanes) - 1u),
+                          acc);
+}
+
 /** AVX-512 dot blocks, two at a time: 16 rows as two independent
  *  8-lane chains. Lanes past n repeat the last row so every load
  *  stays in bounds; their outputs are never stored. */
+template <typename Out>
 __attribute__((target("avx512f"))) void
 dotRowsAvx512(const Real *q, const Real *const *rows, Index n, Index d,
-              Real *out)
+              Out *out)
 {
     constexpr Index kPair = 2 * kSimdDotRows;
     for (Index j = 0; j < n; j += kPair) {
@@ -1010,10 +1047,11 @@ dotRowsAvx512(const Real *q, const Real *const *rows, Index n, Index d,
             acc1 = dotStepAvx512(q[k], rowsColumn8(r + kSimdDotRows, k),
                                  acc1);
         }
-        storeLanes8(out + j, narrow8(acc0), std::min(kSimdDotRows, n - j));
+        storeDotLanesAvx512(out + j, acc0, std::min(kSimdDotRows, n - j));
         if (n - j > kSimdDotRows)
-            storeLanes8(out + j + kSimdDotRows, narrow8(acc1),
-                        std::min(kSimdDotRows, n - j - kSimdDotRows));
+            storeDotLanesAvx512(out + j + kSimdDotRows, acc1,
+                                std::min(kSimdDotRows,
+                                         n - j - kSimdDotRows));
     }
 }
 
@@ -1651,9 +1689,13 @@ simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
     }
 }
 
+namespace {
+
+/** Level dispatch shared by both output forms of the dot kernel. */
+template <typename Out>
 void
-simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
-            Real *out)
+dotRows(const Real *q, const Real *const *rows, Index n, Index d,
+        Out *out)
 {
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
@@ -1667,6 +1709,22 @@ simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
     default:
         dotRowsScalar(q, rows, n, d, out);
     }
+}
+
+} // namespace
+
+void
+simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
+            Real *out)
+{
+    dotRows(q, rows, n, d, out);
+}
+
+void
+simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
+            Wide *out)
+{
+    dotRows(q, rows, n, d, out);
 }
 
 } // namespace cta::core

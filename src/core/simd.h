@@ -25,9 +25,10 @@
  *    could round.
  *  - simdDotRows: per output ONE k-ascending
  *    chain in double (Wide), the reference transposed-B GEMM
- *    element. Vectors run one ROW per lane, never one k per lane, so
- *    no chain is split or reassociated: each lane performs exactly
- *    its row's scalar sequence. The chain's vector FMA equals the
+ *    element (narrowed once at the store, or stored as Wide for the
+ *    LSH projection). Vectors run one ROW per lane, never one k per
+ *    lane, so no chain is split or reassociated: each lane performs
+ *    exactly its row's scalar sequence. The chain's vector FMA equals the
  *    scalar multiply-then-add because the product of two widened
  *    floats (24-bit significands) fits a double's 53 bits exactly —
  *    fma(q, r, acc) and acc + q * r both round only the add. The
@@ -141,6 +142,15 @@ inline constexpr Index kSimdDotRows = 8;
  */
 void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Real *out);
+
+/**
+ * simdDotRows without the final narrowing: out[j] is row j's Wide
+ * chain itself — the same loads, transposes and FMA steps, only the
+ * store differs. This is the LSH projection of hashToken/hashTokens
+ * (cta/lsh.h): one hash direction or one token per lane.
+ */
+void simdDotRows(const Real *q, const Real *const *rows, Index n,
+                 Index d, Wide *out);
 
 /** Width of one packed B panel (simdPackB / simdGemmRowsPacked). */
 inline constexpr Index kSimdPanelWidth = 64;

@@ -175,6 +175,22 @@ IncrementalClusterTable::append(std::span<const std::int32_t> code)
     return cluster;
 }
 
+void
+IncrementalClusterTable::appendBatch(std::span<const std::int32_t> codes,
+                                     std::span<Index> clusters)
+{
+    CTA_TRACE_SCOPE("cluster.append");
+    CTA_OBS_COUNT("cluster.appends", clusters.size());
+    const auto l = static_cast<std::size_t>(hashLen_);
+    CTA_REQUIRE(codes.size() == clusters.size() * l, "batch of ",
+                clusters.size(), " codes needs ", clusters.size() * l,
+                " buckets, got ", codes.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        clusters[i] = assignCode(codes.subspan(i * l, l));
+        assignments_.push_back(clusters[i]);
+    }
+}
+
 ClusterTable
 IncrementalClusterTable::table() const
 {

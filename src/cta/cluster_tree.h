@@ -202,6 +202,13 @@ class IncrementalClusterTable
     /** Appends one code; returns the cluster index it joined. */
     core::Index append(std::span<const std::int32_t> code);
 
+    /** Appends the codes of @p codes (clusters.size() codes of hash
+     *  length each, row-major) in order — exactly one append() per
+     *  code, under one trace span — writing the cluster each joined
+     *  into @p clusters. */
+    void appendBatch(std::span<const std::int32_t> codes,
+                     std::span<core::Index> clusters);
+
     /** Materializes the table over every code appended so far. */
     ClusterTable table() const;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 
 #include "core/logging.h"
 #include "core/rng.h"
@@ -152,6 +154,40 @@ ClusterPairCounts::add(Index c1, Index c2)
     ++tokens_;
 }
 
+void
+ClusterPairCounts::addBatch(std::span<const Index> c1,
+                            std::span<const Index> c2)
+{
+    CTA_REQUIRE(c1.size() == c2.size(), "pair batch sizes differ: ",
+                c1.size(), " vs ", c2.size());
+    const auto key = [](Index a, Index b) {
+        return static_cast<std::uint64_t>(a) << 32 |
+               static_cast<std::uint32_t>(b);
+    };
+    // The index lives only for this call, so the stored state — and
+    // a fork's page sharing — is exactly what add() leaves.
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    index.reserve(pairs_.size() + c1.size());
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+        const Pair p = pairs_[i];
+        index.emplace(key(p.c1, p.c2), i);
+    }
+    for (std::size_t t = 0; t < c1.size(); ++t) {
+        CTA_REQUIRE(c1[t] >= 0 && c2[t] >= 0, "negative cluster index ",
+                    c1[t], ", ", c2[t]);
+        const auto [at, inserted] =
+            index.try_emplace(key(c1[t], c2[t]), pairs_.size());
+        if (inserted) {
+            pairs_.push_back(Pair{c1[t], c2[t], 1});
+        } else {
+            Pair p = pairs_[at->second];
+            ++p.count;
+            pairs_.set(at->second, p);
+        }
+        ++tokens_;
+    }
+}
+
 std::vector<ClusterPairCounts::Pair>
 ClusterPairCounts::pairs() const
 {
@@ -215,46 +251,37 @@ aggregateProbabilitiesGrouped(const Matrix &s_bar,
 }
 
 void
-refreshProjectedRow(const nn::Linear &linear,
-                    std::span<const Real> centroid, Matrix &projected,
-                    Index row, OpCounts *counts)
+refreshProjectedRows(const nn::Linear &linear,
+                     const IncrementalCompression &level,
+                     std::span<const Index> rows,
+                     core::PagedRows &projected, OpCounts *counts)
 {
-    CTA_REQUIRE(static_cast<Index>(centroid.size()) == linear.inDim(),
-                "centroid dim ", centroid.size(), " != linear in dim ",
-                linear.inDim());
-    CTA_REQUIRE(row >= 0 && row <= projected.rows(),
-                "projected row ", row, " out of range");
-    Matrix token(1, linear.inDim());
-    std::copy(centroid.begin(), centroid.end(), token.row(0).begin());
-    const Matrix y = linear.forward(token, counts);
-    if (row == projected.rows()) {
-        projected.appendRows(y);
+    const Index m = static_cast<Index>(rows.size());
+    const Index in = linear.inDim();
+    CTA_REQUIRE(level.dim() == in, "centroid dim ", level.dim(),
+                " != linear in dim ", in);
+    if (m == 0)
         return;
+    thread_local Matrix centroids;
+    thread_local Matrix y;
+    centroids.resize(m, in);
+    for (Index r = 0; r < m; ++r) {
+        const std::span<const Real> c = level.centroid(rows[r]);
+        std::copy(c.begin(), c.end(), centroids.row(r).begin());
     }
-    std::copy(y.row(0).begin(), y.row(0).end(),
-              projected.row(row).begin());
-}
-
-void
-refreshProjectedRow(const nn::Linear &linear,
-                    std::span<const Real> centroid,
-                    core::PagedRows &projected, Index row,
-                    OpCounts *counts)
-{
-    CTA_REQUIRE(static_cast<Index>(centroid.size()) == linear.inDim(),
-                "centroid dim ", centroid.size(), " != linear in dim ",
-                linear.inDim());
-    CTA_REQUIRE(row >= 0 && row <= projected.rows(),
-                "projected row ", row, " out of range");
-    Matrix token(1, linear.inDim());
-    std::copy(centroid.begin(), centroid.end(), token.row(0).begin());
-    const Matrix y = linear.forward(token, counts);
-    if (row == projected.rows()) {
-        projected.appendRow(y.row(0));
-        return;
+    linear.forwardInto(centroids, y, counts);
+    for (Index r = 0; r < m; ++r) {
+        const Index row = rows[r];
+        CTA_REQUIRE(row >= 0 && row <= projected.rows() &&
+                        (r == 0 || row > rows[r - 1]),
+                    "projected row ", row, " out of order or range");
+        if (row == projected.rows()) {
+            projected.appendRow(y.row(r));
+            continue;
+        }
+        std::copy(y.row(r).begin(), y.row(r).end(),
+                  projected.writableRow(row).begin());
     }
-    std::copy(y.row(0).begin(), y.row(0).end(),
-              projected.writableRow(row).begin());
 }
 
 LshParamSet

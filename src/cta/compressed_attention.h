@@ -217,6 +217,12 @@ class ClusterPairCounts
      *  dedup hash map is what makes a fork O(shared pages). */
     void add(core::Index c1, core::Index c2);
 
+    /** add(c1[i], c2[i]) for every i in order — the same pair order,
+     *  counts and page writes — through a per-call hash index instead
+     *  of one linear scan per token. */
+    void addBatch(std::span<const core::Index> c1,
+                  std::span<const core::Index> c2);
+
     /** Materializes the distinct pairs in first-seen order. */
     std::vector<Pair> pairs() const;
 
@@ -261,25 +267,26 @@ void aggregateProbabilitiesGrouped(const core::Matrix &s_bar,
                                    core::OpCounts *counts = nullptr);
 
 /**
- * Re-projects one centroid row through @p linear into row @p row of
- * @p projected (growing it by one row when row == projected.rows()).
- * Every backend's GEMM computes each output row independently with
- * the same ascending-k accumulation (core/backend.h determinism
- * contract), so a row refreshed here is bit-identical to the
+ * Re-projects the centroids @p rows of @p level through @p linear
+ * into the same rows of @p projected: one Linear::forwardInto (a
+ * single backend gemm) over the gathered centroids. Every
+ * backend computes each GEMM output row independently with one fixed
+ * k-ascending chain whatever the row count (core/backend.h), so a row
+ * refreshed here — alone or in any batch — is bit-identical to the
  * corresponding row of linear.forward() over the full centroid
- * matrix — which is how a decode session keeps Qb/Kb/Vb in sync
+ * matrix. That is how a decode session keeps its cached Kb/Vb in sync
  * while re-projecting only centroids that changed.
+ *
+ * @p rows must be ascending; ids at or past projected.rows() are
+ * appended and must continue it without gaps. The gather and output
+ * scratch is thread-local and reused, so once warm the projection
+ * allocates nothing; the write privatises each touched page CoW.
+ * Charges the forward's op counts for rows.size() rows.
  */
-void refreshProjectedRow(const nn::Linear &linear,
-                         std::span<const core::Real> centroid,
-                         core::Matrix &projected, core::Index row,
-                         core::OpCounts *counts = nullptr);
-
-/** Same refresh into a paged row store (identical arithmetic; the
- *  write privatises the touched page CoW). */
-void refreshProjectedRow(const nn::Linear &linear,
-                         std::span<const core::Real> centroid,
-                         core::PagedRows &projected, core::Index row,
-                         core::OpCounts *counts = nullptr);
+void refreshProjectedRows(const nn::Linear &linear,
+                          const IncrementalCompression &level,
+                          std::span<const core::Index> rows,
+                          core::PagedRows &projected,
+                          core::OpCounts *counts = nullptr);
 
 } // namespace cta::alg

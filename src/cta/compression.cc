@@ -127,7 +127,7 @@ IncrementalCompression::level() const
     return level;
 }
 
-AppendResult
+Index
 IncrementalCompression::append(std::span<const Real> token,
                                core::OpCounts *counts)
 {
@@ -141,10 +141,59 @@ IncrementalCompression::append(std::span<const Real> token,
         CTA_OBS_COUNT("lsh.tokens_hashed", 1);
         hashToken(token, *params_, codeBuf_, counts);
     }
-    const Index before = table_.numClusters();
     const Index c = table_.append(codeBuf_);
-    AppendResult result{c, table_.numClusters() != before};
-    if (result.newCluster) {
+    accumulate(token, c, counts);
+    return c;
+}
+
+void
+IncrementalCompression::appendBatch(const Matrix &tokens,
+                                    std::span<Index> clusters,
+                                    Matrix *residuals,
+                                    core::OpCounts *counts)
+{
+    const Index n = tokens.rows();
+    const Index d = params_->dim();
+    CTA_REQUIRE(tokens.cols() == d, "token dim ", tokens.cols(),
+                " != compression dim ", d);
+    CTA_REQUIRE(static_cast<Index>(clusters.size()) == n,
+                "batch cluster slots ", clusters.size(),
+                " != token count ", n);
+    CTA_REQUIRE(!residuals ||
+                    (residuals->rows() == n && residuals->cols() == d),
+                "batch residuals shape mismatch");
+    if (n == 0)
+        return;
+    HashMatrix codes(n, params_->hashLen());
+    {
+        CTA_TRACE_SCOPE("lsh.hash");
+        CTA_OBS_COUNT("lsh.tokens_hashed", static_cast<std::uint64_t>(n));
+        hashRows(tokens, *params_, codes.data(), counts);
+    }
+    table_.appendBatch(codes.data(), clusters);
+    for (Index i = 0; i < n; ++i) {
+        const std::span<const Real> token = tokens.row(i);
+        const Index c = clusters[static_cast<std::size_t>(i)];
+        accumulate(token, c, counts);
+        if (!residuals)
+            continue;
+        // Frozen-at-insertion residual against the post-insert mean.
+        const std::span<const Real> mean = centroid(c);
+        Real *rrow = residuals->row(i).data();
+        for (Index j = 0; j < d; ++j)
+            rrow[j] = token[static_cast<std::size_t>(j)] -
+                      mean[static_cast<std::size_t>(j)];
+    }
+}
+
+void
+IncrementalCompression::accumulate(std::span<const Real> token, Index c,
+                                   core::OpCounts *counts)
+{
+    const Index d = params_->dim();
+    // Clusters are numbered in first-seen order, so a new cluster's
+    // index is exactly the next row.
+    if (c == static_cast<Index>(members_.size())) {
         sums_.appendZeroRow();
         centroids_.appendZeroRow();
         members_.push_back(0);
@@ -172,7 +221,6 @@ IncrementalCompression::append(std::span<const Real> token,
         counts->adds += static_cast<std::uint64_t>(d);
         counts->divs += static_cast<std::uint64_t>(d);
     }
-    return result;
 }
 
 CompressionLevelSnapshot
@@ -319,7 +367,6 @@ IncrementalCompression::restoreDelta(
                 "delta claims cluster ", c,
                 " unchanged but member counts differ");
     members_ = delta.members;
-    std::vector<Real> mean(static_cast<std::size_t>(d));
     const auto refreshRow = [&](Index c) {
         const Real inv =
             1.0f /
@@ -383,8 +430,7 @@ IncrementalTwoLevelCompression::append(std::span<const Real> token,
     result.level1 = level1_.append(token, counts);
     // Decode-time residual, frozen at insertion: subtract the
     // post-insert centroid of the cluster the token just joined.
-    const std::span<const Real> mean =
-        level1_.centroid(result.level1.cluster);
+    const std::span<const Real> mean = level1_.centroid(result.level1);
     residualBuf_.resize(token.size());
     for (std::size_t j = 0; j < token.size(); ++j)
         residualBuf_[j] = token[j] - mean[j];
@@ -392,6 +438,26 @@ IncrementalTwoLevelCompression::append(std::span<const Real> token,
         counts->adds += static_cast<std::uint64_t>(token.size());
     result.level2 = level2_.append(residualBuf_, counts);
     return result;
+}
+
+void
+IncrementalTwoLevelCompression::appendBatch(const Matrix &tokens,
+                                            std::span<Index> level1,
+                                            std::span<Index> level2,
+                                            core::OpCounts *counts)
+{
+    CTA_TRACE_SCOPE("compress.append");
+    CTA_OBS_COUNT("compress.appended_tokens",
+                  static_cast<std::uint64_t>(tokens.rows()));
+    // Level 2 hashes residuals frozen at insertion, which depend only
+    // on level-1 state up to their own token — so all of level 1 can
+    // run first, then all of level 2, with the per-token arithmetic
+    // of append() unchanged.
+    Matrix residuals(tokens.rows(), tokens.cols());
+    level1_.appendBatch(tokens, level1, &residuals, counts);
+    if (counts)
+        counts->adds += static_cast<std::uint64_t>(tokens.size());
+    level2_.appendBatch(residuals, level2, nullptr, counts);
 }
 
 TwoLevelCompression

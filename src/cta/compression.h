@@ -78,13 +78,6 @@ core::Matrix reconstruct(const CompressionLevel &level);
 /** Reconstructs X~_i = C1[CT1[i]] + C2[CT2[i]] (eq. 2, keys/values). */
 core::Matrix reconstruct(const TwoLevelCompression &compression);
 
-/** What one append() did to an incremental compression level. */
-struct AppendResult
-{
-    core::Index cluster = 0;  ///< cluster the token joined
-    bool newCluster = false;  ///< a new centroid row was created
-};
-
 /**
  * Serializable state of one IncrementalCompression level. Centroids
  * are deliberately absent: append() always recomputes a touched
@@ -158,9 +151,27 @@ class IncrementalCompression
     IncrementalCompression(std::shared_ptr<const LshParams> params,
                            std::shared_ptr<core::PageArena> arena);
 
-    /** Appends one token (length dim()); updates tree + centroid. */
-    AppendResult append(std::span<const core::Real> token,
-                        core::OpCounts *counts = nullptr);
+    /** Appends one token (length dim()); updates tree + centroid.
+     *  Returns the cluster the token joined. */
+    core::Index append(std::span<const core::Real> token,
+                       core::OpCounts *counts = nullptr);
+
+    /**
+     * Appends every row of @p tokens in order, bit-identical to one
+     * append() per row: the rows are hashed as one batch (hashRows,
+     * one "lsh.hash" span), their codes inserted in one pass
+     * (IncrementalClusterTable::appendBatch), then each token's
+     * running sum and centroid update in token order. clusters[i]
+     * receives the cluster row i joined. When @p residuals is
+     * non-null (rows x dim()),
+     * its row i receives token i minus its cluster's centroid right
+     * after token i's update — the frozen-at-insertion level-2
+     * residual of IncrementalTwoLevelCompression.
+     */
+    void appendBatch(const core::Matrix &tokens,
+                     std::span<core::Index> clusters,
+                     core::Matrix *residuals = nullptr,
+                     core::OpCounts *counts = nullptr);
 
     /** Materializes the compression of every token appended so far. */
     CompressionLevel level() const;
@@ -238,6 +249,11 @@ class IncrementalCompression
     }
 
   private:
+    /** Adds @p token into cluster @p c's running sum (creating the
+     *  row when @p c is new) and refreshes its centroid. */
+    void accumulate(std::span<const core::Real> token, core::Index c,
+                    core::OpCounts *counts);
+
     std::shared_ptr<const LshParams> params_;
     std::shared_ptr<core::PageArena> arena_;
     IncrementalClusterTable table_;
@@ -247,11 +263,12 @@ class IncrementalCompression
     std::vector<std::int32_t> codeBuf_;
 };
 
-/** What one append() did to an incremental two-level compression. */
+/** The clusters one token joined in an incremental two-level
+ *  compression. */
 struct TwoLevelAppendResult
 {
-    AppendResult level1;
-    AppendResult level2;
+    core::Index level1 = 0;
+    core::Index level2 = 0;
 };
 
 /** Serializable state of an IncrementalTwoLevelCompression. */
@@ -297,6 +314,18 @@ class IncrementalTwoLevelCompression
     /** Appends one KV token to both levels. */
     TwoLevelAppendResult append(std::span<const core::Real> token,
                                 core::OpCounts *counts = nullptr);
+
+    /**
+     * Appends every row of @p tokens, bit-identical to one append()
+     * per row: level 1 takes the whole batch (one batch hash, then
+     * in-order inserts that also freeze each token's residual), then
+     * level 2 takes the batch of residuals. Row i's clusters land in
+     * level1[i] and level2[i]. One "compress.append" span per batch.
+     */
+    void appendBatch(const core::Matrix &tokens,
+                     std::span<core::Index> level1,
+                     std::span<core::Index> level2,
+                     core::OpCounts *counts = nullptr);
 
     const IncrementalCompression &level1() const { return level1_; }
     const IncrementalCompression &level2() const { return level2_; }

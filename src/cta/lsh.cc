@@ -1,10 +1,12 @@
 #include "cta/lsh.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "core/logging.h"
 #include "core/op_counter.h"
+#include "core/simd.h"
 #include "core/rng.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -95,6 +97,50 @@ toBucket(Wide floored)
     return static_cast<std::int32_t>(floored);
 }
 
+/** Bucket of one projected chain: floor((dot + b) / w) as the
+ *  multiply by 1/w, saturated by toBucket. */
+std::int32_t
+bucketOf(Wide dot, Real bias, Real inv_w)
+{
+    const Wide shifted = (dot + bias) * inv_w;
+    return toBucket(std::floor(shifted));
+}
+
+/** The LshBucket fault site: one draw per *token*, keyed on the
+ *  produced code, so a token faults identically whether it was
+ *  hashed alone or in a batch, under any thread count. */
+void
+maybePerturb(std::span<std::int32_t> code)
+{
+    if (!fault::armed(fault::Site::LshBucket))
+        return;
+    const std::uint64_t key = fault::hashBytes(
+        code.data(), code.size() * sizeof(std::int32_t));
+    const auto at = static_cast<std::size_t>(
+        fault::mix(fault::Site::LshBucket, key ^ 0x17u) %
+        static_cast<std::uint64_t>(code.size()));
+    fault::perturbBucket(fault::Site::LshBucket, key, code[at]);
+}
+
+/** Charges hashing @p tokens tokens: l*d MACs, l adds, l muls and l
+ *  floors each. */
+void
+chargeHash(core::OpCounts *counts, Index tokens, Index l, Index d)
+{
+    if (!counts)
+        return;
+    const auto lu = static_cast<std::uint64_t>(tokens) *
+                    static_cast<std::uint64_t>(l);
+    counts->macs += lu * static_cast<std::uint64_t>(d);
+    counts->adds += lu;   // + b
+    counts->muls += lu;   // * 1/w
+    counts->floors += lu;
+}
+
+/** Lanes per dot-kernel call: two kSimdDotRows blocks, the widest
+ *  block pair the kernel runs at once. */
+constexpr Index kHashLanes = 2 * core::kSimdDotRows;
+
 } // namespace
 
 void
@@ -102,10 +148,9 @@ hashToken(std::span<const Real> token, const LshParams &params,
           std::span<std::int32_t> code, core::OpCounts *counts)
 {
     // Deliberately uninstrumented: this leaf is the per-token hot
-    // path (the l x d dot-product loop), and even disabled macros
-    // here cost several percent of serve throughput by inhibiting
-    // its optimization. Callers carry the "lsh.hash" span and the
-    // lsh.tokens_hashed counter instead.
+    // path, and even disabled macros here cost several percent of
+    // serve throughput by inhibiting its optimization. Callers carry
+    // the "lsh.hash" span and the lsh.tokens_hashed counter instead.
     const Index l = params.hashLen();
     const Index d = params.dim();
     CTA_REQUIRE(static_cast<Index>(token.size()) == d, "token dim ",
@@ -113,34 +158,58 @@ hashToken(std::span<const Real> token, const LshParams &params,
     CTA_REQUIRE(static_cast<Index>(code.size()) == l, "code length ",
                 code.size(), " != hash length ", l);
     const Real inv_w = 1.0f / params.w;
-    for (Index j = 0; j < l; ++j) {
-        const Real *dir = params.a.row(j).data();
-        Wide dot = 0;
-        for (Index k = 0; k < d; ++k)
-            dot += static_cast<Wide>(dir[k]) * token[k];
-        const Wide shifted = (dot + params.b(j, 0)) * inv_w;
-        code[static_cast<std::size_t>(j)] =
-            toBucket(std::floor(shifted));
+    // One hash direction per lane: dots[j] is direction j's Wide
+    // chain sum_k Wide(a[j][k]) * token[k], k ascending.
+    const Real *dirs[kHashLanes];
+    Wide dots[kHashLanes];
+    for (Index j0 = 0; j0 < l; j0 += kHashLanes) {
+        const Index m = std::min(kHashLanes, l - j0);
+        for (Index j = 0; j < m; ++j)
+            dirs[j] = params.a.row(j0 + j).data();
+        core::simdDotRows(token.data(), dirs, m, d, dots);
+        for (Index j = 0; j < m; ++j)
+            code[static_cast<std::size_t>(j0 + j)] =
+                bucketOf(dots[j], params.b(j0 + j, 0), inv_w);
     }
-    // Fault site (lsh): one disarmed branch per *token*, after the
-    // hot loop — per-element hooks would defeat the optimization the
-    // comment above protects. The draw is keyed on the produced code,
-    // so the same token faults identically under any thread count.
-    if (fault::armed(fault::Site::LshBucket)) {
-        const std::uint64_t key = fault::hashBytes(
-            code.data(), code.size() * sizeof(std::int32_t));
-        const auto at = static_cast<std::size_t>(
-            fault::mix(fault::Site::LshBucket, key ^ 0x17u) %
-            static_cast<std::uint64_t>(l));
-        fault::perturbBucket(fault::Site::LshBucket, key, code[at]);
+    maybePerturb(code);
+    chargeHash(counts, 1, l, d);
+}
+
+void
+hashRows(const Matrix &x, const LshParams &params,
+         std::span<std::int32_t> codes, core::OpCounts *counts)
+{
+    const Index n = x.rows();
+    const Index l = params.hashLen();
+    const Index d = params.dim();
+    CTA_REQUIRE(x.cols() == d, "token dim ", x.cols(), " != LSH dim ",
+                d);
+    CTA_REQUIRE(static_cast<Index>(codes.size()) == n * l,
+                "code storage ", codes.size(), " != ", n, " x ", l);
+    const Real inv_w = 1.0f / params.w;
+    // One token per lane: for each direction j, dots[i] is token i's
+    // chain — the same per-element sequence hashToken() runs with one
+    // direction per lane (multiplication commutes exactly here: the
+    // product of two widened floats is exact in a double).
+    const Real *rows[kHashLanes];
+    Wide dots[kHashLanes];
+    for (Index i0 = 0; i0 < n; i0 += kHashLanes) {
+        const Index m = std::min(kHashLanes, n - i0);
+        for (Index i = 0; i < m; ++i)
+            rows[i] = x.row(i0 + i).data();
+        for (Index j = 0; j < l; ++j) {
+            core::simdDotRows(params.a.row(j).data(), rows, m, d, dots);
+            const Real bias = params.b(j, 0);
+            for (Index i = 0; i < m; ++i)
+                codes[static_cast<std::size_t>((i0 + i) * l + j)] =
+                    bucketOf(dots[i], bias, inv_w);
+        }
+        for (Index i = 0; i < m; ++i)
+            maybePerturb(codes.subspan(
+                static_cast<std::size_t>((i0 + i) * l),
+                static_cast<std::size_t>(l)));
     }
-    if (counts) {
-        const auto lu = static_cast<std::uint64_t>(l);
-        counts->macs += lu * static_cast<std::uint64_t>(d);
-        counts->adds += lu;   // + b
-        counts->muls += lu;   // * 1/w
-        counts->floors += lu;
-    }
+    chargeHash(counts, n, l, d);
 }
 
 HashMatrix
@@ -152,13 +221,8 @@ hashTokens(const Matrix &x, const LshParams &params,
                 " != LSH dim ", params.dim());
     const Index n = x.rows();
     CTA_OBS_COUNT("lsh.tokens_hashed", static_cast<std::uint64_t>(n));
-    const Index l = params.hashLen();
-    HashMatrix h(n, l);
-    for (Index i = 0; i < n; ++i) {
-        std::span<std::int32_t> row{&h(i, 0),
-                                    static_cast<std::size_t>(l)};
-        hashToken(x.row(i), params, row, counts);
-    }
+    HashMatrix h(n, params.hashLen());
+    hashRows(x, params, h.data(), counts);
     return h;
 }
 

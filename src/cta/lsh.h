@@ -42,6 +42,9 @@ class HashMatrix
     /** The hash code (length-l span) of token @p r. */
     std::span<const std::int32_t> code(core::Index r) const;
 
+    /** All codes, row-major (token r's code at [r*l, (r+1)*l)). */
+    std::span<std::int32_t> data() { return data_; }
+
     bool operator==(const HashMatrix &other) const = default;
 
   private:
@@ -74,6 +77,8 @@ struct LshParams
 
 /**
  * Hashes every row of @p x (n x d), producing an n x l HashMatrix.
+ * Runs core::simdDotRows with one token per lane, so each token's
+ * code is bit-identical to hashToken() on that row alone.
  *
  * Charges l*n*d MACs (the A.X^T product, counting the bias add into
  * the MAC chain), l*n adds and l*n floor/divide pairs — matching the
@@ -88,12 +93,25 @@ HashMatrix hashTokens(const core::Matrix &x, const LshParams &params,
                       core::OpCounts *counts = nullptr);
 
 /**
- * Hashes a single token into @p code (length hashLen()). This is the
- * exact per-row computation of hashTokens — a token's hash depends on
- * nothing but the token and the parameters — so hashing tokens one at
+ * hashTokens() into caller-owned storage, without its trace span and
+ * lsh.tokens_hashed count — for callers that carry both themselves
+ * (the incremental levels' batch append). @p codes holds n x l
+ * buckets row-major. Same arithmetic, fault draws and op counts.
+ */
+void hashRows(const core::Matrix &x, const LshParams &params,
+              std::span<std::int32_t> codes,
+              core::OpCounts *counts = nullptr);
+
+/**
+ * Hashes a single token into @p code (length hashLen()), running
+ * core::simdDotRows with one hash direction per lane. Each bucket is
+ * floor((sum over k ascending of Wide(a[j][k]) * token[k] + b[j]) *
+ * (1/w)) — the exact per-row computation of hashTokens, which runs
+ * the same kernel with one token per lane. A token's hash depends on
+ * nothing but the token and the parameters, so hashing tokens one at
  * a time as a decode session appends them produces bit-identical
- * codes to batch-hashing the whole prefix. Charges l*d MACs, l adds,
- * l muls and l floors.
+ * codes to batch-hashing the whole prefix (tests/lsh_property_test).
+ * Charges l*d MACs, l adds, l muls and l floors.
  */
 void hashToken(std::span<const core::Real> token,
                const LshParams &params, std::span<std::int32_t> code,

@@ -39,9 +39,17 @@ Linear::randomInit(Index in_dim, Index out_dim, core::Rng &rng,
 Matrix
 Linear::forward(const Matrix &x, OpCounts *counts) const
 {
+    Matrix y;
+    forwardInto(x, y, counts);
+    return y;
+}
+
+void
+Linear::forwardInto(const Matrix &x, Matrix &y, OpCounts *counts) const
+{
     CTA_REQUIRE(x.cols() == weight_.rows(),
                 "linear input dim ", x.cols(), " != ", weight_.rows());
-    Matrix y = matmul(x, weight_, counts);
+    matmulInto(x, weight_, y, counts);
     if (bias_) {
         // Vectorized per-row bias add: one add per element at every
         // vector width, so results stay bit-identical to the scalar
@@ -56,7 +64,6 @@ Linear::forward(const Matrix &x, OpCounts *counts) const
         if (counts)
             counts->adds += static_cast<std::uint64_t>(y.size());
     }
-    return y;
 }
 
 } // namespace cta::nn

@@ -41,6 +41,10 @@ class Linear
     core::Matrix forward(const core::Matrix &x,
                          core::OpCounts *counts = nullptr) const;
 
+    /** forward() into @p y (storage reused, see core::matmulInto). */
+    void forwardInto(const core::Matrix &x, core::Matrix &y,
+                     core::OpCounts *counts = nullptr) const;
+
     /** Input dimension. */
     core::Index inDim() const { return weight_.rows(); }
 

@@ -372,29 +372,6 @@ DecodeSession::vBar(int level) const
     return level == 1 ? vBar1_.toMatrix() : vBar2_.toMatrix();
 }
 
-void
-DecodeSession::ingest(std::span<const Real> token, OpCounts *counts)
-{
-    const alg::TwoLevelAppendResult r = kv_.append(token, counts);
-    // Only the two centroids this token touched changed; refresh
-    // exactly those cached projection rows (bit-identical to a full
-    // forward over the centroid matrices — backend rows are
-    // independent).
-    alg::refreshProjectedRow(params_->wk,
-                             kv_.level1().centroid(r.level1.cluster),
-                             kBar1_, r.level1.cluster, counts);
-    alg::refreshProjectedRow(params_->wv,
-                             kv_.level1().centroid(r.level1.cluster),
-                             vBar1_, r.level1.cluster, counts);
-    alg::refreshProjectedRow(params_->wk,
-                             kv_.level2().centroid(r.level2.cluster),
-                             kBar2_, r.level2.cluster, counts);
-    alg::refreshProjectedRow(params_->wv,
-                             kv_.level2().centroid(r.level2.cluster),
-                             vBar2_, r.level2.cluster, counts);
-    pairs_.add(r.level1.cluster, r.level2.cluster);
-}
-
 namespace {
 
 bool
@@ -406,7 +383,56 @@ spanFinite(std::span<const Real> values)
     return true;
 }
 
+/** The id list re-projections gather into: thread-local and cleared,
+ *  not freed, so steady-state steps and restores allocate nothing. */
+std::vector<Index> &
+reprojectIds()
+{
+    thread_local std::vector<Index> ids;
+    ids.clear();
+    return ids;
+}
+
 } // namespace
+
+void
+DecodeSession::reproject(const alg::IncrementalCompression &level,
+                         std::span<const Index> rows,
+                         core::PagedRows &k_rows, core::PagedRows &v_rows,
+                         OpCounts *counts)
+{
+    alg::refreshProjectedRows(params_->wk, level, rows, k_rows, counts);
+    alg::refreshProjectedRows(params_->wv, level, rows, v_rows, counts);
+}
+
+void
+DecodeSession::replayPairs(Index from)
+{
+    const core::PagedVector<Index> &ct1 =
+        kv_.level1().clusters().assignments();
+    const core::PagedVector<Index> &ct2 =
+        kv_.level2().clusters().assignments();
+    thread_local std::vector<Index> c1;
+    thread_local std::vector<Index> c2;
+    c1.clear();
+    c2.clear();
+    for (Index i = from; i < kv_.size(); ++i) {
+        c1.push_back(ct1[static_cast<std::size_t>(i)]);
+        c2.push_back(ct2[static_cast<std::size_t>(i)]);
+    }
+    pairs_.addBatch(c1, c2);
+}
+
+void
+DecodeSession::ingest(std::span<const Real> token, OpCounts *counts)
+{
+    const alg::TwoLevelAppendResult r = kv_.append(token, counts);
+    // Only the two centroids this token touched changed; refresh
+    // exactly those cached projection rows.
+    reproject(kv_.level1(), {&r.level1, 1}, kBar1_, vBar1_, counts);
+    reproject(kv_.level2(), {&r.level2, 1}, kBar2_, vBar2_, counts);
+    pairs_.add(r.level1, r.level2);
+}
 
 void
 DecodeSession::prefill(const Matrix &tokens)
@@ -419,23 +445,48 @@ DecodeSession::prefill(const Matrix &tokens)
     frozen_.reset(); // state mutates; any cached fork donor is stale
     const std::uint64_t faultsBefore = fault::threadInjections();
     OpCounts ops;
-    std::vector<Real> cleaned;
-    for (Index i = 0; i < tokens.rows(); ++i) {
-        std::span<const Real> row = tokens.row(i);
-        if (config_.qualityGuard && !spanFinite(row)) {
-            // Same policy as FxpFormat::encode: a non-finite element
-            // carries no usable signal, so pin it to zero rather than
-            // poisoning every centroid it would ever touch.
-            cleaned.assign(row.begin(), row.end());
-            for (Real &v : cleaned)
+    // Same policy as FxpFormat::encode: a non-finite element carries
+    // no usable signal, so pin it to zero rather than poisoning every
+    // centroid it would ever touch. Clean prompts are not copied.
+    Matrix cleaned;
+    const Matrix *prompt = &tokens;
+    if (config_.qualityGuard)
+        for (Index i = 0; i < tokens.rows(); ++i) {
+            if (spanFinite(tokens.row(i)))
+                continue;
+            if (prompt == &tokens) {
+                cleaned = tokens;
+                prompt = &cleaned;
+            }
+            for (Real &v : cleaned.row(i))
                 if (!std::isfinite(v))
                     v = 0;
-            row = cleaned;
             CTA_OBS_COUNT("serve.sanitized_tokens", 1);
         }
-        ingest(row, &ops);
-        if (fallback_)
-            appendExactProjections(row, &ops);
+    const auto n = static_cast<std::size_t>(tokens.rows());
+    std::vector<Index> c1(n);
+    std::vector<Index> c2(n);
+    kv_.appendBatch(*prompt, c1, c2, &ops);
+    pairs_.addBatch(c1, c2);
+    // A cached row only has to hold the projection of its cluster's
+    // *final* centroid — every earlier write of the token-by-token
+    // path is overwritten — so each touched or new centroid is
+    // re-projected once, after the whole prompt is in.
+    const auto reprojectTouched =
+        [&](const alg::IncrementalCompression &level,
+            const std::vector<Index> &clusters, core::PagedRows &k_rows,
+            core::PagedRows &v_rows) {
+            std::vector<Index> &ids = reprojectIds();
+            ids.assign(clusters.begin(), clusters.end());
+            std::sort(ids.begin(), ids.end());
+            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+            reproject(level, ids, k_rows, v_rows, &ops);
+        };
+    reprojectTouched(kv_.level1(), c1, kBar1_, vBar1_);
+    reprojectTouched(kv_.level2(), c2, kBar2_, vBar2_);
+    if (fallback_) {
+        kCache_.appendRows(params_->wk.forward(*prompt, &ops));
+        vCache_.appendRows(params_->wv.forward(*prompt, &ops));
     }
     faultTainted_ =
         faultTainted_ || fault::threadInjections() != faultsBefore;
@@ -745,13 +796,7 @@ DecodeSession::restore(const SessionSnapshot &snap)
         // The donor's pair multiset already covers the prefix tokens;
         // replaying only the suffix performs the exact add() sequence
         // the live forked session performed after the fork.
-        const core::PagedVector<Index> &ct1 =
-            kv_.level1().clusters().assignments();
-        const core::PagedVector<Index> &ct2 =
-            kv_.level2().clusters().assignments();
-        for (Index i = snap.prefixTokens; i < kv_.size(); ++i)
-            pairs_.add(ct1[static_cast<std::size_t>(i)],
-                       ct2[static_cast<std::size_t>(i)]);
+        replayPairs(snap.prefixTokens);
 
         // Cached projections: only centroids the delta touched
         // (diverged base rows + appended clusters) changed; rows of
@@ -761,23 +806,13 @@ DecodeSession::restore(const SessionSnapshot &snap)
             [this](const alg::IncrementalCompression &level,
                    const alg::CompressionLevelDelta &delta,
                    core::PagedRows &k_rows, core::PagedRows &v_rows) {
-                for (const Index c : delta.divergedRows) {
-                    alg::refreshProjectedRow(params_->wk,
-                                             level.centroid(c),
-                                             k_rows, c);
-                    alg::refreshProjectedRow(params_->wv,
-                                             level.centroid(c),
-                                             v_rows, c);
-                }
+                std::vector<Index> &ids = reprojectIds();
+                ids.assign(delta.divergedRows.begin(),
+                           delta.divergedRows.end());
                 for (Index c = delta.baseClusters;
-                     c < level.numClusters(); ++c) {
-                    alg::refreshProjectedRow(params_->wk,
-                                             level.centroid(c),
-                                             k_rows, c);
-                    alg::refreshProjectedRow(params_->wv,
-                                             level.centroid(c),
-                                             v_rows, c);
-                }
+                     c < level.numClusters(); ++c)
+                    ids.push_back(c);
+                reproject(level, ids, k_rows, v_rows, nullptr);
             };
         refreshLevel(kv_.level1(), snap.kv.level1, kBar1_, vBar1_);
         refreshLevel(kv_.level2(), snap.kv.level2, kBar2_, vBar2_);
@@ -794,41 +829,25 @@ DecodeSession::restore(const SessionSnapshot &snap)
         // The pair multiset is fully determined by the two cluster
         // tables: replaying them in token order performs the exact
         // add() sequence the live session performed.
-        const core::PagedVector<Index> &ct1 =
-            kv_.level1().clusters().assignments();
-        const core::PagedVector<Index> &ct2 =
-            kv_.level2().clusters().assignments();
         pairs_ = alg::ClusterPairCounts(arena_);
-        for (Index i = 0; i < kv_.size(); ++i)
-            pairs_.add(ct1[static_cast<std::size_t>(i)],
-                       ct2[static_cast<std::size_t>(i)]);
+        replayPairs(0);
 
-        // Cached projections: a live session's row r holds
-        // refreshProjectedRow() of the *final* centroid r (every
-        // earlier write was overwritten), so re-projecting each
-        // centroid once reproduces the cache bit-for-bit.
-        kBar1_ = core::PagedRows(arena_, d);
-        kBar2_ = core::PagedRows(arena_, d);
-        vBar1_ = core::PagedRows(arena_, d);
-        vBar2_ = core::PagedRows(arena_, d);
-        const Index k1 = kv_.level1().numClusters();
-        const Index k2 = kv_.level2().numClusters();
-        for (Index c = 0; c < k1; ++c) {
-            alg::refreshProjectedRow(params_->wk,
-                                     kv_.level1().centroid(c), kBar1_,
-                                     c);
-            alg::refreshProjectedRow(params_->wv,
-                                     kv_.level1().centroid(c), vBar1_,
-                                     c);
-        }
-        for (Index c = 0; c < k2; ++c) {
-            alg::refreshProjectedRow(params_->wk,
-                                     kv_.level2().centroid(c), kBar2_,
-                                     c);
-            alg::refreshProjectedRow(params_->wv,
-                                     kv_.level2().centroid(c), vBar2_,
-                                     c);
-        }
+        // Cached projections: a live session's row r holds the
+        // projection of the *final* centroid r (every earlier write
+        // was overwritten), so re-projecting each centroid once
+        // reproduces the cache bit-for-bit.
+        const auto rebuildLevel =
+            [this, d](const alg::IncrementalCompression &level,
+                      core::PagedRows &k_rows, core::PagedRows &v_rows) {
+                k_rows = core::PagedRows(arena_, d);
+                v_rows = core::PagedRows(arena_, d);
+                std::vector<Index> &ids = reprojectIds();
+                for (Index c = 0; c < level.numClusters(); ++c)
+                    ids.push_back(c);
+                reproject(level, ids, k_rows, v_rows, nullptr);
+            };
+        rebuildLevel(kv_.level1(), kBar1_, vBar1_);
+        rebuildLevel(kv_.level2(), kBar2_, vBar2_);
     }
     lastStepOps_ = OpCounts{};
     totalOps_ = OpCounts{};

@@ -9,9 +9,10 @@
  *      only that token, inserting into the live cluster trees, and
  *      refreshing only the touched centroids — O(l*d)),
  *   2. re-projects just the touched centroid rows through W^K / W^V
- *      (O(d*d) each; GEMM rows are independent under the backend
- *      determinism contract, so cached rows stay bit-identical to a
- *      full forward over the centroid matrix),
+ *      (alg::refreshProjectedRows, O(d*d) each; GEMM rows are
+ *      independent under the backend determinism contract, so cached
+ *      rows stay bit-identical to a full forward over the centroid
+ *      matrix),
  *   3. runs CTA stages 3-5 for the single new query against the
  *      cached compressed projections — O((k1+k2)*d) scores/output
  *      plus O(pairs) grouped probability aggregation.
@@ -178,8 +179,18 @@ class DecodeSession
      */
     std::shared_ptr<const SharedPrefix> sharedPrefix(std::int64_t id);
 
-    /** Ingests a context-token matrix (n x tokenDim) row by row,
-     *  updating KV state without producing outputs. */
+    /**
+     * Ingests a context-token matrix (n x tokenDim), updating KV
+     * state without producing outputs. The prompt is absorbed as one
+     * batch — non-finite elements zeroed under the quality guard,
+     * IncrementalTwoLevelCompression::appendBatch, the pair multiset
+     * in token order — and then each touched or new centroid is
+     * re-projected once per level and projection. The state after it
+     * is bit-identical to step()'s token-by-token ingest of the same
+     * rows (tests/serve_test.cc). Op counts differ on purpose:
+     * totalOps() charges each touched centroid's projection once, not
+     * once per token.
+     */
     void prefill(const core::Matrix &tokens);
 
     /**
@@ -229,7 +240,8 @@ class DecodeSession
     /** Operation counts of the most recent step() call. */
     const core::OpCounts &lastStepOps() const { return lastStepOps_; }
 
-    /** Cumulative operation counts over prefill + all steps. */
+    /** Cumulative operation counts over prefill + all steps (a
+     *  prefill charges one projection per touched centroid). */
     const core::OpCounts &totalOps() const { return totalOps_; }
 
     /**
@@ -294,6 +306,17 @@ class DecodeSession
     /** KV append + touched-centroid reprojection + pair update. */
     void ingest(std::span<const core::Real> token,
                 core::OpCounts *counts);
+
+    /** Adds the (c1, c2) pair of every token from @p from on, in
+     *  token order, to the pair multiset (restore's replay). */
+    void replayPairs(core::Index from);
+
+    /** Re-projects centroids @p rows (ascending) of @p level through
+     *  W^K into @p k_rows and W^V into @p v_rows. */
+    void reproject(const alg::IncrementalCompression &level,
+                   std::span<const core::Index> rows,
+                   core::PagedRows &k_rows, core::PagedRows &v_rows,
+                   core::OpCounts *counts);
 
     /** Demotes the session to exact attention: seeds the exact K/V
      *  caches from the reconstructed compression (the in-hand token

@@ -14,6 +14,9 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/matrix.h"
+#include "core/rng.h"
+#include "cta/lsh.h"
 #include "fault/fault.h"
 
 namespace {
@@ -158,6 +161,42 @@ TEST(FaultTest, CountersRecordPerSiteAndPerThread)
 
     fault::resetInjectionCounters();
     EXPECT_EQ(fault::totalInjections(), 0u);
+}
+
+TEST(FaultTest, LshBucketDrawsMatchBetweenBatchAndPerTokenHashing)
+{
+    // The lsh site draws once per token, keyed on the produced code:
+    // hashing a prompt as one batch must perturb exactly the tokens,
+    // and exactly the buckets, that hashing it token by token does.
+    ConfigGuard guard;
+    cta::core::Rng rng(21);
+    const cta::core::Index n = 64, dim = 19, l = 6;
+    const auto params = cta::alg::LshParams::sample(l, dim, 1.0f, rng);
+    const cta::core::Matrix x = cta::core::Matrix::randomNormal(n, dim, rng);
+    const auto clean = cta::alg::hashTokens(x, params);
+
+    fault::setConfig({/*seed=*/31, /*rate=*/0.3, fault::kAllSites});
+    const std::uint64_t start = fault::totalInjections(Site::LshBucket);
+    const auto batch = cta::alg::hashTokens(x, params);
+    const std::uint64_t by_batch =
+        fault::totalInjections(Site::LshBucket) - start;
+    std::vector<std::int32_t> code(static_cast<std::size_t>(l));
+    cta::core::Index perturbed = 0;
+    for (cta::core::Index i = 0; i < n; ++i) {
+        cta::alg::hashToken(x.row(i), params, code);
+        bool differs = false;
+        for (cta::core::Index j = 0; j < l; ++j) {
+            EXPECT_EQ(code[static_cast<std::size_t>(j)], batch(i, j))
+                << "token " << i << " bucket " << j;
+            differs = differs || batch(i, j) != clean(i, j);
+        }
+        perturbed += differs;
+    }
+    const std::uint64_t by_token =
+        fault::totalInjections(Site::LshBucket) - start - by_batch;
+    EXPECT_EQ(by_token, by_batch);
+    EXPECT_GT(by_batch, 0u);
+    EXPECT_EQ(static_cast<std::uint64_t>(perturbed), by_batch);
 }
 
 TEST(FaultTest, FaultyWordsMatchesTheAnalyticCount)

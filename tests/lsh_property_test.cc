@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/simd.h"
 #include "cta/lsh.h"
 
 namespace {
@@ -188,6 +189,93 @@ TEST(BucketSaturationTest, HashTokenMatchesHashTokens)
         for (Index j = 0; j < l; ++j)
             EXPECT_EQ(code[static_cast<std::size_t>(j)], batch(i, j));
     }
+}
+
+/** The scalar reference bucket: one k-ascending Wide chain, shifted
+ *  by b, scaled by 1/w, floored and saturated (NaN -> 0). */
+std::int32_t
+scalarBucket(const LshParams &params, Index j, const Real *token)
+{
+    using cta::core::Wide;
+    Wide dot = 0;
+    for (Index k = 0; k < params.dim(); ++k)
+        dot += static_cast<Wide>(params.a(j, k)) * token[k];
+    const Real inv_w = 1.0f / params.w;
+    const Wide floored = std::floor((dot + params.b(j, 0)) * inv_w);
+    constexpr auto lo = std::numeric_limits<std::int32_t>::min();
+    constexpr auto hi = std::numeric_limits<std::int32_t>::max();
+    if (std::isnan(floored))
+        return 0;
+    if (floored <= static_cast<Wide>(lo))
+        return lo;
+    if (floored >= static_cast<Wide>(hi))
+        return hi;
+    return static_cast<std::int32_t>(floored);
+}
+
+TEST(HashOrientationTest, BothOrientationsMatchScalarChainAtEveryLevel)
+{
+    // hashTokens runs the lane-per-row kernel one token per lane,
+    // hashToken one direction per lane; both must reproduce the
+    // scalar chain bit for bit at every ISA level — for ragged token
+    // counts and directions, a depth off the 8-row block, tokens
+    // large enough to saturate the bucket cast, and NaN tokens.
+    using cta::core::SimdLevel;
+    std::vector<Index> counts;
+    for (Index n = 1; n <= 17; ++n)
+        counts.push_back(n);
+    counts.push_back(512);
+    const Index dim = 61;
+    Rng rng(78);
+    Index saturated = 0;
+    for (const Index l : {1, 6, 17}) {
+        for (const Real w : {1.0f, 1e-3f}) {
+            const LshParams params = LshParams::sample(l, dim, w, rng);
+            for (const Index n : counts) {
+                Matrix x = Matrix::randomNormal(n, dim, rng);
+                for (Index i = 0; i < n; i += 3)
+                    for (Index k = 0; k < dim; ++k)
+                        x(i, k) *= 1e30f; // saturates at either sign
+                for (Index i = 1; i < n; i += 5)
+                    x(i, i % dim) = std::numeric_limits<Real>::quiet_NaN();
+                for (const SimdLevel level :
+                     {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512,
+                      SimdLevel::Neon}) {
+                    if (!cta::core::simdLevelSupported(level))
+                        continue;
+                    const SimdLevel saved = cta::core::setSimdLevel(level);
+                    const auto batch = hashTokens(x, params);
+                    std::vector<std::int32_t> code(
+                        static_cast<std::size_t>(l));
+                    for (Index i = 0; i < n; ++i) {
+                        cta::alg::hashToken(x.row(i), params, code);
+                        for (Index j = 0; j < l; ++j) {
+                            const std::int32_t want =
+                                scalarBucket(params, j, x.row(i).data());
+                            saturated +=
+                                want == std::numeric_limits<
+                                            std::int32_t>::min() ||
+                                want == std::numeric_limits<
+                                            std::int32_t>::max();
+                            ASSERT_EQ(batch(i, j), want)
+                                << "batch l=" << l << " w=" << w
+                                << " n=" << n << " i=" << i << " j=" << j
+                                << " level="
+                                << cta::core::simdLevelName(level);
+                            ASSERT_EQ(code[static_cast<std::size_t>(j)],
+                                      want)
+                                << "token l=" << l << " w=" << w
+                                << " n=" << n << " i=" << i << " j=" << j
+                                << " level="
+                                << cta::core::simdLevelName(level);
+                        }
+                    }
+                    cta::core::setSimdLevel(saved);
+                }
+            }
+        }
+    }
+    EXPECT_GT(saturated, 0) << "no bucket reached the int32 bounds";
 }
 
 TEST(CollisionLawTest, FullCodeCollisionIsPowerOfSingle)

@@ -12,13 +12,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
 #include "cta/compressed_attention.h"
 #include "cta/compression.h"
 #include "nn/workload.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/decode_session.h"
 #include "serve/server_stats.h"
 
@@ -231,6 +235,179 @@ TEST(DecodeSessionTest, PairCountsMatchClusterTables)
         total += pair.count;
     }
     EXPECT_EQ(total, n);
+}
+
+/**
+ * Asserts that two sessions hold bit-identical decode state: both
+ * levels' tables, member sums, counts and centroids, the four cached
+ * projections and the pair multiset (in first-seen order).
+ */
+void
+expectSameSessionState(const DecodeSession &got, const DecodeSession &want,
+                       const std::string &where)
+{
+    ASSERT_EQ(got.contextLength(), want.contextLength()) << where;
+    const TwoLevelCompression g = got.kv().snapshot();
+    const TwoLevelCompression w = want.kv().snapshot();
+    expectLevelsBitIdentical(g.level1, w.level1, got.contextLength());
+    expectLevelsBitIdentical(g.level2, w.level2, got.contextLength());
+    const auto gs = got.kv().saveState();
+    const auto ws = want.kv().saveState();
+    EXPECT_TRUE(bitIdentical(gs.level1.sums, ws.level1.sums)) << where;
+    EXPECT_TRUE(bitIdentical(gs.level2.sums, ws.level2.sums)) << where;
+    EXPECT_EQ(gs.level1.members, ws.level1.members) << where;
+    EXPECT_EQ(gs.level2.members, ws.level2.members) << where;
+    for (const int level : {1, 2}) {
+        EXPECT_TRUE(bitIdentical(got.kBar(level), want.kBar(level)))
+            << where << " kBar" << level;
+        EXPECT_TRUE(bitIdentical(got.vBar(level), want.vBar(level)))
+            << where << " vBar" << level;
+    }
+    const auto gp = got.pairs().pairs();
+    const auto wp = want.pairs().pairs();
+    ASSERT_EQ(gp.size(), wp.size()) << where;
+    for (std::size_t i = 0; i < gp.size(); ++i) {
+        EXPECT_EQ(gp[i].c1, wp[i].c1) << where << " pair " << i;
+        EXPECT_EQ(gp[i].c2, wp[i].c2) << where << " pair " << i;
+        EXPECT_EQ(gp[i].count, wp[i].count) << where << " pair " << i;
+    }
+}
+
+/** A session that step()s every row of @p tokens in order. */
+void
+stepAll(DecodeSession &session, const Matrix &tokens)
+{
+    for (Index i = 0; i < tokens.rows(); ++i)
+        (void)session.step(tokens.row(i));
+}
+
+TEST(DecodeSessionTest, PrefillMatchesStepwiseIngestAtEverySplit)
+{
+    // The batched prefill (one batch hash per level, one projection
+    // per touched centroid) must land on exactly the state the
+    // token-by-token ingest of step() reaches — for a prompt split
+    // into two prefills anywhere, including empty halves.
+    const Index n = 40, dim = 32, d = 16;
+    const Matrix tokens = sampleTokens(n + 1, dim, 41);
+    const Matrix prompt = tokens.rowSlice(0, n);
+    Rng rng(14);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+
+    DecodeSession stepped(params, ServeConfig{}, dim);
+    stepAll(stepped, prompt);
+    DecodeSession next(params, ServeConfig{}, dim);
+    stepAll(next, prompt);
+    const Matrix want = next.step(tokens.row(n));
+    for (Index a = 0; a <= n; ++a) {
+        DecodeSession session(params, ServeConfig{}, dim);
+        session.prefill(prompt.rowSlice(0, a));
+        session.prefill(prompt.rowSlice(a, n));
+        expectSameSessionState(session, stepped,
+                               "split " + std::to_string(a));
+        if (a % 8 == 0) {
+            // The state's consumers agree too: the next step's output.
+            const Matrix got = session.step(tokens.row(n));
+            EXPECT_TRUE(bitIdentical(got, want)) << "split " << a;
+        }
+    }
+}
+
+TEST(DecodeSessionTest, PrefillSanitizesNonFiniteRowsLikeStep)
+{
+    const Index n = 24, dim = 32, d = 16;
+    Matrix prompt = sampleTokens(n, dim, 42);
+    prompt(3, 1) = std::numeric_limits<Real>::quiet_NaN();
+    prompt(3, 7) = std::numeric_limits<Real>::infinity();
+    prompt(11, 0) = -std::numeric_limits<Real>::infinity();
+    prompt(n - 1, dim - 1) = std::numeric_limits<Real>::quiet_NaN();
+    Rng rng(15);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+
+    cta::obs::setTraceEnabled(true);
+    cta::obs::Counter &sanitized =
+        cta::obs::counter("serve.sanitized_tokens");
+    const std::uint64_t start = sanitized.value();
+    DecodeSession stepped(params, ServeConfig{}, dim);
+    stepAll(stepped, prompt);
+    const std::uint64_t by_step = sanitized.value() - start;
+    DecodeSession session(params, ServeConfig{}, dim);
+    session.prefill(prompt);
+    const std::uint64_t by_prefill = sanitized.value() - start - by_step;
+    cta::obs::setTraceEnabled(false);
+
+#ifndef CTA_OBS_DISABLED
+    EXPECT_EQ(by_step, 3u);
+#endif
+    EXPECT_EQ(by_prefill, by_step);
+    EXPECT_FALSE(session.fallbackActive());
+    expectSameSessionState(session, stepped, "sanitized prompt");
+}
+
+TEST(DecodeSessionTest, PrefillOnForkLeavesDonorPagesUntouched)
+{
+    const Index base = 48, suffix = 20, dim = 32, d = 16;
+    const Matrix tokens = sampleTokens(base + suffix + 1, dim, 43);
+    Rng rng(16);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+
+    DecodeSession parent(params, ServeConfig{}, dim);
+    parent.prefill(tokens.rowSlice(0, base));
+    const auto prefix = parent.sharedPrefix(0);
+    // Independent copies of the donor state to compare against later.
+    DecodeSession donor_twin(params, ServeConfig{}, dim);
+    donor_twin.prefill(tokens.rowSlice(0, base));
+    expectSameSessionState(prefix->donor(), donor_twin, "donor before");
+
+    auto child = DecodeSession::forkFrom(prefix);
+    child->prefill(tokens.rowSlice(base, base + suffix));
+
+    DecodeSession stepped(params, ServeConfig{}, dim);
+    stepAll(stepped, tokens.rowSlice(0, base + suffix));
+    expectSameSessionState(*child, stepped, "forked prefill");
+    expectSameSessionState(prefix->donor(), donor_twin, "donor after");
+    expectSameSessionState(parent, donor_twin, "parent after");
+    const Matrix got = child->step(tokens.row(base + suffix));
+    const Matrix want = stepped.step(tokens.row(base + suffix));
+    EXPECT_TRUE(bitIdentical(got, want));
+}
+
+TEST(DecodeSessionTest, PrefillAfterFallbackExtendsTheExactCaches)
+{
+    // n copies of one token collapse both levels to one cluster, so a
+    // step past guardMinContext demotes the session; a later prefill
+    // must then grow the exact K/V caches exactly as steps would.
+    const Index dim = 32, d = 16;
+    Matrix collapsed(9, dim);
+    for (Index i = 0; i < collapsed.rows(); ++i)
+        for (Index j = 0; j < dim; ++j)
+            collapsed(i, j) = 0.1f * static_cast<Real>(j) - 0.3f;
+    const Matrix more = sampleTokens(13, dim, 44);
+    Rng rng(17);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    ServeConfig config;
+    config.guardMinContext = 4;
+
+    const auto demoted = [&] {
+        auto session =
+            std::make_unique<DecodeSession>(params, config, dim);
+        session->prefill(collapsed.rowSlice(0, 8));
+        (void)session->step(collapsed.row(8));
+        return session;
+    };
+    auto session = demoted();
+    auto stepped = demoted();
+    ASSERT_TRUE(session->fallbackActive());
+    session->prefill(more.rowSlice(0, 12));
+    stepAll(*stepped, more.rowSlice(0, 12));
+    expectSameSessionState(*session, *stepped, "after fallback");
+    // The exact caches are private; the next exact step reads them.
+    const Matrix got = session->step(more.row(12));
+    const Matrix want = stepped->step(more.row(12));
+    EXPECT_TRUE(bitIdentical(got, want));
 }
 
 TEST(DecodeSessionTest, StepCostIsFarBelowBatchRecompression)

@@ -281,6 +281,51 @@ TEST(SimdDotRowsTest, MatchesWideChainAtEveryLevel)
     }
 }
 
+TEST(SimdDotRowsTest, WideFormMatchesUnnarrowedChainAtEveryLevel)
+{
+    // The Wide-output form (the LSH projection) must store each row's
+    // k-ascending double chain itself: every block count up to two
+    // full AVX-512 block pairs plus a long batch, at depths that are
+    // not a multiple of the 4-step transpose or the 8-row block.
+    std::vector<Index> counts;
+    for (Index n = 1; n <= 17; ++n)
+        counts.push_back(n);
+    counts.push_back(512);
+    Rng rng(29);
+    for (const bool poison : {false, true}) {
+        for (const Index n : counts) {
+            for (const Index d : {1, 7, 13, 61}) {
+                const ScatteredRows b(n, d, rng, poison);
+                const auto q = randomVec(d, rng);
+                std::vector<cta::core::Wide> ref;
+                for (const Real *row : b.rows) {
+                    cta::core::Wide acc = 0;
+                    for (Index k = 0; k < d; ++k)
+                        acc += static_cast<cta::core::Wide>(q[k]) * row[k];
+                    ref.push_back(acc);
+                }
+                for (const SimdLevel level : supportedLevels()) {
+                    ScopedSimdLevel guard(level);
+                    std::vector<cta::core::Wide> got(
+                        static_cast<std::size_t>(n));
+                    cta::core::simdDotRows(q.data(), b.rows.data(), n, d,
+                                           got.data());
+                    for (std::size_t j = 0; j < got.size(); ++j) {
+                        if (std::isnan(got[j]) && std::isnan(ref[j]))
+                            continue;
+                        ASSERT_EQ(std::memcmp(&got[j], &ref[j],
+                                              sizeof(cta::core::Wide)),
+                                  0)
+                            << "n=" << n << " d=" << d << " row=" << j
+                            << " poison=" << poison << " level="
+                            << cta::core::simdLevelName(level);
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdAccumulateRowsTest, MatchesScalarChainsAtEveryLevel)
 {
     // The multi-row accumulators must equal the scalar fma / mul-add
