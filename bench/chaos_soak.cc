@@ -168,7 +168,7 @@ main(int argc, char **argv)
     cta::serve::SessionManager ref(params, cta::serve::ServeConfig{},
                                    kTokenDim, 0);
     std::vector<Driver> drivers;
-    const auto addSession = [&](Index tenant, Index ctxLen,
+    const auto addCreated = [&](Index tenant, Index ctxLen,
                                 std::uint64_t seed) {
         const Matrix ctx = clusteredTokens(ctxLen, seed);
         const Index id = frontend.createSession(tenant, ctx);
@@ -195,10 +195,10 @@ main(int argc, char **argv)
     const Index goldSessions = smoke ? 4 : 8;
     const Index bronzeSessions = smoke ? 8 : 24;
     for (Index i = 0; i < goldSessions; ++i)
-        addSession(gold, 32 + (i % 5) * 16,
+        addCreated(gold, 32 + (i % 5) * 16,
                    41 + static_cast<std::uint64_t>(i));
     for (Index i = 0; i < bronzeSessions; ++i)
-        addSession(bronze, 32 + (i % 5) * 16,
+        addCreated(bronze, 32 + (i % 5) * 16,
                    141 + static_cast<std::uint64_t>(i));
     addFork(0, 900);
     addFork(goldSessions, 901);

@@ -194,7 +194,7 @@ void aggregateProbabilities(
  * p_j = exp(Sb[CT1[j]] + Sb[k1+CT2[j]]) depends only on its pair, so
  * a decode session maintains these counts in O(1) per appended token
  * and aggregates probabilities per distinct pair instead of per
- * token (aggregateProbabilitiesGrouped).
+ * token (fusedDecodeAttend, cta/fused_decode.h).
  */
 class ClusterPairCounts
 {
@@ -258,7 +258,9 @@ class ClusterPairCounts
  * accumulation order differs from the per-token version (count-
  * weighted adds in first-seen pair order), so results agree to
  * rounding, not bit-for-bit; the serving layer's exact mode keeps the
- * per-token path for bit-level comparisons.
+ * per-token path for bit-level comparisons. Decode steps run the
+ * fused kernel (cta/fused_decode.h), which replicates this loop; this
+ * function is its reference in tests/fused_decode_test.cc.
  */
 void aggregateProbabilitiesGrouped(const core::Matrix &s_bar,
                                    const ClusterPairCounts &pairs,

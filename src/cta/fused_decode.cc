@@ -60,7 +60,7 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     core::simdScaleRow(srow, k_total, inv_sqrt_d);
 
     // Level-1 row-max shift of the level-2 scores: sequential scan,
-    // matching the unfused step() loop comparison for comparison.
+    // matching the unfused pipeline comparison for comparison.
     if (subtract_row_max) {
         Real row_max = srow[0];
         for (Index j = 1; j < k1; ++j)

@@ -3,7 +3,9 @@
  * Fused online-softmax decode-attention kernel: CTA stages 3-5 for a
  * single query in ONE pass over the cached cluster projections,
  * replacing the materialize-concatenate-multiply pipeline of the
- * unfused decode path (serve/decode_session.cc).
+ * unfused grouped decode (matmulTransB, scale, row-max shift,
+ * aggregateProbabilitiesGrouped, matmul), which survives only as the
+ * reference in tests/fused_decode_test.cc.
  *
  * What fusion removes per step — all pure overhead, no math:
  *  - the K-bar / V-bar matrix materializations (PagedRows::toMatrix

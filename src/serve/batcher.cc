@@ -51,14 +51,10 @@ resolveQueueCapacity(Index queue_cap)
 
 } // namespace
 
-Batcher::Batcher(core::ThreadPool *pool, Index queue_cap)
-    : pool_(pool), queueCapacity_(resolveQueueCapacity(queue_cap))
-{}
-
 Batcher::Batcher(SessionManager &manager, core::ThreadPool *pool,
                  Index queue_cap)
     : pool_(pool),
-      manager_(&manager),
+      manager_(manager),
       queueCapacity_(resolveQueueCapacity(queue_cap))
 {}
 
@@ -81,69 +77,24 @@ Batcher::pool() const
 }
 
 Index
-Batcher::addSession(std::unique_ptr<DecodeSession> session)
-{
-    CTA_REQUIRE(manager_ == nullptr, "batcher is manager-backed; "
-                "create sessions through the SessionManager");
-    CTA_REQUIRE(session != nullptr, "null session");
-    std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    sessions_.push_back(std::move(session));
-    removed_.push_back(false);
-    return static_cast<Index>(sessions_.size()) - 1;
-}
-
-Index
 Batcher::forkSession(Index parent)
 {
-    CTA_REQUIRE(manager_ != nullptr,
-                "forkSession requires a manager-backed batcher "
-                "(prefix sharing lives in the SessionManager)");
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    return manager_->forkSession(parent);
-}
-
-Index
-Batcher::sessionCountLocked() const
-{
-    if (manager_)
-        return manager_->sessionCount();
-    return static_cast<Index>(sessions_.size());
+    return manager_.forkSession(parent);
 }
 
 Index
 Batcher::sessionCount() const
 {
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    return sessionCountLocked();
-}
-
-bool
-Batcher::sessionUsableLocked(Index id) const
-{
-    if (id < 0 || id >= sessionCountLocked())
-        return false;
-    if (manager_)
-        return manager_->exists(id);
-    return !removed_[static_cast<std::size_t>(id)];
+    return manager_.sessionCount();
 }
 
 DecodeSession &
 Batcher::session(Index id)
 {
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    CTA_REQUIRE(id >= 0 && id < sessionCountLocked(), "session id ",
-                id, " out of range [0, ", sessionCountLocked(), ")");
-    CTA_REQUIRE(sessionUsableLocked(id), "session ", id,
-                " was removed; cannot access it");
-    return *resolveLocked(id);
-}
-
-DecodeSession *
-Batcher::resolveLocked(Index id)
-{
-    if (manager_)
-        return &manager_->acquire(id);
-    return sessions_[static_cast<std::size_t>(id)].get();
+    return manager_.acquire(id);
 }
 
 void
@@ -154,16 +105,7 @@ Batcher::removeSession(Index id)
     // sees the session alive and enqueues before the purge, or sees
     // it removed and rejects; a stale pending step can never survive.
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-    CTA_REQUIRE(id >= 0 && id < sessionCountLocked(), "session id ",
-                id, " out of range [0, ", sessionCountLocked(), ")");
-    CTA_REQUIRE(sessionUsableLocked(id), "session ", id,
-                " was already removed");
-    if (manager_) {
-        manager_->removeSession(id);
-    } else {
-        sessions_[static_cast<std::size_t>(id)].reset();
-        removed_[static_cast<std::size_t>(id)] = true;
-    }
+    manager_.removeSession(id);
     // Drop queued steps for the freed session; re-number the
     // submission slots so flush() results stay dense.
     std::lock_guard<std::mutex> lock(mutex_);
@@ -198,8 +140,6 @@ Batcher::recordRejectionLocked(SubmitResult reason)
     case SubmitResult::QueueFull:
         ++rejections_.queueFull;
         CTA_OBS_GAUGE_ADD("serve.rejected.queue_full", 1.0);
-        // Legacy name, kept for existing dashboards/sidecar diffs.
-        CTA_OBS_GAUGE_ADD("serve.queue_rejected", 1.0);
         break;
     case SubmitResult::SessionRemoved:
         ++rejections_.sessionRemoved;
@@ -227,22 +167,22 @@ Batcher::trySubmit(Index session, std::span<const core::Real> token,
                    std::chrono::steady_clock::time_point deadline)
 {
     const auto now = std::chrono::steady_clock::now();
-    // Lifecycle state (the session table / manager slots) is read
-    // under sessionsMutex_ and held through the enqueue, so a
+    // Lifecycle state (the manager slots) is read under
+    // sessionsMutex_ and held through the enqueue, so a
     // concurrent removeSession cannot slip between the check and the
     // queue insert (locking order: sessionsMutex_ before mutex_).
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
     // Out-of-range is a caller bug, not load — always fatal. A
     // removed session is a normal race with lifecycle management and
     // gets a recoverable rejection.
-    CTA_REQUIRE(session >= 0 && session < sessionCountLocked(),
+    CTA_REQUIRE(session >= 0 && session < manager_.sessionCount(),
                 "session id ", session, " out of range [0, ",
-                sessionCountLocked(), ")");
-    if (!sessionUsableLocked(session)) {
+                manager_.sessionCount(), ")");
+    if (!manager_.exists(session)) {
         std::lock_guard<std::mutex> lock(mutex_);
         return recordRejectionLocked(SubmitResult::SessionRemoved);
     }
-    if (manager_ && manager_->isQuarantined(session)) {
+    if (manager_.isQuarantined(session)) {
         std::lock_guard<std::mutex> lock(mutex_);
         return recordRejectionLocked(SubmitResult::Corrupted);
     }
@@ -327,7 +267,7 @@ Batcher::beginFlush()
     // serial task; distinct sessions fan out over the pool.
     std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
     plan.perSession.resize(
-        static_cast<std::size_t>(sessionCountLocked()));
+        static_cast<std::size_t>(manager_.sessionCount()));
     for (std::size_t i = 0; i < plan.batch.size(); ++i)
         plan.perSession[static_cast<std::size_t>(
                             plan.batch[i].session)]
@@ -336,17 +276,15 @@ Batcher::beginFlush()
         if (!plan.perSession[s].empty())
             plan.active.push_back(static_cast<Index>(s));
 
-    // Resolve every session serially before fanning out: in managed
-    // mode this is where evicted sessions restore, and keeping the
+    // Resolve every session serially before fanning out: this is
+    // where evicted sessions restore, and keeping the
     // restores (and the LRU ticks they take) outside the parallel
     // region keeps eviction decisions thread-count-invariant. A
     // session whose snapshot fails integrity checks resolves to
     // nullptr (quarantined) and its steps come back Corrupted.
     plan.resolved.resize(plan.active.size());
     for (std::size_t t = 0; t < plan.active.size(); ++t)
-        plan.resolved[t] = manager_
-                               ? manager_->tryAcquire(plan.active[t])
-                               : resolveLocked(plan.active[t]);
+        plan.resolved[t] = manager_.tryAcquire(plan.active[t]);
     plan.expired.assign(plan.active.size(), 0);
     plan.corrupted.assign(plan.active.size(), 0);
     return plan;
@@ -409,9 +347,6 @@ Batcher::runPlanTask(FlushPlan &plan, Index t)
             continue;
         }
         core::Matrix out = sess->step(p.token);
-        const auto end = std::chrono::steady_clock::now();
-        stats_.recordStep(
-            std::chrono::duration<double>(end - begin).count());
         plan.results[p.slot] =
             StepResult{p.session, StepStatus::Ok, std::move(out)};
         ++ran;
@@ -423,10 +358,8 @@ std::vector<StepResult>
 Batcher::finishFlush(FlushPlan &&plan)
 {
     if (plan.batch.empty()) {
-        if (manager_) {
-            std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-            manager_->enforceBudget();
-        }
+        std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
+        manager_.enforceBudget();
         return std::move(plan.results);
     }
 
@@ -448,13 +381,13 @@ Batcher::finishFlush(FlushPlan &&plan)
         corruptedSteps_ += corruptedTotal;
     }
 
-    if (manager_) {
-        // Recency follows submission order — deterministic for any
-        // thread count — then the budget pass may evict stragglers.
+    // Recency follows submission order — deterministic for any
+    // thread count — then the budget pass may evict stragglers.
+    {
         std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
         for (const Pending &p : plan.batch)
-            manager_->touch(p.session);
-        manager_->enforceBudget();
+            manager_.touch(p.session);
+        manager_.enforceBudget();
     }
     return std::move(plan.results);
 }

@@ -31,11 +31,10 @@
  *
  * Thread-safety and locking order: the submit path (submit /
  * trySubmit) is thread-safe against itself and against session
- * lifecycle mutation (addSession / forkSession / removeSession).
- * Lifecycle state — the direct-mode session table and every
- * SessionManager call — lives under sessionsMutex_; the pending
- * queue and the rejection/expiry counters live under mutex_. The
- * locking order is sessionsMutex_ BEFORE mutex_, never the reverse:
+ * lifecycle mutation (forkSession / removeSession). Every
+ * SessionManager call lives under sessionsMutex_; the pending queue
+ * and the rejection/expiry counters live under mutex_. The locking
+ * order is sessionsMutex_ BEFORE mutex_, never the reverse:
  * trySubmit validates the session under sessionsMutex_ and enqueues
  * under the nested mutex_, and removeSession mutates lifecycle state
  * under sessionsMutex_ before purging the queue under the nested
@@ -45,27 +44,24 @@
  * (a removed session's state would be destroyed under a running
  * step); the serving front-end serializes them.
  *
- * Sessions can be owned two ways: directly (addSession) or by a
- * SessionManager (memory-budgeted mode). In managed mode, flush()
- * restores evicted sessions before fanning out and enforces the
- * byte budget after — both outside the parallel region, so eviction
- * decisions stay deterministic for any thread count. The
- * beginFlush()/runPlanTask()/finishFlush() split exposes those same
- * three phases to the sharded serving front-end (serve/frontend.h),
- * which merges many shards' session tasks into one pool batch so
- * idle workers steal flush work across shards.
+ * Sessions are owned by a SessionManager (a zero byte budget means
+ * unlimited). flush() restores evicted sessions before fanning out
+ * and enforces the byte budget after — both outside the parallel
+ * region, so eviction decisions stay deterministic for any thread
+ * count. The beginFlush()/runPlanTask()/finishFlush() split exposes
+ * those same three phases to the sharded serving front-end
+ * (serve/frontend.h), which merges many shards' session tasks into
+ * one pool batch so idle workers steal flush work across shards.
  */
 
 #pragma once
 
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "serve/decode_session.h"
-#include "serve/server_stats.h"
 
 namespace cta::core {
 class ThreadPool;
@@ -130,7 +126,7 @@ enum class StepStatus
 /** One completed decode step, in submission order. */
 struct StepResult
 {
-    core::Index session = 0;          ///< id returned by addSession()
+    core::Index session = 0;          ///< target session id
     StepStatus status = StepStatus::Ok;
     core::Matrix output;              ///< 1 x d output (empty if Expired)
 };
@@ -191,17 +187,12 @@ class Batcher
     };
 
     /**
+     * @param manager owns the sessions; must outlive the batcher.
+     *        flush() restores evicted sessions on demand and enforces
+     *        the manager's byte budget afterwards.
      * @param pool worker pool; nullptr means the process-global pool.
      * @param queue_cap submit-queue bound; 0 reads CTA_QUEUE_CAP
      *        (default kDefaultQueueCapacity when unset).
-     */
-    explicit Batcher(core::ThreadPool *pool = nullptr,
-                     core::Index queue_cap = 0);
-
-    /**
-     * Memory-budgeted mode: sessions live in @p manager, which must
-     * outlive the batcher. flush() restores evicted sessions on
-     * demand and enforces the manager's byte budget afterwards.
      */
     explicit Batcher(SessionManager &manager,
                      core::ThreadPool *pool = nullptr,
@@ -211,28 +202,24 @@ class Batcher
      *  when unset. */
     static core::Index queueCapacityFromEnv();
 
-    /** Registers a session; returns its id (dense, from 0).
-     *  Fatal in managed mode — create sessions via the manager. */
-    core::Index addSession(std::unique_ptr<DecodeSession> session);
-
     /**
-     * Managed mode only: forks a new session off @p parent's current
-     * state via SessionManager::forkSession() — the child shares the
-     * parent's state pages copy-on-write and its snapshots serialize
-     * only its divergence. Fatal in direct mode.
+     * Forks a new session off @p parent's current state via
+     * SessionManager::forkSession() — the child shares the parent's
+     * state pages copy-on-write and its snapshots serialize only its
+     * divergence.
      */
     core::Index forkSession(core::Index parent);
 
     core::Index sessionCount() const;
 
-    /** The live session for @p id (restoring it first in managed
-     *  mode). Fatal for out-of-range or removed ids. */
+    /** The live session for @p id (restoring it first if evicted).
+     *  Fatal for out-of-range or removed ids. */
     DecodeSession &session(core::Index id);
 
     /**
-     * Frees session @p id: its state is destroyed (or dropped from
-     * the manager), any queued steps for it are discarded, and every
-     * later access to the id is fatal. Ids are not reused.
+     * Frees session @p id: it is dropped from the manager, any
+     * queued steps for it are discarded, and every later access to
+     * the id is fatal. Ids are not reused.
      * Thread-safe against the submit path; must not run concurrently
      * with flush() (see the locking-order notes above).
      */
@@ -286,9 +273,8 @@ class Batcher
 
     /**
      * Runs every queued step — per-session sequential, cross-session
-     * parallel — and returns outputs in submission order. Each step's
-     * latency is recorded in stats(). Steps past their deadline are
-     * skipped and returned as Expired. In managed mode a session
+     * parallel — and returns outputs in submission order. Steps past
+     * their deadline are skipped and returned as Expired. A session
      * whose snapshot fails integrity checks at restore time is
      * quarantined and its queued steps come back Corrupted — the
      * other sessions in the same flush are unaffected.
@@ -300,9 +286,9 @@ class Batcher
 
     /**
      * Sharding hook, phase 1 of flush(): drains the pending queue and
-     * resolves every session with work to a live pointer — in managed
-     * mode this is where evicted sessions restore, serially, keeping
-     * eviction decisions thread-count-invariant. The front-end calls
+     * resolves every session with work to a live pointer — this is
+     * where evicted sessions restore, serially, keeping eviction
+     * decisions thread-count-invariant. The front-end calls
      * this per shard (in shard order), merges every plan's tasks into
      * one pool batch, then finishes each shard in order.
      */
@@ -319,8 +305,7 @@ class Batcher
     /**
      * Sharding hook, phase 3: folds @p plan's expiry/corruption
      * totals into the counters, marks recency and enforces the
-     * manager budget (managed mode), and returns the results in
-     * submission order.
+     * manager budget, and returns the results in submission order.
      */
     std::vector<StepResult> finishFlush(FlushPlan &&plan);
 
@@ -336,39 +321,22 @@ class Batcher
      */
     std::vector<StepResult> bounceFlush(FlushPlan &&plan);
 
-    /** Per-step latency/throughput accumulator. */
-    ServerStats &stats() { return stats_; }
-
   private:
     core::ThreadPool &pool() const;
-
-    /** The live session pointer for a validated id. Caller holds
-     *  sessionsMutex_. */
-    DecodeSession *resolveLocked(core::Index id);
-
-    /** Ids ever created. Caller holds sessionsMutex_. */
-    core::Index sessionCountLocked() const;
-
-    /** True when @p id is valid and not removed. Caller holds
-     *  sessionsMutex_. */
-    bool sessionUsableLocked(core::Index id) const;
 
     /** Counts one rejection for @p reason (caller holds mutex_) and
      *  bumps the matching per-reason gauge; returns @p reason. */
     SubmitResult recordRejectionLocked(SubmitResult reason);
 
     core::ThreadPool *pool_;
-    SessionManager *manager_ = nullptr; ///< null in direct mode
+    SessionManager &manager_;
 
     /**
-     * Guards session lifecycle state: sessions_/removed_ in direct
-     * mode and every manager_ call in managed mode. Locking order:
-     * sessionsMutex_ BEFORE mutex_ (see the file header).
+     * Guards every manager_ call. Locking order: sessionsMutex_
+     * BEFORE mutex_ (see the file header).
      */
     mutable std::mutex sessionsMutex_;
     core::Index queueCapacity_ = kDefaultQueueCapacity;
-    std::vector<std::unique_ptr<DecodeSession>> sessions_;
-    std::vector<bool> removed_; ///< direct mode: id freed?
 
     /** Guards pending_ and the rejection/expiry counters below.
      *  Inner lock — never acquire sessionsMutex_ while holding it. */
@@ -378,7 +346,6 @@ class Batcher
     std::uint64_t expiredSteps_ = 0;
     std::uint64_t corruptedSteps_ = 0;
     std::uint64_t bouncedSteps_ = 0;
-    ServerStats stats_;
 };
 
 } // namespace cta::serve

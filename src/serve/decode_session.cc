@@ -558,17 +558,17 @@ DecodeSession::step(std::span<const Real> token)
     }
 
     const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
-    // Stages 3-5 mirror ctaAttentionFromCompression() operation for
-    // operation (the bit-exactness contract), reading the cached
-    // projections instead of reprojecting [C1; C2]. Both branches
+    // Stages 3-5. Grouped: the fused kernel, one pass over the paged
+    // projection rows — no K-bar/V-bar materialization, no
+    // intermediate matrices. Per-token: ctaAttentionFromCompression()
+    // operation for operation (the bit-exactness contract), reading
+    // the cached projections instead of reprojecting [C1; C2]. Both
     // leave the un-normalized output row in o_row and the probability
     // mass in row_sum; the normalization tail below is shared.
     const Real *o_row = nullptr;
     Real row_sum = 0;
-    Matrix o_bar; // unfused path's output storage
-    if (config_.groupedAggregation && config_.fusedDecode) {
-        // Fused kernel: one pass over the paged projection rows — no
-        // K-bar/V-bar materialization, no intermediate matrices.
+    Matrix o_bar; // per-token path's output storage
+    if (config_.groupedAggregation) {
         row_sum = alg::fusedDecodeAttend(
             q_bar, kBar1_, kBar2_, vBar1_, vBar2_, pairs_, inv_sqrt_d,
             config_.cta.subtractRowMax,
@@ -597,15 +597,10 @@ DecodeSession::step(std::span<const Real> token)
 
         Matrix ap;
         Matrix row_sums;
-        if (config_.groupedAggregation) {
-            alg::aggregateProbabilitiesGrouped(s_bar, pairs_, k1, ap,
-                                               row_sums, &ops);
-        } else {
-            alg::aggregateProbabilities(
-                s_bar, kv_.level1().clusters().assignments(),
-                kv_.level2().clusters().assignments(), k1, ap,
-                row_sums, &ops);
-        }
+        alg::aggregateProbabilities(
+            s_bar, kv_.level1().clusters().assignments(),
+            kv_.level2().clusters().assignments(), k1, ap, row_sums,
+            &ops);
 
         o_bar = matmul(ap, v_bar, &ops);
         o_row = o_bar.row(0).data();

@@ -56,23 +56,12 @@ struct ServeConfig
     /**
      * Aggregate attention probabilities per distinct (c1, c2) cluster
      * pair — O(pairs) per step — instead of per context token (O(n)).
+     * Grouped steps run the fused online-softmax kernel
+     * (cta/fused_decode.h) over the cached cluster projections.
      * Algebraically identical; accumulation order differs, so switch
      * off for bit-level comparisons against the batch path.
      */
     bool groupedAggregation = true;
-    /**
-     * Run the grouped decode step through the fused online-softmax
-     * kernel (cta/fused_decode.h): scores, row-max shift, pair
-     * aggregation and AV accumulation in one pass over the cached
-     * cluster projections, skipping the per-step K-bar/V-bar matrix
-     * materializations and intermediate allocations. Bit-identical to
-     * the unfused grouped path under every backend, ISA level and
-     * thread count (tests/fused_decode_test.cc); OFF keeps the
-     * unfused pipeline for A/B debugging. Ignored when
-     * groupedAggregation is off (the per-token aggregation needs the
-     * materialized tables anyway).
-     */
-    bool fusedDecode = true;
     /**
      * Per-session quality guard (DESIGN.md §4.5): non-finite input
      * tokens are sanitized to zero, and a degenerate attention

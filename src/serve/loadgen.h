@@ -5,7 +5,7 @@
  *
  * An *open-loop* arrival process submits work on its own clock,
  * independent of service completions — unlike the closed-loop benches
- * (serve_throughput, serve_soak), which only ever offer the next
+ * (serve_soak, perfbench chat), which only ever offer the next
  * token after the previous one finished and therefore can never
  * observe queueing collapse. The trace is generated up front, as a
  * pure function of a LoadGenConfig (seed included), so a sweep point

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the serving-layer Batcher: submission-order outputs,
- * per-session sequencing, determinism across thread counts, and step
- * accounting.
+ * per-session sequencing, determinism across thread counts, admission
+ * control and rejection accounting. Every batcher runs over a
+ * SessionManager built with an explicit zero (unlimited) byte budget,
+ * so CTA_MEM_BUDGET cannot leak into these tests.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@ using cta::core::ThreadPool;
 using cta::serve::Batcher;
 using cta::serve::DecodeSession;
 using cta::serve::ServeConfig;
+using cta::serve::SessionManager;
 using cta::serve::StepResult;
 
 bool
@@ -61,14 +64,20 @@ sampleTokens(Index n, Index dim, std::uint64_t seed)
 constexpr Index kDim = 32;
 constexpr Index kHeadDim = 16;
 
-std::unique_ptr<DecodeSession>
-makeSession(const cta::nn::AttentionHeadParams &params,
-            const Matrix &prefill)
+cta::nn::AttentionHeadParams
+headParams(std::uint64_t seed)
 {
-    auto session = std::make_unique<DecodeSession>(
-        params, ServeConfig{}, kDim);
-    session->prefill(prefill);
-    return session;
+    Rng rng(seed);
+    return cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim,
+                                                    rng);
+}
+
+/** A manager without a byte budget over a head seeded by @p seed. */
+std::unique_ptr<SessionManager>
+makeManager(std::uint64_t seed)
+{
+    return std::make_unique<SessionManager>(
+        headParams(seed), ServeConfig{}, kDim, /*mem_budget_bytes=*/0);
 }
 
 /** Runs the same interleaved workload through a Batcher on @p pool;
@@ -76,23 +85,18 @@ makeSession(const cta::nn::AttentionHeadParams &params,
 std::vector<StepResult>
 runWorkload(ThreadPool *pool)
 {
-    Rng rng(9);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
-    const Matrix ctx_a = sampleTokens(40, kDim, 21);
-    const Matrix ctx_b = sampleTokens(48, kDim, 22);
     const Matrix steps = sampleTokens(12, kDim, 23);
 
-    Batcher batcher(pool);
-    const Index a = batcher.addSession(makeSession(params, ctx_a));
-    const Index b = batcher.addSession(makeSession(params, ctx_b));
+    const auto manager = makeManager(9);
+    Batcher batcher(*manager, pool);
+    const Index a = manager->createSession(sampleTokens(40, kDim, 21));
+    const Index b = manager->createSession(sampleTokens(48, kDim, 22));
     // Interleave sessions: a b a b ... so the flush must demultiplex.
     for (Index i = 0; i < steps.rows(); ++i)
         batcher.submit(i % 2 == 0 ? a : b, steps.row(i));
     EXPECT_EQ(batcher.pendingCount(), steps.rows());
     auto results = batcher.flush();
     EXPECT_EQ(batcher.pendingCount(), 0);
-    EXPECT_EQ(batcher.stats().steps(), steps.rows());
     return results;
 }
 
@@ -102,9 +106,7 @@ TEST(BatcherTest, FlushMatchesStandaloneSessions)
     ASSERT_EQ(static_cast<Index>(results.size()), 12);
 
     // Reference: the same two streams stepped directly, serially.
-    Rng rng(9);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+    const auto params = headParams(9);
     DecodeSession ref_a(params, ServeConfig{}, kDim);
     DecodeSession ref_b(params, ServeConfig{}, kDim);
     ref_a.prefill(sampleTokens(40, kDim, 21));
@@ -137,14 +139,14 @@ TEST(BatcherTest, DeterministicAcrossThreadCounts)
 
 TEST(BatcherTest, MultipleStepsPerSessionStaySequential)
 {
-    Rng rng(10);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+    const auto params = headParams(10);
     const Matrix ctx = sampleTokens(32, kDim, 31);
     const Matrix steps = sampleTokens(5, kDim, 32);
 
-    Batcher batcher;
-    const Index id = batcher.addSession(makeSession(params, ctx));
+    SessionManager manager(params, ServeConfig{}, kDim,
+                           /*mem_budget_bytes=*/0);
+    Batcher batcher(manager);
+    const Index id = manager.createSession(ctx);
     for (Index i = 0; i < steps.rows(); ++i)
         batcher.submit(id, steps.row(i));
     const auto results = batcher.flush();
@@ -165,14 +167,16 @@ TEST(BatcherTest, MultipleStepsPerSessionStaySequential)
 
 TEST(BatcherTest, FlushWithNothingPendingIsANoop)
 {
-    Batcher batcher;
+    const auto manager = makeManager(1);
+    Batcher batcher(*manager);
     EXPECT_TRUE(batcher.flush().empty());
-    EXPECT_EQ(batcher.stats().steps(), 0);
+    EXPECT_EQ(batcher.pendingCount(), 0);
 }
 
 TEST(BatcherDeathTest, RejectsUnknownSessionIds)
 {
-    Batcher batcher;
+    const auto manager = makeManager(1);
+    Batcher batcher(*manager);
     const std::vector<Real> token(static_cast<std::size_t>(kDim), 0.0f);
     EXPECT_EXIT(batcher.submit(0, token),
                 ::testing::ExitedWithCode(1), "out of range");
@@ -186,15 +190,12 @@ TEST(BatcherDeathTest, RejectsUnknownSessionIds)
 
 TEST(BatcherTest, BoundedQueueShedsLoad)
 {
-    Rng rng(11);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(6, kDim, 41);
 
-    Batcher batcher(nullptr, /*queue_cap=*/4);
+    const auto manager = makeManager(11);
+    Batcher batcher(*manager, nullptr, /*queue_cap=*/4);
     EXPECT_EQ(batcher.queueCapacity(), 4);
-    const Index id = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 40)));
+    const Index id = manager->createSession(sampleTokens(16, kDim, 40));
 
     for (Index i = 0; i < 4; ++i)
         EXPECT_EQ(batcher.trySubmit(id, steps.row(i)),
@@ -214,13 +215,14 @@ TEST(BatcherTest, BoundedQueueShedsLoad)
 
 TEST(BatcherTest, QueueCapacityEnvKnob)
 {
+    const auto manager = makeManager(1);
     setenv("CTA_QUEUE_CAP", "2", 1);
-    Batcher batcher;
+    Batcher batcher(*manager);
     unsetenv("CTA_QUEUE_CAP");
     EXPECT_EQ(batcher.queueCapacity(), 2);
 
     // Unset env falls back to the compiled-in default.
-    Batcher fallback;
+    Batcher fallback(*manager);
     EXPECT_EQ(fallback.queueCapacity(),
               Batcher::kDefaultQueueCapacity);
 }
@@ -229,30 +231,27 @@ TEST(BatcherDeathTest, MalformedQueueCapacityEnvIsFatal)
 {
     // Each EXPECT_EXIT clause forks, so setting the env in the parent
     // is visible to the child that constructs the Batcher.
+    const auto manager = makeManager(1);
     setenv("CTA_QUEUE_CAP", "not-a-number", 1);
-    EXPECT_EXIT({ Batcher batcher; }, ::testing::ExitedWithCode(1),
-                "CTA_QUEUE_CAP");
+    EXPECT_EXIT({ Batcher batcher(*manager); },
+                ::testing::ExitedWithCode(1), "CTA_QUEUE_CAP");
     setenv("CTA_QUEUE_CAP", "0", 1);
-    EXPECT_EXIT({ Batcher batcher; }, ::testing::ExitedWithCode(1),
-                "positive");
+    EXPECT_EXIT({ Batcher batcher(*manager); },
+                ::testing::ExitedWithCode(1), "positive");
     setenv("CTA_QUEUE_CAP", "-3", 1);
-    EXPECT_EXIT({ Batcher batcher; }, ::testing::ExitedWithCode(1),
-                "positive");
+    EXPECT_EXIT({ Batcher batcher(*manager); },
+                ::testing::ExitedWithCode(1), "positive");
     unsetenv("CTA_QUEUE_CAP");
 }
 
 TEST(BatcherTest, RemoveSessionDropsPendingAndRejectsResubmit)
 {
-    Rng rng(12);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(6, kDim, 51);
 
-    Batcher batcher;
-    const Index a = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 50)));
-    const Index b = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 50)));
+    const auto manager = makeManager(12);
+    Batcher batcher(*manager);
+    const Index a = manager->createSession(sampleTokens(16, kDim, 50));
+    const Index b = manager->createSession(sampleTokens(16, kDim, 50));
 
     // Interleave, then remove a: its queued steps vanish, b's stay.
     for (Index i = 0; i < 6; ++i)
@@ -272,13 +271,10 @@ TEST(BatcherTest, RemoveSessionDropsPendingAndRejectsResubmit)
 
 TEST(BatcherDeathTest, SubmitAbortsWhenQueueFull)
 {
-    Rng rng(15);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(3, kDim, 81);
-    Batcher batcher(nullptr, /*queue_cap=*/2);
-    const Index id = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 80)));
+    const auto manager = makeManager(15);
+    Batcher batcher(*manager, nullptr, /*queue_cap=*/2);
+    const Index id = manager->createSession(sampleTokens(16, kDim, 80));
     batcher.submit(id, steps.row(0));
     batcher.submit(id, steps.row(1));
     EXPECT_EXIT(batcher.submit(id, steps.row(2)),
@@ -287,12 +283,9 @@ TEST(BatcherDeathTest, SubmitAbortsWhenQueueFull)
 
 TEST(BatcherDeathTest, AccessAfterRemoveIsFatal)
 {
-    Rng rng(13);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
-    Batcher batcher;
-    const Index id = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 60)));
+    const auto manager = makeManager(13);
+    Batcher batcher(*manager);
+    const Index id = manager->createSession(sampleTokens(16, kDim, 60));
     batcher.removeSession(id);
     EXPECT_EXIT(batcher.session(id), ::testing::ExitedWithCode(1),
                 "removed");
@@ -306,16 +299,12 @@ TEST(BatcherDeathTest, AccessAfterRemoveIsFatal)
 
 TEST(BatcherTest, ExpiredDeadlinesCascadePerSession)
 {
-    Rng rng(14);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(4, kDim, 71);
 
-    Batcher batcher;
-    const Index a = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 70)));
-    const Index b = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 70)));
+    const auto manager = makeManager(14);
+    Batcher batcher(*manager);
+    const Index a = manager->createSession(sampleTokens(16, kDim, 70));
+    const Index b = manager->createSession(sampleTokens(16, kDim, 70));
 
     // a's first step carries a deadline that is still live at
     // admission (already-lapsed ones are rejected there — see
@@ -357,14 +346,11 @@ TEST(BatcherTest, ExpiredDeadlinesCascadePerSession)
 
 TEST(BatcherTest, DeadOnArrivalSubmitsRejectedAtAdmission)
 {
-    Rng rng(16);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(2, kDim, 91);
 
-    Batcher batcher;
-    const Index id = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 90)));
+    const auto manager = makeManager(16);
+    Batcher batcher(*manager);
+    const Index id = manager->createSession(sampleTokens(16, kDim, 90));
 
     // A deadline already in the past must be rejected at admission —
     // it can only ever come back Expired, so queueing it would waste
@@ -399,19 +385,15 @@ gaugeValue(const char *name)
 
 TEST(BatcherTest, PerReasonRejectionGaugesSumToCounter)
 {
-    Rng rng(17);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(4, kDim, 93);
 
     cta::obs::setTraceEnabled(true);
     cta::obs::resetMetrics();
 
-    Batcher batcher(nullptr, /*queue_cap=*/1);
-    const Index a = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 92)));
-    const Index b = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 92)));
+    const auto manager = makeManager(17);
+    Batcher batcher(*manager, nullptr, /*queue_cap=*/1);
+    const Index a = manager->createSession(sampleTokens(16, kDim, 92));
+    const Index b = manager->createSession(sampleTokens(16, kDim, 92));
     batcher.removeSession(b);
 
     // One rejection of each flavor: full queue, removed target, and
@@ -443,25 +425,20 @@ TEST(BatcherTest, PerReasonRejectionGaugesSumToCounter)
         gaugeValue("serve.rejected.deadline_expired");
     EXPECT_DOUBLE_EQ(gaugeSum,
                      static_cast<double>(batcher.rejectedSubmits()));
-    // The legacy gauge keeps its historical meaning: QueueFull only.
-    EXPECT_DOUBLE_EQ(gaugeValue("serve.queue_rejected"), 1.0);
 
     cta::obs::setTraceEnabled(false);
 }
 
 TEST(BatcherTest, QueueWaitRecordedForExpiredSteps)
 {
-    Rng rng(18);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     const Matrix steps = sampleTokens(1, kDim, 95);
 
     cta::obs::setTraceEnabled(true);
     cta::obs::resetMetrics();
 
-    Batcher batcher;
-    const Index id = batcher.addSession(
-        makeSession(params, sampleTokens(16, kDim, 94)));
+    const auto manager = makeManager(18);
+    Batcher batcher(*manager);
+    const Index id = manager->createSession(sampleTokens(16, kDim, 94));
     // Admit with a deadline that will lapse while queued, then wait
     // it out so the flush sees an expired step.
     const auto deadline = std::chrono::steady_clock::now() +
@@ -485,30 +462,16 @@ TEST(BatcherTest, QueueWaitRecordedForExpiredSteps)
 /** Hammers trySubmit from several threads while sessions are being
  *  removed underneath them — the race the old Batcher had (lifecycle
  *  state read without its mutex). Run under TSan in CI. */
-void
-tortureSubmitVsRemove(bool managed)
+TEST(BatcherTortureTest, ConcurrentTrySubmitVsRemove)
 {
-    Rng rng(19);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
     constexpr Index kSessions = 8;
     constexpr int kThreads = 3;
     constexpr int kSubmitsPerThread = 160;
 
-    std::unique_ptr<cta::serve::SessionManager> manager;
-    std::unique_ptr<Batcher> batcher;
-    if (managed) {
-        manager = std::make_unique<cta::serve::SessionManager>(
-            params, ServeConfig{}, kDim, /*mem_budget_bytes=*/0);
-        batcher = std::make_unique<Batcher>(*manager);
-        for (Index s = 0; s < kSessions; ++s)
-            manager->createSession(sampleTokens(8, kDim, 100 + s));
-    } else {
-        batcher = std::make_unique<Batcher>();
-        for (Index s = 0; s < kSessions; ++s)
-            batcher->addSession(
-                makeSession(params, sampleTokens(8, kDim, 100 + s)));
-    }
+    const auto manager = makeManager(19);
+    Batcher batcher(*manager);
+    for (Index s = 0; s < kSessions; ++s)
+        manager->createSession(sampleTokens(8, kDim, 100 + s));
     const Matrix tokens = sampleTokens(kSessions, kDim, 120);
 
     std::atomic<bool> go{false};
@@ -521,7 +484,7 @@ tortureSubmitVsRemove(bool managed)
             }
             for (int i = 0; i < kSubmitsPerThread; ++i) {
                 const Index sid = (w * 31 + i) % kSessions;
-                const auto result = batcher->trySubmit(
+                const auto result = batcher.trySubmit(
                     sid, tokens.row(sid));
                 if (result == cta::serve::SubmitResult::Accepted)
                     accepted.fetch_add(1,
@@ -539,13 +502,13 @@ tortureSubmitVsRemove(bool managed)
     // the documented front-end contract), but submits may.
     go.store(true, std::memory_order_release);
     for (Index s = 1; s < kSessions; s += 2)
-        batcher->removeSession(s);
+        batcher.removeSession(s);
     for (std::thread &t : submitters)
         t.join();
 
     // Everything accepted and not purged by a removal must flush to
     // an Ok result on a surviving even session.
-    const auto results = batcher->flush();
+    const auto results = batcher.flush();
     for (const auto &r : results) {
         EXPECT_EQ(r.session % 2, 0) << "step for removed session "
                                     << r.session << " survived";
@@ -554,18 +517,8 @@ tortureSubmitVsRemove(bool managed)
     EXPECT_LE(static_cast<std::uint64_t>(results.size()),
               accepted.load());
     // Rejection accounting stayed coherent under the contention.
-    EXPECT_EQ(batcher->rejectedSubmits(),
-              batcher->rejectedSubmitsByReason().total());
-}
-
-TEST(BatcherTortureTest, ConcurrentTrySubmitVsRemoveDirect)
-{
-    tortureSubmitVsRemove(/*managed=*/false);
-}
-
-TEST(BatcherTortureTest, ConcurrentTrySubmitVsRemoveManaged)
-{
-    tortureSubmitVsRemove(/*managed=*/true);
+    EXPECT_EQ(batcher.rejectedSubmits(),
+              batcher.rejectedSubmitsByReason().total());
 }
 
 } // namespace

@@ -2,25 +2,33 @@
  * @file
  * Determinism torture tests for the fused online-softmax decode
  * kernel (cta/fused_decode.h): a session decoding through the fused
- * kernel must produce bit-identical outputs — and identical operation
- * counts — to the unfused grouped pipeline at EVERY prefix length,
- * under every compute backend, thread count and dispatched ISA level.
+ * kernel must produce bit-identical outputs to the unfused grouped
+ * pipeline it replaced — kept here as the test reference — at EVERY
+ * prefix length, under every compute backend, thread count and
+ * dispatched ISA level, and the kernel must charge identical
+ * operation counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/backend.h"
 #include "core/matrix.h"
+#include "core/op_counter.h"
+#include "core/page_arena.h"
 #include "core/rng.h"
 #include "core/simd.h"
+#include "cta/compressed_attention.h"
+#include "cta/fused_decode.h"
 #include "nn/workload.h"
 #include "serve/decode_session.h"
 
@@ -29,6 +37,8 @@ namespace {
 using cta::core::Backend;
 using cta::core::Index;
 using cta::core::Matrix;
+using cta::core::OpCounts;
+using cta::core::PagedRows;
 using cta::core::Real;
 using cta::core::Rng;
 using cta::core::SimdLevel;
@@ -94,18 +104,113 @@ struct BlockCoverage
     bool pageInsideBlock = false; ///< fewer rows per page than a block
 };
 
+/** Stages 3-5 of one reference decode step. */
+struct ReferenceAttend
+{
+    Matrix unnormalized; ///< 1 x d, before the denominator
+    Real rowSum = 0;     ///< probability mass
+    Matrix out;          ///< 1 x d, what step() returns
+    OpCounts ops;        ///< charged by stages 3-5 only
+};
+
 /**
- * Decodes the same stream through a fused and an unfused session and
- * asserts bitwise-identical outputs and identical per-step OpCounts
- * at every prefix length. Sessions share (params, tokenDim) and
- * differ ONLY in config.fusedDecode; the standalone constructor
- * samples its LSH set deterministically from the config, so both see
- * identical compression state. @p coverage, when set, records the
- * block geometry the steps ran under.
+ * The unfused grouped pipeline the fused kernel replaced, over
+ * @p session's public state after it ingested the token whose
+ * projected query is @p q_bar: materialize [K1-bar; K2-bar] and
+ * [V1-bar; V2-bar], then matmulTransB -> scale -> level-1 row-max
+ * shift -> aggregateProbabilitiesGrouped -> matmul, and step()'s
+ * normalization tail.
+ */
+ReferenceAttend
+unfusedGroupedAttend(const DecodeSession &session, const Matrix &q_bar)
+{
+    ReferenceAttend ref;
+    Matrix k_bar = session.kBar(1);
+    k_bar.appendRows(session.kBar(2));
+    Matrix v_bar = session.vBar(1);
+    v_bar.appendRows(session.vBar(2));
+    const Index k1 = session.kBar(1).rows();
+    const Index k2 = session.kBar(2).rows();
+    const Index d = q_bar.cols();
+    const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
+
+    Matrix s_bar = matmulTransB(q_bar, k_bar, &ref.ops);
+    s_bar = scale(s_bar, inv_sqrt_d, &ref.ops);
+    if (session.config().cta.subtractRowMax) {
+        Real *row = s_bar.row(0).data();
+        Real row_max = row[0];
+        for (Index j = 1; j < k1; ++j)
+            row_max = std::max(row_max, row[j]);
+        for (Index j = k1; j < k1 + k2; ++j)
+            row[j] -= row_max;
+        ref.ops.cmps += static_cast<std::uint64_t>(k1 - 1);
+        ref.ops.adds += static_cast<std::uint64_t>(k2);
+    }
+    Matrix ap;
+    Matrix row_sums;
+    cta::alg::aggregateProbabilitiesGrouped(s_bar, session.pairs(), k1,
+                                            ap, row_sums, &ref.ops);
+    ref.unnormalized = matmul(ap, v_bar, &ref.ops);
+    ref.rowSum = row_sums(0, 0);
+
+    const Real inv = 1.0f / (ref.rowSum * 0.5f);
+    ref.out = Matrix(1, d);
+    for (Index j = 0; j < d; ++j)
+        ref.out(0, j) = ref.unnormalized(0, j) * inv;
+    return ref;
+}
+
+/**
+ * Runs fusedDecodeAttend directly on PagedRows rebuilt from
+ * @p session's cached projections (pages of the session arena's
+ * size, so page seams fall where the session's do) and checks its
+ * un-normalized row, row sum and OpCounts against @p ref.
+ */
+void
+expectKernelMatchesReference(const DecodeSession &session,
+                             const Matrix &q_bar,
+                             const ReferenceAttend &ref,
+                             const std::string &what)
+{
+    const Index d = q_bar.cols();
+    const auto arena = std::make_shared<cta::core::PageArena>(
+        session.arena()->pageBytes());
+    const auto paged = [&](const Matrix &m) {
+        PagedRows rows(arena, d);
+        for (Index r = 0; r < m.rows(); ++r)
+            rows.appendRow(m.row(r));
+        return rows;
+    };
+    const PagedRows k_bar1 = paged(session.kBar(1));
+    const PagedRows k_bar2 = paged(session.kBar(2));
+    const PagedRows v_bar1 = paged(session.vBar(1));
+    const PagedRows v_bar2 = paged(session.vBar(2));
+    cta::alg::FusedDecodeScratch scratch;
+    OpCounts ops;
+    const Real row_sum = cta::alg::fusedDecodeAttend(
+        q_bar, k_bar1, k_bar2, v_bar1, v_bar2, session.pairs(),
+        1.0f / std::sqrt(static_cast<Real>(d)),
+        session.config().cta.subtractRowMax,
+        cta::core::activeBackend().gemmFmaChains(), scratch, &ops);
+    ASSERT_EQ(std::memcmp(&row_sum, &ref.rowSum, sizeof(Real)), 0)
+        << what << ": row sums diverge";
+    ASSERT_EQ(std::memcmp(scratch.out.data(), ref.unnormalized.data(),
+                          static_cast<std::size_t>(d) * sizeof(Real)),
+              0)
+        << what << ": un-normalized outputs diverge";
+    ASSERT_EQ(ops, ref.ops) << what << ": op counts diverge";
+}
+
+/**
+ * Decodes a stream through a default (fused) session and asserts, at
+ * every prefix length, that its output is bitwise identical to the
+ * unfused grouped reference over the session's own state, and that
+ * the kernel charges the reference's OpCounts. @p coverage, when
+ * set, records the block geometry the steps ran under.
  */
 void
 expectFusedMatchesUnfused(Index prefill, Index steps,
-                          std::uint64_t seed, ServeConfig base,
+                          std::uint64_t seed, const ServeConfig &config,
                           const std::string &what,
                           BlockCoverage *coverage = nullptr)
 {
@@ -115,37 +220,30 @@ expectFusedMatchesUnfused(Index prefill, Index steps,
     const auto params =
         cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
 
-    ServeConfig fused = base;
-    fused.groupedAggregation = true;
-    fused.fusedDecode = true;
-    ServeConfig unfused = base;
-    unfused.groupedAggregation = true;
-    unfused.fusedDecode = false;
-
-    DecodeSession fused_session(params, fused, dim);
-    DecodeSession unfused_session(params, unfused, dim);
-    fused_session.prefill(tokens.rowSlice(0, prefill));
-    unfused_session.prefill(tokens.rowSlice(0, prefill));
+    ASSERT_TRUE(config.groupedAggregation);
+    DecodeSession session(params, config, dim);
+    session.prefill(tokens.rowSlice(0, prefill));
 
     for (Index i = prefill; i < prefill + steps; ++i) {
-        const Matrix out_fused = fused_session.step(tokens.row(i));
-        const Matrix out_unfused =
-            unfused_session.step(tokens.row(i));
-        ASSERT_TRUE(bitIdentical(out_fused, out_unfused))
+        const Matrix out = session.step(tokens.row(i));
+        ASSERT_FALSE(session.fallbackActive());
+        const Matrix q_bar =
+            params.wq.forward(tokens.rowSlice(i, i + 1));
+        const ReferenceAttend ref =
+            unfusedGroupedAttend(session, q_bar);
+        ASSERT_TRUE(bitIdentical(out, ref.out))
             << what << ": outputs diverge at prefix " << i;
-        ASSERT_EQ(fused_session.lastStepOps(),
-                  unfused_session.lastStepOps())
-            << what << ": op counts diverge at prefix " << i;
-        ASSERT_FALSE(fused_session.fallbackActive());
-        ASSERT_FALSE(unfused_session.fallbackActive());
+        ASSERT_NO_FATAL_FAILURE(expectKernelMatchesReference(
+            session, q_bar, ref,
+            what + " at prefix " + std::to_string(i)));
         if (coverage) {
-            const Index k1 = fused_session.kBar(1).rows();
-            const Index k2 = fused_session.kBar(2).rows();
+            const Index k1 = session.kBar(1).rows();
+            const Index k2 = session.kBar(2).rows();
             const Index block = cta::core::kSimdDotRows;
             coverage->seamInsideBlock |= k1 % block != 0 && k2 > 0;
             coverage->raggedRowCount |= (k1 + k2) % block != 0;
             coverage->pageInsideBlock |=
-                fused_session.arena()->pageBytes() /
+                session.arena()->pageBytes() /
                     (static_cast<std::size_t>(d) * sizeof(Real)) <
                 static_cast<std::size_t>(block);
         }
@@ -282,37 +380,6 @@ TEST(FusedDecodeTest, IsaLevelDoesNotChangeFusedOutputs)
             EXPECT_TRUE(bitIdentical(outputs[s], reference[s]))
                 << "level " << cta::core::simdLevelName(level)
                 << " diverges at step " << s;
-    }
-}
-
-TEST(FusedDecodeTest, FusedFlagIgnoredWithoutGroupedAggregation)
-{
-    // fusedDecode requires the pair multiset; with grouped
-    // aggregation off both configs must run the identical per-token
-    // pipeline.
-    const Index dim = 32, d = 16, prefill = 24, steps = 12;
-    const Matrix tokens = sampleTokens(prefill + steps, dim, 27);
-    Rng rng(28);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
-
-    ServeConfig on;
-    on.groupedAggregation = false;
-    on.fusedDecode = true;
-    ServeConfig off;
-    off.groupedAggregation = false;
-    off.fusedDecode = false;
-
-    DecodeSession session_on(params, on, dim);
-    DecodeSession session_off(params, off, dim);
-    session_on.prefill(tokens.rowSlice(0, prefill));
-    session_off.prefill(tokens.rowSlice(0, prefill));
-    for (Index i = prefill; i < prefill + steps; ++i) {
-        const Matrix a = session_on.step(tokens.row(i));
-        const Matrix b = session_off.step(tokens.row(i));
-        ASSERT_TRUE(bitIdentical(a, b)) << "prefix " << i;
-        ASSERT_EQ(session_on.lastStepOps(),
-                  session_off.lastStepOps());
     }
 }
 

@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/decode_session.h"
-#include "serve/server_stats.h"
 
 namespace {
 
@@ -686,43 +685,6 @@ TEST(SnapshotCodecDeathTest, RejectsMalformedBlobs)
     trailing.push_back(0);
     EXPECT_EXIT(cta::serve::deserializeSnapshot(trailing),
                 ::testing::ExitedWithCode(1), "");
-}
-
-TEST(ServerStatsTest, NearestRankPercentilesAndThroughput)
-{
-    cta::serve::ServerStats stats;
-    EXPECT_EQ(stats.steps(), 0);
-    EXPECT_EQ(stats.percentileSeconds(99), 0.0);
-
-    // Durations 0.001 .. 0.100 in shuffled insertion order.
-    for (int i = 100; i >= 1; --i)
-        stats.recordStep(i / 1000.0);
-    EXPECT_EQ(stats.steps(), 100);
-    EXPECT_DOUBLE_EQ(stats.percentileSeconds(50), 0.050);
-    EXPECT_DOUBLE_EQ(stats.percentileSeconds(95), 0.095);
-    EXPECT_DOUBLE_EQ(stats.percentileSeconds(99), 0.099);
-    EXPECT_DOUBLE_EQ(stats.percentileSeconds(100), 0.100);
-
-    const auto snap = stats.snapshot();
-    EXPECT_EQ(snap.steps, 100);
-    EXPECT_EQ(snap.tokens, 100);
-    EXPECT_DOUBLE_EQ(snap.p50Seconds, 0.050);
-    EXPECT_DOUBLE_EQ(snap.p95Seconds, 0.095);
-    EXPECT_DOUBLE_EQ(snap.p99Seconds, 0.099);
-    EXPECT_DOUBLE_EQ(snap.maxSeconds, 0.100);
-    EXPECT_NEAR(snap.totalSeconds, 5.050, 1e-9);
-    EXPECT_NEAR(snap.meanSeconds, 0.0505, 1e-9);
-    EXPECT_NEAR(snap.tokensPerSecond, 100.0 / 5.050, 1e-6);
-
-    stats.reset();
-    EXPECT_EQ(stats.steps(), 0);
-}
-
-TEST(ServerStatsDeathTest, RejectsNegativeDurations)
-{
-    cta::serve::ServerStats stats;
-    EXPECT_EXIT(stats.recordStep(-1.0),
-                ::testing::ExitedWithCode(1), "negative step");
 }
 
 } // namespace

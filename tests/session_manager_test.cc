@@ -230,34 +230,18 @@ TEST(SessionManagerDeathTest, EnvBudgetParsing)
     EXPECT_EQ(SessionManager::memBudgetFromEnv(), 0u);
 }
 
-TEST(ManagedBatcherDeathTest, AddSessionDelegatesToManager)
-{
-    // Managed batchers delegate session creation to the manager.
-    SessionManager manager(headParams(), ServeConfig{}, kDim, 0);
-    Batcher batcher(manager);
-    EXPECT_EXIT(batcher.addSession(nullptr),
-                ::testing::ExitedWithCode(1), "manager");
-}
-
 TEST(ManagedBatcherTest, FlushRestoresEvictedSessionsAndEnforces)
 {
     const Index prefill = 32, steps = 6;
 
-    // Reference outputs from an unmanaged batcher.
+    // Reference outputs from a standalone session stepped directly.
     std::vector<Matrix> want;
     {
-        Batcher ref;
-        auto session = std::make_unique<DecodeSession>(
-            headParams(), ServeConfig{}, kDim);
-        session->prefill(sampleTokens(prefill, 600));
-        const Index id = ref.addSession(std::move(session));
+        DecodeSession ref(headParams(), ServeConfig{}, kDim);
+        ref.prefill(sampleTokens(prefill, 600));
         const Matrix decode = sampleTokens(steps, 601);
-        for (Index i = 0; i < steps; ++i) {
-            ref.submit(id, decode.row(i));
-            auto results = ref.flush();
-            ASSERT_EQ(results.size(), 1u);
-            want.push_back(std::move(results[0].output));
-        }
+        for (Index i = 0; i < steps; ++i)
+            want.push_back(ref.step(decode.row(i)));
     }
 
     // Managed: two sessions under a one-session budget, alternating —
