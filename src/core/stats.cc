@@ -80,6 +80,19 @@ maxOf(std::span<const Wide> values)
     return *std::max_element(values.begin(), values.end());
 }
 
+Wide
+percentile(std::span<const Wide> values, Wide q)
+{
+    if (values.empty())
+        return 0;
+    std::vector<Wide> sorted(values.begin(), values.end());
+    std::sort(sorted.begin(), sorted.end());
+    // The epsilon keeps an exact q * n from rounding up a rank.
+    const auto n = static_cast<Wide>(sorted.size());
+    const Wide rank = std::clamp(std::ceil(q * n - 1e-9), Wide{1}, n);
+    return sorted[static_cast<std::size_t>(rank) - 1];
+}
+
 Real
 cosineSimilarity(std::span<const Real> a, std::span<const Real> b)
 {

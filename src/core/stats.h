@@ -37,6 +37,12 @@ Wide minOf(std::span<const Wide> values);
 /** Maximum; span must be non-empty. */
 Wide maxOf(std::span<const Wide> values);
 
+/**
+ * Nearest-rank percentile, @p q in [0, 1]: the ceil(q * n)-th smallest
+ * value, rank clamped to [1, n]; 0 for an empty span.
+ */
+Wide percentile(std::span<const Wide> values, Wide q);
+
 /** Cosine similarity of two equal-length vectors; 0 if either is 0. */
 Real cosineSimilarity(std::span<const Real> a, std::span<const Real> b);
 

@@ -9,7 +9,7 @@
  * perturbed LSH bucket, a corrupted evicted-session blob, or queue
  * pressure in the serving layer. This library gives every such site a
  * registered, *deterministic* injection hook so robustness claims can
- * be soaked (bench/fault_soak.cc) instead of asserted.
+ * be soaked (`serve_scenarios fault_soak`) instead of asserted.
  *
  * Determinism model — stateless, content-keyed draws. An injection
  * decision is a pure function of (seed, site, key): no global draw

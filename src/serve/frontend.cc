@@ -240,12 +240,6 @@ ServeFrontend::tenant(Index id) const
     return tenants_[static_cast<std::size_t>(id)];
 }
 
-Index
-ServeFrontend::tenantCount() const
-{
-    return static_cast<Index>(tenants_.size());
-}
-
 void
 ServeFrontend::shedLocked(Tenant &t, ShedReason reason,
                           std::uint64_t count)
@@ -425,14 +419,6 @@ ServeFrontend::admit(Index session,
     ++t.counters.admitted;
     t.rejectStreak = 0;
     return {SubmitResult::Accepted, 0};
-}
-
-SubmitResult
-ServeFrontend::trySubmit(Index session,
-                         std::span<const core::Real> token,
-                         std::chrono::steady_clock::time_point deadline)
-{
-    return admit(session, token, deadline).result;
 }
 
 void

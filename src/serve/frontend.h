@@ -16,10 +16,10 @@
  * is the exception: a child shares its parent's state pages
  * copy-on-write, so it always lands on the parent's shard.
  *
- * Submission path (thread-safe): admit()/trySubmit() land steps in
- * the owning tenant's FIFO queue after admission — a tenant whose
- * queue holds maxQueued steps gets QuotaExceeded, so one tenant's
- * overload can never consume another tenant's headroom. Temporary
+ * Submission path (thread-safe): admit() lands steps in the owning
+ * tenant's FIFO queue after admission — a tenant whose queue holds
+ * maxQueued steps gets QuotaExceeded, so one tenant's overload can
+ * never consume another tenant's headroom. Temporary
  * rejections (QuotaExceeded, ShardFenced) carry a deterministic
  * exponential-backoff retry hint (CTA_RETRY_BASE doubling per
  * consecutive rejection up to CTA_RETRY_MAX). Steps do NOT go to the
@@ -120,7 +120,7 @@ struct TenantConfig
 /** Cumulative per-tenant accounting (monotonic). */
 struct TenantCounters
 {
-    std::uint64_t submitted = 0;  ///< admit()/trySubmit() calls
+    std::uint64_t submitted = 0;  ///< admit() calls
     std::uint64_t admitted = 0;   ///< accepted into the tenant queue
     std::uint64_t shedQuota = 0;  ///< QuotaExceeded rejections
     std::uint64_t shedDeadline = 0; ///< dead-on-arrival rejections
@@ -323,12 +323,6 @@ class ServeFrontend
                     std::chrono::steady_clock::time_point deadline =
                         Batcher::kNoDeadline);
 
-    /** admit() without the backoff hint — the legacy surface. */
-    SubmitResult trySubmit(core::Index session,
-                           std::span<const core::Real> token,
-                           std::chrono::steady_clock::time_point
-                               deadline = Batcher::kNoDeadline);
-
     /**
      * One continuous-batching round (single driver thread): DRR-
      * dispatches queued steps to the shard batchers, runs every
@@ -375,8 +369,6 @@ class ServeFrontend
     {
         return static_cast<core::Index>(shards_.size());
     }
-
-    core::Index tenantCount() const;
 
     /** Sessions ever created through this front-end. */
     core::Index sessionCount() const;

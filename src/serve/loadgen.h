@@ -5,9 +5,9 @@
  *
  * An *open-loop* arrival process submits work on its own clock,
  * independent of service completions — unlike the closed-loop benches
- * (serve_soak, perfbench chat), which only ever offer the next
- * token after the previous one finished and therefore can never
- * observe queueing collapse. The trace is generated up front, as a
+ * (the serve_soak scenario, perfbench chat), which only ever offer
+ * the next token after the previous one finished and therefore can
+ * never observe queueing collapse. The trace is generated up front, as a
  * pure function of a LoadGenConfig (seed included), so a sweep point
  * is exactly reproducible and two runs can be diffed:
  *
@@ -23,8 +23,8 @@
  *    is the caller's business (sessions are prefilled before the
  *    trace is replayed).
  *
- * The replay discipline (bench/serve_slo.cc) maps trace time onto a
- * virtual clock advanced by measured flush wall time, so the bench
+ * The replay discipline (the serve_slo scenario) maps trace time onto
+ * a virtual clock advanced by measured flush wall time, so the bench
  * never sleeps: arrivals whose trace time has been reached are
  * submitted, a flush runs, and its wall duration advances the clock.
  */

@@ -107,7 +107,7 @@ TEST(ServeFrontendTest, CompletionsMatchStandaloneSessions)
     const Matrix steps = sampleTokens(6, kDim, 64);
     const Index order[6] = {a, b, c, c, a, b};
     for (Index i = 0; i < 6; ++i)
-        ASSERT_EQ(frontend.trySubmit(order[i], steps.row(i)),
+        ASSERT_EQ(frontend.admit(order[i], steps.row(i)).result,
                   SubmitResult::Accepted);
     const auto completions = frontend.flushOnce();
     ASSERT_EQ(completions.size(), 6u);
@@ -167,8 +167,7 @@ runFrontendWorkload(ThreadPool *pool)
         for (Index i = 0; i < 8; ++i) {
             const Index sid = sessions[static_cast<std::size_t>(
                 (i + round) % 4)];
-            EXPECT_EQ(frontend.trySubmit(
-                          sid, steps.row(round * 8 + i)),
+            EXPECT_EQ(frontend.admit(sid, steps.row(round * 8 + i)).result,
                       SubmitResult::Accepted);
         }
         auto completions = frontend.flushOnce();
@@ -214,9 +213,9 @@ TEST(ServeFrontendTest, DrrDispatchesProportionallyUnderSaturation)
     // than one flush's dispatch budget.
     const Matrix token = sampleTokens(2, kDim, 92);
     for (Index i = 0; i < 40; ++i) {
-        ASSERT_EQ(frontend.trySubmit(gs, token.row(0)),
+        ASSERT_EQ(frontend.admit(gs, token.row(0)).result,
                   SubmitResult::Accepted);
-        ASSERT_EQ(frontend.trySubmit(bs, token.row(1)),
+        ASSERT_EQ(frontend.admit(bs, token.row(1)).result,
                   SubmitResult::Accepted);
     }
     const auto completions = frontend.flushOnce();
@@ -245,7 +244,7 @@ TEST(ServeFrontendTest, WorkConservingWhenOnlyOneTenantIsBusy)
 
     const Matrix token = sampleTokens(1, kDim, 96);
     for (Index i = 0; i < 30; ++i)
-        ASSERT_EQ(frontend.trySubmit(bs, token.row(0)),
+        ASSERT_EQ(frontend.admit(bs, token.row(0)).result,
                   SubmitResult::Accepted);
     // A lone busy tenant is not throttled to its own quantum: the
     // dispatch loop re-banks until the backlog (or the cap) runs out.
@@ -268,20 +267,20 @@ TEST(ServeFrontendTest, QuotaRejectsAndReadmitsAfterFlush)
 
     const Matrix token = sampleTokens(1, kDim, 99);
     for (Index i = 0; i < 4; ++i)
-        ASSERT_EQ(frontend.trySubmit(s, token.row(0)),
+        ASSERT_EQ(frontend.admit(s, token.row(0)).result,
                   SubmitResult::Accepted);
     // The fifth step breaches this tenant's quota — and only this
     // tenant's: the other class still has its full headroom.
-    EXPECT_EQ(frontend.trySubmit(s, token.row(0)),
+    EXPECT_EQ(frontend.admit(s, token.row(0)).result,
               SubmitResult::QuotaExceeded);
     EXPECT_EQ(frontend.tenantCounters(tenant).shedQuota, 1u);
-    EXPECT_EQ(frontend.trySubmit(o, token.row(0)),
+    EXPECT_EQ(frontend.admit(o, token.row(0)).result,
               SubmitResult::Accepted);
 
     // Draining the queue re-opens admission.
     EXPECT_EQ(frontend.flushOnce().size(), 5u);
     EXPECT_EQ(frontend.queuedSteps(tenant), 0);
-    EXPECT_EQ(frontend.trySubmit(s, token.row(0)),
+    EXPECT_EQ(frontend.admit(s, token.row(0)).result,
               SubmitResult::Accepted);
     const auto counters = frontend.tenantCounters(tenant);
     EXPECT_EQ(counters.submitted, 6u);
@@ -302,13 +301,13 @@ TEST(ServeFrontendTest, RemoveSessionShedsQueuedStepsAndRejects)
 
     const Matrix token = sampleTokens(2, kDim, 103);
     for (Index i = 0; i < 3; ++i) {
-        ASSERT_EQ(frontend.trySubmit(a, token.row(0)),
+        ASSERT_EQ(frontend.admit(a, token.row(0)).result,
                   SubmitResult::Accepted);
-        ASSERT_EQ(frontend.trySubmit(b, token.row(1)),
+        ASSERT_EQ(frontend.admit(b, token.row(1)).result,
                   SubmitResult::Accepted);
     }
     frontend.removeSession(a);
-    EXPECT_EQ(frontend.trySubmit(a, token.row(0)),
+    EXPECT_EQ(frontend.admit(a, token.row(0)).result,
               SubmitResult::SessionRemoved);
     // All four sheds (3 queued drops + 1 admission rejection) are
     // removed-session sheds, and the legacy catch-all is exactly the
@@ -453,7 +452,7 @@ TEST(ServeFrontendTest, RetryAfterBacksOffExponentiallyAndResets)
         frontend.createSession(tenant, sampleTokens(8, kDim, 115));
     const Matrix token = sampleTokens(1, kDim, 116);
     for (Index i = 0; i < 2; ++i)
-        ASSERT_EQ(frontend.trySubmit(s, token.row(0)),
+        ASSERT_EQ(frontend.admit(s, token.row(0)).result,
                   SubmitResult::Accepted);
     // Consecutive temporary rejections double the hint from the base
     // up to the cap.
@@ -470,7 +469,7 @@ TEST(ServeFrontendTest, RetryAfterBacksOffExponentiallyAndResets)
     const auto accepted = frontend.admit(s, token.row(0));
     EXPECT_EQ(accepted.result, SubmitResult::Accepted);
     EXPECT_DOUBLE_EQ(accepted.retryAfterSeconds, 0.0);
-    ASSERT_EQ(frontend.trySubmit(s, token.row(0)),
+    ASSERT_EQ(frontend.admit(s, token.row(0)).result,
               SubmitResult::Accepted);
     const auto again = frontend.admit(s, token.row(0));
     EXPECT_EQ(again.result, SubmitResult::QuotaExceeded);
@@ -501,9 +500,9 @@ TEST(ServeFrontendTest, ForcedQueueDelayExpiryLeavesStreamsIntact)
         1u << static_cast<unsigned>(cta::fault::Site::QueueDelay);
     cta::fault::setConfig(injecting);
     for (Index i = 0; i < 2; ++i) {
-        ASSERT_EQ(frontend.trySubmit(sa, steps.row(i)),
+        ASSERT_EQ(frontend.admit(sa, steps.row(i)).result,
                   SubmitResult::Accepted);
-        ASSERT_EQ(frontend.trySubmit(sb, steps.row(2 + i)),
+        ASSERT_EQ(frontend.admit(sb, steps.row(2 + i)).result,
                   SubmitResult::Accepted);
     }
     const auto expired = frontend.flushOnce();
@@ -525,9 +524,9 @@ TEST(ServeFrontendTest, ForcedQueueDelayExpiryLeavesStreamsIntact)
     ref_a.prefill(ctx_a);
     ref_b.prefill(ctx_b);
     for (Index i = 0; i < 2; ++i) {
-        ASSERT_EQ(frontend.trySubmit(sa, steps.row(i)),
+        ASSERT_EQ(frontend.admit(sa, steps.row(i)).result,
                   SubmitResult::Accepted);
-        ASSERT_EQ(frontend.trySubmit(sb, steps.row(2 + i)),
+        ASSERT_EQ(frontend.admit(sb, steps.row(2 + i)).result,
                   SubmitResult::Accepted);
     }
     const auto done = frontend.flushOnce();

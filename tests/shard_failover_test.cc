@@ -203,9 +203,9 @@ TEST(ShardFailoverTest, FailShardMigratesSessionsBitIdentically)
     ref_b.prefill(ctx_b);
 
     const Matrix steps = sampleTokens(4, kDim, 152);
-    ASSERT_EQ(frontend.trySubmit(sa, steps.row(0)),
+    ASSERT_EQ(frontend.admit(sa, steps.row(0)).result,
               SubmitResult::Accepted);
-    ASSERT_EQ(frontend.trySubmit(sb, steps.row(1)),
+    ASSERT_EQ(frontend.admit(sb, steps.row(1)).result,
               SubmitResult::Accepted);
     for (const Completion &c : frontend.flushOnce()) {
         ASSERT_EQ(c.status, StepStatus::Ok);
@@ -223,9 +223,9 @@ TEST(ShardFailoverTest, FailShardMigratesSessionsBitIdentically)
 
     // Post-migration steps replay the snapshot through the ordinary
     // restore path — bit-identical to the never-migrated twins.
-    ASSERT_EQ(frontend.trySubmit(sa, steps.row(2)),
+    ASSERT_EQ(frontend.admit(sa, steps.row(2)).result,
               SubmitResult::Accepted);
-    ASSERT_EQ(frontend.trySubmit(sb, steps.row(3)),
+    ASSERT_EQ(frontend.admit(sb, steps.row(3)).result,
               SubmitResult::Accepted);
     const auto after = frontend.flushOnce();
     ASSERT_EQ(after.size(), 2u);
@@ -264,9 +264,9 @@ TEST(ShardFailoverTest, PrefixChainMigratesWithItsSessions)
     const Index rc = ref.forkSession(rp);
 
     const Matrix steps = sampleTokens(4, kDim, 161);
-    ASSERT_EQ(frontend.trySubmit(parent, steps.row(0)),
+    ASSERT_EQ(frontend.admit(parent, steps.row(0)).result,
               SubmitResult::Accepted);
-    ASSERT_EQ(frontend.trySubmit(child, steps.row(1)),
+    ASSERT_EQ(frontend.admit(child, steps.row(1)).result,
               SubmitResult::Accepted);
     for (const Completion &c : frontend.flushOnce()) {
         ASSERT_EQ(c.status, StepStatus::Ok);
@@ -285,9 +285,9 @@ TEST(ShardFailoverTest, PrefixChainMigratesWithItsSessions)
     EXPECT_EQ(frontend.shardStats(0).sessionsMigratedOut, 2u);
     EXPECT_GE(frontend.shardStats(1).prefixesMigratedIn, 1u);
 
-    ASSERT_EQ(frontend.trySubmit(parent, steps.row(2)),
+    ASSERT_EQ(frontend.admit(parent, steps.row(2)).result,
               SubmitResult::Accepted);
-    ASSERT_EQ(frontend.trySubmit(child, steps.row(3)),
+    ASSERT_EQ(frontend.admit(child, steps.row(3)).result,
               SubmitResult::Accepted);
     const auto after = frontend.flushOnce();
     ASSERT_EQ(after.size(), 2u);
@@ -317,7 +317,7 @@ TEST(ShardFailoverTest, LastShardFencesDefersAndRecovers)
     ref.prefill(ctx);
 
     const Matrix steps = sampleTokens(2, kDim, 171);
-    ASSERT_EQ(frontend.trySubmit(s, steps.row(0)),
+    ASSERT_EQ(frontend.admit(s, steps.row(0)).result,
               SubmitResult::Accepted);
     const auto first = frontend.flushOnce();
     ASSERT_EQ(first.size(), 1u);
@@ -339,7 +339,7 @@ TEST(ShardFailoverTest, LastShardFencesDefersAndRecovers)
     // Recovery resumes serving with the stream exactly where the
     // fence left it.
     frontend.recoverShard(0);
-    ASSERT_EQ(frontend.trySubmit(s, steps.row(1)),
+    ASSERT_EQ(frontend.admit(s, steps.row(1)).result,
               SubmitResult::Accepted);
     const auto second = frontend.flushOnce();
     ASSERT_EQ(second.size(), 1u);
@@ -431,7 +431,7 @@ TEST(ShardFailoverTest, WedgedFlushBouncesAndHealthEscalates)
 
     // First wedge: every dispatched step bounces, health degrades.
     for (Index i = 0; i < 2; ++i)
-        ASSERT_EQ(frontend.trySubmit(s, steps.row(i)),
+        ASSERT_EQ(frontend.admit(s, steps.row(i)).result,
                   SubmitResult::Accepted);
     const auto bounced = frontend.flushOnce();
     ASSERT_EQ(bounced.size(), 2u);
@@ -443,7 +443,7 @@ TEST(ShardFailoverTest, WedgedFlushBouncesAndHealthEscalates)
 
     // Second consecutive wedge crosses shardFailAfter: the shard
     // fails, and with no survivor its session defers, fenced.
-    ASSERT_EQ(frontend.trySubmit(s, steps.row(0)),
+    ASSERT_EQ(frontend.admit(s, steps.row(0)).result,
               SubmitResult::Accepted);
     for (const Completion &c : frontend.flushOnce())
         EXPECT_EQ(c.status, StepStatus::Bounced);
@@ -464,7 +464,7 @@ TEST(ShardFailoverTest, WedgedFlushBouncesAndHealthEscalates)
     // steps complete bit-identically to the fault-free reference.
     frontend.recoverShard(0);
     for (Index i = 0; i < 2; ++i)
-        ASSERT_EQ(frontend.trySubmit(s, steps.row(i)),
+        ASSERT_EQ(frontend.admit(s, steps.row(i)).result,
                   SubmitResult::Accepted);
     const auto done = frontend.flushOnce();
     ASSERT_EQ(done.size(), 2u);
@@ -510,7 +510,7 @@ TEST(ShardFailoverTest, QuarantinedSessionsAreDroppedAtFailover)
     corrupting.sites =
         1u << static_cast<unsigned>(cta::fault::Site::SnapshotBlob);
     cta::fault::setConfig(corrupting);
-    ASSERT_EQ(frontend.trySubmit(s0, steps.row(0)),
+    ASSERT_EQ(frontend.admit(s0, steps.row(0)).result,
               SubmitResult::Accepted);
     const auto first = frontend.flushOnce();
     cta::fault::setConfig(cta::fault::FaultConfig{});
@@ -521,12 +521,12 @@ TEST(ShardFailoverTest, QuarantinedSessionsAreDroppedAtFailover)
 
     // The corrupt blob is detected at the next restore: s2 comes
     // back Corrupted and is quarantined.
-    ASSERT_EQ(frontend.trySubmit(s2, steps.row(1)),
+    ASSERT_EQ(frontend.admit(s2, steps.row(1)).result,
               SubmitResult::Accepted);
     const auto second = frontend.flushOnce();
     ASSERT_EQ(second.size(), 1u);
     EXPECT_EQ(second[0].status, StepStatus::Corrupted);
-    EXPECT_EQ(frontend.trySubmit(s2, steps.row(1)),
+    EXPECT_EQ(frontend.admit(s2, steps.row(1)).result,
               SubmitResult::Corrupted);
 
     // Failover drops the quarantined tombstone and migrates the
@@ -540,7 +540,7 @@ TEST(ShardFailoverTest, QuarantinedSessionsAreDroppedAtFailover)
     EXPECT_DOUBLE_EQ(verdict.retryAfterSeconds, 0); // terminal
 
     // The survivor still serves bit-identically after migration.
-    ASSERT_EQ(frontend.trySubmit(s0, steps.row(1)),
+    ASSERT_EQ(frontend.admit(s0, steps.row(1)).result,
               SubmitResult::Accepted);
     const auto third = frontend.flushOnce();
     ASSERT_EQ(third.size(), 1u);
@@ -561,7 +561,7 @@ TEST(ShardFailoverTest, QuarantinedSessionsAreDroppedAtFailover)
     frontend.recoverShard(0);
 
     // And the survivor keeps serving through the churn.
-    ASSERT_EQ(frontend.trySubmit(s0, steps.row(2)),
+    ASSERT_EQ(frontend.admit(s0, steps.row(2)).result,
               SubmitResult::Accepted);
     const auto fourth = frontend.flushOnce();
     ASSERT_EQ(fourth.size(), 1u);

@@ -83,6 +83,37 @@ TEST(StatsTest, MinMax)
     EXPECT_DOUBLE_EQ(cta::core::maxOf(v), 7);
 }
 
+TEST(StatsTest, PercentileOfOneSampleIsThatSample)
+{
+    const std::vector<Wide> v{4.5};
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 0.5), 4.5);
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 0.99), 4.5);
+}
+
+TEST(StatsTest, PercentileIsNearestRankNotTheMaximum)
+{
+    // 100 samples, shuffled: p99 is the 99th smallest, not the max.
+    std::vector<Wide> v;
+    for (int i = 0; i < 100; ++i)
+        v.push_back((i * 37) % 100 + 1);
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 0.99), 99);
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 1.0), 100);
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 0.0), 1);
+}
+
+TEST(StatsTest, PercentileMedianOfEvenCountIsLowerMedian)
+{
+    const std::vector<Wide> v{40, 10, 30, 20};
+    EXPECT_DOUBLE_EQ(cta::core::percentile(v, 0.5), 20);
+    const std::vector<Wide> two{2, 1};
+    EXPECT_DOUBLE_EQ(cta::core::percentile(two, 0.5), 1);
+}
+
+TEST(StatsTest, PercentileOfEmptyIsZero)
+{
+    EXPECT_DOUBLE_EQ(cta::core::percentile({}, 0.5), 0.0);
+}
+
 TEST(StatsTest, CosineOfParallelVectors)
 {
     const std::vector<Real> a{1, 2, 3};
