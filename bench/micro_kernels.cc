@@ -210,20 +210,31 @@ BM_ProbabilityAggregation(benchmark::State &state)
 }
 BENCHMARK(BM_ProbabilityAggregation)->Arg(128)->Arg(512);
 
+/** C = A * B with A range(0) x range(1) and B range(1) x range(2):
+ *  the cubes, one decode-step projection (1 x 64 x 64) and the
+ *  encoder FFN's two GEMMs at 512 tokens (d = 1024, d_ff = 4096). */
 void
 BM_Gemm(benchmark::State &state)
 {
-    const Index n = state.range(0);
+    const Index m = state.range(0);
+    const Index k = state.range(1);
+    const Index n = state.range(2);
     Rng rng(15);
-    const Matrix a = Matrix::randomNormal(n, n, rng);
-    const Matrix b = Matrix::randomNormal(n, n, rng);
+    const Matrix a = Matrix::randomNormal(m, k, rng);
+    const Matrix b = Matrix::randomNormal(k, n, rng);
     for (auto _ : state) {
         auto c = matmul(a, b);
         benchmark::DoNotOptimize(c);
     }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Gemm)
+    ->Args({128, 128, 128})
+    ->Args({256, 256, 256})
+    ->Args({512, 512, 512})
+    ->Args({1, 64, 64})
+    ->Args({512, 1024, 4096})
+    ->Args({512, 4096, 1024});
 
 /** Q * K^T at head dim 64: range(0) query rows (1 = one decode
  *  step's scores, otherwise a prefill/encoder head), range(1) keys. */

@@ -150,42 +150,18 @@ SimdBackend::threadCount() const
 void
 SimdBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
 {
-    // Short A (every decode-path GEMM is M = 1): skip the B pack —
-    // it would cost more than the multiply itself. Same FMA chain per
-    // element as the packed path, so the routing is invisible.
-    if (a.rows() < kSimdMr) {
-        simdVecMatRows(a, b, c, 0, a.rows());
-        return;
-    }
-    // When the width is a multiple of the panel width, row-major B IS
-    // a valid panel sequence read with k-stride = width, so the pack —
-    // a serial full-B copy billed to every GEMM — is skipped and the
-    // kernels read B in place. Ragged widths still pack to get the
-    // zero-padded tail panel.
-    std::vector<Real> packed;
-    const Real *panels;
-    Index bstride;
-    if (b.cols() % kSimdPanelWidth == 0) {
-        panels = b.data();
-        bstride = b.cols();
-    } else {
-        simdPackB(b, packed);
-        panels = packed.data();
-        bstride = kSimdPanelWidth;
-    }
     if (a.rows() * a.cols() * b.cols() <= kSerialGemmMacs) {
-        simdGemmRowsPacked(a, panels, b.cols(), c, 0, a.rows(),
-                           0, a.cols(), bstride);
+        simdGemmRows(a, b, c, 0, a.rows());
         return;
     }
     // Depth slices OUTSIDE the thread fan-out: each kKc-deep slice of
-    // the packed B (width x 1 KB at kKc = 256) stays L2-resident
-    // across every row chunk, so B streams from memory once per GEMM
-    // instead of once per chunk — past ~256^3 the working set
-    // outgrows L2 and that re-streaming, not the FMA ports, is what
-    // bounds the kernel. Slices continue each element's k-ascending
-    // FMA chain through an exact fp32 store/load, so the slicing —
-    // like the row partition — is invisible in the results.
+    // B (width x 1 KB at kKc = 256) stays L2-resident across every row
+    // chunk, so B streams from memory once per GEMM instead of once
+    // per chunk — past ~256^3 the working set outgrows L2 and that
+    // re-streaming, not the FMA ports, is what bounds the kernel.
+    // Slices continue each element's k-ascending FMA chain through an
+    // exact fp32 store/load, so the slicing — like the row partition —
+    // is invisible in the results.
     constexpr Index kKc = 256;
     const Index depth = a.cols();
     for (Index k0 = 0; k0 < depth; k0 += kKc) {
@@ -194,9 +170,8 @@ SimdBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
         // tall micro-kernels with no 1-row tail.
         parallelFor(pool(), 0, a.rows(),
                     [&](Index row_begin, Index row_end) {
-                        simdGemmRowsPacked(a, panels, b.cols(), c,
-                                           row_begin, row_end, k0, k1,
-                                           bstride);
+                        simdGemmRows(a, b, c, row_begin, row_end, k0,
+                                     k1);
                     },
                     /*grain=*/16);
     }

@@ -12,10 +12,11 @@
  * Two implementations ship today:
  *  - NaiveBackend: the original single-threaded reference kernels,
  *    kept verbatim as the op-count and bit-exactness reference.
- *  - SimdBackend: the production backend — a packed-panel vectorized
- *    GEMM with runtime ISA dispatch (core/simd.h; CTA_SIMD knob) plus
- *    a lane-per-row transposed-B GEMM, row maps and row reductions,
- *    all fanned out over a persistent thread pool (core/parallel.h).
+ *  - SimdBackend: the production backend — a vectorized GEMM that
+ *    reads B in place, with runtime ISA dispatch (core/simd.h;
+ *    CTA_SIMD knob), plus a lane-per-row transposed-B GEMM, row maps
+ *    and row reductions, all fanned out over a persistent thread
+ *    pool (core/parallel.h).
  *
  * Determinism contract: every backend produces results that are a
  * pure function of the inputs — independent of thread count. Work is
@@ -125,10 +126,9 @@ class NaiveBackend final : public Backend
  * The production backend: vectorized GEMM from core/simd.h
  * (AVX-512 / AVX2 / NEON with a scalar fallback, dispatched at
  * runtime and forceable via CTA_SIMD) over a persistent thread pool.
- * Every gemm output element is one k-ascending FMA chain: GEMMs with
- * fewer than kSimdMr rows — every per-token decode GEMM — skip the B
- * pack but keep the identical chain, so a value never depends on
- * shape routing, ISA level or thread count (see core/simd.h).
+ * Every gemm output element is one k-ascending FMA chain, whatever
+ * the shape, row block, ISA level or thread count (core::simdGemmRows,
+ * core/simd.h).
  * gemmTransposedB (one B row per SIMD lane, core::simdDotRows),
  * mapRows and reduceRows are bit-identical to NaiveBackend at any
  * thread count and ISA level (row-range partitioning plus one

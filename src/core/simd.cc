@@ -23,7 +23,9 @@ namespace cta::core {
 
 namespace {
 
-constexpr Index kW = kSimdPanelWidth;
+/** Column-block width of the GEMM kernels: one row of a block is four
+ *  zmm (AVX-512) vectors. */
+constexpr Index kW = 64;
 
 // ---------------------------------------------------------------
 // Scalar reference kernels. Every vector kernel below reproduces
@@ -53,67 +55,33 @@ addRowScalar(Real *acc, const Real *x, Index n)
         acc[j] += x[j];
 }
 
-/** One panel column's FMA chain: c += sum_k a[k] * panel[k*stride +
- *  t], rounded once per step — the element semantics of every packed
- *  GEMM path. @p stride is kW for a simdPackB image and B's row
- *  width when the panel aliases B's row-major storage directly. */
+/** One output column's FMA chain: c += sum_k a[k] * b[k*ldb + t],
+ *  rounded once per step — the element semantics of every GEMM level
+ *  (simd.h). The vector levels run it for columns left over by their
+ *  widest blocks. */
 inline Real
-fmaChain(const Real *a, const Real *panel, Index stride, Index t,
-         Index depth, Real c)
+fmaChain(const Real *a, const Real *b, Index ldb, Index t, Index depth,
+         Real c)
 {
     for (Index k = 0; k < depth; ++k)
-        c = std::fmaf(a[k], panel[k * stride + t], c);
+        c = std::fmaf(a[k], b[k * ldb + t], c);
     return c;
 }
 
-// Every packed path below loops panel-OUTER, rows-INNER within its
-// [k_begin, k_end) depth slice: one packed panel slice stays
-// cache-resident across all rows instead of the full packed B being
-// re-streamed once per row block. The loop order and the depth
-// slicing only reorder which element is computed when; each element
-// keeps its single k-ascending FMA chain (slices continue the chain
-// through an exact store/load of the fp32 partial), so neither can
-// change a bit of the result.
-
+/** ikj GEMM over rows [row_begin, row_end) and the depth slice
+ *  [k_begin, k_end): per output element one k-ascending fmaf chain. */
 void
-gemmRowsPackedScalar(const Matrix &a, const Real *packed, Index width,
-                     Matrix &c, Index row_begin, Index row_end,
-                     Index k_begin, Index k_end, Index bstride)
+gemmRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
+               Index row_begin, Index row_end, Index k_begin,
+               Index k_end)
 {
-    const Index depth = a.cols();
-    const Index panels = (width + kW - 1) / kW;
-    const Index kd = k_end - k_begin;
-    // Panel p starts kW floats into the previous one when the
-    // "pack" is B's own row-major storage (bstride == width), and
-    // a full depth x kW block later in a simdPackB image.
-    const Index panel_step = bstride == kW ? depth * kW : kW;
-    for (Index p = 0; p < panels; ++p) {
-        const Real *panel =
-            packed + p * panel_step + k_begin * bstride;
-        const Index j0 = p * kW;
-        const Index pw = std::min<Index>(kW, width - j0);
-        for (Index i = row_begin; i < row_end; ++i) {
-            const Real *arow = a.row(i).data() + k_begin;
-            Real *crow = c.row(i).data() + j0;
-            for (Index t = 0; t < pw; ++t)
-                crow[t] = fmaChain(arow, panel, bstride, t, kd, crow[t]);
-        }
-    }
-}
-
-void
-vecMatRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
-                 Index row_begin, Index row_end)
-{
-    // ikj order — per output element one k-ascending fmaf chain, the
-    // same chain class as the packed GEMM kernels.
     const Index width = b.cols();
     for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        Real *crow = c.row(i).data();
-        for (Index k = 0; k < a.cols(); ++k) {
+        const Real *arow = a.data() + i * a.cols();
+        Real *crow = c.data() + i * width;
+        for (Index k = k_begin; k < k_end; ++k) {
             const Real aik = arow[k];
-            const Real *brow = b.row(k).data();
+            const Real *brow = b.data() + k * width;
             for (Index j = 0; j < width; ++j)
                 crow[j] = std::fmaf(aik, brow[j], crow[j]);
         }
@@ -165,6 +133,79 @@ dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
 #if CTA_SIMD_X86
 
 // ---------------------------------------------------------------
+// x86 GEMM blocking, shared by the AVX2 and AVX-512 levels. B is read
+// in place: its row-major storage, kW columns at a time, is the panel
+// sequence the micro-kernels stream.
+// ---------------------------------------------------------------
+
+/**
+ * One R-row x pw-column output tile of C += A * B over one depth
+ * slice: A row r at a + r * lda (from the slice's first k), B at b
+ * with row stride ldb (from the slice's first k and the tile's first
+ * column), C row r at c + r * ldc (from the tile's first column).
+ */
+struct GemmTile
+{
+    const Real *a;
+    Index lda;
+    const Real *b;
+    Index ldb;
+    Index depth;
+    Real *c;
+    Index ldc;
+    Index pw;
+};
+
+/** Row blocks of 6, then 4, then 1 over one column block; Full means
+ *  pw == kW. */
+template <typename Isa, bool Full>
+void
+rowBlocks(GemmTile t, Index rows)
+{
+    Index i = 0;
+    for (; i + 6 <= rows; i += 6, t.a += 6 * t.lda, t.c += 6 * t.ldc)
+        Isa::template tile<6, Full>(t);
+    for (; i + 4 <= rows; i += 4, t.a += 4 * t.lda, t.c += 4 * t.ldc)
+        Isa::template tile<4, Full>(t);
+    for (; i < rows; ++i, t.a += t.lda, t.c += t.ldc)
+        Isa::template tile<1, Full>(t);
+}
+
+/**
+ * Rows [row_begin, row_end) of C += A[:, k_begin:k_end) *
+ * B[k_begin:k_end, :) at one x86 level. Column blocks loop OUTER and
+ * rows INNER, so one block's depth slice of B stays cache-resident
+ * across every row block instead of being re-streamed once per row
+ * block. The loop order and the depth slicing only choose which
+ * element is computed when; each element keeps its single k-ascending
+ * FMA chain (slices continue it through an exact store/load of the
+ * fp32 partial), so neither can change a bit.
+ */
+template <typename Isa>
+void
+gemmRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
+                Index row_begin, Index row_end, Index k_begin,
+                Index k_end)
+{
+    const Index width = b.cols();
+    const Index rows = row_end - row_begin;
+    for (Index j0 = 0; j0 < width; j0 += kW) {
+        const GemmTile t{a.data() + row_begin * a.cols() + k_begin,
+                         a.cols(),
+                         b.data() + k_begin * width + j0,
+                         width,
+                         k_end - k_begin,
+                         c.data() + row_begin * width + j0,
+                         width,
+                         std::min<Index>(kW, width - j0)};
+        if (t.pw == kW)
+            rowBlocks<Isa, true>(t, rows);
+        else
+            rowBlocks<Isa, false>(t, rows);
+    }
+}
+
+// ---------------------------------------------------------------
 // AVX2 kernels (8-lane float, FMA).
 // ---------------------------------------------------------------
 
@@ -211,237 +252,66 @@ addRowAvx2(Real *acc, const Real *x, Index n)
         acc[j] += x[j];
 }
 
-/** 4 x 16 FMA micro-kernel on one packed panel (stride kW): 8 ymm
- *  accumulators live across the whole depth. */
-__attribute__((target("avx2,fma"))) void
-micro4x16Avx2(const Real *a0, const Real *a1, const Real *a2,
-              const Real *a3, const Real *panel, Index bstride,
-              Index depth, Real *c0, Real *c1, Real *c2, Real *c3)
+/** The AVX2 GEMM level (gemmRowsBlocked). */
+struct Avx2Gemm
 {
-#define CTA_LOAD2(r)                                                  \
-    __m256 acc##r##0 = _mm256_loadu_ps(c##r);                         \
-    __m256 acc##r##1 = _mm256_loadu_ps(c##r + 8)
-    CTA_LOAD2(0);
-    CTA_LOAD2(1);
-    CTA_LOAD2(2);
-    CTA_LOAD2(3);
-#undef CTA_LOAD2
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m256 b0 = _mm256_loadu_ps(bk);
-        const __m256 b1 = _mm256_loadu_ps(bk + 8);
-        __m256 av;
-#define CTA_FMA2(r)                                                   \
-    av = _mm256_set1_ps(a##r[k]);                                     \
-    acc##r##0 = _mm256_fmadd_ps(av, b0, acc##r##0);                   \
-    acc##r##1 = _mm256_fmadd_ps(av, b1, acc##r##1)
-        CTA_FMA2(0);
-        CTA_FMA2(1);
-        CTA_FMA2(2);
-        CTA_FMA2(3);
-#undef CTA_FMA2
-    }
-#define CTA_STORE2(r)                                                 \
-    _mm256_storeu_ps(c##r, acc##r##0);                                \
-    _mm256_storeu_ps(c##r + 8, acc##r##1)
-    CTA_STORE2(0);
-    CTA_STORE2(1);
-    CTA_STORE2(2);
-    CTA_STORE2(3);
-#undef CTA_STORE2
-}
-
-/** 6 x 16 variant: 12 ymm accumulators + 2 panel vectors + 1
- *  broadcast — 15 of the 16 ymm registers. Same panel bytes per k
- *  step as the 4-row kernel for 1.5x the FLOPs (see the 6 x 64
- *  AVX-512 note); same one FMA chain per element. */
-__attribute__((target("avx2,fma"))) void
-micro6x16Avx2(const Real *a0, const Real *a1, const Real *a2,
-              const Real *a3, const Real *a4, const Real *a5,
-              const Real *panel, Index bstride, Index depth, Real *c0,
-              Real *c1, Real *c2, Real *c3, Real *c4, Real *c5)
-{
-#define CTA_LOAD2(r)                                                  \
-    __m256 acc##r##0 = _mm256_loadu_ps(c##r);                         \
-    __m256 acc##r##1 = _mm256_loadu_ps(c##r + 8)
-    CTA_LOAD2(0);
-    CTA_LOAD2(1);
-    CTA_LOAD2(2);
-    CTA_LOAD2(3);
-    CTA_LOAD2(4);
-    CTA_LOAD2(5);
-#undef CTA_LOAD2
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m256 b0 = _mm256_loadu_ps(bk);
-        const __m256 b1 = _mm256_loadu_ps(bk + 8);
-        __m256 av;
-#define CTA_FMA2(r)                                                   \
-    av = _mm256_set1_ps(a##r[k]);                                     \
-    acc##r##0 = _mm256_fmadd_ps(av, b0, acc##r##0);                   \
-    acc##r##1 = _mm256_fmadd_ps(av, b1, acc##r##1)
-        CTA_FMA2(0);
-        CTA_FMA2(1);
-        CTA_FMA2(2);
-        CTA_FMA2(3);
-        CTA_FMA2(4);
-        CTA_FMA2(5);
-#undef CTA_FMA2
-    }
-#define CTA_STORE2(r)                                                 \
-    _mm256_storeu_ps(c##r, acc##r##0);                                \
-    _mm256_storeu_ps(c##r + 8, acc##r##1)
-    CTA_STORE2(0);
-    CTA_STORE2(1);
-    CTA_STORE2(2);
-    CTA_STORE2(3);
-    CTA_STORE2(4);
-    CTA_STORE2(5);
-#undef CTA_STORE2
-}
-
-/** 1 x 16 variant for the row tail. */
-__attribute__((target("avx2,fma"))) void
-micro1x16Avx2(const Real *a0, const Real *panel, Index bstride,
-              Index depth, Real *c0)
-{
-    __m256 acc0 = _mm256_loadu_ps(c0);
-    __m256 acc1 = _mm256_loadu_ps(c0 + 8);
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m256 av = _mm256_set1_ps(a0[k]);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk + 8), acc1);
-    }
-    _mm256_storeu_ps(c0, acc0);
-    _mm256_storeu_ps(c0 + 8, acc1);
-}
-
-void
-gemmRowsPackedAvx2(const Matrix &a, const Real *packed, Index width,
-                   Matrix &c, Index row_begin, Index row_end,
-                   Index k_begin, Index k_end, Index bstride)
-{
-    const Index depth = a.cols();
-    const Index panels = (width + kW - 1) / kW;
-    const Index kd = k_end - k_begin;
-    // Panel p starts kW floats into the previous one when the
-    // "pack" is B's own row-major storage (bstride == width), and
-    // a full depth x kW block later in a simdPackB image.
-    const Index panel_step = bstride == kW ? depth * kW : kW;
-    for (Index p = 0; p < panels; ++p) {
-        const Real *panel =
-            packed + p * panel_step + k_begin * bstride;
-        const Index j0 = p * kW;
-        const Index pw = std::min<Index>(kW, width - j0);
-        Index i = row_begin;
-        for (; i + 6 <= row_end; i += 6) {
-            const Real *a0 = a.row(i).data() + k_begin;
-            const Real *a1 = a.row(i + 1).data() + k_begin;
-            const Real *a2 = a.row(i + 2).data() + k_begin;
-            const Real *a3 = a.row(i + 3).data() + k_begin;
-            const Real *a4 = a.row(i + 4).data() + k_begin;
-            const Real *a5 = a.row(i + 5).data() + k_begin;
-            Real *c0 = c.row(i).data() + j0;
-            Real *c1 = c.row(i + 1).data() + j0;
-            Real *c2 = c.row(i + 2).data() + j0;
-            Real *c3 = c.row(i + 3).data() + j0;
-            Real *c4 = c.row(i + 4).data() + j0;
-            Real *c5 = c.row(i + 5).data() + j0;
-            Index t = 0;
-            for (; t + 16 <= pw; t += 16)
-                micro6x16Avx2(a0, a1, a2, a3, a4, a5, panel + t, bstride,
-                              kd, c0 + t, c1 + t, c2 + t, c3 + t,
-                              c4 + t, c5 + t);
-            for (; t < pw; ++t) {
-                c0[t] = fmaChain(a0, panel, bstride, t, kd, c0[t]);
-                c1[t] = fmaChain(a1, panel, bstride, t, kd, c1[t]);
-                c2[t] = fmaChain(a2, panel, bstride, t, kd, c2[t]);
-                c3[t] = fmaChain(a3, panel, bstride, t, kd, c3[t]);
-                c4[t] = fmaChain(a4, panel, bstride, t, kd, c4[t]);
-                c5[t] = fmaChain(a5, panel, bstride, t, kd, c5[t]);
+    /** R rows x 8V columns at column @p j of the tile: R x V ymm
+     *  accumulators live across the whole depth. */
+    template <int R, int V>
+    __attribute__((target("avx2,fma"))) static void
+    strip(GemmTile t, Index j)
+    {
+        __m256 acc[R][V];
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                acc[r][v] = _mm256_loadu_ps(t.c + r * t.ldc + j + 8 * v);
+        for (Index k = 0; k < t.depth; ++k) {
+            const Real *bk = t.b + k * t.ldb + j;
+            __m256 bv[V];
+#pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                bv[v] = _mm256_loadu_ps(bk + 8 * v);
+#pragma GCC unroll 8
+            for (int r = 0; r < R; ++r) {
+                const __m256 av = _mm256_set1_ps(t.a[r * t.lda + k]);
+#pragma GCC unroll 4
+                for (int v = 0; v < V; ++v)
+                    acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
             }
         }
-        for (; i + 4 <= row_end; i += 4) {
-            const Real *a0 = a.row(i).data() + k_begin;
-            const Real *a1 = a.row(i + 1).data() + k_begin;
-            const Real *a2 = a.row(i + 2).data() + k_begin;
-            const Real *a3 = a.row(i + 3).data() + k_begin;
-            Real *c0 = c.row(i).data() + j0;
-            Real *c1 = c.row(i + 1).data() + j0;
-            Real *c2 = c.row(i + 2).data() + j0;
-            Real *c3 = c.row(i + 3).data() + j0;
-            Index t = 0;
-            for (; t + 16 <= pw; t += 16)
-                micro4x16Avx2(a0, a1, a2, a3, panel + t, bstride, kd,
-                              c0 + t, c1 + t, c2 + t, c3 + t);
-            for (; t < pw; ++t) {
-                c0[t] = fmaChain(a0, panel, bstride, t, kd, c0[t]);
-                c1[t] = fmaChain(a1, panel, bstride, t, kd, c1[t]);
-                c2[t] = fmaChain(a2, panel, bstride, t, kd, c2[t]);
-                c3[t] = fmaChain(a3, panel, bstride, t, kd, c3[t]);
-            }
-        }
-        for (; i < row_end; ++i) {
-            const Real *a0 = a.row(i).data() + k_begin;
-            Real *c0 = c.row(i).data() + j0;
-            Index t = 0;
-            for (; t + 16 <= pw; t += 16)
-                micro1x16Avx2(a0, panel + t, bstride, kd, c0 + t);
-            for (; t < pw; ++t)
-                c0[t] = fmaChain(a0, panel, bstride, t, kd, c0[t]);
-        }
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+            for (int v = 0; v < V; ++v)
+                _mm256_storeu_ps(t.c + r * t.ldc + j + 8 * v, acc[r][v]);
     }
-}
 
-__attribute__((target("avx2,fma"))) void
-vecMatRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c,
-               Index row_begin, Index row_end)
-{
-    const Index width = b.cols();
-    const Index depth = a.cols();
-    for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        Real *crow = c.row(i).data();
+    /** One row keeps four ymm chains (32 columns) in flight to cover
+     *  the FMA latency. Taller blocks get that parallelism from their
+     *  rows and take 16 columns: 6 x 2 accumulators + 2 B vectors + 1
+     *  broadcast fill 15 of the 16 ymm registers. A ragged block ends
+     *  in 8-column strips, then single-column chains. */
+    template <int R, bool Full>
+    static void
+    tile(GemmTile t)
+    {
+        constexpr int V = R == 1 ? 4 : 2;
+        const Index n = Full ? kW : t.pw;
         Index j = 0;
-        for (; j + 32 <= width; j += 32) {
-            __m256 s0 = _mm256_loadu_ps(crow + j);
-            __m256 s1 = _mm256_loadu_ps(crow + j + 8);
-            __m256 s2 = _mm256_loadu_ps(crow + j + 16);
-            __m256 s3 = _mm256_loadu_ps(crow + j + 24);
-            for (Index k = 0; k < depth; ++k) {
-                const Real *brow = b.row(k).data() + j;
-                const __m256 av = _mm256_set1_ps(arow[k]);
-                s0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), s0);
-                s1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8),
-                                     s1);
-                s2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16),
-                                     s2);
-                s3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24),
-                                     s3);
+        for (; j + 8 * V <= n; j += 8 * V)
+            strip<R, V>(t, j);
+        for (; j + 8 <= n; j += 8)
+            strip<R, 1>(t, j);
+        for (; j < n; ++j)
+            for (int r = 0; r < R; ++r) {
+                Real &out = t.c[r * t.ldc + j];
+                out = fmaChain(t.a + r * t.lda, t.b, t.ldb, j, t.depth,
+                               out);
             }
-            _mm256_storeu_ps(crow + j, s0);
-            _mm256_storeu_ps(crow + j + 8, s1);
-            _mm256_storeu_ps(crow + j + 16, s2);
-            _mm256_storeu_ps(crow + j + 24, s3);
-        }
-        for (; j + 8 <= width; j += 8) {
-            __m256 s0 = _mm256_loadu_ps(crow + j);
-            for (Index k = 0; k < depth; ++k) {
-                const __m256 av = _mm256_set1_ps(arow[k]);
-                const __m256 bv = _mm256_loadu_ps(b.row(k).data() + j);
-                s0 = _mm256_fmadd_ps(av, bv, s0);
-            }
-            _mm256_storeu_ps(crow + j, s0);
-        }
-        for (; j < width; ++j) {
-            Real s = crow[j];
-            for (Index k = 0; k < depth; ++k)
-                s = std::fmaf(arow[k], b.row(k).data()[j], s);
-            crow[j] = s;
-        }
     }
-}
+};
 
 template <bool Fma>
 __attribute__((target("avx2,fma"))) inline __m256
@@ -615,7 +485,9 @@ rowMaxAvx512(const Real *x, Index n)
     __m512 vm = _mm512_loadu_ps(x);
     Index j = 16;
     for (; j + 16 <= n; j += 16)
-        vm = _mm512_max_ps(vm, _mm512_loadu_ps(x + j));
+        // Merge-masked with an all-ones mask: the plain instruction,
+        // without the unmasked intrinsic's -Wmaybe-uninitialized.
+        vm = _mm512_mask_max_ps(vm, 0xFFFF, vm, _mm512_loadu_ps(x + j));
     float lanes[16];
     _mm512_storeu_ps(lanes, vm);
     Real m = lanes[0];
@@ -659,267 +531,67 @@ addRowAvx512(Real *acc, const Real *x, Index n)
     }
 }
 
-/** 4 x 64 FMA micro-kernel on one packed panel: 16 zmm accumulators
- *  live across the whole depth; @p lanes (1..64) masks the stores of
- *  a partial last panel (the panel itself is zero-padded, so the
- *  full-width loads and FMAs are safe and the dead lanes are simply
- *  not stored). */
-__attribute__((target("avx512f"))) void
-micro4x64Avx512(const Real *a0, const Real *a1, const Real *a2,
-                const Real *a3, const Real *panel, Index bstride,
-                Index depth, Real *c0, Real *c1, Real *c2, Real *c3,
-                Index lanes)
+/** The AVX-512 GEMM level (gemmRowsBlocked). */
+struct Avx512Gemm
 {
-    __mmask16 m[4];
-    for (int g = 0; g < 4; ++g) {
-        const Index rem = lanes - g * 16;
-        m[g] = rem >= 16 ? static_cast<__mmask16>(0xFFFF)
-               : rem <= 0
-                   ? static_cast<__mmask16>(0)
-                   : static_cast<__mmask16>((1u << rem) - 1u);
-    }
-#define CTA_LOAD4(r)                                                  \
-    __m512 acc##r##0 = _mm512_maskz_loadu_ps(m[0], c##r);             \
-    __m512 acc##r##1 = _mm512_maskz_loadu_ps(m[1], c##r + 16);        \
-    __m512 acc##r##2 = _mm512_maskz_loadu_ps(m[2], c##r + 32);        \
-    __m512 acc##r##3 = _mm512_maskz_loadu_ps(m[3], c##r + 48)
-    CTA_LOAD4(0);
-    CTA_LOAD4(1);
-    CTA_LOAD4(2);
-    CTA_LOAD4(3);
-#undef CTA_LOAD4
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m512 b0 = _mm512_loadu_ps(bk);
-        const __m512 b1 = _mm512_loadu_ps(bk + 16);
-        const __m512 b2 = _mm512_loadu_ps(bk + 32);
-        const __m512 b3 = _mm512_loadu_ps(bk + 48);
-        __m512 av;
-#define CTA_FMA4(r)                                                   \
-    av = _mm512_set1_ps(a##r[k]);                                     \
-    acc##r##0 = _mm512_fmadd_ps(av, b0, acc##r##0);                   \
-    acc##r##1 = _mm512_fmadd_ps(av, b1, acc##r##1);                   \
-    acc##r##2 = _mm512_fmadd_ps(av, b2, acc##r##2);                   \
-    acc##r##3 = _mm512_fmadd_ps(av, b3, acc##r##3)
-        CTA_FMA4(0);
-        CTA_FMA4(1);
-        CTA_FMA4(2);
-        CTA_FMA4(3);
-#undef CTA_FMA4
-    }
-#define CTA_STORE4(r)                                                 \
-    _mm512_mask_storeu_ps(c##r, m[0], acc##r##0);                     \
-    _mm512_mask_storeu_ps(c##r + 16, m[1], acc##r##1);                \
-    _mm512_mask_storeu_ps(c##r + 32, m[2], acc##r##2);                \
-    _mm512_mask_storeu_ps(c##r + 48, m[3], acc##r##3)
-    CTA_STORE4(0);
-    CTA_STORE4(1);
-    CTA_STORE4(2);
-    CTA_STORE4(3);
-#undef CTA_STORE4
-}
-
-/** 6 x 64 variant: 24 zmm accumulators + 4 panel vectors + 1
- *  broadcast — the ceiling of the 32-register file. A taller row
- *  block reads the same 256 panel bytes per k step for 1.5x the
- *  FLOPs of the 4-row kernel; the panel stream out of L2 is what
- *  bounds the 4-row kernel at sizes whose panels outgrow L1, so the
- *  extra rows translate directly into sustained FMA rate. Same one
- *  FMA chain per output element — grouping rows 6-at-a-time instead
- *  of 4 cannot change a bit. */
-__attribute__((target("avx512f"))) void
-micro6x64Avx512(const Real *a0, const Real *a1, const Real *a2,
-                const Real *a3, const Real *a4, const Real *a5,
-                const Real *panel, Index bstride, Index depth,
-                Real *c0, Real *c1, Real *c2, Real *c3, Real *c4,
-                Real *c5, Index lanes)
-{
-    __mmask16 m[4];
-    for (int g = 0; g < 4; ++g) {
-        const Index rem = lanes - g * 16;
-        m[g] = rem >= 16 ? static_cast<__mmask16>(0xFFFF)
-               : rem <= 0
-                   ? static_cast<__mmask16>(0)
-                   : static_cast<__mmask16>((1u << rem) - 1u);
-    }
-#define CTA_LOAD4(r)                                                  \
-    __m512 acc##r##0 = _mm512_maskz_loadu_ps(m[0], c##r);             \
-    __m512 acc##r##1 = _mm512_maskz_loadu_ps(m[1], c##r + 16);        \
-    __m512 acc##r##2 = _mm512_maskz_loadu_ps(m[2], c##r + 32);        \
-    __m512 acc##r##3 = _mm512_maskz_loadu_ps(m[3], c##r + 48)
-    CTA_LOAD4(0);
-    CTA_LOAD4(1);
-    CTA_LOAD4(2);
-    CTA_LOAD4(3);
-    CTA_LOAD4(4);
-    CTA_LOAD4(5);
-#undef CTA_LOAD4
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m512 b0 = _mm512_loadu_ps(bk);
-        const __m512 b1 = _mm512_loadu_ps(bk + 16);
-        const __m512 b2 = _mm512_loadu_ps(bk + 32);
-        const __m512 b3 = _mm512_loadu_ps(bk + 48);
-        __m512 av;
-#define CTA_FMA4(r)                                                   \
-    av = _mm512_set1_ps(a##r[k]);                                     \
-    acc##r##0 = _mm512_fmadd_ps(av, b0, acc##r##0);                   \
-    acc##r##1 = _mm512_fmadd_ps(av, b1, acc##r##1);                   \
-    acc##r##2 = _mm512_fmadd_ps(av, b2, acc##r##2);                   \
-    acc##r##3 = _mm512_fmadd_ps(av, b3, acc##r##3)
-        CTA_FMA4(0);
-        CTA_FMA4(1);
-        CTA_FMA4(2);
-        CTA_FMA4(3);
-        CTA_FMA4(4);
-        CTA_FMA4(5);
-#undef CTA_FMA4
-    }
-#define CTA_STORE4(r)                                                 \
-    _mm512_mask_storeu_ps(c##r, m[0], acc##r##0);                     \
-    _mm512_mask_storeu_ps(c##r + 16, m[1], acc##r##1);                \
-    _mm512_mask_storeu_ps(c##r + 32, m[2], acc##r##2);                \
-    _mm512_mask_storeu_ps(c##r + 48, m[3], acc##r##3)
-    CTA_STORE4(0);
-    CTA_STORE4(1);
-    CTA_STORE4(2);
-    CTA_STORE4(3);
-    CTA_STORE4(4);
-    CTA_STORE4(5);
-#undef CTA_STORE4
-}
-
-/** 1 x 64 variant for the row tail. */
-__attribute__((target("avx512f"))) void
-micro1x64Avx512(const Real *a0, const Real *panel, Index bstride,
-                Index depth, Real *c0, Index lanes)
-{
-    __mmask16 m[4];
-    for (int g = 0; g < 4; ++g) {
-        const Index rem = lanes - g * 16;
-        m[g] = rem >= 16 ? static_cast<__mmask16>(0xFFFF)
-               : rem <= 0
-                   ? static_cast<__mmask16>(0)
-                   : static_cast<__mmask16>((1u << rem) - 1u);
-    }
-    __m512 acc0 = _mm512_maskz_loadu_ps(m[0], c0);
-    __m512 acc1 = _mm512_maskz_loadu_ps(m[1], c0 + 16);
-    __m512 acc2 = _mm512_maskz_loadu_ps(m[2], c0 + 32);
-    __m512 acc3 = _mm512_maskz_loadu_ps(m[3], c0 + 48);
-    for (Index k = 0; k < depth; ++k) {
-        const Real *bk = panel + k * bstride;
-        const __m512 av = _mm512_set1_ps(a0[k]);
-        acc0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bk), acc0);
-        acc1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bk + 16), acc1);
-        acc2 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bk + 32), acc2);
-        acc3 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bk + 48), acc3);
-    }
-    _mm512_mask_storeu_ps(c0, m[0], acc0);
-    _mm512_mask_storeu_ps(c0 + 16, m[1], acc1);
-    _mm512_mask_storeu_ps(c0 + 32, m[2], acc2);
-    _mm512_mask_storeu_ps(c0 + 48, m[3], acc3);
-}
-
-void
-gemmRowsPackedAvx512(const Matrix &a, const Real *packed, Index width,
-                     Matrix &c, Index row_begin, Index row_end,
-                     Index k_begin, Index k_end, Index bstride)
-{
-    const Index depth = a.cols();
-    const Index panels = (width + kW - 1) / kW;
-    const Index kd = k_end - k_begin;
-    // Panel p starts kW floats into the previous one when the
-    // "pack" is B's own row-major storage (bstride == width), and
-    // a full depth x kW block later in a simdPackB image.
-    const Index panel_step = bstride == kW ? depth * kW : kW;
-    for (Index p = 0; p < panels; ++p) {
-        const Real *panel =
-            packed + p * panel_step + k_begin * bstride;
-        const Index j0 = p * kW;
-        const Index pw = std::min<Index>(kW, width - j0);
-        Index i = row_begin;
-        for (; i + 6 <= row_end; i += 6)
-            micro6x64Avx512(a.row(i).data() + k_begin,
-                            a.row(i + 1).data() + k_begin,
-                            a.row(i + 2).data() + k_begin,
-                            a.row(i + 3).data() + k_begin,
-                            a.row(i + 4).data() + k_begin,
-                            a.row(i + 5).data() + k_begin,
-                            panel, bstride, kd, c.row(i).data() + j0,
-                            c.row(i + 1).data() + j0,
-                            c.row(i + 2).data() + j0,
-                            c.row(i + 3).data() + j0,
-                            c.row(i + 4).data() + j0,
-                            c.row(i + 5).data() + j0, pw);
-        for (; i + 4 <= row_end; i += 4)
-            micro4x64Avx512(a.row(i).data() + k_begin,
-                            a.row(i + 1).data() + k_begin,
-                            a.row(i + 2).data() + k_begin,
-                            a.row(i + 3).data() + k_begin,
-                            panel, bstride, kd, c.row(i).data() + j0,
-                            c.row(i + 1).data() + j0,
-                            c.row(i + 2).data() + j0,
-                            c.row(i + 3).data() + j0, pw);
-        for (; i < row_end; ++i)
-            micro1x64Avx512(a.row(i).data() + k_begin, panel, bstride, kd,
-                            c.row(i).data() + j0, pw);
-    }
-}
-
-__attribute__((target("avx512f"))) void
-vecMatRowsAvx512(const Matrix &a, const Matrix &b, Matrix &c,
-                 Index row_begin, Index row_end)
-{
-    const Index width = b.cols();
-    const Index depth = a.cols();
-    for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        Real *crow = c.row(i).data();
-        Index j = 0;
-        for (; j + 64 <= width; j += 64) {
-            __m512 s0 = _mm512_loadu_ps(crow + j);
-            __m512 s1 = _mm512_loadu_ps(crow + j + 16);
-            __m512 s2 = _mm512_loadu_ps(crow + j + 32);
-            __m512 s3 = _mm512_loadu_ps(crow + j + 48);
-            for (Index k = 0; k < depth; ++k) {
-                const Real *brow = b.row(k).data() + j;
-                const __m512 av = _mm512_set1_ps(arow[k]);
-                s0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow), s0);
-                s1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow + 16),
-                                     s1);
-                s2 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow + 32),
-                                     s2);
-                s3 = _mm512_fmadd_ps(av, _mm512_loadu_ps(brow + 48),
-                                     s3);
-            }
-            _mm512_storeu_ps(crow + j, s0);
-            _mm512_storeu_ps(crow + j + 16, s1);
-            _mm512_storeu_ps(crow + j + 32, s2);
-            _mm512_storeu_ps(crow + j + 48, s3);
+    /**
+     * R rows x one kW-wide column block: R x 4 zmm accumulators live
+     * across the whole depth — 24 + 4 B vectors + 1 broadcast at
+     * R = 6, the ceiling of the 32-register file. A taller block reads
+     * the same 256 bytes of B per k step for more FLOPs, and that
+     * stream out of L2 is what bounds the shorter blocks once a
+     * block's depth slice outgrows L1. A ragged block (!Full) masks its B and C
+     * accesses to the pw live columns; a full one uses plain loads,
+     * keeping the masks out of the k loop.
+     */
+    template <int R, bool Full>
+    __attribute__((target("avx512f"))) static void
+    tile(GemmTile t)
+    {
+        __mmask16 m[4];
+#pragma GCC unroll 4
+        for (int g = 0; g < 4; ++g) {
+            const Index rem = t.pw - 16 * g;
+            m[g] = rem >= 16  ? static_cast<__mmask16>(0xFFFF)
+                   : rem <= 0 ? static_cast<__mmask16>(0)
+                              : static_cast<__mmask16>((1u << rem) - 1u);
         }
-        for (; j + 16 <= width; j += 16) {
-            __m512 s0 = _mm512_loadu_ps(crow + j);
-            for (Index k = 0; k < depth; ++k) {
-                const __m512 av = _mm512_set1_ps(arow[k]);
-                const __m512 bv = _mm512_loadu_ps(b.row(k).data() + j);
-                s0 = _mm512_fmadd_ps(av, bv, s0);
+        __m512 acc[R][4];
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+            for (int g = 0; g < 4; ++g) {
+                const Real *cg = t.c + r * t.ldc + 16 * g;
+                acc[r][g] = Full ? _mm512_loadu_ps(cg)
+                                 : _mm512_maskz_loadu_ps(m[g], cg);
             }
-            _mm512_storeu_ps(crow + j, s0);
-        }
-        if (j < width) {
-            const __mmask16 m =
-                static_cast<__mmask16>((1u << (width - j)) - 1u);
-            __m512 s0 = _mm512_maskz_loadu_ps(m, crow + j);
-            for (Index k = 0; k < depth; ++k) {
-                const __m512 av = _mm512_set1_ps(arow[k]);
-                const __m512 bv =
-                    _mm512_maskz_loadu_ps(m, b.row(k).data() + j);
-                s0 = _mm512_fmadd_ps(av, bv, s0);
+        for (Index k = 0; k < t.depth; ++k) {
+            const Real *bk = t.b + k * t.ldb;
+            __m512 bv[4];
+#pragma GCC unroll 4
+            for (int g = 0; g < 4; ++g)
+                bv[g] = Full ? _mm512_loadu_ps(bk + 16 * g)
+                             : _mm512_maskz_loadu_ps(m[g], bk + 16 * g);
+#pragma GCC unroll 8
+            for (int r = 0; r < R; ++r) {
+                const __m512 av = _mm512_set1_ps(t.a[r * t.lda + k]);
+#pragma GCC unroll 4
+                for (int g = 0; g < 4; ++g)
+                    acc[r][g] = _mm512_fmadd_ps(av, bv[g], acc[r][g]);
             }
-            _mm512_mask_storeu_ps(crow + j, m, s0);
         }
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+            for (int g = 0; g < 4; ++g) {
+                Real *cg = t.c + r * t.ldc + 16 * g;
+                if (Full)
+                    _mm512_storeu_ps(cg, acc[r][g]);
+                else
+                    _mm512_mask_storeu_ps(cg, m[g], acc[r][g]);
+            }
     }
-}
+};
 
 template <bool Fma>
 __attribute__((target("avx512f"))) inline __m512
@@ -1100,25 +772,19 @@ addRowNeon(Real *acc, const Real *x, Index n)
 }
 
 void
-gemmRowsPackedNeon(const Matrix &a, const Real *packed, Index width,
-                   Matrix &c, Index row_begin, Index row_end,
-                   Index k_begin, Index k_end, Index bstride)
+gemmRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
+             Index row_begin, Index row_end, Index k_begin, Index k_end)
 {
-    const Index depth = a.cols();
-    const Index panels = (width + kW - 1) / kW;
+    const Index width = b.cols();
     const Index kd = k_end - k_begin;
-    // Panel p starts kW floats into the previous one when the
-    // "pack" is B's own row-major storage (bstride == width), and
-    // a full depth x kW block later in a simdPackB image.
-    const Index panel_step = bstride == kW ? depth * kW : kW;
-    for (Index p = 0; p < panels; ++p) {
-        const Real *panel =
-            packed + p * panel_step + k_begin * bstride;
-        const Index j0 = p * kW;
+    // Column blocks OUTER, rows INNER, reading row-major B in place
+    // (see gemmRowsBlocked).
+    for (Index j0 = 0; j0 < width; j0 += kW) {
+        const Real *panel = b.data() + k_begin * width + j0;
         const Index pw = std::min<Index>(kW, width - j0);
         for (Index i = row_begin; i < row_end; ++i) {
-            const Real *arow = a.row(i).data() + k_begin;
-            Real *crow = c.row(i).data() + j0;
+            const Real *arow = a.data() + i * a.cols() + k_begin;
+            Real *crow = c.data() + i * width + j0;
             Index t = 0;
             for (; t + 16 <= pw; t += 16) {
                 float32x4_t s0 = vld1q_f32(crow + t);
@@ -1126,7 +792,7 @@ gemmRowsPackedNeon(const Matrix &a, const Real *packed, Index width,
                 float32x4_t s2 = vld1q_f32(crow + t + 8);
                 float32x4_t s3 = vld1q_f32(crow + t + 12);
                 for (Index k = 0; k < kd; ++k) {
-                    const Real *bk = panel + k * bstride + t;
+                    const Real *bk = panel + k * width + t;
                     const Real av = arow[k];
                     s0 = vfmaq_n_f32(s0, vld1q_f32(bk), av);
                     s1 = vfmaq_n_f32(s1, vld1q_f32(bk + 4), av);
@@ -1139,44 +805,7 @@ gemmRowsPackedNeon(const Matrix &a, const Real *packed, Index width,
                 vst1q_f32(crow + t + 12, s3);
             }
             for (; t < pw; ++t)
-                crow[t] = fmaChain(arow, panel, bstride, t, kd, crow[t]);
-        }
-    }
-}
-
-void
-vecMatRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
-               Index row_begin, Index row_end)
-{
-    const Index width = b.cols();
-    const Index depth = a.cols();
-    for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        Real *crow = c.row(i).data();
-        Index j = 0;
-        for (; j + 16 <= width; j += 16) {
-            float32x4_t s0 = vld1q_f32(crow + j);
-            float32x4_t s1 = vld1q_f32(crow + j + 4);
-            float32x4_t s2 = vld1q_f32(crow + j + 8);
-            float32x4_t s3 = vld1q_f32(crow + j + 12);
-            for (Index k = 0; k < depth; ++k) {
-                const Real *brow = b.row(k).data() + j;
-                const Real av = arow[k];
-                s0 = vfmaq_n_f32(s0, vld1q_f32(brow), av);
-                s1 = vfmaq_n_f32(s1, vld1q_f32(brow + 4), av);
-                s2 = vfmaq_n_f32(s2, vld1q_f32(brow + 8), av);
-                s3 = vfmaq_n_f32(s3, vld1q_f32(brow + 12), av);
-            }
-            vst1q_f32(crow + j, s0);
-            vst1q_f32(crow + j + 4, s1);
-            vst1q_f32(crow + j + 8, s2);
-            vst1q_f32(crow + j + 12, s3);
-        }
-        for (; j < width; ++j) {
-            Real s = crow[j];
-            for (Index k = 0; k < depth; ++k)
-                s = std::fmaf(arow[k], b.row(k).data()[j], s);
-            crow[j] = s;
+                crow[t] = fmaChain(arow, panel, width, t, kd, crow[t]);
         }
     }
 }
@@ -1571,75 +1200,29 @@ simdAddRow(Real *acc, const Real *x, Index n)
 }
 
 void
-simdPackB(const Matrix &b, std::vector<Real> &packed)
-{
-    const Index depth = b.rows();
-    const Index width = b.cols();
-    const Index panels = (width + kW - 1) / kW;
-    packed.assign(static_cast<std::size_t>(panels) *
-                      static_cast<std::size_t>(depth) *
-                      static_cast<std::size_t>(kW),
-                  0.0f);
-    for (Index p = 0; p < panels; ++p) {
-        Real *panel = packed.data() + p * depth * kW;
-        const Index j0 = p * kW;
-        const Index pw = std::min<Index>(kW, width - j0);
-        for (Index k = 0; k < depth; ++k)
-            std::memcpy(panel + k * kW, b.row(k).data() + j0,
-                        static_cast<std::size_t>(pw) * sizeof(Real));
-    }
-}
-
-void
-simdGemmRowsPacked(const Matrix &a, const Real *packed, Index width,
-                   Matrix &c, Index row_begin, Index row_end,
-                   Index k_begin, Index k_end, Index bstride)
+simdGemmRows(const Matrix &a, const Matrix &b, Matrix &c,
+             Index row_begin, Index row_end, Index k_begin, Index k_end)
 {
     if (k_end < 0)
         k_end = a.cols();
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
     case SimdLevel::Avx512:
-        gemmRowsPackedAvx512(a, packed, width, c, row_begin, row_end,
-                             k_begin, k_end, bstride);
+        gemmRowsBlocked<Avx512Gemm>(a, b, c, row_begin, row_end, k_begin,
+                                    k_end);
         return;
     case SimdLevel::Avx2:
-        gemmRowsPackedAvx2(a, packed, width, c, row_begin, row_end,
-                           k_begin, k_end, bstride);
+        gemmRowsBlocked<Avx2Gemm>(a, b, c, row_begin, row_end, k_begin,
+                                  k_end);
         return;
 #endif
 #if CTA_SIMD_NEON
     case SimdLevel::Neon:
-        gemmRowsPackedNeon(a, packed, width, c, row_begin, row_end,
-                           k_begin, k_end, bstride);
+        gemmRowsNeon(a, b, c, row_begin, row_end, k_begin, k_end);
         return;
 #endif
     default:
-        gemmRowsPackedScalar(a, packed, width, c, row_begin, row_end,
-                             k_begin, k_end, bstride);
-    }
-}
-
-void
-simdVecMatRows(const Matrix &a, const Matrix &b, Matrix &c,
-               Index row_begin, Index row_end)
-{
-    switch (activeSimdLevel()) {
-#if CTA_SIMD_X86
-    case SimdLevel::Avx512:
-        vecMatRowsAvx512(a, b, c, row_begin, row_end);
-        return;
-    case SimdLevel::Avx2:
-        vecMatRowsAvx2(a, b, c, row_begin, row_end);
-        return;
-#endif
-#if CTA_SIMD_NEON
-    case SimdLevel::Neon:
-        vecMatRowsNeon(a, b, c, row_begin, row_end);
-        return;
-#endif
-    default:
-        vecMatRowsScalar(a, b, c, row_begin, row_end);
+        gemmRowsScalar(a, b, c, row_begin, row_end, k_begin, k_end);
     }
 }
 

@@ -35,9 +35,9 @@
  *    in-register transpose only moves and widens values (both
  *    exact), so the result is bit-identical to the naive reference
  *    at every ISA level, block width and thread count.
- *  - simdVecMatRows / simdGemmRowsPacked: per output element ONE
- *    k-ascending fused-multiply-add chain — the same chain class in
- *    both, so routing between them is bitwise-invisible. FMA rounds
+ *  - simdGemmRows: per output element ONE k-ascending
+ *    fused-multiply-add chain, whatever the row block, column block,
+ *    depth slice or thread partition that computes it. FMA rounds
  *    once per step, and scalar std::fmaf == AVX2 vfmadd == AVX-512
  *    vfmadd == NEON vfma for the same operands, so the result is
  *    bit-identical across every ISA level and thread count — it
@@ -51,8 +51,6 @@
  */
 
 #pragma once
-
-#include <vector>
 
 #include "core/types.h"
 
@@ -152,56 +150,24 @@ void simdDotRows(const Real *q, const Real *const *rows, Index n,
 void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Wide *out);
 
-/** Width of one packed B panel (simdPackB / simdGemmRowsPacked). */
-inline constexpr Index kSimdPanelWidth = 64;
-
-/** Row-block height of the packed GEMM micro-kernel; SimdBackend
- *  routes matrices with fewer rows to simdVecMatRows instead. */
-inline constexpr Index kSimdMr = 4;
-
 /**
- * Packs row-major @p b into kSimdPanelWidth-wide column panels,
- * zero-padded to full width: panel p holds rows k = 0..K-1 of columns
- * [p*W, (p+1)*W). Pure data movement — no rounding.
- */
-void simdPackB(const Matrix &b, std::vector<Real> &packed);
-
-/**
- * Packed-panel GEMM over output rows [row_begin, row_end) of
- * C += A * B, reading B from simdPackB(@p packed). Each output
- * element is one k-ascending FMA chain (see the file contract);
- * results are a pure function of the inputs — independent of the row
- * partition, the panel partition, the ISA level and the thread count.
+ * GEMM over output rows [row_begin, row_end) of C += A * B, reading
+ * row-major B in place. Each output element is one k-ascending FMA
+ * chain (see the file contract); results are a pure function of the
+ * inputs — independent of the row partition, the ISA level and the
+ * thread count.
  *
  * [@p k_begin, @p k_end) restricts the accumulation to a depth slice:
  * C += A[:, k_begin:k_end) * B[k_begin:k_end, :); k_end = -1 means
  * "through the last k". SimdBackend loops depth slices OUTSIDE its
- * thread fan-out so each slice's panels stay L2-resident across every
- * row chunk instead of re-streaming the full packed B per chunk.
- * Slicing is bitwise-invisible: consecutive slices continue each
- * element's k-ascending FMA chain through an exact store/load of the
- * fp32 partial — the same rounding sequence as one unbroken chain.
- *
- * @p bstride is the distance in floats between consecutive k rows of
- * a panel: kSimdPanelWidth for a simdPackB image (the default), or
- * B's column count to read a row-major B in place — when the width is
- * a multiple of the panel width, B's own storage IS a valid panel
- * sequence and the copy (and its memory-bandwidth bill) can be
- * skipped. Same loads, same chains, bit-identical either way.
+ * thread fan-out so each slice of B stays L2-resident across every
+ * row chunk instead of re-streaming the full B per chunk. Slicing is
+ * bitwise-invisible: consecutive slices continue each element's
+ * k-ascending FMA chain through an exact store/load of the fp32
+ * partial — the same rounding sequence as one unbroken chain.
  */
-void simdGemmRowsPacked(const Matrix &a, const Real *packed,
-                        Index width, Matrix &c, Index row_begin,
-                        Index row_end, Index k_begin = 0,
-                        Index k_end = -1,
-                        Index bstride = kSimdPanelWidth);
-
-/**
- * Vector-times-matrix rows for short A (rows < kSimdMr), avoiding
- * the B pack: C += A * B with the same k-ascending FMA chain per
- * element as simdGemmRowsPacked, so a GEMM's result never depends on
- * which of the two paths ran it.
- */
-void simdVecMatRows(const Matrix &a, const Matrix &b, Matrix &c,
-                    Index row_begin, Index row_end);
+void simdGemmRows(const Matrix &a, const Matrix &b, Matrix &c,
+                  Index row_begin, Index row_end, Index k_begin = 0,
+                  Index k_end = -1);
 
 } // namespace cta::core

@@ -51,7 +51,10 @@ putArray(std::vector<std::uint8_t> &out, const T *data,
     putScalar<std::uint64_t>(out, count);
     const auto at = out.size();
     out.resize(at + count * sizeof(T));
-    std::memcpy(out.data() + at, data, count * sizeof(T));
+    // An empty array may come with a null data pointer, which
+    // memcpy must not be handed even for a zero count.
+    if (count > 0)
+        std::memcpy(out.data() + at, data, count * sizeof(T));
 }
 
 void
@@ -101,8 +104,9 @@ class BlobReader
             return {};
         }
         std::vector<T> out(static_cast<std::size_t>(count));
-        std::memcpy(out.data(), bytes_.data() + at_,
-                    out.size() * sizeof(T));
+        if (count > 0)
+            std::memcpy(out.data(), bytes_.data() + at_,
+                        out.size() * sizeof(T));
         at_ += out.size() * sizeof(T);
         return out;
     }

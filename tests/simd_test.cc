@@ -4,9 +4,10 @@
  * detection and forcing, bitwise parity of every vector primitive
  * against its scalar reference at every supported ISA level (the
  * lane-per-row dot and multi-row accumulate kernels included, on
- * ragged shapes, scattered rows and non-finite inputs), the
- * FMA-chain routing contract of the packed/vecmat GEMM paths, and
- * the SimdBackend's cross-level / cross-thread bit-identity.
+ * ragged shapes, scattered rows and non-finite inputs), and the
+ * SimdBackend GEMM's one-FMA-chain-per-element contract: bit-identical
+ * across ISA levels, thread counts, row blocks, ragged column blocks
+ * and depth slices.
  */
 
 #include <cmath>
@@ -369,8 +370,9 @@ TEST(SimdAccumulateRowsTest, MatchesScalarChainsAtEveryLevel)
     }
 }
 
-/** Shapes covering packed panels (full + partial), micro-kernel row
- *  blocks and their tails, and the vecmat route (rows < kSimdMr). */
+/** Shapes covering full and ragged column blocks, the 6/4/1 row
+ *  blocks, short A, and the pooled depth-sliced path (70 x 300 x 200
+ *  is past the serial cutover and two depth slices deep). */
 struct GemmShape
 {
     Index m, k, n;
@@ -379,6 +381,7 @@ struct GemmShape
 const std::vector<GemmShape> kGemmShapes = {
     {1, 8, 16},   {2, 17, 63},  {3, 64, 64},   {4, 16, 64},
     {5, 33, 65},  {17, 64, 128}, {64, 64, 64}, {70, 128, 96},
+    {70, 300, 200}, {1, 1024, 1000},
 };
 
 TEST(SimdGemmTest, BitIdenticalAcrossLevelsThreadsAndRouting)
@@ -407,25 +410,6 @@ TEST(SimdGemmTest, BitIdenticalAcrossLevelsThreadsAndRouting)
                     << " level=" << cta::core::simdLevelName(level)
                     << " threads=" << threads;
             }
-        }
-
-        // Routing invariance: the no-pack vecmat path and the packed
-        // micro-kernel run the same FMA chain per element, so calling
-        // them directly on the same rows must agree bitwise.
-        for (const SimdLevel level : levels) {
-            ScopedSimdLevel guard(level);
-            Matrix via_vecmat(m, n);
-            cta::core::simdVecMatRows(a, b, via_vecmat, 0, m);
-            std::vector<Real> packed;
-            cta::core::simdPackB(b, packed);
-            Matrix via_packed(m, n);
-            cta::core::simdGemmRowsPacked(a, packed.data(), n,
-                                          via_packed, 0, m);
-            EXPECT_TRUE(bitIdentical(via_vecmat, via_packed))
-                << "routing " << m << "x" << k << "x" << n
-                << " level=" << cta::core::simdLevelName(level);
-            EXPECT_TRUE(bitIdentical(via_packed, ref))
-                << "packed-vs-ref " << m << "x" << k << "x" << n;
         }
     }
 }
