@@ -103,6 +103,44 @@ BM_DecodePrefill(benchmark::State &state)
 }
 BENCHMARK(BM_DecodePrefill)->Arg(128)->Arg(1024);
 
+/**
+ * DecodeSession::step after a 512-token prompt, at token and head dim
+ * 64 under the CTA-0.5 operating point calibrated on the prompt: the
+ * one-row ingest (hash, cluster inserts, pair count, touched-centroid
+ * projections) plus the fused attend. Every 64 steps the session is
+ * rebuilt from the prompt off the clock, so the context stays in
+ * [512, 576). Reported in µs per step.
+ */
+void
+BM_DecodeStep(benchmark::State &state)
+{
+    constexpr Index kPrompt = 512, kSteps = 64, kDim = 64;
+    const Matrix tokens = clusteredTokens(kPrompt + kSteps, kDim, 7);
+    const Matrix prompt = tokens.rowSlice(0, kPrompt);
+    Rng rng(8);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kDim, rng);
+    cta::serve::ServeConfig config;
+    config.cta =
+        cta::alg::calibrate(prompt, prompt, cta::alg::Preset::Cta05);
+    std::unique_ptr<cta::serve::DecodeSession> session;
+    Index next = kSteps;
+    for (auto _ : state) {
+        if (next == kSteps) {
+            state.PauseTiming();
+            session = std::make_unique<cta::serve::DecodeSession>(
+                params, config, kDim);
+            session->prefill(prompt);
+            next = 0;
+            state.ResumeTiming();
+        }
+        const Matrix out = session->step(tokens.row(kPrompt + next++));
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecodeStep)->Unit(benchmark::kMicrosecond);
+
 void
 BM_ClusterTree(benchmark::State &state)
 {
@@ -278,12 +316,15 @@ BM_FusedDecodeAttend(benchmark::State &state)
     };
     const cta::core::PagedRows k_bar1 = paged(k1), k_bar2 = paged(k2);
     const cta::core::PagedRows v_bar1 = paged(k1), v_bar2 = paged(k2);
+    std::vector<Index> c1, c2;
+    for (Index t = 0; t < ctx; ++t) {
+        c1.push_back(static_cast<Index>(
+            rng.uniformInt(static_cast<std::uint64_t>(k1))));
+        c2.push_back(static_cast<Index>(
+            rng.uniformInt(static_cast<std::uint64_t>(k2))));
+    }
     cta::alg::ClusterPairCounts pairs;
-    for (Index t = 0; t < ctx; ++t)
-        pairs.add(static_cast<Index>(rng.uniformInt(
-                      static_cast<std::uint64_t>(k1))),
-                  static_cast<Index>(rng.uniformInt(
-                      static_cast<std::uint64_t>(k2))));
+    pairs.addBatch(c1, c2);
     const Matrix q = Matrix::randomNormal(1, kHeadDim, rng);
     const bool fma = cta::core::activeBackend().gemmFmaChains();
     cta::alg::FusedDecodeScratch scratch;

@@ -144,8 +144,8 @@ void simdDotRows(const Real *q, const Real *const *rows, Index n,
 /**
  * simdDotRows without the final narrowing: out[j] is row j's Wide
  * chain itself — the same loads, transposes and FMA steps, only the
- * store differs. This is the LSH projection of hashToken/hashTokens
- * (cta/lsh.h): one hash direction or one token per lane.
+ * store differs. This is the LSH projection of hashRows (cta/lsh.h):
+ * one hash direction or one token per lane, by the batch's shape.
  */
 void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Wide *out);

@@ -165,16 +165,6 @@ IncrementalClusterTable::assignCode(
     return cluster;
 }
 
-Index
-IncrementalClusterTable::append(std::span<const std::int32_t> code)
-{
-    CTA_TRACE_SCOPE("cluster.append");
-    CTA_OBS_COUNT("cluster.appends", 1);
-    const Index cluster = assignCode(code);
-    assignments_.push_back(cluster);
-    return cluster;
-}
-
 void
 IncrementalClusterTable::appendBatch(std::span<const std::int32_t> codes,
                                      std::span<Index> clusters)
@@ -202,16 +192,6 @@ IncrementalClusterTable::table() const
     return ct;
 }
 
-ClusterTableSnapshot
-IncrementalClusterTable::saveState() const
-{
-    ClusterTableSnapshot snap;
-    snap.hashLen = hashLen_;
-    snap.table = tableSuffix(0);
-    snap.clusterCodes = codeSuffix(0);
-    return snap;
-}
-
 std::vector<Index>
 IncrementalClusterTable::tableSuffix(Index from) const
 {
@@ -237,42 +217,6 @@ IncrementalClusterTable::codeSuffix(Index from_cluster) const
          i < numClusters() * hashLen_; ++i)
         codes.push_back(clusterCodes_[static_cast<std::size_t>(i)]);
     return codes;
-}
-
-void
-IncrementalClusterTable::restoreState(const ClusterTableSnapshot &snap)
-{
-    CTA_REQUIRE(snap.hashLen == hashLen_,
-                "snapshot hash length ", snap.hashLen,
-                " != table hash length ", hashLen_);
-    CTA_REQUIRE(static_cast<Index>(snap.clusterCodes.size()) ==
-                    snap.numClusters() * snap.hashLen,
-                "snapshot cluster codes not a multiple of hash "
-                "length");
-    MapClusterTree tree(snap.hashLen);
-    const Index k = snap.numClusters();
-    for (Index c = 0; c < k; ++c) {
-        const std::span<const std::int32_t> code(
-            snap.clusterCodes.data() +
-                static_cast<std::size_t>(c * snap.hashLen),
-            static_cast<std::size_t>(snap.hashLen));
-        const Index assigned = tree.assign(code);
-        CTA_REQUIRE(assigned == c, "snapshot cluster codes are not "
-                    "distinct first-seen codes: code ", c,
-                    " reassigned to ", assigned);
-    }
-    for (const Index c : snap.table)
-        CTA_REQUIRE(c >= 0 && c < k, "snapshot table entry ", c,
-                    " outside [0, ", k, ")");
-    base_.reset();
-    baseClusters_ = 0;
-    overlay_ = std::move(tree);
-    assignments_.clear();
-    for (const Index c : snap.table)
-        assignments_.push_back(c);
-    clusterCodes_.clear();
-    for (const std::int32_t v : snap.clusterCodes)
-        clusterCodes_.push_back(v);
 }
 
 void

@@ -146,39 +146,20 @@ class LinearClusterTree
 ClusterTable buildClusterTable(const HashMatrix &codes);
 
 /**
- * Serializable state of an IncrementalClusterTable: the per-token
- * cluster table plus one representative hash code per cluster, in
- * cluster-index (first-seen) order. Replaying the codes through a
- * fresh trie reassigns the same dense indices, so restore() rebuilds
- * the live tree bit-identically without persisting trie internals —
- * and the snapshot is far smaller than the tree it stands for.
- */
-struct ClusterTableSnapshot
-{
-    core::Index hashLen = 0;
-    /** token -> cluster, as in ClusterTable::table. */
-    std::vector<core::Index> table;
-    /** numClusters x hashLen codes, flattened row-major. */
-    std::vector<std::int32_t> clusterCodes;
-
-    /** Number of distinct clusters the snapshot holds. */
-    core::Index numClusters() const
-    {
-        return hashLen == 0
-            ? 0
-            : static_cast<core::Index>(clusterCodes.size()) / hashLen;
-    }
-};
-
-/**
- * Streaming cluster table for the serving layer: append() inserts one
- * token's code into a live tree instead of rebuilding the table from
- * scratch per decode step.
+ * Streaming cluster table for the serving layer: appendBatch() inserts
+ * a batch of codes (a whole prompt, or a decode step's one code) into
+ * a live tree instead of rebuilding the table from scratch per step.
  *
  * Equivalence contract: tree assignment is order-streaming (a token's
  * cluster index depends only on the codes before it), so after any
- * number of appends table() is bit-identical to buildClusterTable()
+ * sequence of batches table() is bit-identical to buildClusterTable()
  * over the same code prefix — enforced by tests/serve_test.cc.
+ *
+ * State leaves and comes back only as a delta: tableSuffix() and
+ * codeSuffix() past a base, applied by restoreSuffix(). The
+ * first-seen codes, replayed in index order through a fresh trie,
+ * reassign the same dense indices, so the trie itself is never
+ * persisted.
  *
  * Storage is paged (core::PageArena): the per-token assignments and
  * the first-seen cluster codes live in arena pages, so copying a
@@ -199,13 +180,9 @@ class IncrementalClusterTable
     IncrementalClusterTable(core::Index hash_len,
                             std::shared_ptr<core::PageArena> arena);
 
-    /** Appends one code; returns the cluster index it joined. */
-    core::Index append(std::span<const std::int32_t> code);
-
     /** Appends the codes of @p codes (clusters.size() codes of hash
-     *  length each, row-major) in order — exactly one append() per
-     *  code, under one trace span — writing the cluster each joined
-     *  into @p clusters. */
+     *  length each, row-major) in order, under one trace span,
+     *  writing the cluster each joined into @p clusters. */
     void appendBatch(std::span<const std::int32_t> codes,
                      std::span<core::Index> clusters);
 
@@ -230,19 +207,6 @@ class IncrementalClusterTable
     }
 
     core::Index hashLen() const { return hashLen_; }
-
-    /** Compact serializable state (see ClusterTableSnapshot). */
-    ClusterTableSnapshot saveState() const;
-
-    /**
-     * Replaces the live state with @p snap. The rebuilt trie assigns
-     * every future code exactly as the snapshotted tree would have
-     * (assignment depends only on the set of codes seen, which the
-     * snapshot carries in index order) — the evict/restore
-     * bit-identity contract of tests/serve_test.cc. Drops any shared
-     * base tree.
-     */
-    void restoreState(const ClusterTableSnapshot &snap);
 
     /**
      * Delta restore on top of the current (prefix) state: each code

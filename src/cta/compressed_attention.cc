@@ -87,43 +87,6 @@ aggregateProbabilities(const Matrix &s_bar,
     }
 }
 
-void
-aggregateProbabilities(const Matrix &s_bar,
-                       const core::PagedVector<Index> &ct1,
-                       const core::PagedVector<Index> &ct2, Index k1,
-                       Matrix &ap, Matrix &row_sums, OpCounts *counts)
-{
-    CTA_TRACE_SCOPE("aggregate.probabilities");
-    CTA_REQUIRE(ct1.size() == ct2.size(), "CT1/CT2 size mismatch");
-    const Index k0 = s_bar.rows();
-    const Index k_total = s_bar.cols();
-    const auto n = static_cast<Index>(ct1.size());
-    ap = Matrix(k0, k_total);
-    row_sums = Matrix(k0, 1);
-    for (Index i = 0; i < k0; ++i) {
-        const Real *srow = s_bar.row(i).data();
-        Real *aprow = ap.row(i).data();
-        Wide total = 0;
-        for (Index j = 0; j < n; ++j) {
-            const Index c1 = ct1[static_cast<std::size_t>(j)];
-            const Index c2 = k1 + ct2[static_cast<std::size_t>(j)];
-            CTA_ASSERT(c1 >= 0 && c1 < k1 && c2 >= k1 && c2 < k_total,
-                       "cluster index out of range");
-            const Real p = std::exp(srow[c1] + srow[c2]);
-            aprow[c1] += p;
-            aprow[c2] += p;
-            total += 2.0 * p;
-        }
-        row_sums(i, 0) = static_cast<Real>(total);
-    }
-    if (counts) {
-        const auto k0u = static_cast<std::uint64_t>(k0);
-        const auto nu = static_cast<std::uint64_t>(n);
-        counts->exps += k0u * nu;
-        counts->adds += 3 * k0u * nu;
-    }
-}
-
 ClusterPairCounts::ClusterPairCounts()
     : ClusterPairCounts(std::make_shared<core::PageArena>(
           core::PageArena::pageBytesFromEnv()))
@@ -137,55 +100,51 @@ ClusterPairCounts::ClusterPairCounts(
 }
 
 void
-ClusterPairCounts::add(Index c1, Index c2)
-{
-    CTA_REQUIRE(c1 >= 0 && c2 >= 0, "negative cluster index ", c1,
-                ", ", c2);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        Pair p = pairs_[i];
-        if (p.c1 == c1 && p.c2 == c2) {
-            ++p.count;
-            pairs_.set(i, p);
-            ++tokens_;
-            return;
-        }
-    }
-    pairs_.push_back(Pair{c1, c2, 1});
-    ++tokens_;
-}
-
-void
 ClusterPairCounts::addBatch(std::span<const Index> c1,
                             std::span<const Index> c2)
 {
     CTA_REQUIRE(c1.size() == c2.size(), "pair batch sizes differ: ",
                 c1.size(), " vs ", c2.size());
+    // Counts token t's pair into slot `at` (a new pair when `at` is
+    // past the end).
+    const auto record = [&](std::size_t t, std::size_t at) {
+        if (at == pairs_.size()) {
+            pairs_.push_back(Pair{c1[t], c2[t], 1});
+        } else {
+            Pair p = pairs_[at];
+            ++p.count;
+            pairs_.set(at, p);
+        }
+        ++tokens_;
+    };
+    for (std::size_t t = 0; t < c1.size(); ++t)
+        CTA_REQUIRE(c1[t] >= 0 && c2[t] >= 0, "negative cluster index ",
+                    c1[t], ", ", c2[t]);
+    if (c1.size() == 1) {
+        // A decode step's one pair: distinct pairs stay few, so a
+        // linear scan beats building an index over all of them.
+        std::size_t at = 0;
+        while (at < pairs_.size() &&
+               (pairs_[at].c1 != c1[0] || pairs_[at].c2 != c2[0]))
+            ++at;
+        record(0, at);
+        return;
+    }
     const auto key = [](Index a, Index b) {
         return static_cast<std::uint64_t>(a) << 32 |
                static_cast<std::uint32_t>(b);
     };
     // The index lives only for this call, so the stored state — and
-    // a fork's page sharing — is exactly what add() leaves.
+    // a fork's page sharing — is the same whatever the batching.
     std::unordered_map<std::uint64_t, std::size_t> index;
     index.reserve(pairs_.size() + c1.size());
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
         const Pair p = pairs_[i];
         index.emplace(key(p.c1, p.c2), i);
     }
-    for (std::size_t t = 0; t < c1.size(); ++t) {
-        CTA_REQUIRE(c1[t] >= 0 && c2[t] >= 0, "negative cluster index ",
-                    c1[t], ", ", c2[t]);
-        const auto [at, inserted] =
-            index.try_emplace(key(c1[t], c2[t]), pairs_.size());
-        if (inserted) {
-            pairs_.push_back(Pair{c1[t], c2[t], 1});
-        } else {
-            Pair p = pairs_[at->second];
-            ++p.count;
-            pairs_.set(at->second, p);
-        }
-        ++tokens_;
-    }
+    for (std::size_t t = 0; t < c1.size(); ++t)
+        record(t, index.try_emplace(key(c1[t], c2[t]), pairs_.size())
+                      .first->second);
 }
 
 std::vector<ClusterPairCounts::Pair>

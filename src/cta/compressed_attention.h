@@ -176,24 +176,11 @@ void aggregateProbabilities(const core::Matrix &s_bar,
                             core::OpCounts *counts = nullptr);
 
 /**
- * Same aggregation over paged cluster tables (identical arithmetic
- * and accumulation order — bit-identical to the vector overload),
- * so the serving layer's exact mode never materializes its paged
- * per-token assignments.
- */
-void aggregateProbabilities(
-    const core::Matrix &s_bar,
-    const core::PagedVector<core::Index> &ct1,
-    const core::PagedVector<core::Index> &ct2, core::Index k1,
-    core::Matrix &ap, core::Matrix &row_sums,
-    core::OpCounts *counts = nullptr);
-
-/**
  * Multiset of (level-1, level-2) cluster-pair occurrences over the KV
  * tokens, in first-seen order. A token's aggregated probability
  * p_j = exp(Sb[CT1[j]] + Sb[k1+CT2[j]]) depends only on its pair, so
- * a decode session maintains these counts in O(1) per appended token
- * and aggregates probabilities per distinct pair instead of per
+ * a decode session maintains these counts as it appends tokens and
+ * aggregates probabilities per distinct pair instead of per
  * token (fusedDecodeAttend, cta/fused_decode.h).
  */
 class ClusterPairCounts
@@ -212,14 +199,15 @@ class ClusterPairCounts
     /** Counts stored in @p arena pages (session fork shares CoW). */
     explicit ClusterPairCounts(std::shared_ptr<core::PageArena> arena);
 
-    /** Records one token's (c1, c2) assignment. add() scans the pair
-     *  list linearly — distinct pairs stay few, and dropping the old
-     *  dedup hash map is what makes a fork O(shared pages). */
-    void add(core::Index c1, core::Index c2);
-
-    /** add(c1[i], c2[i]) for every i in order — the same pair order,
-     *  counts and page writes — through a per-call hash index instead
-     *  of one linear scan per token. */
+    /**
+     * Records the (c1[i], c2[i]) assignment of every token i in
+     * order: a new pair is appended, a seen one has its count bumped,
+     * so pair order, counts and page writes do not depend on how the
+     * tokens are batched. A batch of one pair (a decode step) scans
+     * the pair list linearly; a larger batch builds a per-call hash
+     * index. No index is stored — that is what makes a fork
+     * O(shared pages).
+     */
     void addBatch(std::span<const core::Index> c1,
                   std::span<const core::Index> c2);
 
@@ -257,10 +245,10 @@ class ClusterPairCounts
  * O(k0 * pairs) cost instead of O(k0 * n). Floating-point
  * accumulation order differs from the per-token version (count-
  * weighted adds in first-seen pair order), so results agree to
- * rounding, not bit-for-bit; the serving layer's exact mode keeps the
- * per-token path for bit-level comparisons. Decode steps run the
- * fused kernel (cta/fused_decode.h), which replicates this loop; this
- * function is its reference in tests/fused_decode_test.cc.
+ * rounding, not bit-for-bit (tests/serve_test.cc bounds a decode
+ * step against the per-token batch path at 1e-4). Decode steps run
+ * the fused kernel (cta/fused_decode.h), which replicates this loop;
+ * this function is its reference in tests/fused_decode_test.cc.
  */
 void aggregateProbabilitiesGrouped(const core::Matrix &s_bar,
                                    const ClusterPairCounts &pairs,

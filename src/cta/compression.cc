@@ -112,8 +112,7 @@ IncrementalCompression::IncrementalCompression(
       arena_(std::move(arena)),
       table_(params_->hashLen(), arena_),
       sums_(arena_, params_->dim()),
-      centroids_(arena_, params_->dim()),
-      codeBuf_(static_cast<std::size_t>(params_->hashLen()), 0)
+      centroids_(arena_, params_->dim())
 {
 }
 
@@ -125,25 +124,6 @@ IncrementalCompression::level() const
     level.table = table_.tableSuffix(0);
     level.numClusters = numClusters();
     return level;
-}
-
-Index
-IncrementalCompression::append(std::span<const Real> token,
-                               core::OpCounts *counts)
-{
-    const Index d = params_->dim();
-    CTA_REQUIRE(static_cast<Index>(token.size()) == d, "token dim ",
-                token.size(), " != compression dim ", d);
-    {
-        // hashToken itself is uninstrumented (hot leaf); the span
-        // and counter for the incremental path live here.
-        CTA_TRACE_SCOPE("lsh.hash");
-        CTA_OBS_COUNT("lsh.tokens_hashed", 1);
-        hashToken(token, *params_, codeBuf_, counts);
-    }
-    const Index c = table_.append(codeBuf_);
-    accumulate(token, c, counts);
-    return c;
 }
 
 void
@@ -164,13 +144,16 @@ IncrementalCompression::appendBatch(const Matrix &tokens,
                 "batch residuals shape mismatch");
     if (n == 0)
         return;
-    HashMatrix codes(n, params_->hashLen());
+    // Thread-local and resized, not freed: a warm decode step hashes
+    // into the buffer the previous step left behind.
+    thread_local std::vector<std::int32_t> codes;
+    codes.resize(static_cast<std::size_t>(n * params_->hashLen()));
     {
         CTA_TRACE_SCOPE("lsh.hash");
         CTA_OBS_COUNT("lsh.tokens_hashed", static_cast<std::uint64_t>(n));
-        hashRows(tokens, *params_, codes.data(), counts);
+        hashRows(tokens, *params_, codes, counts);
     }
-    table_.appendBatch(codes.data(), clusters);
+    table_.appendBatch(codes, clusters);
     for (Index i = 0; i < n; ++i) {
         const std::span<const Real> token = tokens.row(i);
         const Index c = clusters[static_cast<std::size_t>(i)];
@@ -220,50 +203,6 @@ IncrementalCompression::accumulate(std::span<const Real> token, Index c,
         // pays numClusters*d divisions once instead).
         counts->adds += static_cast<std::uint64_t>(d);
         counts->divs += static_cast<std::uint64_t>(d);
-    }
-}
-
-CompressionLevelSnapshot
-IncrementalCompression::saveState() const
-{
-    CompressionLevelSnapshot snap;
-    snap.table = table_.saveState();
-    snap.sums = sums_.toMatrix();
-    snap.members = members_;
-    return snap;
-}
-
-void
-IncrementalCompression::restoreState(
-    const CompressionLevelSnapshot &snap)
-{
-    const Index d = params_->dim();
-    const Index k = snap.table.numClusters();
-    CTA_REQUIRE(snap.sums.rows() == k && snap.sums.cols() == d,
-                "snapshot sums shape ", snap.sums.rows(), "x",
-                snap.sums.cols(), " != ", k, "x", d);
-    CTA_REQUIRE(static_cast<Index>(snap.members.size()) == k,
-                "snapshot member counts ", snap.members.size(),
-                " != cluster count ", k);
-    for (const Index m : snap.members)
-        CTA_REQUIRE(m > 0, "snapshot cluster with no members");
-    table_.restoreState(snap.table);
-    members_ = snap.members;
-    sums_.clear();
-    centroids_.clear();
-    // Re-derive every centroid exactly as append() left it: the mean
-    // is always written as sum * (1/count), so the recomputed rows
-    // are bit-identical to the evicted ones.
-    std::vector<Real> mean(static_cast<std::size_t>(d));
-    for (Index c = 0; c < k; ++c) {
-        sums_.appendRow(snap.sums.row(c));
-        const Real inv =
-            1.0f /
-            static_cast<Real>(members_[static_cast<std::size_t>(c)]);
-        const Real *sum = snap.sums.row(c).data();
-        for (Index j = 0; j < d; ++j)
-            mean[static_cast<std::size_t>(j)] = sum[j] * inv;
-        centroids_.appendRow(mean);
     }
 }
 
@@ -396,7 +335,7 @@ IncrementalCompression::stateBytes() const
 {
     return table_.stateBytes() + sums_.privateBytes() +
            centroids_.privateBytes() +
-           members_.capacity() * sizeof(Index) + scratchBytes();
+           members_.capacity() * sizeof(Index);
 }
 
 IncrementalTwoLevelCompression::IncrementalTwoLevelCompression(
@@ -420,26 +359,6 @@ IncrementalTwoLevelCompression::IncrementalTwoLevelCompression(
                 level2_.dim());
 }
 
-TwoLevelAppendResult
-IncrementalTwoLevelCompression::append(std::span<const Real> token,
-                                       core::OpCounts *counts)
-{
-    CTA_TRACE_SCOPE("compress.append");
-    CTA_OBS_COUNT("compress.appended_tokens", 1);
-    TwoLevelAppendResult result;
-    result.level1 = level1_.append(token, counts);
-    // Decode-time residual, frozen at insertion: subtract the
-    // post-insert centroid of the cluster the token just joined.
-    const std::span<const Real> mean = level1_.centroid(result.level1);
-    residualBuf_.resize(token.size());
-    for (std::size_t j = 0; j < token.size(); ++j)
-        residualBuf_[j] = token[j] - mean[j];
-    if (counts)
-        counts->adds += static_cast<std::uint64_t>(token.size());
-    result.level2 = level2_.append(residualBuf_, counts);
-    return result;
-}
-
 void
 IncrementalTwoLevelCompression::appendBatch(const Matrix &tokens,
                                             std::span<Index> level1,
@@ -451,9 +370,10 @@ IncrementalTwoLevelCompression::appendBatch(const Matrix &tokens,
                   static_cast<std::uint64_t>(tokens.rows()));
     // Level 2 hashes residuals frozen at insertion, which depend only
     // on level-1 state up to their own token — so all of level 1 can
-    // run first, then all of level 2, with the per-token arithmetic
-    // of append() unchanged.
-    Matrix residuals(tokens.rows(), tokens.cols());
+    // run first, then all of level 2, with each token's arithmetic
+    // the same whatever batch it arrives in.
+    thread_local Matrix residuals;
+    residuals.resize(tokens.rows(), tokens.cols());
     level1_.appendBatch(tokens, level1, &residuals, counts);
     if (counts)
         counts->adds += static_cast<std::uint64_t>(tokens.size());
@@ -464,25 +384,6 @@ TwoLevelCompression
 IncrementalTwoLevelCompression::snapshot() const
 {
     return TwoLevelCompression{level1_.level(), level2_.level()};
-}
-
-TwoLevelSnapshot
-IncrementalTwoLevelCompression::saveState() const
-{
-    return TwoLevelSnapshot{level1_.saveState(), level2_.saveState()};
-}
-
-void
-IncrementalTwoLevelCompression::restoreState(
-    const TwoLevelSnapshot &snap)
-{
-    CTA_REQUIRE(snap.level1.table.table.size() ==
-                    snap.level2.table.table.size(),
-                "two-level snapshot with mismatched token counts: ",
-                snap.level1.table.table.size(), " vs ",
-                snap.level2.table.table.size());
-    level1_.restoreState(snap.level1);
-    level2_.restoreState(snap.level2);
 }
 
 TwoLevelDelta
@@ -497,6 +398,15 @@ IncrementalTwoLevelCompression::saveDelta(
 void
 IncrementalTwoLevelCompression::restoreDelta(const TwoLevelDelta &delta)
 {
+    // Both levels hold one entry per token: a delta whose levels
+    // would end at different lengths is corrupt, not restorable.
+    const CompressionLevelDelta &l1 = delta.level1;
+    const CompressionLevelDelta &l2 = delta.level2;
+    CTA_REQUIRE(l1.baseTokens == l2.baseTokens &&
+                    l1.tableSuffix.size() == l2.tableSuffix.size(),
+                "two-level delta with mismatched token counts: ",
+                l1.baseTokens, " + ", l1.tableSuffix.size(), " vs ",
+                l2.baseTokens, " + ", l2.tableSuffix.size());
     level1_.restoreDelta(delta.level1);
     level2_.restoreDelta(delta.level2);
 }
@@ -511,8 +421,7 @@ IncrementalTwoLevelCompression::shareTrees()
 std::size_t
 IncrementalTwoLevelCompression::stateBytes() const
 {
-    return level1_.stateBytes() + level2_.stateBytes() +
-           scratchBytes();
+    return level1_.stateBytes() + level2_.stateBytes();
 }
 
 TwoLevelCompression

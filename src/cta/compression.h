@@ -79,21 +79,6 @@ core::Matrix reconstruct(const CompressionLevel &level);
 core::Matrix reconstruct(const TwoLevelCompression &compression);
 
 /**
- * Serializable state of one IncrementalCompression level. Centroids
- * are deliberately absent: append() always recomputes a touched
- * centroid row as sum * (1/count) from the running member sums, so
- * restoreState() re-derives every row with the same expression and
- * lands on bit-identical values — the snapshot stays roughly half the
- * size of the live level.
- */
-struct CompressionLevelSnapshot
-{
-    ClusterTableSnapshot table;
-    core::Matrix sums;                 ///< numClusters x d member sums
-    std::vector<core::Index> members;  ///< per-cluster member counts
-};
-
-/**
  * Delta state of one compression level against a shared-prefix base:
  * everything the level accumulated past the fork point, plus the base
  * rows the child diverged from (a cluster diverges when the child
@@ -102,12 +87,13 @@ struct CompressionLevelSnapshot
  * token changes the count, and hence the centroid, without changing
  * the sum). With no base (baseTokens == baseClusters == 0) the delta
  * is a complete snapshot: restoreDelta() then rebuilds from empty.
+ * The delta is the only form a level's state leaves in.
  *
- * Centroids are absent for the same reason as in
- * CompressionLevelSnapshot: every centroid row is always written as
- * sum * (1/count), so recomputing diverged and appended rows lands on
- * bit-identical values, and non-diverged rows still live in pages
- * shared with the base.
+ * Centroids are deliberately absent: every centroid row is always
+ * written as sum * (1/count), so recomputing diverged and appended
+ * rows lands on bit-identical values, and non-diverged rows still
+ * live in pages shared with the base. The trie is absent too: the
+ * first-seen codes rebuild it (IncrementalClusterTable).
  */
 struct CompressionLevelDelta
 {
@@ -126,13 +112,14 @@ struct CompressionLevelDelta
 };
 
 /**
- * One streaming compression level for autoregressive decode: append()
- * hashes just the new token, inserts its code into the live cluster
- * tree, adds it into the cluster's running sum and refreshes only the
- * touched centroid row — O(l*d) per token instead of the O(n*l*d)
+ * One streaming compression level for autoregressive decode:
+ * appendBatch() hashes just the new tokens (a prompt, or a decode
+ * step's one row), inserts their codes into the live cluster tree,
+ * adds each into its cluster's running sum and refreshes only the
+ * touched centroid rows — O(l*d) per token instead of the O(n*l*d)
  * full recompression compressTokens() pays per call.
  *
- * Equivalence contract: level() after any number of appends is
+ * Equivalence contract: level() after any sequence of batches is
  * bit-identical to compressTokens() over the same token prefix. The
  * table matches because tree assignment is order-streaming; centroids
  * match because each cluster's sum accumulates its members in
@@ -151,22 +138,19 @@ class IncrementalCompression
     IncrementalCompression(std::shared_ptr<const LshParams> params,
                            std::shared_ptr<core::PageArena> arena);
 
-    /** Appends one token (length dim()); updates tree + centroid.
-     *  Returns the cluster the token joined. */
-    core::Index append(std::span<const core::Real> token,
-                       core::OpCounts *counts = nullptr);
-
     /**
-     * Appends every row of @p tokens in order, bit-identical to one
-     * append() per row: the rows are hashed as one batch (hashRows,
-     * one "lsh.hash" span), their codes inserted in one pass
-     * (IncrementalClusterTable::appendBatch), then each token's
-     * running sum and centroid update in token order. clusters[i]
-     * receives the cluster row i joined. When @p residuals is
-     * non-null (rows x dim()),
-     * its row i receives token i minus its cluster's centroid right
-     * after token i's update — the frozen-at-insertion level-2
-     * residual of IncrementalTwoLevelCompression.
+     * Appends every row of @p tokens in order: the rows are hashed as
+     * one batch (hashRows, one "lsh.hash" span), their codes inserted
+     * in one pass (IncrementalClusterTable::appendBatch), then each
+     * token's running sum and centroid update in token order, so any
+     * split of a token sequence into batches lands on the same state.
+     * clusters[i] receives the cluster row i joined. When
+     * @p residuals is non-null (rows x dim()), its row i receives
+     * token i minus its cluster's centroid right after token i's
+     * update — the frozen-at-insertion level-2 residual of
+     * IncrementalTwoLevelCompression. The code buffer is thread-local
+     * and reused, so a warm append allocates only when its state
+     * grows.
      */
     void appendBatch(const core::Matrix &tokens,
                      std::span<core::Index> clusters,
@@ -203,16 +187,6 @@ class IncrementalCompression
         return members_;
     }
 
-    /** Compact serializable state (no centroids, no trie). */
-    CompressionLevelSnapshot saveState() const;
-
-    /**
-     * Replaces the live state with @p snap, recomputing centroids
-     * from the member sums. Subsequent appends are bit-identical to a
-     * level that was never snapshotted (tests/serve_test.cc).
-     */
-    void restoreState(const CompressionLevelSnapshot &snap);
-
     /**
      * Delta against @p base (a frozen shared-prefix donor this level
      * was forked from), or a complete snapshot when @p base is null.
@@ -232,15 +206,9 @@ class IncrementalCompression
     void shareTree() { table_.shareTree(); }
 
     /** Privately-owned heap footprint of the live level: solely-owned
-     *  pages, page indexes, member counts, overlay trie, scratch.
-     *  Shared pages and shared base trees are priced elsewhere. */
+     *  pages, page indexes, member counts and overlay trie. Shared
+     *  pages and shared base trees are priced elsewhere. */
     std::size_t stateBytes() const;
-
-    /** Scratch buffers (hash code buffer). */
-    std::size_t scratchBytes() const
-    {
-        return codeBuf_.capacity() * sizeof(std::int32_t);
-    }
 
     /** Footprint of the frozen shared cluster tree, if any. */
     std::size_t sharedTreeBytes() const
@@ -260,22 +228,6 @@ class IncrementalCompression
     core::PagedRows sums_;      ///< numClusters x d member sums
     core::PagedRows centroids_; ///< numClusters x d means
     std::vector<core::Index> members_;
-    std::vector<std::int32_t> codeBuf_;
-};
-
-/** The clusters one token joined in an incremental two-level
- *  compression. */
-struct TwoLevelAppendResult
-{
-    core::Index level1 = 0;
-    core::Index level2 = 0;
-};
-
-/** Serializable state of an IncrementalTwoLevelCompression. */
-struct TwoLevelSnapshot
-{
-    CompressionLevelSnapshot level1;
-    CompressionLevelSnapshot level2;
 };
 
 /** Delta state of both levels against a shared-prefix base. */
@@ -311,16 +263,14 @@ class IncrementalTwoLevelCompression
         std::shared_ptr<const LshParams> params2,
         std::shared_ptr<core::PageArena> arena);
 
-    /** Appends one KV token to both levels. */
-    TwoLevelAppendResult append(std::span<const core::Real> token,
-                                core::OpCounts *counts = nullptr);
-
     /**
-     * Appends every row of @p tokens, bit-identical to one append()
-     * per row: level 1 takes the whole batch (one batch hash, then
-     * in-order inserts that also freeze each token's residual), then
-     * level 2 takes the batch of residuals. Row i's clusters land in
-     * level1[i] and level2[i]. One "compress.append" span per batch.
+     * Appends every row of @p tokens to both levels — the only way
+     * tokens enter: level 1 takes the whole batch (one batch hash,
+     * then in-order inserts that also freeze each token's residual),
+     * then level 2 takes the batch of residuals (thread-local
+     * scratch). Row i's clusters land in level1[i] and level2[i]. One
+     * "compress.append" span per batch; compress.appended_tokens
+     * counts rows.
      */
     void appendBatch(const core::Matrix &tokens,
                      std::span<core::Index> level1,
@@ -333,18 +283,15 @@ class IncrementalTwoLevelCompression
     /** Copies the current state into a batch TwoLevelCompression. */
     TwoLevelCompression snapshot() const;
 
-    /** Compact serializable state of both levels (for eviction). */
-    TwoLevelSnapshot saveState() const;
-
-    /** Restores both levels from @p snap; appends afterwards are
-     *  bit-identical to a never-snapshotted instance. */
-    void restoreState(const TwoLevelSnapshot &snap);
-
-    /** Delta of both levels against @p base (null -> full). */
+    /** Delta of both levels against @p base (null -> full). The
+     *  only form the state leaves in (eviction, tests). */
     TwoLevelDelta
     saveDelta(const IncrementalTwoLevelCompression *base) const;
 
-    /** Applies @p delta on top of the current (base) state. */
+    /** Applies @p delta on top of the current (base) state; appends
+     *  afterwards are bit-identical to an instance that never left.
+     *  Fatal when the two levels would end at different token
+     *  counts. */
     void restoreDelta(const TwoLevelDelta &delta);
 
     /** Freezes both cluster tries into shared bases (fork donors). */
@@ -353,12 +300,6 @@ class IncrementalTwoLevelCompression
     /** Privately-owned heap footprint of both live levels (see
      *  IncrementalCompression::stateBytes). */
     std::size_t stateBytes() const;
-
-    /** Scratch buffers owned at this layer (residual buffer). */
-    std::size_t scratchBytes() const
-    {
-        return residualBuf_.capacity() * sizeof(core::Real);
-    }
 
     /** Footprint of the frozen shared cluster trees, if any. */
     std::size_t sharedTreeBytes() const
@@ -372,7 +313,6 @@ class IncrementalTwoLevelCompression
   private:
     IncrementalCompression level1_;
     IncrementalCompression level2_;
-    std::vector<core::Real> residualBuf_;
 };
 
 /**

@@ -144,41 +144,13 @@ constexpr Index kHashLanes = 2 * core::kSimdDotRows;
 } // namespace
 
 void
-hashToken(std::span<const Real> token, const LshParams &params,
-          std::span<std::int32_t> code, core::OpCounts *counts)
-{
-    // Deliberately uninstrumented: this leaf is the per-token hot
-    // path, and even disabled macros here cost several percent of
-    // serve throughput by inhibiting its optimization. Callers carry
-    // the "lsh.hash" span and the lsh.tokens_hashed counter instead.
-    const Index l = params.hashLen();
-    const Index d = params.dim();
-    CTA_REQUIRE(static_cast<Index>(token.size()) == d, "token dim ",
-                token.size(), " != LSH dim ", d);
-    CTA_REQUIRE(static_cast<Index>(code.size()) == l, "code length ",
-                code.size(), " != hash length ", l);
-    const Real inv_w = 1.0f / params.w;
-    // One hash direction per lane: dots[j] is direction j's Wide
-    // chain sum_k Wide(a[j][k]) * token[k], k ascending.
-    const Real *dirs[kHashLanes];
-    Wide dots[kHashLanes];
-    for (Index j0 = 0; j0 < l; j0 += kHashLanes) {
-        const Index m = std::min(kHashLanes, l - j0);
-        for (Index j = 0; j < m; ++j)
-            dirs[j] = params.a.row(j0 + j).data();
-        core::simdDotRows(token.data(), dirs, m, d, dots);
-        for (Index j = 0; j < m; ++j)
-            code[static_cast<std::size_t>(j0 + j)] =
-                bucketOf(dots[j], params.b(j0 + j, 0), inv_w);
-    }
-    maybePerturb(code);
-    chargeHash(counts, 1, l, d);
-}
-
-void
 hashRows(const Matrix &x, const LshParams &params,
          std::span<std::int32_t> codes, core::OpCounts *counts)
 {
+    // Deliberately uninstrumented: a decode step hashes one row here,
+    // and even disabled macros cost several percent of serve
+    // throughput by inhibiting this leaf's optimization. Callers carry
+    // the "lsh.hash" span and the lsh.tokens_hashed counter instead.
     const Index n = x.rows();
     const Index l = params.hashLen();
     const Index d = params.dim();
@@ -187,28 +159,44 @@ hashRows(const Matrix &x, const LshParams &params,
     CTA_REQUIRE(static_cast<Index>(codes.size()) == n * l,
                 "code storage ", codes.size(), " != ", n, " x ", l);
     const Real inv_w = 1.0f / params.w;
-    // One token per lane: for each direction j, dots[i] is token i's
-    // chain — the same per-element sequence hashToken() runs with one
-    // direction per lane (multiplication commutes exactly here: the
-    // product of two widened floats is exact in a double).
     const Real *rows[kHashLanes];
     Wide dots[kHashLanes];
-    for (Index i0 = 0; i0 < n; i0 += kHashLanes) {
-        const Index m = std::min(kHashLanes, n - i0);
-        for (Index i = 0; i < m; ++i)
-            rows[i] = x.row(i0 + i).data();
-        for (Index j = 0; j < l; ++j) {
-            core::simdDotRows(params.a.row(j).data(), rows, m, d, dots);
-            const Real bias = params.b(j, 0);
+    if (n < l) {
+        // Fewer tokens than directions (a decode step's single row):
+        // one direction per lane, so dots[j] is direction j's chain
+        // sum_k Wide(a[j][k]) * x[i][k], k ascending.
+        for (Index i = 0; i < n; ++i)
+            for (Index j0 = 0; j0 < l; j0 += kHashLanes) {
+                const Index m = std::min(kHashLanes, l - j0);
+                for (Index j = 0; j < m; ++j)
+                    rows[j] = params.a.row(j0 + j).data();
+                core::simdDotRows(x.row(i).data(), rows, m, d, dots);
+                for (Index j = 0; j < m; ++j)
+                    codes[static_cast<std::size_t>(i * l + j0 + j)] =
+                        bucketOf(dots[j], params.b(j0 + j, 0), inv_w);
+            }
+    } else {
+        // One token per lane: for each direction j, dots[i] is token
+        // i's chain — the same per-element sequence as above
+        // (multiplication commutes exactly here: the product of two
+        // widened floats is exact in a double).
+        for (Index i0 = 0; i0 < n; i0 += kHashLanes) {
+            const Index m = std::min(kHashLanes, n - i0);
             for (Index i = 0; i < m; ++i)
-                codes[static_cast<std::size_t>((i0 + i) * l + j)] =
-                    bucketOf(dots[i], bias, inv_w);
+                rows[i] = x.row(i0 + i).data();
+            for (Index j = 0; j < l; ++j) {
+                core::simdDotRows(params.a.row(j).data(), rows, m, d,
+                                  dots);
+                const Real bias = params.b(j, 0);
+                for (Index i = 0; i < m; ++i)
+                    codes[static_cast<std::size_t>((i0 + i) * l + j)] =
+                        bucketOf(dots[i], bias, inv_w);
+            }
         }
-        for (Index i = 0; i < m; ++i)
-            maybePerturb(codes.subspan(
-                static_cast<std::size_t>((i0 + i) * l),
-                static_cast<std::size_t>(l)));
     }
+    for (Index i = 0; i < n; ++i)
+        maybePerturb(codes.subspan(static_cast<std::size_t>(i * l),
+                                   static_cast<std::size_t>(l)));
     chargeHash(counts, n, l, d);
 }
 

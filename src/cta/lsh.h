@@ -76,9 +76,9 @@ struct LshParams
 };
 
 /**
- * Hashes every row of @p x (n x d), producing an n x l HashMatrix.
- * Runs core::simdDotRows with one token per lane, so each token's
- * code is bit-identical to hashToken() on that row alone.
+ * Hashes every row of @p x (n x d), producing an n x l HashMatrix
+ * (hashRows under an "lsh.hash_batch" span and the lsh.tokens_hashed
+ * count).
  *
  * Charges l*n*d MACs (the A.X^T product, counting the bias add into
  * the MAC chain), l*n adds and l*n floor/divide pairs — matching the
@@ -96,25 +96,20 @@ HashMatrix hashTokens(const core::Matrix &x, const LshParams &params,
  * hashTokens() into caller-owned storage, without its trace span and
  * lsh.tokens_hashed count — for callers that carry both themselves
  * (the incremental levels' batch append). @p codes holds n x l
- * buckets row-major. Same arithmetic, fault draws and op counts.
+ * buckets row-major.
+ *
+ * Each bucket is floor((sum over k ascending of Wide(a[j][k]) *
+ * x[i][k] + b[j]) * (1/w)), one core::simdDotRows chain per (token,
+ * direction). The batch's shape picks the lane orientation: fewer
+ * rows than directions (a decode step's single row) run one direction
+ * per lane, otherwise one token per lane. Both perform every chain's
+ * exact scalar sequence, so a token's code depends on nothing but
+ * the token and the parameters — hashing a prefix one row at a time
+ * gives the codes of hashing it whole (tests/lsh_property_test).
+ * Same fault draws (one per token) and op counts either way.
  */
 void hashRows(const core::Matrix &x, const LshParams &params,
               std::span<std::int32_t> codes,
               core::OpCounts *counts = nullptr);
-
-/**
- * Hashes a single token into @p code (length hashLen()), running
- * core::simdDotRows with one hash direction per lane. Each bucket is
- * floor((sum over k ascending of Wide(a[j][k]) * token[k] + b[j]) *
- * (1/w)) — the exact per-row computation of hashTokens, which runs
- * the same kernel with one token per lane. A token's hash depends on
- * nothing but the token and the parameters, so hashing tokens one at
- * a time as a decode session appends them produces bit-identical
- * codes to batch-hashing the whole prefix (tests/lsh_property_test).
- * Charges l*d MACs, l adds, l muls and l floors.
- */
-void hashToken(std::span<const core::Real> token,
-               const LshParams &params, std::span<std::int32_t> code,
-               core::OpCounts *counts = nullptr);
 
 } // namespace cta::alg

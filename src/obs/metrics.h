@@ -15,11 +15,10 @@
  * CTA_OBS_* macro costs one relaxed atomic load and a predictable
  * branch, which is what lets them sit on per-token paths (the
  * incremental appends) without moving the serve bench — though not
- * on innermost hot leaves like hashToken, where even the disabled
+ * on innermost hot leaves like hashRows, where even the disabled
  * branch inhibits loop optimization (see DESIGN.md §4.3). When
- * enabled,
- * the macro caches the registry lookup in a function-local static,
- * so steady-state cost is the striped atomic add alone; with
+ * enabled, the macro caches the registry lookup in a function-local
+ * static, so steady-state cost is the striped atomic add alone; with
  * CTA_OBS=OFF it compiles away entirely. The direct Counter/Gauge
  * API is never gated — tests and explicit callers always record.
  */

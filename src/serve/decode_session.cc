@@ -273,6 +273,13 @@ tryDeserializeSnapshot(std::span<const std::uint8_t> bytes,
     if (out.prefixId < 0 && out.prefixTokens != 0)
         return fail("standalone session snapshot carries a prefix "
                     "token count");
+    // Both levels hold one table entry per token, so they must start
+    // and end at the same token counts.
+    if (out.kv.level1.baseTokens != out.kv.level2.baseTokens ||
+        out.kv.level1.tableSuffix.size() !=
+            out.kv.level2.tableSuffix.size())
+        return fail("session snapshot levels hold different token "
+                    "counts");
     *snap = std::move(out);
     return true;
 }
@@ -397,6 +404,32 @@ reprojectIds()
     return ids;
 }
 
+/**
+ * The rows a session ingests for @p tokens. Same policy as
+ * FxpFormat::encode: a non-finite element carries no usable signal,
+ * so it is pinned to zero rather than poisoning every centroid it
+ * would ever touch. Clean rows are returned as they are; the first
+ * dirty row copies the batch into @p cleaned.
+ */
+const Matrix &
+sanitized(const Matrix &tokens, Matrix &cleaned)
+{
+    const Matrix *rows = &tokens;
+    for (Index i = 0; i < tokens.rows(); ++i) {
+        if (spanFinite(tokens.row(i)))
+            continue;
+        if (rows == &tokens) {
+            cleaned = tokens;
+            rows = &cleaned;
+        }
+        for (Real &v : cleaned.row(i))
+            if (!std::isfinite(v))
+                v = 0;
+        CTA_OBS_COUNT("serve.sanitized_tokens", 1);
+    }
+    return *rows;
+}
+
 } // namespace
 
 void
@@ -428,14 +461,35 @@ DecodeSession::replayPairs(Index from)
 }
 
 void
-DecodeSession::ingest(std::span<const Real> token, OpCounts *counts)
+DecodeSession::ingest(const Matrix &rows, OpCounts *counts)
 {
-    const alg::TwoLevelAppendResult r = kv_.append(token, counts);
-    // Only the two centroids this token touched changed; refresh
-    // exactly those cached projection rows.
-    reproject(kv_.level1(), {&r.level1, 1}, kBar1_, vBar1_, counts);
-    reproject(kv_.level2(), {&r.level2, 1}, kBar2_, vBar2_, counts);
-    pairs_.add(r.level1, r.level2);
+    const auto n = static_cast<std::size_t>(rows.rows());
+    thread_local std::vector<Index> c1;
+    thread_local std::vector<Index> c2;
+    c1.resize(n);
+    c2.resize(n);
+    kv_.appendBatch(rows, c1, c2, counts);
+    pairs_.addBatch(c1, c2);
+    // A cached row only has to hold the projection of its cluster's
+    // *final* centroid — a write per token would be overwritten by the
+    // next — so each touched or new centroid is re-projected once,
+    // after the whole batch is in.
+    const auto reprojectTouched =
+        [&](const alg::IncrementalCompression &level,
+            const std::vector<Index> &clusters, core::PagedRows &k_rows,
+            core::PagedRows &v_rows) {
+            std::vector<Index> &ids = reprojectIds();
+            ids.assign(clusters.begin(), clusters.end());
+            std::sort(ids.begin(), ids.end());
+            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+            reproject(level, ids, k_rows, v_rows, counts);
+        };
+    reprojectTouched(kv_.level1(), c1, kBar1_, vBar1_);
+    reprojectTouched(kv_.level2(), c2, kBar2_, vBar2_);
+    if (fallback_) {
+        kCache_.appendRows(params_->wk.forward(rows, counts));
+        vCache_.appendRows(params_->wv.forward(rows, counts));
+    }
 }
 
 void
@@ -449,49 +503,8 @@ DecodeSession::prefill(const Matrix &tokens)
     frozen_.reset(); // state mutates; any cached fork donor is stale
     const std::uint64_t faultsBefore = fault::threadInjections();
     OpCounts ops;
-    // Same policy as FxpFormat::encode: a non-finite element carries
-    // no usable signal, so pin it to zero rather than poisoning every
-    // centroid it would ever touch. Clean prompts are not copied.
     Matrix cleaned;
-    const Matrix *prompt = &tokens;
-    if (config_.qualityGuard)
-        for (Index i = 0; i < tokens.rows(); ++i) {
-            if (spanFinite(tokens.row(i)))
-                continue;
-            if (prompt == &tokens) {
-                cleaned = tokens;
-                prompt = &cleaned;
-            }
-            for (Real &v : cleaned.row(i))
-                if (!std::isfinite(v))
-                    v = 0;
-            CTA_OBS_COUNT("serve.sanitized_tokens", 1);
-        }
-    const auto n = static_cast<std::size_t>(tokens.rows());
-    std::vector<Index> c1(n);
-    std::vector<Index> c2(n);
-    kv_.appendBatch(*prompt, c1, c2, &ops);
-    pairs_.addBatch(c1, c2);
-    // A cached row only has to hold the projection of its cluster's
-    // *final* centroid — every earlier write of the token-by-token
-    // path is overwritten — so each touched or new centroid is
-    // re-projected once, after the whole prompt is in.
-    const auto reprojectTouched =
-        [&](const alg::IncrementalCompression &level,
-            const std::vector<Index> &clusters, core::PagedRows &k_rows,
-            core::PagedRows &v_rows) {
-            std::vector<Index> &ids = reprojectIds();
-            ids.assign(clusters.begin(), clusters.end());
-            std::sort(ids.begin(), ids.end());
-            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-            reproject(level, ids, k_rows, v_rows, &ops);
-        };
-    reprojectTouched(kv_.level1(), c1, kBar1_, vBar1_);
-    reprojectTouched(kv_.level2(), c2, kBar2_, vBar2_);
-    if (fallback_) {
-        kCache_.appendRows(params_->wk.forward(*prompt, &ops));
-        vCache_.appendRows(params_->wv.forward(*prompt, &ops));
-    }
+    ingest(sanitized(tokens, cleaned), &ops);
     faultTainted_ =
         faultTainted_ || fault::threadInjections() != faultsBefore;
     totalOps_ += ops;
@@ -506,43 +519,33 @@ DecodeSession::step(std::span<const Real> token)
                 "step token dim ", token.size(), " != session dim ",
                 tokenDim_);
     frozen_.reset(); // state mutates; any cached fork donor is stale
-    std::vector<Real> cleaned;
-    std::span<const Real> tok = token;
-    if (config_.qualityGuard && !spanFinite(tok)) {
-        cleaned.assign(token.begin(), token.end());
-        for (Real &v : cleaned)
-            if (!std::isfinite(v))
-                v = 0;
-        tok = cleaned;
-        CTA_OBS_COUNT("serve.sanitized_tokens", 1);
-    }
+    // The token as a one-row batch: ingested through prefill's path,
+    // then projected as the lone query.
+    Matrix row(1, tokenDim_);
+    std::copy(token.begin(), token.end(), row.row(0).begin());
+    Matrix cleaned;
+    const Matrix &q = sanitized(row, cleaned);
+    const std::span<const Real> tok = q.row(0);
     const std::uint64_t faultsBefore = fault::threadInjections();
     OpCounts ops;
     {
         CTA_TRACE_SCOPE("decode.ingest");
-        ingest(tok, &ops);
+        ingest(q, &ops);
     }
-
-    Matrix out;
-    if (fallback_) {
-        appendExactProjections(tok, &ops);
-        out = exactStep(tok, &ops);
-        faultTainted_ = faultTainted_ ||
-                        fault::threadInjections() != faultsBefore;
+    const auto finish = [&](Matrix out) {
+        faultTainted_ =
+            faultTainted_ || fault::threadInjections() != faultsBefore;
         lastStepOps_ = ops;
         totalOps_ += ops;
         return out;
-    }
+    };
+    if (fallback_)
+        return finish(exactStep(tok, &ops));
 
     // Stage 2 for the query: the lone query is its own cluster with
     // the token as centroid, so only the projection remains.
     CTA_TRACE_SCOPE("attention.decode");
-    Matrix q(1, tokenDim_);
-    std::copy(tok.begin(), tok.end(), q.row(0).begin());
     const Matrix q_bar = params_->wq.forward(q, &ops);
-
-    const Index k1 = kv_.level1().numClusters();
-    const Index k2 = kv_.level2().numClusters();
     const Index d = q_bar.cols();
 
     // Collapsed-cluster probe: a long context compressed to one
@@ -550,99 +553,40 @@ DecodeSession::step(std::span<const Real> token)
     // tokens (an LSH fault or pathological stream) and every score
     // degenerates to a single pair; exact attention is both safer
     // and, at k1 + k2 == 2, not meaningfully more expensive.
-    if (config_.qualityGuard && k1 == 1 && k2 == 1 &&
+    if (kv_.level1().numClusters() == 1 &&
+        kv_.level2().numClusters() == 1 &&
         contextLength() >= config_.guardMinContext) {
         activateFallback("collapsed clusters", tok, &ops);
-        out = exactStep(tok, &ops);
-        faultTainted_ = faultTainted_ ||
-                        fault::threadInjections() != faultsBefore;
-        lastStepOps_ = ops;
-        totalOps_ += ops;
-        return out;
+        return finish(exactStep(tok, &ops));
     }
 
-    const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
-    // Stages 3-5. Grouped: the fused kernel, one pass over the paged
+    // Stages 3-5: the fused kernel, one pass over the paged
     // projection rows — no K-bar/V-bar materialization, no
-    // intermediate matrices. Per-token: ctaAttentionFromCompression()
-    // operation for operation (the bit-exactness contract), reading
-    // the cached projections instead of reprojecting [C1; C2]. Both
-    // leave the un-normalized output row in o_row and the probability
-    // mass in row_sum; the normalization tail below is shared.
-    const Real *o_row = nullptr;
-    Real row_sum = 0;
-    Matrix o_bar; // per-token path's output storage
-    if (config_.groupedAggregation) {
-        row_sum = alg::fusedDecodeAttend(
-            q_bar, kBar1_, kBar2_, vBar1_, vBar2_, pairs_, inv_sqrt_d,
-            config_.cta.subtractRowMax,
-            core::activeBackend().gemmFmaChains(), fusedScratch_,
-            &ops);
-        o_row = fusedScratch_.out.data();
-    } else {
-        Matrix k_bar = kBar1_.toMatrix();
-        k_bar.appendRows(kBar2_.toMatrix());
-        Matrix v_bar = vBar1_.toMatrix();
-        v_bar.appendRows(vBar2_.toMatrix());
-
-        Matrix s_bar = matmulTransB(q_bar, k_bar, &ops);
-        s_bar = scale(s_bar, inv_sqrt_d, &ops);
-
-        if (config_.cta.subtractRowMax) {
-            Real *row = s_bar.row(0).data();
-            Real row_max = row[0];
-            for (Index j = 1; j < k1; ++j)
-                row_max = std::max(row_max, row[j]);
-            for (Index j = k1; j < k1 + k2; ++j)
-                row[j] -= row_max;
-            ops.cmps += static_cast<std::uint64_t>(k1 - 1);
-            ops.adds += static_cast<std::uint64_t>(k2);
-        }
-
-        Matrix ap;
-        Matrix row_sums;
-        alg::aggregateProbabilities(
-            s_bar, kv_.level1().clusters().assignments(),
-            kv_.level2().clusters().assignments(), k1, ap, row_sums,
-            &ops);
-
-        o_bar = matmul(ap, v_bar, &ops);
-        o_row = o_bar.row(0).data();
-        row_sum = row_sums(0, 0);
-    }
-
+    // intermediate matrices. It leaves the un-normalized output row
+    // in the scratch and returns the probability mass.
+    const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
+    const Real row_sum = alg::fusedDecodeAttend(
+        q_bar, kBar1_, kBar2_, vBar1_, vBar2_, pairs_, inv_sqrt_d,
+        config_.cta.subtractRowMax, core::activeBackend().gemmFmaChains(),
+        fusedScratch_, &ops);
     const Real denom = row_sum * 0.5f;
-    if (config_.qualityGuard &&
-        (!std::isfinite(denom) || denom <= 0)) {
-        // The probability mass vanished or went non-finite — the
-        // guarded replacement for the fatal assert below.
-        activateFallback("degenerate attention denominator", tok,
-                         &ops);
-        out = exactStep(tok, &ops);
-        faultTainted_ = faultTainted_ ||
-                        fault::threadInjections() != faultsBefore;
-        lastStepOps_ = ops;
-        totalOps_ += ops;
-        return out;
+    if (!std::isfinite(denom) || denom <= 0) {
+        // The probability mass vanished or went non-finite.
+        activateFallback("degenerate attention denominator", tok, &ops);
+        return finish(exactStep(tok, &ops));
     }
-    CTA_ASSERT(denom > 0, "zero attention denominator");
     const Real inv = 1.0f / denom;
-    out = Matrix(1, d);
+    Matrix out(1, d);
     Real *dst = out.row(0).data();
     for (Index j = 0; j < d; ++j)
-        dst[j] = o_row[j] * inv;
+        dst[j] = fusedScratch_.out[static_cast<std::size_t>(j)] * inv;
     ops.divs += static_cast<std::uint64_t>(d);
 
-    if (config_.qualityGuard && !alg::allFinite(out)) {
+    if (!alg::allFinite(out)) {
         activateFallback("non-finite attention output", tok, &ops);
         out = exactStep(tok, &ops);
     }
-
-    faultTainted_ =
-        faultTainted_ || fault::threadInjections() != faultsBefore;
-    lastStepOps_ = ops;
-    totalOps_ += ops;
-    return out;
+    return finish(std::move(out));
 }
 
 void
@@ -677,16 +621,6 @@ DecodeSession::activateFallback(const char *reason,
     }
     kCache_ = params_->wk.forward(approx, counts);
     vCache_ = params_->wv.forward(approx, counts);
-}
-
-void
-DecodeSession::appendExactProjections(std::span<const Real> token,
-                                      OpCounts *counts)
-{
-    Matrix t(1, tokenDim_);
-    std::copy(token.begin(), token.end(), t.row(0).begin());
-    kCache_.appendRows(params_->wk.forward(t, counts));
-    vCache_.appendRows(params_->wv.forward(t, counts));
 }
 
 Matrix
@@ -793,8 +727,8 @@ DecodeSession::restore(const SessionSnapshot &snap)
         kv_.restoreDelta(snap.kv);
 
         // The donor's pair multiset already covers the prefix tokens;
-        // replaying only the suffix performs the exact add() sequence
-        // the live forked session performed after the fork.
+        // replaying only the suffix records the pairs, in token
+        // order, the live forked session recorded after the fork.
         replayPairs(snap.prefixTokens);
 
         // Cached projections: only centroids the delta touched
@@ -826,8 +760,8 @@ DecodeSession::restore(const SessionSnapshot &snap)
         kv_.restoreDelta(snap.kv);
 
         // The pair multiset is fully determined by the two cluster
-        // tables: replaying them in token order performs the exact
-        // add() sequence the live session performed.
+        // tables: replaying them in token order records the pairs the
+        // live session recorded.
         pairs_ = alg::ClusterPairCounts(arena_);
         replayPairs(0);
 

@@ -3,29 +3,38 @@
  * One autoregressive decode stream served with CTA compression state
  * maintained *incrementally* across steps.
  *
- * Per generated token, a session:
+ * Tokens enter one way: prefill() ingests a prompt and step() its
+ * token as a batch of one, through the same path —
  *
- *   1. appends the token to its two-level KV compression (hashing
- *      only that token, inserting into the live cluster trees, and
- *      refreshing only the touched centroids — O(l*d)),
- *   2. re-projects just the touched centroid rows through W^K / W^V
+ *   1. append the rows to the two-level KV compression
+ *      (IncrementalTwoLevelCompression::appendBatch: hash only the
+ *      new rows, insert into the live cluster trees, refresh only the
+ *      touched centroids — O(l*d) per token) and their (c1, c2)
+ *      pairs to the pair multiset (ClusterPairCounts::addBatch),
+ *   2. re-project each touched centroid row once through W^K / W^V
  *      (alg::refreshProjectedRows, O(d*d) each; GEMM rows are
  *      independent under the backend determinism contract, so cached
  *      rows stay bit-identical to a full forward over the centroid
- *      matrix),
- *   3. runs CTA stages 3-5 for the single new query against the
- *      cached compressed projections — O((k1+k2)*d) scores/output
- *      plus O(pairs) grouped probability aggregation.
+ *      matrix).
  *
- * Total per-step cost is O(l*d + (k1+k2)*d + pairs) — sub-linear in
- * the context length n, versus the O(n*l*d) full recompression a
- * batch ctaAttention() call pays.
+ * A step then runs CTA stages 3-5 for the single new query against
+ * the cached compressed projections with the fused kernel
+ * (cta/fused_decode.h) — O((k1+k2)*d) scores/output plus O(pairs)
+ * grouped probability aggregation. Total per-step cost is
+ * O(l*d + (k1+k2)*d + pairs) — sub-linear in the context length n,
+ * versus the O(n*l*d) full recompression a batch ctaAttention() call
+ * pays.
+ *
+ * State leaves one way too: snapshot() writes a base-less or
+ * shared-prefix delta (IncrementalTwoLevelCompression::saveDelta),
+ * and restore() applies it.
  *
  * Equivalence contract (tests/serve_test.cc): after any number of
  * steps, kv().snapshot() is bit-identical to compressTwoLevelDecode()
- * over the same token prefix, and — with groupedAggregation off — a
- * step's output is bit-identical to ctaAttentionFromCompression()
- * over that rebuilt state with the new token as the only query.
+ * over the same token prefix, and a step's output agrees to 1e-4 with
+ * ctaAttentionFromCompression() over that rebuilt state with the new
+ * token as the only query (grouped aggregation accumulates per pair,
+ * not per token, so the two agree to rounding, not bit for bit).
  */
 
 #pragma once
@@ -54,26 +63,14 @@ struct ServeConfig
     /** The CTA scheme parameters (hash length, bucket widths, ...). */
     alg::CtaConfig cta;
     /**
-     * Aggregate attention probabilities per distinct (c1, c2) cluster
-     * pair — O(pairs) per step — instead of per context token (O(n)).
-     * Grouped steps run the fused online-softmax kernel
-     * (cta/fused_decode.h) over the cached cluster projections.
-     * Algebraically identical; accumulation order differs, so switch
-     * off for bit-level comparisons against the batch path.
+     * Collapsed-cluster probe floor of the per-session quality guard
+     * (DESIGN.md §4.5), which is always on: non-finite input tokens
+     * are sanitized to zero, and a degenerate attention denominator,
+     * a non-finite output, or fully collapsed clusters (k1 == k2 == 1)
+     * at a context of at least this many tokens permanently demote
+     * the session to exact attention instead of crashing the process.
+     * On a healthy stream none of the probes fire.
      */
-    bool groupedAggregation = true;
-    /**
-     * Per-session quality guard (DESIGN.md §4.5): non-finite input
-     * tokens are sanitized to zero, and a degenerate attention
-     * denominator, a non-finite output, or fully collapsed clusters
-     * at long context permanently demote the session to exact
-     * attention instead of crashing the process. On a healthy stream
-     * none of the probes fire and outputs are bit-identical to a
-     * guard-free build. OFF restores the fatal-assert behavior.
-     */
-    bool qualityGuard = true;
-    /** Collapsed-cluster probe floor: k1 == k2 == 1 only trips the
-     *  guard once the context is at least this many tokens. */
     core::Index guardMinContext = 4096;
 };
 
@@ -170,23 +167,20 @@ class DecodeSession
 
     /**
      * Ingests a context-token matrix (n x tokenDim), updating KV
-     * state without producing outputs. The prompt is absorbed as one
-     * batch — non-finite elements zeroed under the quality guard,
-     * IncrementalTwoLevelCompression::appendBatch, the pair multiset
-     * in token order — and then each touched or new centroid is
-     * re-projected once per level and projection. The state after it
-     * is bit-identical to step()'s token-by-token ingest of the same
-     * rows (tests/serve_test.cc). Op counts differ on purpose:
-     * totalOps() charges each touched centroid's projection once, not
+     * state without producing outputs: the prompt is one batch of
+     * the ingest path (file comment). The state after it is
+     * bit-identical to step()'s ingest of the same rows one at a time
+     * (tests/serve_test.cc). Op counts differ on purpose: totalOps()
+     * charges each touched centroid's projection once per batch, not
      * once per token.
      */
     void prefill(const core::Matrix &tokens);
 
     /**
-     * Appends @p token to the KV state and returns the CTA attention
-     * output (1 x d) of the new token attending over the whole
-     * context including itself. The single query is its own cluster,
-     * so the query "compression" is the identity.
+     * Ingests @p token as a one-row batch and returns the CTA
+     * attention output (1 x d) of the new token attending over the
+     * whole context including itself. The single query is its own
+     * cluster, so the query "compression" is the identity.
      */
     core::Matrix step(std::span<const core::Real> token);
 
@@ -237,12 +231,13 @@ class DecodeSession
      * Estimated heap bytes this session *privately* owns: solely-
      * owned arena pages of the incremental KV state and cached K/V
      * centroid projections, page indexes, the overlay tries, the
-     * pair multiset, scratch buffers, and (for fallback sessions)
-     * the exact K/V caches. Pages shared with other sessions are
-     * priced once by the arena (PageArena::sharedBytes), shared base
-     * tries once per prefix (sharedTreeBytes), and the model weights
-     * once per server (modelBytes) — every resident byte is counted
-     * exactly once across SessionManager::residentBytes().
+     * pair multiset, and (for fallback sessions) the exact K/V
+     * caches; scratch buffers are not state and are not priced.
+     * Pages shared with other sessions are priced once by the arena
+     * (PageArena::sharedBytes), shared base tries once per prefix
+     * (sharedTreeBytes), and the model weights once per server
+     * (modelBytes) — every resident byte is counted exactly once
+     * across SessionManager::residentBytes().
      */
     std::size_t stateBytes() const;
 
@@ -292,9 +287,11 @@ class DecodeSession
      *  sharedPrefix() (donor) and forkFrom() (children) only. */
     DecodeSession(const DecodeSession &other) = default;
 
-    /** KV append + touched-centroid reprojection + pair update. */
-    void ingest(std::span<const core::Real> token,
-                core::OpCounts *counts);
+    /** The one ingest path of prefill() and step(): appends the
+     *  (sanitized) @p rows to the KV state and the pair multiset,
+     *  re-projects each touched centroid once, and extends the exact
+     *  K/V caches of a fallback session. */
+    void ingest(const core::Matrix &rows, core::OpCounts *counts);
 
     /** Adds the (c1, c2) pair of every token from @p from on, in
      *  token order, to the pair multiset (restore's replay). */
@@ -313,10 +310,6 @@ class DecodeSession
     void activateFallback(const char *reason,
                           std::span<const core::Real> token,
                           core::OpCounts *counts);
-
-    /** Appends the exact K/V projections of @p token to the caches. */
-    void appendExactProjections(std::span<const core::Real> token,
-                                core::OpCounts *counts);
 
     /** Exact attention of @p token (already cached as the last K/V
      *  row) over the whole cached context; output is always finite. */

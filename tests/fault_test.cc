@@ -183,7 +183,7 @@ TEST(FaultTest, LshBucketDrawsMatchBetweenBatchAndPerTokenHashing)
     std::vector<std::int32_t> code(static_cast<std::size_t>(l));
     cta::core::Index perturbed = 0;
     for (cta::core::Index i = 0; i < n; ++i) {
-        cta::alg::hashToken(x.row(i), params, code);
+        cta::alg::hashRows(x.rowSlice(i, i + 1), params, code);
         bool differs = false;
         for (cta::core::Index j = 0; j < l; ++j) {
             EXPECT_EQ(code[static_cast<std::size_t>(j)], batch(i, j))

@@ -220,7 +220,6 @@ expectFusedMatchesUnfused(Index prefill, Index steps,
     const auto params =
         cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
 
-    ASSERT_TRUE(config.groupedAggregation);
     DecodeSession session(params, config, dim);
     session.prefill(tokens.rowSlice(0, prefill));
 

@@ -174,10 +174,10 @@ TEST(BucketSaturationTest, NanProjectionsHashToZeroBucket)
         EXPECT_EQ(codes(0, j), 0);
 }
 
-TEST(BucketSaturationTest, HashTokenMatchesHashTokens)
+TEST(BucketSaturationTest, OneRowHashRowsMatchesHashTokens)
 {
-    // The single-token path must agree bit-for-bit with the batch
-    // path — it is the decode-time building block.
+    // A one-row batch (a decode step, hashed one direction per lane)
+    // must agree bit-for-bit with the same row of a whole batch.
     Rng rng(77);
     const Index dim = 16, l = 6;
     const LshParams params = LshParams::sample(l, dim, 1.0f, rng);
@@ -185,7 +185,7 @@ TEST(BucketSaturationTest, HashTokenMatchesHashTokens)
     const auto batch = hashTokens(x, params);
     std::vector<std::int32_t> code(static_cast<std::size_t>(l));
     for (Index i = 0; i < x.rows(); ++i) {
-        cta::alg::hashToken(x.row(i), params, code);
+        cta::alg::hashRows(x.rowSlice(i, i + 1), params, code);
         for (Index j = 0; j < l; ++j)
             EXPECT_EQ(code[static_cast<std::size_t>(j)], batch(i, j));
     }
@@ -215,11 +215,13 @@ scalarBucket(const LshParams &params, Index j, const Real *token)
 
 TEST(HashOrientationTest, BothOrientationsMatchScalarChainAtEveryLevel)
 {
-    // hashTokens runs the lane-per-row kernel one token per lane,
-    // hashToken one direction per lane; both must reproduce the
-    // scalar chain bit for bit at every ISA level — for ragged token
-    // counts and directions, a depth off the 8-row block, tokens
-    // large enough to saturate the bucket cast, and NaN tokens.
+    // hashRows runs the lane-per-row kernel one direction per lane
+    // below l rows (a one-row slice here, and every batch of fewer
+    // than l tokens), one token per lane otherwise; both must
+    // reproduce the scalar chain bit for bit at every ISA level — for
+    // ragged token counts and directions, a depth off the 8-row
+    // block, tokens large enough to saturate the bucket cast, and NaN
+    // tokens.
     using cta::core::SimdLevel;
     std::vector<Index> counts;
     for (Index n = 1; n <= 17; ++n)
@@ -248,7 +250,8 @@ TEST(HashOrientationTest, BothOrientationsMatchScalarChainAtEveryLevel)
                     std::vector<std::int32_t> code(
                         static_cast<std::size_t>(l));
                     for (Index i = 0; i < n; ++i) {
-                        cta::alg::hashToken(x.row(i), params, code);
+                        cta::alg::hashRows(x.rowSlice(i, i + 1), params,
+                                           code);
                         for (Index j = 0; j < l; ++j) {
                             const std::int32_t want =
                                 scalarBucket(params, j, x.row(i).data());

@@ -110,18 +110,6 @@ TEST(QualityGuardTest, CollapsedClustersFallBackFinitelyCountedOnce)
     EXPECT_EQ(session.contextLength(), 10);
 }
 
-TEST(QualityGuardTest, GuardOffLeavesTheCompressedPathAlone)
-{
-    ServeConfig config = guardedConfig();
-    config.qualityGuard = false;
-    DecodeSession session(headParams(), config, kDim);
-    session.prefill(identicalTokens(8));
-    const Matrix token = identicalTokens(1);
-    const Matrix out = session.step(token.row(0));
-    EXPECT_FALSE(session.fallbackActive());
-    EXPECT_TRUE(cta::alg::allFinite(out));
-}
-
 TEST(QualityGuardTest, HealthyStreamNeverTripsTheGuard)
 {
     DecodeSession session(headParams(), ServeConfig{}, kDim);

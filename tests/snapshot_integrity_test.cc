@@ -45,16 +45,37 @@ sampleTokens(Index n, std::uint64_t seed)
     return gen.sampleTokens();
 }
 
-/** A small but real snapshot blob (non-trivial cluster state). */
+cta::nn::AttentionHeadParams
+headParams()
+{
+    Rng rng(3);
+    return cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
+}
+
+/** A small but real snapshot (non-trivial cluster state). */
+SessionSnapshot
+sampleSnapshot()
+{
+    DecodeSession session(headParams(), ServeConfig{}, kDim);
+    session.prefill(sampleTokens(6, 77));
+    return session.snapshot();
+}
+
+/** sampleSnapshot() as a blob. */
 std::vector<std::uint8_t>
 sampleBlob()
 {
-    Rng rng(3);
-    const auto params =
-        cta::nn::AttentionHeadParams::randomInit(kDim, kHeadDim, rng);
-    DecodeSession session(params, ServeConfig{}, kDim);
-    session.prefill(sampleTokens(6, 77));
-    return cta::serve::serializeSnapshot(session.snapshot());
+    return cta::serve::serializeSnapshot(sampleSnapshot());
+}
+
+/** sampleSnapshot() with one level-2 table entry more than level 1. */
+SessionSnapshot
+unevenSnapshot()
+{
+    SessionSnapshot snap = sampleSnapshot();
+    snap.kv.level2.tableSuffix.push_back(
+        snap.kv.level2.tableSuffix.back());
+    return snap;
 }
 
 /** Rewrites the CRC-32 trailer so the checksum matches the (possibly
@@ -168,6 +189,30 @@ TEST(SnapshotIntegrityTest, ForgedChecksumStillRejectsBadStructure)
         cta::serve::tryDeserializeSnapshot(lied, &snap, nullptr));
 }
 
+TEST(SnapshotIntegrityTest, ForgedChecksumRejectsLevelsThatDisagree)
+{
+    // The two levels hold one table entry per token. Levels that
+    // start or end at different token counts behind a valid CRC must
+    // be refused, not restored into a session whose levels disagree.
+    auto blob = cta::serve::serializeSnapshot(unevenSnapshot());
+    forgeCrc(blob);
+    SessionSnapshot snap;
+    std::string error;
+    EXPECT_FALSE(
+        cta::serve::tryDeserializeSnapshot(blob, &snap, &error));
+    EXPECT_NE(error.find("token counts"), std::string::npos) << error;
+
+    // Level 1's baseTokens (int64) follows the 32-byte header.
+    auto shifted = sampleBlob();
+    const std::int64_t base = 1;
+    std::memcpy(shifted.data() + 32, &base, sizeof(base));
+    forgeCrc(shifted);
+    error.clear();
+    EXPECT_FALSE(
+        cta::serve::tryDeserializeSnapshot(shifted, &snap, &error));
+    EXPECT_NE(error.find("token counts"), std::string::npos) << error;
+}
+
 TEST(SnapshotIntegrityTest, LegacyVersionsRejectedWithVersionedError)
 {
     // Pre-v3 blobs (flat snapshots without prefix deltas) are no
@@ -207,6 +252,15 @@ TEST(SnapshotIntegrityDeathTest, FatalVariantAbortsOnCorruption)
     auto blob = sampleBlob();
     blob[blob.size() / 2] ^= 0xFF;
     EXPECT_DEATH(cta::serve::deserializeSnapshot(blob), "");
+}
+
+TEST(SnapshotIntegrityDeathTest, RestoreAbortsOnLevelsThatDisagree)
+{
+    // A delta handed to restore() without the codec's checks still
+    // never restores two levels of different lengths.
+    DecodeSession session(headParams(), ServeConfig{}, kDim);
+    EXPECT_DEATH(session.restore(unevenSnapshot()),
+                 "mismatched token counts");
 }
 
 } // namespace
