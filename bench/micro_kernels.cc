@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the CTA kernel library: LSH
  * hashing, cluster-tree maintenance, centroid aggregation,
- * probability aggregation, exact vs CTA attention, and ELSA
- * attention. These measure the *host* implementation (useful for
+ * probability aggregation, exact vs CTA attention, ELSA attention,
+ * the snapshot CRC-32 and a serving session's evict/restore round
+ * trip. These measure the *host* implementation (useful for
  * regression tracking of the simulator itself), not accelerator
  * cycles.
  *
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "core/backend.h"
+#include "core/crc32.h"
 #include "core/logging.h"
 #include "core/matrix.h"
 #include "core/page_arena.h"
@@ -36,6 +38,7 @@
 #include "nn/workload.h"
 #include "obs/trace.h"
 #include "serve/decode_session.h"
+#include "serve/session_manager.h"
 
 namespace {
 
@@ -339,6 +342,59 @@ BM_FusedDecodeAttend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * (k1 + k2));
 }
 BENCHMARK(BM_FusedDecodeAttend)->Arg(512)->Arg(1024);
+
+/** core::crc32 over a 28 KiB buffer — about the mean evicted CTAS
+ *  blob of the fork/resume serving workload. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> bytes(28 * 1024);
+    Rng rng(23);
+    for (std::uint8_t &b : bytes)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    for (auto _ : state) {
+        const std::uint32_t crc =
+            cta::core::crc32(bytes.data(), bytes.size());
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One evict -> blob -> restore round trip of a session forked from a
+ * 512-token prompt and carrying 40 private tokens, at token and head
+ * dim 64 under the CTA-0.5 operating point calibrated on the prompt:
+ * SessionManager::evict (delta, CTAS encode, free) then acquire
+ * (decode, fork, delta restore, pair replay, re-projection). The
+ * prefix donor stays resident, as in a budgeted server whose shared
+ * prompts are hot. Single-threaded; µs per round trip.
+ */
+void
+BM_SessionRoundTrip(benchmark::State &state)
+{
+    constexpr Index kPrompt = 512, kPrivate = 40, kDim = 64;
+    const Matrix tokens = clusteredTokens(kPrompt + kPrivate, kDim, 7);
+    const Matrix prompt = tokens.rowSlice(0, kPrompt);
+    Rng rng(8);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kDim, rng);
+    cta::serve::ServeConfig config;
+    config.cta =
+        cta::alg::calibrate(prompt, prompt, cta::alg::Preset::Cta05);
+    cta::serve::SessionManager manager(params, config, kDim, 0);
+    const Index parent = manager.createSession(prompt);
+    const Index child = manager.forkSession(parent);
+    for (Index i = kPrompt; i < tokens.rows(); ++i)
+        manager.acquire(child).step(tokens.row(i));
+    for (auto _ : state) {
+        manager.evict(child);
+        benchmark::DoNotOptimize(&manager.acquire(child));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionRoundTrip)->Unit(benchmark::kMicrosecond);
 
 /** One GEMM sweep point: median-of-reps wall time on one backend. */
 struct GemmPoint

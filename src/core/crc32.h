@@ -1,7 +1,10 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3 polynomial, reflected) — the integrity check
- * appended to every serialized session snapshot (CTAS v2 blobs).
+ * appended to every serialized session snapshot (CTAS blobs).
+ * Computed slicing-by-8: eight table lookups fold in each 8-byte
+ * block (unaligned input is fine), with a bytewise tail — the same
+ * value as the one-lookup-per-byte loop at about a fifth of its cost.
  *
  * A 32-bit CRC detects every single-bit and single-byte error, every
  * burst up to 32 bits, and misses a random multi-byte corruption with

@@ -21,7 +21,7 @@ PageArena::pageBytesFromEnv()
 }
 
 PageRef
-PageArena::allocateLocked()
+PageArena::allocateLocked(bool zero)
 {
     std::uint32_t id;
     if (!freeList_.empty()) {
@@ -37,8 +37,10 @@ PageArena::allocateLocked()
     if (!p.data)
         p.data = std::make_unique<std::byte[]>(pageBytes_);
     // Zero on every allocation — including free-list reuse — so
-    // buffer contents depend only on writes, never on history.
-    std::memset(p.data.get(), 0, pageBytes_);
+    // buffer contents depend only on writes, never on history. A
+    // copy-on-write page skips it: the copy overwrites every byte.
+    if (zero)
+        std::memset(p.data.get(), 0, pageBytes_);
     p.refs.store(1, std::memory_order_release);
     ++livePages_;
     ++allocated_;
@@ -49,7 +51,7 @@ PageRef
 PageArena::allocate()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return allocateLocked();
+    return allocateLocked(true);
 }
 
 void
@@ -115,7 +117,7 @@ PageArena::makeWritable(const PageRef &ref)
     // reference between the check above and acquiring the mutex.
     if (ref.refs->load(std::memory_order_acquire) == 1)
         return ref;
-    PageRef fresh = allocateLocked();
+    PageRef fresh = allocateLocked(false);
     std::memcpy(fresh.data, ref.data, pageBytes_);
     releaseLocked(ref);
     ++cowCopies_;

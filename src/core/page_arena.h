@@ -130,8 +130,9 @@ class PageArena
             ->pages[id % kPagesPerSegment];
     }
 
-    /** Allocates with the lock held. */
-    PageRef allocateLocked();
+    /** Allocates with the lock held; @p zero clears the page (every
+     *  caller but a copy-on-write, which overwrites all of it). */
+    PageRef allocateLocked(bool zero);
     void releaseLocked(const PageRef &ref);
 
     const std::size_t pageBytes_;

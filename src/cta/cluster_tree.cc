@@ -165,6 +165,18 @@ IncrementalClusterTable::assignCode(
     return cluster;
 }
 
+Index
+IncrementalClusterTable::find(std::span<const std::int32_t> code) const
+{
+    if (base_) {
+        const Index hit = base_->find(code);
+        if (hit >= 0)
+            return hit;
+    }
+    const Index hit = overlay_.find(code);
+    return hit >= 0 ? baseClusters_ + hit : -1;
+}
+
 void
 IncrementalClusterTable::appendBatch(std::span<const std::int32_t> codes,
                                      std::span<Index> clusters)

@@ -218,6 +218,10 @@ class IncrementalClusterTable
     void restoreSuffix(std::span<const core::Index> table_suffix,
                        std::span<const std::int32_t> code_suffix);
 
+    /** The cluster of @p code (hashLen values), or -1 when no token
+     *  has produced it yet. Lookup only. */
+    core::Index find(std::span<const std::int32_t> code) const;
+
     /** table()[from..): the assignments a delta snapshot carries. */
     std::vector<core::Index> tableSuffix(core::Index from) const;
 

@@ -134,17 +134,28 @@ ClusterPairCounts::addBatch(std::span<const Index> c1,
         return static_cast<std::uint64_t>(a) << 32 |
                static_cast<std::uint32_t>(b);
     };
-    // The index lives only for this call, so the stored state — and
-    // a fork's page sharing — is the same whatever the batching.
+    // Index only the batch's own distinct pairs (a restore replays a
+    // few dozen against hundreds stored), then find each one's slot
+    // in a single pass over the stored pairs. The index lives only
+    // for this call, so the stored state — and a fork's page sharing
+    // — is the same whatever the batching.
+    constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
     std::unordered_map<std::uint64_t, std::size_t> index;
-    index.reserve(pairs_.size() + c1.size());
+    index.reserve(c1.size());
+    for (std::size_t t = 0; t < c1.size(); ++t)
+        index.try_emplace(key(c1[t], c2[t]), kUnseen);
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
         const Pair p = pairs_[i];
-        index.emplace(key(p.c1, p.c2), i);
+        const auto hit = index.find(key(p.c1, p.c2));
+        if (hit != index.end())
+            hit->second = i;
     }
-    for (std::size_t t = 0; t < c1.size(); ++t)
-        record(t, index.try_emplace(key(c1[t], c2[t]), pairs_.size())
-                      .first->second);
+    for (std::size_t t = 0; t < c1.size(); ++t) {
+        std::size_t &at = index.find(key(c1[t], c2[t]))->second;
+        if (at == kUnseen)
+            at = pairs_.size();
+        record(t, at);
+    }
 }
 
 std::vector<ClusterPairCounts::Pair>

@@ -204,8 +204,10 @@ class ClusterPairCounts
      * order: a new pair is appended, a seen one has its count bumped,
      * so pair order, counts and page writes do not depend on how the
      * tokens are batched. A batch of one pair (a decode step) scans
-     * the pair list linearly; a larger batch builds a per-call hash
-     * index. No index is stored — that is what makes a fork
+     * the pair list linearly; a larger batch hashes only its own
+     * distinct pairs and locates them in one pass over the stored
+     * list, so a restore's short suffix does not pay for the whole
+     * multiset. No index is stored — that is what makes a fork
      * O(shared pages).
      */
     void addBatch(std::span<const core::Index> c1,

@@ -1,5 +1,6 @@
 #include "cta/compression.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -259,52 +260,108 @@ IncrementalCompression::saveDelta(
     return delta;
 }
 
+bool
+IncrementalCompression::canRestore(const CompressionLevelDelta &delta,
+                                   bool from_empty,
+                                   std::string *error) const
+{
+    const auto fail = [error](const auto &...parts) {
+        if (error)
+            *error = core::detail::concat(parts...);
+        return false;
+    };
+    const Index d = dim();
+    const Index l = params_->hashLen();
+    const Index tokens = from_empty ? 0 : size();
+    const Index base = from_empty ? 0 : numClusters();
+    if (delta.baseTokens != tokens || delta.baseClusters != base)
+        return fail("delta base (", delta.baseTokens, " tokens, ",
+                    delta.baseClusters, " clusters) != level (", tokens,
+                    " tokens, ", base, " clusters)");
+    if (delta.codeSuffix.size() % static_cast<std::size_t>(l) != 0)
+        return fail("delta cluster codes (", delta.codeSuffix.size(),
+                    ") not a multiple of hash length ", l);
+    const Index fresh = static_cast<Index>(delta.codeSuffix.size()) / l;
+    const Index k = base + fresh;
+    if (static_cast<Index>(delta.members.size()) != k)
+        return fail("delta member counts ", delta.members.size(),
+                    " != cluster count ", k);
+    for (Index c = 0; c < k; ++c)
+        if (delta.members[static_cast<std::size_t>(c)] <= 0)
+            return fail("delta cluster ", c, " has no members");
+    for (const Index c : delta.tableSuffix)
+        if (c < 0 || c >= k)
+            return fail("delta table entry ", c, " outside [0, ", k,
+                        ")");
+    const std::vector<Index> &diverged = delta.divergedRows;
+    for (std::size_t i = 0; i < diverged.size(); ++i)
+        if (diverged[i] < 0 || diverged[i] >= base ||
+            (i > 0 && diverged[i] <= diverged[i - 1]))
+            return fail("delta diverged row ", diverged[i],
+                        " out of order or outside base [0, ", base,
+                        ")");
+    // Every base row the delta does not list keeps the base's count.
+    auto listed = diverged.begin();
+    for (Index c = 0; c < base; ++c) {
+        if (listed != diverged.end() && *listed == c) {
+            ++listed;
+            continue;
+        }
+        if (delta.members[static_cast<std::size_t>(c)] !=
+            members_[static_cast<std::size_t>(c)])
+            return fail("delta claims cluster ", c,
+                        " unchanged but member counts differ");
+    }
+    const auto shaped = [d](const Matrix &m, Index rows) {
+        return m.rows() == rows && (rows == 0 || m.cols() == d);
+    };
+    if (!shaped(delta.divergedSums,
+                static_cast<Index>(delta.divergedRows.size())))
+        return fail("delta diverged sums shape ",
+                    delta.divergedSums.rows(), "x",
+                    delta.divergedSums.cols(), " != ",
+                    delta.divergedRows.size(), "x", d);
+    if (!shaped(delta.appendedSums, fresh))
+        return fail("delta appended sums shape ",
+                    delta.appendedSums.rows(), "x",
+                    delta.appendedSums.cols(), " != ", fresh, "x", d);
+    // Each fresh code must found its own new cluster: unknown to the
+    // base and distinct from the other fresh codes.
+    const auto code = [&](Index c) {
+        return std::span<const std::int32_t>(
+            delta.codeSuffix.data() + static_cast<std::size_t>(c * l),
+            static_cast<std::size_t>(l));
+    };
+    thread_local std::vector<Index> order;
+    order.clear();
+    for (Index c = 0; c < fresh; ++c) {
+        if (!from_empty && table_.find(code(c)) >= 0)
+            return fail("delta cluster code ", c,
+                        " already names a base cluster");
+        order.push_back(c);
+    }
+    const auto less = [&](Index a, Index b) {
+        const auto ca = code(a), cb = code(b);
+        return std::lexicographical_compare(ca.begin(), ca.end(),
+                                            cb.begin(), cb.end());
+    };
+    std::sort(order.begin(), order.end(), less);
+    for (std::size_t i = 1; i < order.size(); ++i)
+        if (!less(order[i - 1], order[i]))
+            return fail("delta cluster codes ", order[i - 1], " and ",
+                        order[i], " are equal");
+    return true;
+}
+
 void
 IncrementalCompression::restoreDelta(
     const CompressionLevelDelta &delta)
 {
     const Index d = params_->dim();
-    CTA_REQUIRE(size() == delta.baseTokens,
-                "delta base has ", delta.baseTokens,
-                " tokens, level has ", size());
-    CTA_REQUIRE(numClusters() == delta.baseClusters,
-                "delta base has ", delta.baseClusters,
-                " clusters, level has ", numClusters());
+    std::string why;
+    CTA_REQUIRE(canRestore(delta, false, &why),
+                "corrupt compression delta: ", why);
     table_.restoreSuffix(delta.tableSuffix, delta.codeSuffix);
-    const Index k = numClusters();
-    CTA_REQUIRE(static_cast<Index>(delta.members.size()) == k,
-                "delta member counts ", delta.members.size(),
-                " != cluster count ", k);
-    for (const Index m : delta.members)
-        CTA_REQUIRE(m > 0, "delta cluster with no members");
-    CTA_REQUIRE(delta.appendedSums.rows() == k - delta.baseClusters &&
-                    (delta.appendedSums.rows() == 0 ||
-                     delta.appendedSums.cols() == d),
-                "delta appended sums shape ",
-                delta.appendedSums.rows(), "x",
-                delta.appendedSums.cols(), " != ",
-                k - delta.baseClusters, "x", d);
-    CTA_REQUIRE(delta.divergedSums.rows() ==
-                        static_cast<Index>(delta.divergedRows.size()) &&
-                    (delta.divergedSums.rows() == 0 ||
-                     delta.divergedSums.cols() == d),
-                "delta diverged sums shape mismatch");
-    // Non-diverged base clusters must agree with the delta's counts —
-    // a cheap consistency check that catches blob/base mismatches.
-    std::vector<bool> diverged(static_cast<std::size_t>(k), false);
-    for (const Index c : delta.divergedRows) {
-        CTA_REQUIRE(c >= 0 && c < delta.baseClusters,
-                    "delta diverged row ", c, " outside base [0, ",
-                    delta.baseClusters, ")");
-        diverged[static_cast<std::size_t>(c)] = true;
-    }
-    for (Index c = 0; c < delta.baseClusters; ++c)
-        if (!diverged[static_cast<std::size_t>(c)])
-            CTA_REQUIRE(
-                delta.members[static_cast<std::size_t>(c)] ==
-                    members_[static_cast<std::size_t>(c)],
-                "delta claims cluster ", c,
-                " unchanged but member counts differ");
     members_ = delta.members;
     const auto refreshRow = [&](Index c) {
         const Real inv =
@@ -395,18 +452,49 @@ IncrementalTwoLevelCompression::saveDelta(
         level2_.saveDelta(base ? &base->level2_ : nullptr)};
 }
 
+namespace {
+
+/** Both levels hold one entry per token: a delta whose levels would
+ *  end at different lengths is corrupt, not restorable. Empty when
+ *  they agree, else the diagnostic. */
+std::string
+levelMismatch(const TwoLevelDelta &delta)
+{
+    const CompressionLevelDelta &l1 = delta.level1;
+    const CompressionLevelDelta &l2 = delta.level2;
+    if (l1.baseTokens == l2.baseTokens &&
+        l1.tableSuffix.size() == l2.tableSuffix.size())
+        return {};
+    return core::detail::concat(
+        "two-level delta with mismatched token counts: ", l1.baseTokens,
+        " + ", l1.tableSuffix.size(), " vs ", l2.baseTokens, " + ",
+        l2.tableSuffix.size());
+}
+
+} // namespace
+
+bool
+IncrementalTwoLevelCompression::canRestore(const TwoLevelDelta &delta,
+                                           bool from_empty,
+                                           std::string *error) const
+{
+    std::string mismatch = levelMismatch(delta);
+    if (!mismatch.empty()) {
+        if (error)
+            *error = std::move(mismatch);
+        return false;
+    }
+    return level1_.canRestore(delta.level1, from_empty, error) &&
+           level2_.canRestore(delta.level2, from_empty, error);
+}
+
 void
 IncrementalTwoLevelCompression::restoreDelta(const TwoLevelDelta &delta)
 {
-    // Both levels hold one entry per token: a delta whose levels
-    // would end at different lengths is corrupt, not restorable.
-    const CompressionLevelDelta &l1 = delta.level1;
-    const CompressionLevelDelta &l2 = delta.level2;
-    CTA_REQUIRE(l1.baseTokens == l2.baseTokens &&
-                    l1.tableSuffix.size() == l2.tableSuffix.size(),
-                "two-level delta with mismatched token counts: ",
-                l1.baseTokens, " + ", l1.tableSuffix.size(), " vs ",
-                l2.baseTokens, " + ", l2.tableSuffix.size());
+    // Level-wise checks run inside each level's restoreDelta; the
+    // cross-level one runs first, before either level mutates.
+    const std::string mismatch = levelMismatch(delta);
+    CTA_REQUIRE(mismatch.empty(), mismatch);
     level1_.restoreDelta(delta.level1);
     level2_.restoreDelta(delta.level2);
 }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/matrix.h"
@@ -195,10 +196,26 @@ class IncrementalCompression
     saveDelta(const IncrementalCompression *base) const;
 
     /**
+     * The non-fatal form of every check restoreDelta() makes: true
+     * when @p delta applies on top of this level's current state or,
+     * with @p from_empty, on top of an empty level with the same
+     * parameters (a standalone snapshot). Checks the base token and
+     * cluster counts, that the fresh codes split into whole codes
+     * that found new, distinct clusters, one positive member count
+     * per cluster (unchanged for base rows the delta does not list),
+     * ascending diverged rows inside the base, table entries below
+     * the cluster count, and the sums' shapes. Reads only, so a
+     * corrupt delta is refused before any state mutates; on false
+     * @p error (when non-null) names the first inconsistency.
+     */
+    bool canRestore(const CompressionLevelDelta &delta, bool from_empty,
+                    std::string *error) const;
+
+    /**
      * Applies @p delta on top of the current state, which must be
-     * exactly the delta's base (token/cluster counts are verified
-     * fatally). For a full delta the level must be empty or is reset
-     * by the caller first.
+     * exactly the delta's base (canRestore(), verified fatally). For
+     * a full delta the level must be empty or is reset by the caller
+     * first.
      */
     void restoreDelta(const CompressionLevelDelta &delta);
 
@@ -288,10 +305,16 @@ class IncrementalTwoLevelCompression
     TwoLevelDelta
     saveDelta(const IncrementalTwoLevelCompression *base) const;
 
+    /** Non-fatal check that @p delta applies on top of the current
+     *  state (or, with @p from_empty, an empty one): both levels end
+     *  at the same token count and each passes
+     *  IncrementalCompression::canRestore. Reads only. */
+    bool canRestore(const TwoLevelDelta &delta, bool from_empty,
+                    std::string *error) const;
+
     /** Applies @p delta on top of the current (base) state; appends
      *  afterwards are bit-identical to an instance that never left.
-     *  Fatal when the two levels would end at different token
-     *  counts. */
+     *  Fatal when canRestore() would refuse it. */
     void restoreDelta(const TwoLevelDelta &delta);
 
     /** Freezes both cluster tries into shared bases (fork donors). */

@@ -32,38 +32,57 @@ constexpr std::uint8_t kBlobMagic[4] = {'C', 'T', 'A', 'S'};
 // expressed as a v3 delta without the base they were taken against).
 constexpr std::uint32_t kBlobVersion = 3;
 
-/** Appends the raw little-endian bytes of @p value. */
-template <typename T>
-void
-putScalar(std::vector<std::uint8_t> &out, T value)
+/**
+ * Sequential writer of a snapshot blob's raw little-endian fields.
+ * With no buffer it only counts, so one encoder (putSnapshot) both
+ * sizes a blob and fills it.
+ */
+class BlobWriter
 {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto at = out.size();
-    out.resize(at + sizeof(T));
-    std::memcpy(out.data() + at, &value, sizeof(T));
-}
+  public:
+    explicit BlobWriter(std::uint8_t *out = nullptr) : out_(out) {}
 
-template <typename T>
-void
-putArray(std::vector<std::uint8_t> &out, const T *data,
-         std::size_t count)
-{
-    putScalar<std::uint64_t>(out, count);
-    const auto at = out.size();
-    out.resize(at + count * sizeof(T));
-    // An empty array may come with a null data pointer, which
-    // memcpy must not be handed even for a zero count.
-    if (count > 0)
-        std::memcpy(out.data() + at, data, count * sizeof(T));
-}
+    void
+    bytes(const void *data, std::size_t size)
+    {
+        // An empty array may come with a null data pointer, which
+        // memcpy must not be handed even for a zero count.
+        if (out_ && size > 0)
+            std::memcpy(out_ + size_, data, size);
+        size_ += size;
+    }
 
-void
-putMatrix(std::vector<std::uint8_t> &out, const Matrix &m)
-{
-    putScalar<std::int64_t>(out, m.rows());
-    putScalar<std::int64_t>(out, m.cols());
-    putArray(out, m.data(), static_cast<std::size_t>(m.size()));
-}
+    template <typename T>
+    void
+    scalar(T value)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        bytes(&value, sizeof(T));
+    }
+
+    template <typename T>
+    void
+    array(const T *data, std::size_t count)
+    {
+        scalar<std::uint64_t>(count);
+        bytes(data, count * sizeof(T));
+    }
+
+    void
+    matrix(const Matrix &m)
+    {
+        scalar<std::int64_t>(m.rows());
+        scalar<std::int64_t>(m.cols());
+        array(m.data(), static_cast<std::size_t>(m.size()));
+    }
+
+    /** Bytes written (or counted) so far. */
+    std::size_t size() const { return size_; }
+
+  private:
+    std::uint8_t *out_;
+    std::size_t size_ = 0;
+};
 
 /**
  * Bounds-checked reader over a snapshot blob. Never fatal: the first
@@ -94,20 +113,31 @@ class BlobReader
         return value;
     }
 
+    /** Reads an array's element count and returns its payload bytes
+     *  in place (empty once the reader has failed). */
     template <typename T>
-    std::vector<T>
-    array()
+    std::span<const std::uint8_t>
+    arrayBytes()
     {
         const auto count = scalar<std::uint64_t>();
         if (!ok_ || count > (bytes_.size() - at_) / sizeof(T)) {
             fail("session snapshot blob array overruns the blob");
             return {};
         }
-        std::vector<T> out(static_cast<std::size_t>(count));
-        if (count > 0)
-            std::memcpy(out.data(), bytes_.data() + at_,
-                        out.size() * sizeof(T));
-        at_ += out.size() * sizeof(T);
+        const auto payload = bytes_.subspan(
+            at_, static_cast<std::size_t>(count) * sizeof(T));
+        at_ += payload.size();
+        return payload;
+    }
+
+    template <typename T>
+    std::vector<T>
+    array()
+    {
+        const std::span<const std::uint8_t> payload = arrayBytes<T>();
+        std::vector<T> out(payload.size() / sizeof(T));
+        if (!payload.empty())
+            std::memcpy(out.data(), payload.data(), payload.size());
         return out;
     }
 
@@ -138,33 +168,52 @@ readMatrix(BlobReader &reader)
 {
     const Index rows = reader.scalar<std::int64_t>();
     const Index cols = reader.scalar<std::int64_t>();
-    const std::vector<Real> values = reader.array<Real>();
-    if (rows < 0 || cols < 0 ||
-        static_cast<std::size_t>(rows) *
-                static_cast<std::size_t>(cols) !=
-            values.size()) {
+    const std::span<const std::uint8_t> payload =
+        reader.arrayBytes<Real>();
+    const std::size_t count = payload.size() / sizeof(Real);
+    // Shape against the (blob-bounded) value count by division, so a
+    // forged rows x cols cannot overflow into a match.
+    const bool shaped =
+        rows >= 0 && cols >= 0 &&
+        (cols == 0 ? count == 0
+                   : count % static_cast<std::size_t>(cols) == 0 &&
+                         count / static_cast<std::size_t>(cols) ==
+                             static_cast<std::size_t>(rows));
+    if (!reader.ok() || !shaped) {
         reader.fail("snapshot blob matrix shape does not match its "
                     "value count");
         return {};
     }
     Matrix out(rows, cols);
-    std::copy(values.begin(), values.end(), out.data());
+    if (count > 0)
+        std::memcpy(out.data(), payload.data(), payload.size());
     return out;
 }
 
 void
-putDelta(std::vector<std::uint8_t> &out,
-         const alg::CompressionLevelDelta &delta)
+putDelta(BlobWriter &out, const alg::CompressionLevelDelta &delta)
 {
-    putScalar<std::int64_t>(out, delta.baseTokens);
-    putScalar<std::int64_t>(out, delta.baseClusters);
-    putArray(out, delta.tableSuffix.data(), delta.tableSuffix.size());
-    putArray(out, delta.codeSuffix.data(), delta.codeSuffix.size());
-    putArray(out, delta.members.data(), delta.members.size());
-    putArray(out, delta.divergedRows.data(),
-             delta.divergedRows.size());
-    putMatrix(out, delta.divergedSums);
-    putMatrix(out, delta.appendedSums);
+    out.scalar<std::int64_t>(delta.baseTokens);
+    out.scalar<std::int64_t>(delta.baseClusters);
+    out.array(delta.tableSuffix.data(), delta.tableSuffix.size());
+    out.array(delta.codeSuffix.data(), delta.codeSuffix.size());
+    out.array(delta.members.data(), delta.members.size());
+    out.array(delta.divergedRows.data(), delta.divergedRows.size());
+    out.matrix(delta.divergedSums);
+    out.matrix(delta.appendedSums);
+}
+
+/** Everything of the blob but its CRC-32 trailer. */
+void
+putSnapshot(BlobWriter &out, const SessionSnapshot &snap)
+{
+    out.bytes(kBlobMagic, sizeof(kBlobMagic));
+    out.scalar<std::uint32_t>(kBlobVersion);
+    out.scalar<std::int64_t>(snap.tokenDim);
+    out.scalar<std::int64_t>(snap.prefixId);
+    out.scalar<std::int64_t>(snap.prefixTokens);
+    putDelta(out, snap.kv.level1);
+    putDelta(out, snap.kv.level2);
 }
 
 alg::CompressionLevelDelta
@@ -195,21 +244,18 @@ readDelta(BlobReader &reader)
 std::vector<std::uint8_t>
 serializeSnapshot(const SessionSnapshot &snap)
 {
-    std::vector<std::uint8_t> out;
-    // Reserve past the fixed header up front (also sidesteps a GCC 12
-    // -Wstringop-overflow false positive on growing a fresh vector by
-    // exactly sizeof(kBlobMagic)).
-    out.reserve(256);
-    out.insert(out.end(), std::begin(kBlobMagic), std::end(kBlobMagic));
-    putScalar<std::uint32_t>(out, kBlobVersion);
-    putScalar<std::int64_t>(out, snap.tokenDim);
-    putScalar<std::int64_t>(out, snap.prefixId);
-    putScalar<std::int64_t>(out, snap.prefixTokens);
-    putDelta(out, snap.kv.level1);
-    putDelta(out, snap.kv.level2);
+    // Count first, then write into a buffer of exactly that size: one
+    // allocation, and capacity() — what the manager charges an
+    // evicted session — equals the encoded size.
+    BlobWriter counter;
+    putSnapshot(counter, snap);
+    std::vector<std::uint8_t> out(counter.size() +
+                                  sizeof(std::uint32_t));
+    BlobWriter writer(out.data());
+    putSnapshot(writer, snap);
     // CRC-32 trailer over everything above — detects every
     // single-byte flip and every truncation at restore time.
-    putScalar<std::uint32_t>(out, core::crc32(out.data(), out.size()));
+    writer.scalar<std::uint32_t>(core::crc32(out.data(), writer.size()));
     return out;
 }
 
@@ -684,13 +730,49 @@ DecodeSession::snapshot() const
     return snap;
 }
 
+bool
+DecodeSession::canRestore(const SessionSnapshot &snap,
+                          std::string *error) const
+{
+    const auto fail = [error](const auto &...parts) {
+        if (error)
+            *error = core::detail::concat(parts...);
+        return false;
+    };
+    if (snap.tokenDim != tokenDim_)
+        return fail("snapshot token dim ", snap.tokenDim,
+                    " != session dim ", tokenDim_);
+    if (snap.prefixId < 0)
+        return kv_.canRestore(snap.kv, /*from_empty=*/true, error);
+    if (!prefix_)
+        return fail("snapshot references shared prefix ", snap.prefixId,
+                    " but the session is standalone");
+    if (prefix_->id() != snap.prefixId)
+        return fail("snapshot references shared prefix ", snap.prefixId,
+                    ", session is forked from prefix ", prefix_->id());
+    if (snap.prefixTokens != prefix_->tokens())
+        return fail("snapshot fork point ", snap.prefixTokens,
+                    " does not match the prefix donor's ",
+                    prefix_->tokens(), " tokens");
+    return prefix_->donor().kv_.canRestore(snap.kv, false, error);
+}
+
 void
 DecodeSession::restore(const SessionSnapshot &snap)
 {
+    std::string why;
+    CTA_REQUIRE(tryRestore(snap, &why),
+                "cannot restore session snapshot: ", why);
+}
+
+bool
+DecodeSession::tryRestore(const SessionSnapshot &snap,
+                          std::string *error)
+{
     CTA_TRACE_SCOPE("decode.restore");
+    if (!canRestore(snap, error))
+        return false;
     CTA_OBS_COUNT("serve.session_restores", 1);
-    CTA_REQUIRE(snap.tokenDim == tokenDim_, "snapshot token dim ",
-                snap.tokenDim, " != session dim ", tokenDim_);
     // A snapshot does not carry the exact-attention caches (fallback
     // sessions are pinned resident by the SessionManager precisely so
     // they never round-trip through one); restoring means adopting
@@ -703,17 +785,6 @@ DecodeSession::restore(const SessionSnapshot &snap)
 
     const Index d = params_->wk.outDim();
     if (snap.prefixId >= 0) {
-        CTA_REQUIRE(prefix_ != nullptr,
-                    "snapshot references shared prefix ",
-                    snap.prefixId, " but the session is standalone");
-        CTA_REQUIRE(prefix_->id() == snap.prefixId,
-                    "snapshot references shared prefix ",
-                    snap.prefixId, ", session is forked from prefix ",
-                    prefix_->id());
-        CTA_REQUIRE(snap.prefixTokens == prefix_->tokens(),
-                    "snapshot fork point ", snap.prefixTokens,
-                    " does not match the prefix donor's ",
-                    prefix_->tokens(), " tokens");
         // Re-adopt the donor state CoW (O(pages) refcount bumps —
         // this also rolls back any divergence this instance had),
         // then apply the private delta on top.
@@ -784,6 +855,7 @@ DecodeSession::restore(const SessionSnapshot &snap)
     }
     lastStepOps_ = OpCounts{};
     totalOps_ = OpCounts{};
+    return true;
 }
 
 } // namespace cta::serve

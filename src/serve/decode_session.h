@@ -272,7 +272,8 @@ class DecodeSession
 
     /**
      * Replaces this session's decode state with @p snap, recomputing
-     * the pair multiset and cached projections from it.
+     * the pair multiset and cached projections from it. Fatal when
+     * canRestore() refuses the snapshot.
      *
      * Bit-identity contract (tests/serve_test.cc): for a session
      * restored into the same (params, config, tokenDim), every
@@ -281,6 +282,26 @@ class DecodeSession
      * bookkeeping, not decode state.
      */
     void restore(const SessionSnapshot &snap);
+
+    /**
+     * Non-fatal check of @p snap against the state restore() would
+     * apply it to: the token dimension, the shared-prefix reference
+     * and fork point (a forked snapshot needs this session to be a
+     * fork of that prefix; a standalone one rebuilds from empty), and
+     * every delta check of IncrementalTwoLevelCompression::canRestore
+     * against the donor's (or an empty) state. Reads only; on false
+     * @p error (when non-null) says why.
+     */
+    bool canRestore(const SessionSnapshot &snap,
+                    std::string *error) const;
+
+    /**
+     * restore() that refuses instead of aborting: false — with the
+     * reason in @p error when non-null and the session untouched —
+     * when canRestore() fails. How a SessionManager restores a blob
+     * that passed its CRC but may still be forged.
+     */
+    bool tryRestore(const SessionSnapshot &snap, std::string *error);
 
   private:
     /** CoW copy: shares every arena page with @p other. Used by

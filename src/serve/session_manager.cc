@@ -242,9 +242,28 @@ SessionManager::tryAcquire(Index id)
         return nullptr;
     if (s.state == State::Evicted) {
         CTA_TRACE_SCOPE_ID("serve.session_restore", id);
+        // A blob can pass its CRC and still not fit the state it must
+        // apply to (a forged checksum): the prefix reference and the
+        // delta are checked against that state before anything
+        // mutates, so either failure is a quarantine, not an abort.
         SessionSnapshot snap;
         std::string error;
-        if (!tryDeserializeSnapshot(s.blob, &snap, &error)) {
+        std::unique_ptr<DecodeSession> restored;
+        if (tryDeserializeSnapshot(s.blob, &snap, &error)) {
+            if (snap.prefixId != s.prefixId) {
+                error = core::detail::concat(
+                    "snapshot references prefix ", snap.prefixId,
+                    " but the slot recorded prefix ", s.prefixId);
+            } else {
+                restored = snap.prefixId >= 0
+                               ? DecodeSession::forkFrom(
+                                     resolvePrefix(snap.prefixId))
+                               : makeSession();
+                if (!restored->tryRestore(snap, &error))
+                    restored.reset();
+            }
+        }
+        if (!restored) {
             // Integrity failure: quarantine just this session. Its
             // state is unrecoverable, but nothing it shared with the
             // rest of the server (weights, config, prefixes) is
@@ -266,16 +285,7 @@ SessionManager::tryAcquire(Index id)
             ++corruptionsSilent_;
             s.corruptionInjected = false;
         }
-        if (snap.prefixId >= 0) {
-            CTA_REQUIRE(snap.prefixId == s.prefixId, "session ", id,
-                        " snapshot references prefix ", snap.prefixId,
-                        " but the slot recorded prefix ", s.prefixId);
-            s.live =
-                DecodeSession::forkFrom(resolvePrefix(snap.prefixId));
-        } else {
-            s.live = makeSession();
-        }
-        s.live->restore(snap);
+        s.live = std::move(restored);
         s.blob.clear();
         s.blob.shrink_to_fit();
         s.state = State::Live;
@@ -361,6 +371,41 @@ SessionManager::exportSession(Index id)
     return exported;
 }
 
+bool
+SessionManager::adoptable(const SessionSnapshot &snap,
+                          std::int64_t source_prefix_id,
+                          std::int64_t new_prefix_id,
+                          std::string *error) const
+{
+    if (snap.prefixId != source_prefix_id) {
+        *error = core::detail::concat(
+            "snapshot references prefix ", snap.prefixId,
+            " but the source slot recorded prefix ", source_prefix_id);
+        return false;
+    }
+    // A standalone snapshot is checked whole (its base is empty). A
+    // forked one is checked against the registry's fork point here
+    // and against the donor itself when tryAcquire() restores it —
+    // resolving the donor now would restore an evicted prefix early.
+    if (new_prefix_id < 0)
+        return makeSession()->canRestore(snap, error);
+    CTA_REQUIRE(new_prefix_id <
+                    static_cast<std::int64_t>(prefixes_.size()),
+                "adopted session prefix ", new_prefix_id,
+                " is not registered here (", prefixes_.size(),
+                " prefixes)");
+    const Index tokens =
+        prefixes_[static_cast<std::size_t>(new_prefix_id)].tokens;
+    if (snap.prefixTokens != tokens) {
+        *error = core::detail::concat(
+            "snapshot fork point ", snap.prefixTokens,
+            " does not match prefix ", new_prefix_id, "'s ", tokens,
+            " tokens");
+        return false;
+    }
+    return true;
+}
+
 Index
 SessionManager::adoptSession(SessionExport exported,
                              std::int64_t new_prefix_id)
@@ -370,9 +415,13 @@ SessionManager::adoptSession(SessionExport exported,
     adopted.prefixId = new_prefix_id;
     adopted.lastUsed = ++tick_;
 
+    CTA_REQUIRE((exported.prefixId >= 0) == (new_prefix_id >= 0),
+                "adopted session had prefix ", exported.prefixId,
+                " but the importer remapped it to ", new_prefix_id);
     SessionSnapshot snap;
     std::string error;
-    if (!tryDeserializeSnapshot(exported.blob, &snap, &error)) {
+    if (!tryDeserializeSnapshot(exported.blob, &snap, &error) ||
+        !adoptable(snap, exported.prefixId, new_prefix_id, &error)) {
         // The migrated blob arrives corrupt: quarantine the new id
         // immediately — same verdict tryAcquire() would reach one
         // restore later, reached one restore earlier.
@@ -385,15 +434,9 @@ SessionManager::adoptSession(SessionExport exported,
         CTA_OBS_COUNT("serve.manager.quarantined", 1);
         return static_cast<Index>(slots_.size()) - 1;
     }
-    if (exported.corruptionInjected) {
-        // Decoded despite the injection — the integrity layer missed
-        // it. The fault soak fails on this counter.
-        ++corruptionsSilent_;
-    }
-    CTA_REQUIRE((snap.prefixId >= 0) == (new_prefix_id >= 0),
-                "adopted session blob references prefix ",
-                snap.prefixId, " but the importer remapped it to ",
-                new_prefix_id);
+    // An injection that got this far is judged where the blob is
+    // restored: tryAcquire() counts it detected or silent.
+    adopted.corruptionInjected = exported.corruptionInjected;
     if (snap.prefixId != new_prefix_id) {
         snap.prefixId = new_prefix_id;
         adopted.blob = serializeSnapshot(snap);

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/page_arena.h"
@@ -178,12 +179,13 @@ class SessionManager
 
     /**
      * Non-fatal acquire: like acquire(), but when the stored blob
-     * fails its CRC-32 or structural decode the session is
-     * *quarantined* — its state is dropped, the id answers
-     * isQuarantined(), every other session is unaffected — and
-     * nullptr is returned. Also returns nullptr for an already
-     * quarantined id. Still fatal for unknown/removed ids (caller
-     * bug, not corruption).
+     * fails its CRC-32 or structural decode, or does not fit the
+     * state it applies to (DecodeSession::canRestore: a forged
+     * checksum), the session is *quarantined* — its state is
+     * dropped, the id answers isQuarantined(), every other session
+     * is unaffected — and nullptr is returned. Also returns nullptr
+     * for an already quarantined id. Still fatal for unknown/removed
+     * ids (caller bug, not corruption).
      */
     DecodeSession *tryAcquire(core::Index id);
 
@@ -238,12 +240,17 @@ class SessionManager
      * id for the session's prefix chain (adoptPrefix()), or -1 for a
      * standalone session — it must match the blob's own reference,
      * which is rewritten (and the CRC recomputed) when they differ.
-     * A blob that fails its integrity check is quarantined right
-     * here, counted corruptionsDetected when the source flagged the
+     * A blob that fails its integrity check — CRC, decode, a prefix
+     * reference other than the source slot's, a fork point other
+     * than the registered prefix's, or (standalone) any delta check
+     * of DecodeSession::canRestore — is quarantined right here,
+     * counted corruptionsDetected when the source flagged the
      * injection — the detected==injected ledger survives migration
      * because the injection was counted on the source manager and
      * the detection on the destination, and the soak sums both over
-     * every shard.
+     * every shard. A flagged blob that passes these checks keeps its
+     * flag, and tryAcquire() counts it detected or silent when it is
+     * restored against its donor.
      */
     core::Index adoptSession(SessionExport exported,
                              std::int64_t new_prefix_id);
@@ -371,6 +378,13 @@ class SessionManager
 
     /** Builds an empty session from the shared model state. */
     std::unique_ptr<DecodeSession> makeSession() const;
+
+    /** adoptSession()'s non-fatal check of a decoded @p snap that the
+     *  source slot recorded under @p source_prefix_id and that lands
+     *  here under @p new_prefix_id. */
+    bool adoptable(const SessionSnapshot &snap,
+                   std::int64_t source_prefix_id,
+                   std::int64_t new_prefix_id, std::string *error) const;
 
     /**
      * Returns prefix @p id's donor, rebuilding it from its blob (and,

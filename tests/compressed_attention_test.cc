@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/rng.h"
 #include "cta/compressed_attention.h"
@@ -207,6 +210,48 @@ TEST(AggregateProbabilitiesTest, MatchesHandComputation)
     EXPECT_NEAR(ap(0, 1), p1, 1e-5f);
     EXPECT_NEAR(ap(0, 2), p0 + p1, 1e-5f);
     EXPECT_NEAR(sums(0, 0), 2 * (p0 + p1), 1e-4f);
+}
+
+TEST(ClusterPairCountsTest, AnyBatchSplitMatchesOnePairAtATime)
+{
+    // Random pair streams over a small id range (so pairs repeat),
+    // cut into batches at random points: pair order, counts and the
+    // token total must equal adding one pair at a time. Batches of
+    // one take the linear-scan path, longer ones the batch index.
+    using Pair = cta::alg::ClusterPairCounts::Pair;
+    Rng rng(41);
+    for (int trial = 0; trial < 50; ++trial) {
+        const auto n = static_cast<std::size_t>(1 + rng.uniformInt(300));
+        const auto range1 = 1 + rng.uniformInt(12);
+        const auto range2 = 1 + rng.uniformInt(12);
+        std::vector<Index> c1(n), c2(n);
+        for (std::size_t t = 0; t < n; ++t) {
+            c1[t] = static_cast<Index>(rng.uniformInt(range1));
+            c2[t] = static_cast<Index>(rng.uniformInt(range2));
+        }
+        cta::alg::ClusterPairCounts single;
+        for (std::size_t t = 0; t < n; ++t)
+            single.addBatch(std::span(c1).subspan(t, 1),
+                            std::span(c2).subspan(t, 1));
+        cta::alg::ClusterPairCounts split;
+        for (std::size_t at = 0; at < n;) {
+            const std::size_t len = std::min<std::size_t>(
+                n - at, 1 + rng.uniformInt(n - at));
+            split.addBatch(std::span(c1).subspan(at, len),
+                           std::span(c2).subspan(at, len));
+            at += len;
+        }
+        const std::vector<Pair> want = single.pairs();
+        const std::vector<Pair> got = split.pairs();
+        ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].c1, want[i].c1) << trial << ":" << i;
+            EXPECT_EQ(got[i].c2, want[i].c2) << trial << ":" << i;
+            EXPECT_EQ(got[i].count, want[i].count) << trial << ":" << i;
+        }
+        EXPECT_EQ(split.tokens(), static_cast<Index>(n));
+        EXPECT_EQ(single.tokens(), static_cast<Index>(n));
+    }
 }
 
 /** Property sweep over sequence lengths: error stays bounded. */
