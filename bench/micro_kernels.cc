@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks for the CTA kernel library: LSH
  * hashing, cluster-tree maintenance, centroid aggregation,
  * probability aggregation, exact vs CTA attention, ELSA attention,
- * the snapshot CRC-32 and a serving session's evict/restore round
- * trip. These measure the *host* implementation (useful for
+ * the encoder FFN's GEMMs, GELU and LayerNorm, the snapshot CRC-32
+ * and a serving session's evict/restore round trip. These measure the *host* implementation (useful for
  * regression tracking of the simulator itself), not accelerator
  * cycles.
  *
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "cta/config.h"
 #include "cta/fused_decode.h"
 #include "elsa/elsa_attention.h"
+#include "nn/transformer.h"
 #include "nn/workload.h"
 #include "obs/trace.h"
 #include "serve/decode_session.h"
@@ -276,6 +278,37 @@ BENCHMARK(BM_Gemm)
     ->Args({1, 64, 64})
     ->Args({512, 1024, 4096})
     ->Args({512, 4096, 1024});
+
+/** nn::gelu over the encoder FFN's hidden activations at 512 tokens
+ *  (512 x 4096); items are elements. */
+void
+BM_Gelu(benchmark::State &state)
+{
+    Rng rng(18);
+    const Matrix x = Matrix::randomNormal(512, 4096, rng);
+    for (auto _ : state) {
+        auto y = cta::nn::gelu(x);
+        benchmark::DoNotOptimize(y);
+    }
+    state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_Gelu)->Unit(benchmark::kMillisecond);
+
+/** nn::LayerNorm over 512 tokens at d_model 1024; items are
+ *  elements. */
+void
+BM_LayerNorm(benchmark::State &state)
+{
+    Rng rng(19);
+    const Matrix x = Matrix::randomNormal(512, 1024, rng);
+    const cta::nn::LayerNorm norm(1024);
+    for (auto _ : state) {
+        auto y = norm.forward(x);
+        benchmark::DoNotOptimize(y);
+    }
+    state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_LayerNorm)->Unit(benchmark::kMillisecond);
 
 /** Q * K^T at head dim 64: range(0) query rows (1 = one decode
  *  step's scores, otherwise a prefill/encoder head), range(1) keys. */
@@ -663,15 +696,16 @@ gemmSweep()
     }
     std::fprintf(out,
                  "{\n  \"benchmark\": \"gemm\",\n"
+                 "  \"host\": {\"nproc\": %u, \"simd\": \"%s\", "
+                 "\"fma_peak_gflops_per_thread\": %.1f, "
+                 "\"compiler\": \"%s\"},\n"
                  "  \"flops_per_mac\": 2,\n"
-                 "  \"fma_peak_gflops\": %.1f,\n"
-                 "  \"simd_level\": \"%s\",\n"
                  "  \"scaling_ok\": %s,\n"
                  "  \"results\": [\n",
-                 peak,
+                 std::thread::hardware_concurrency(),
                  cta::core::simdLevelName(
                      cta::core::activeSimdLevel()),
-                 scaling_ok ? "true" : "false");
+                 peak, __VERSION__, scaling_ok ? "true" : "false");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto &p = points[i];
         std::fprintf(out,

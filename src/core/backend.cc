@@ -154,26 +154,34 @@ SimdBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
         simdGemmRows(a, b, c, 0, a.rows());
         return;
     }
-    // Depth slices OUTSIDE the thread fan-out: each kKc-deep slice of
-    // B (width x 1 KB at kKc = 256) stays L2-resident across every row
-    // chunk, so B streams from memory once per GEMM instead of once
-    // per chunk — past ~256^3 the working set outgrows L2 and that
-    // re-streaming, not the FMA ports, is what bounds the kernel.
-    // Slices continue each element's k-ascending FMA chain through an
-    // exact fp32 store/load, so the slicing — like the row partition —
-    // is invisible in the results.
+    // Column blocks, and inside each depth slices, OUTSIDE the thread
+    // fan-out: one kKc x kNc block of B (256 KiB) and the row chunks'
+    // kNc-wide C strips stay L2-resident across every row chunk, so B
+    // streams from memory once per GEMM instead of once per chunk.
+    // Depth slicing alone is not enough: a 256-deep slice of a
+    // 4096-wide B is 4 MiB, past a 2 MiB L2, and each of the 32 row
+    // chunks of a 512-row product re-streamed it from L3. Column
+    // blocks only pick which elements a call computes, and depth
+    // slices continue each element's k-ascending FMA chain through an
+    // exact fp32 store/load, so the blocking — like the row
+    // partition — is invisible in the results.
     constexpr Index kKc = 256;
+    constexpr Index kNc = 256;
     const Index depth = a.cols();
-    for (Index k0 = 0; k0 < depth; k0 += kKc) {
-        const Index k1 = std::min<Index>(depth, k0 + kKc);
-        // Grain 16 = 6 + 6 + 4: every full chunk decomposes into the
-        // tall micro-kernels with no 1-row tail.
-        parallelFor(pool(), 0, a.rows(),
-                    [&](Index row_begin, Index row_end) {
-                        simdGemmRows(a, b, c, row_begin, row_end, k0,
-                                     k1);
-                    },
-                    /*grain=*/16);
+    const Index width = b.cols();
+    for (Index j0 = 0; j0 < width; j0 += kNc) {
+        const Index j1 = std::min<Index>(width, j0 + kNc);
+        for (Index k0 = 0; k0 < depth; k0 += kKc) {
+            const Index k1 = std::min<Index>(depth, k0 + kKc);
+            // Grain 16 = 6 + 6 + 4: every full chunk decomposes into
+            // the tall micro-kernels with no 1-row tail.
+            parallelFor(pool(), 0, a.rows(),
+                        [&](Index row_begin, Index row_end) {
+                            simdGemmRows(a, b, c, row_begin, row_end,
+                                         k0, k1, j0, j1);
+                        },
+                        /*grain=*/16);
+        }
     }
 }
 

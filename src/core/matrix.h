@@ -57,10 +57,12 @@ class Matrix
         return data_.capacity() * sizeof(Real);
     }
 
-    /** Element access (bounds-checked in debug builds). */
+    /** Element access, bounds-checked in every build (an out-of-line
+     *  call with a CTA_ASSERT); hot loops read through row() or
+     *  data() instead. */
     Real &operator()(Index r, Index c);
 
-    /** Element access (bounds-checked in debug builds). */
+    /** Element access, bounds-checked in every build (see above). */
     Real operator()(Index r, Index c) const;
 
     /** Mutable view of one row. */

@@ -1,8 +1,10 @@
 #include "core/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string_view>
 
@@ -68,12 +70,13 @@ fmaChain(const Real *a, const Real *b, Index ldb, Index t, Index depth,
     return c;
 }
 
-/** ikj GEMM over rows [row_begin, row_end) and the depth slice
- *  [k_begin, k_end): per output element one k-ascending fmaf chain. */
+/** ikj GEMM over rows [row_begin, row_end), the depth slice
+ *  [k_begin, k_end) and the columns [j_begin, j_end): per output
+ *  element one k-ascending fmaf chain. */
 void
 gemmRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
                Index row_begin, Index row_end, Index k_begin,
-               Index k_end)
+               Index k_end, Index j_begin, Index j_end)
 {
     const Index width = b.cols();
     for (Index i = row_begin; i < row_end; ++i) {
@@ -82,7 +85,7 @@ gemmRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
         for (Index k = k_begin; k < k_end; ++k) {
             const Real aik = arow[k];
             const Real *brow = b.data() + k * width;
-            for (Index j = 0; j < width; ++j)
+            for (Index j = j_begin; j < j_end; ++j)
                 crow[j] = std::fmaf(aik, brow[j], crow[j]);
         }
     }
@@ -130,6 +133,72 @@ dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
     }
 }
 
+// GELU, tanh form: y = 0.5 v (1 + tanh(u)), u = c (v + 0.044715 v^3),
+// with tanh(u) = (e - 1) / (e + 1), e = exp(2u). exp is Cody-Waite
+// range reduction (2u = n ln2 + r, |r| <= ln2 / 2, ln2 split into an
+// exact high part and a low correction), the cephes expf polynomial
+// in r and a scale by 2^n built in the exponent bits. Every level
+// runs this exact sequence of multiplies, adds and one divide (no
+// FMA; the TU is -ffp-contract=off), so every level rounds alike.
+namespace gelu {
+
+constexpr Real kScale = 0.797884524f; ///< sqrt(2 / pi) in float
+constexpr Real kCubic = 0.044715f;
+/** |u| bound: past ~8.4, e +- 1 rounds to e and t is exactly +-1. */
+constexpr Real kClamp = 9.0f;
+constexpr Real kLog2e = 1.44269504f;
+constexpr Real kLn2Hi = 0.693359375f; ///< 9 significant bits: n * hi is exact
+constexpr Real kLn2Lo = -2.12194440e-4f;
+/** 1.5 * 2^23: adding it rounds a |x| < 2^22 to the nearest integer,
+ *  which then sits in the low mantissa bits. */
+constexpr Real kRound = 12582912.0f;
+/** bits(kRound) - 127: bits(rounded) - kBias is n's biased exponent. */
+constexpr std::int32_t kBias = 0x4B400000 - 127;
+constexpr Real kP0 = 1.9875691500e-4f;
+constexpr Real kP1 = 1.3981999507e-3f;
+constexpr Real kP2 = 8.3334519073e-3f;
+constexpr Real kP3 = 4.1665795894e-2f;
+constexpr Real kP4 = 1.6666665459e-1f;
+constexpr Real kP5 = 5.0000001201e-1f;
+
+} // namespace gelu
+
+/** One GELU element — the sequence every vector level reproduces. The
+ *  clamp is written as x86 max/min order (NaN u becomes -kClamp; only
+ *  a NaN v gives a NaN u, and v's NaN reaches the result anyway). */
+inline Real
+geluScalar(Real v)
+{
+    using namespace gelu;
+    Real u = kScale * (v + kCubic * v * v * v);
+    u = u > -kClamp ? u : -kClamp;
+    u = u < kClamp ? u : kClamp;
+    const Real w = u + u;
+    const Real k = w * kLog2e + kRound;
+    const Real n = k - kRound;
+    const Real r = (w - n * kLn2Hi) - n * kLn2Lo;
+    const Real z = r * r;
+    Real p = kP0 * r + kP1;
+    p = p * r + kP2;
+    p = p * r + kP3;
+    p = p * r + kP4;
+    p = p * r + kP5;
+    p = p * z + r + 1.0f;
+    const auto scale = std::bit_cast<Real>(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(std::bit_cast<std::int32_t>(k) - kBias)
+        << 23));
+    const Real e = p * scale;
+    const Real t = (e - 1.0f) / (e + 1.0f);
+    return 0.5f * v * (1.0f + t);
+}
+
+void
+geluRowScalar(const Real *x, Index n, Real *out)
+{
+    for (Index j = 0; j < n; ++j)
+        out[j] = geluScalar(x[j]);
+}
+
 #if CTA_SIMD_X86
 
 // ---------------------------------------------------------------
@@ -172,24 +241,25 @@ rowBlocks(GemmTile t, Index rows)
 }
 
 /**
- * Rows [row_begin, row_end) of C += A[:, k_begin:k_end) *
- * B[k_begin:k_end, :) at one x86 level. Column blocks loop OUTER and
- * rows INNER, so one block's depth slice of B stays cache-resident
- * across every row block instead of being re-streamed once per row
- * block. The loop order and the depth slicing only choose which
- * element is computed when; each element keeps its single k-ascending
- * FMA chain (slices continue it through an exact store/load of the
- * fp32 partial), so neither can change a bit.
+ * Rows [row_begin, row_end), columns [j_begin, j_end) of C +=
+ * A[:, k_begin:k_end) * B[k_begin:k_end, :) at one x86 level. kW-wide
+ * column blocks loop OUTER and rows INNER, so one block's depth slice
+ * of B stays cache-resident across every row block instead of being
+ * re-streamed once per row block. The loop order and the depth and
+ * column slicing only choose which element is computed when; each
+ * element keeps its single k-ascending FMA chain (slices continue it
+ * through an exact store/load of the fp32 partial), so none of them
+ * can change a bit.
  */
 template <typename Isa>
 void
 gemmRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
                 Index row_begin, Index row_end, Index k_begin,
-                Index k_end)
+                Index k_end, Index j_begin, Index j_end)
 {
     const Index width = b.cols();
     const Index rows = row_end - row_begin;
-    for (Index j0 = 0; j0 < width; j0 += kW) {
+    for (Index j0 = j_begin; j0 < j_end; j0 += kW) {
         const GemmTile t{a.data() + row_begin * a.cols() + k_begin,
                          a.cols(),
                          b.data() + k_begin * width + j0,
@@ -197,7 +267,7 @@ gemmRowsBlocked(const Matrix &a, const Matrix &b, Matrix &c,
                          k_end - k_begin,
                          c.data() + row_begin * width + j0,
                          width,
-                         std::min<Index>(kW, width - j0)};
+                         std::min<Index>(kW, j_end - j0)};
         if (t.pw == kW)
             rowBlocks<Isa, true>(t, rows);
         else
@@ -250,6 +320,54 @@ addRowAvx2(Real *acc, const Real *x, Index n)
                                        _mm256_loadu_ps(x + j)));
     for (; j < n; ++j)
         acc[j] += x[j];
+}
+
+__attribute__((target("avx2"))) inline __m256
+splat8(Real value)
+{
+    return _mm256_set1_ps(value);
+}
+
+/** geluScalar on 8 lanes: the same operations in the same order. */
+__attribute__((target("avx2"))) void
+geluRowAvx2(const Real *x, Index n, Real *out)
+{
+    using namespace gelu;
+    constexpr auto c = splat8;
+    Index j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256 v = _mm256_loadu_ps(x + j);
+        const __m256 cube = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(c(kCubic), v), v), v);
+        __m256 u = _mm256_mul_ps(c(kScale), _mm256_add_ps(v, cube));
+        u = _mm256_max_ps(u, c(-kClamp));
+        u = _mm256_min_ps(u, c(kClamp));
+        const __m256 w = _mm256_add_ps(u, u);
+        const __m256 k =
+            _mm256_add_ps(_mm256_mul_ps(w, c(kLog2e)), c(kRound));
+        const __m256 nk = _mm256_sub_ps(k, c(kRound));
+        const __m256 r =
+            _mm256_sub_ps(_mm256_sub_ps(w, _mm256_mul_ps(nk, c(kLn2Hi))),
+                          _mm256_mul_ps(nk, c(kLn2Lo)));
+        const __m256 z = _mm256_mul_ps(r, r);
+        __m256 p = _mm256_add_ps(_mm256_mul_ps(c(kP0), r), c(kP1));
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), c(kP2));
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), c(kP3));
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), c(kP4));
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), c(kP5));
+        p = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), r), c(1.0f));
+        const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+            _mm256_sub_epi32(_mm256_castps_si256(k),
+                             _mm256_set1_epi32(kBias)),
+            23));
+        const __m256 e = _mm256_mul_ps(p, scale);
+        const __m256 t = _mm256_div_ps(_mm256_sub_ps(e, c(1.0f)),
+                                       _mm256_add_ps(e, c(1.0f)));
+        _mm256_storeu_ps(out + j,
+                         _mm256_mul_ps(_mm256_mul_ps(c(0.5f), v),
+                                       _mm256_add_ps(c(1.0f), t)));
+    }
+    geluRowScalar(x + j, n - j, out + j);
 }
 
 /** The AVX2 GEMM level (gemmRowsBlocked). */
@@ -531,6 +649,58 @@ addRowAvx512(Real *acc, const Real *x, Index n)
     }
 }
 
+__attribute__((target("avx512f"))) inline __m512
+splat16(Real value)
+{
+    return _mm512_set1_ps(value);
+}
+
+/** geluScalar on 16 lanes: the same operations in the same order. */
+__attribute__((target("avx512f"))) void
+geluRowAvx512(const Real *x, Index n, Real *out)
+{
+    using namespace gelu;
+    constexpr auto c = splat16;
+    Index j = 0;
+    for (; j + 16 <= n; j += 16) {
+        const __m512 v = _mm512_loadu_ps(x + j);
+        const __m512 cube = _mm512_mul_ps(
+            _mm512_mul_ps(_mm512_mul_ps(c(kCubic), v), v), v);
+        __m512 u = _mm512_mul_ps(c(kScale), _mm512_add_ps(v, cube));
+        // Full-mask forms: an explicit pass-through operand instead of
+        // the unmasked intrinsics' undefined one, which GCC 12 flags
+        // as maybe-uninitialized here.
+        constexpr __mmask16 kAll = 0xFFFF;
+        u = _mm512_mask_max_ps(u, kAll, u, c(-kClamp));
+        u = _mm512_mask_min_ps(u, kAll, u, c(kClamp));
+        const __m512 w = _mm512_add_ps(u, u);
+        const __m512 k =
+            _mm512_add_ps(_mm512_mul_ps(w, c(kLog2e)), c(kRound));
+        const __m512 nk = _mm512_sub_ps(k, c(kRound));
+        const __m512 r =
+            _mm512_sub_ps(_mm512_sub_ps(w, _mm512_mul_ps(nk, c(kLn2Hi))),
+                          _mm512_mul_ps(nk, c(kLn2Lo)));
+        const __m512 z = _mm512_mul_ps(r, r);
+        __m512 p = _mm512_add_ps(_mm512_mul_ps(c(kP0), r), c(kP1));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), c(kP2));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), c(kP3));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), c(kP4));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), c(kP5));
+        p = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r), c(1.0f));
+        const __m512i biased = _mm512_sub_epi32(
+            _mm512_castps_si512(k), _mm512_set1_epi32(kBias));
+        const __m512 scale = _mm512_castsi512_ps(
+            _mm512_mask_slli_epi32(biased, kAll, biased, 23));
+        const __m512 e = _mm512_mul_ps(p, scale);
+        const __m512 t = _mm512_div_ps(_mm512_sub_ps(e, c(1.0f)),
+                                       _mm512_add_ps(e, c(1.0f)));
+        _mm512_storeu_ps(out + j,
+                         _mm512_mul_ps(_mm512_mul_ps(c(0.5f), v),
+                                       _mm512_add_ps(c(1.0f), t)));
+    }
+    geluRowScalar(x + j, n - j, out + j);
+}
+
 /** The AVX-512 GEMM level (gemmRowsBlocked). */
 struct Avx512Gemm
 {
@@ -771,17 +941,56 @@ addRowNeon(Real *acc, const Real *x, Index n)
         acc[j] += x[j];
 }
 
+/** geluScalar on 4 lanes: the same operations in the same order. */
+void
+geluRowNeon(const Real *x, Index n, Real *out)
+{
+    using namespace gelu;
+    const auto c = [](Real value) { return vdupq_n_f32(value); };
+    Index j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const float32x4_t v = vld1q_f32(x + j);
+        const float32x4_t cube =
+            vmulq_f32(vmulq_f32(vmulq_f32(c(kCubic), v), v), v);
+        float32x4_t u = vmulq_f32(c(kScale), vaddq_f32(v, cube));
+        u = vmaxq_f32(u, c(-kClamp));
+        u = vminq_f32(u, c(kClamp));
+        const float32x4_t w = vaddq_f32(u, u);
+        const float32x4_t k = vaddq_f32(vmulq_f32(w, c(kLog2e)), c(kRound));
+        const float32x4_t nk = vsubq_f32(k, c(kRound));
+        const float32x4_t r =
+            vsubq_f32(vsubq_f32(w, vmulq_f32(nk, c(kLn2Hi))),
+                      vmulq_f32(nk, c(kLn2Lo)));
+        const float32x4_t z = vmulq_f32(r, r);
+        float32x4_t p = vaddq_f32(vmulq_f32(c(kP0), r), c(kP1));
+        p = vaddq_f32(vmulq_f32(p, r), c(kP2));
+        p = vaddq_f32(vmulq_f32(p, r), c(kP3));
+        p = vaddq_f32(vmulq_f32(p, r), c(kP4));
+        p = vaddq_f32(vmulq_f32(p, r), c(kP5));
+        p = vaddq_f32(vaddq_f32(vmulq_f32(p, z), r), c(1.0f));
+        const float32x4_t scale = vreinterpretq_f32_s32(vshlq_n_s32(
+            vsubq_s32(vreinterpretq_s32_f32(k), vdupq_n_s32(kBias)), 23));
+        const float32x4_t e = vmulq_f32(p, scale);
+        const float32x4_t t =
+            vdivq_f32(vsubq_f32(e, c(1.0f)), vaddq_f32(e, c(1.0f)));
+        vst1q_f32(out + j,
+                  vmulq_f32(vmulq_f32(c(0.5f), v), vaddq_f32(c(1.0f), t)));
+    }
+    geluRowScalar(x + j, n - j, out + j);
+}
+
 void
 gemmRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
-             Index row_begin, Index row_end, Index k_begin, Index k_end)
+             Index row_begin, Index row_end, Index k_begin, Index k_end,
+             Index j_begin, Index j_end)
 {
     const Index width = b.cols();
     const Index kd = k_end - k_begin;
     // Column blocks OUTER, rows INNER, reading row-major B in place
     // (see gemmRowsBlocked).
-    for (Index j0 = 0; j0 < width; j0 += kW) {
+    for (Index j0 = j_begin; j0 < j_end; j0 += kW) {
         const Real *panel = b.data() + k_begin * width + j0;
-        const Index pw = std::min<Index>(kW, width - j0);
+        const Index pw = std::min<Index>(kW, j_end - j0);
         for (Index i = row_begin; i < row_end; ++i) {
             const Real *arow = a.data() + i * a.cols() + k_begin;
             Real *crow = c.data() + i * width + j0;
@@ -1201,28 +1410,55 @@ simdAddRow(Real *acc, const Real *x, Index n)
 
 void
 simdGemmRows(const Matrix &a, const Matrix &b, Matrix &c,
-             Index row_begin, Index row_end, Index k_begin, Index k_end)
+             Index row_begin, Index row_end, Index k_begin, Index k_end,
+             Index j_begin, Index j_end)
 {
     if (k_end < 0)
         k_end = a.cols();
+    if (j_end < 0)
+        j_end = b.cols();
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
     case SimdLevel::Avx512:
         gemmRowsBlocked<Avx512Gemm>(a, b, c, row_begin, row_end, k_begin,
-                                    k_end);
+                                    k_end, j_begin, j_end);
         return;
     case SimdLevel::Avx2:
         gemmRowsBlocked<Avx2Gemm>(a, b, c, row_begin, row_end, k_begin,
-                                  k_end);
+                                  k_end, j_begin, j_end);
         return;
 #endif
 #if CTA_SIMD_NEON
     case SimdLevel::Neon:
-        gemmRowsNeon(a, b, c, row_begin, row_end, k_begin, k_end);
+        gemmRowsNeon(a, b, c, row_begin, row_end, k_begin, k_end, j_begin,
+                     j_end);
         return;
 #endif
     default:
-        gemmRowsScalar(a, b, c, row_begin, row_end, k_begin, k_end);
+        gemmRowsScalar(a, b, c, row_begin, row_end, k_begin, k_end,
+                       j_begin, j_end);
+    }
+}
+
+void
+simdGeluRow(const Real *x, Index n, Real *out)
+{
+    switch (activeSimdLevel()) {
+#if CTA_SIMD_X86
+    case SimdLevel::Avx512:
+        geluRowAvx512(x, n, out);
+        return;
+    case SimdLevel::Avx2:
+        geluRowAvx2(x, n, out);
+        return;
+#endif
+#if CTA_SIMD_NEON
+    case SimdLevel::Neon:
+        geluRowNeon(x, n, out);
+        return;
+#endif
+    default:
+        geluRowScalar(x, n, out);
     }
 }
 

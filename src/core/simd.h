@@ -43,6 +43,11 @@
  *    bit-identical across every ISA level and thread count — it
  *    differs from the naive (mul+add) reference chain only by the
  *    removed intermediate roundings.
+ *  - simdGeluRow: per element one fixed sequence of multiplies, adds,
+ *    a max/min clamp and one divide, with tanh computed in-tree from
+ *    exp(2u) (Cody-Waite reduction, polynomial, exponent-bit scale),
+ *    never an FMA and never a libm call — so the scalar body, the
+ *    scalar tail and every vector width round identically.
  *
  * Selection: resolved once from the CTA_SIMD environment variable
  * ("auto" by default; "off"/"scalar", "avx2", "avx512", "neon" force
@@ -124,6 +129,19 @@ void simdFmaRows(Real *acc, const Real *const *rows, const Real *w,
 void simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
                     Index n, Index d);
 
+/**
+ * out[j] = GELU(x[j]) for j in [0, n), tanh form:
+ *   0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))),
+ * with tanh(u) = (e - 1) / (e + 1), e = exp(2u), u clamped to +-9
+ * (where float tanh is exactly +-1) and exp computed in-tree. Bit-
+ * identical at every ISA level and split of the row (see the file
+ * contract); within 4e-7 * max(1, |y|) of the double-precision
+ * formula, about what the libm-tanh formula reaches. ±0, ±inf, NaN
+ * and the v^3 overflow give what the libm formula gives (or NaN
+ * where it does). @p out may alias @p x.
+ */
+void simdGeluRow(const Real *x, Index n, Real *out);
+
 /** Rows per lane-per-row dot block: one double lane per row, 8 rows
  *  per zmm at AVX-512 and per ymm pair at AVX2. */
 inline constexpr Index kSimdDotRows = 8;
@@ -159,15 +177,19 @@ void simdDotRows(const Real *q, const Real *const *rows, Index n,
  *
  * [@p k_begin, @p k_end) restricts the accumulation to a depth slice:
  * C += A[:, k_begin:k_end) * B[k_begin:k_end, :); k_end = -1 means
- * "through the last k". SimdBackend loops depth slices OUTSIDE its
- * thread fan-out so each slice of B stays L2-resident across every
- * row chunk instead of re-streaming the full B per chunk. Slicing is
- * bitwise-invisible: consecutive slices continue each element's
- * k-ascending FMA chain through an exact store/load of the fp32
- * partial — the same rounding sequence as one unbroken chain.
+ * "through the last k". [@p j_begin, @p j_end) restricts it to a
+ * column block of B and C; j_end = -1 means "through the last
+ * column". SimdBackend loops column blocks and, inside each, depth
+ * slices OUTSIDE its thread fan-out, so one kc x nc block of B stays
+ * L2-resident across every row chunk instead of re-streaming B per
+ * chunk. Slicing is bitwise-invisible: a column block only selects
+ * which elements run, and consecutive depth slices continue each
+ * element's k-ascending FMA chain through an exact store/load of the
+ * fp32 partial — the same rounding sequence as one unbroken chain.
  */
 void simdGemmRows(const Matrix &a, const Matrix &b, Matrix &c,
                   Index row_begin, Index row_end, Index k_begin = 0,
-                  Index k_end = -1);
+                  Index k_end = -1, Index j_begin = 0,
+                  Index j_end = -1);
 
 } // namespace cta::core

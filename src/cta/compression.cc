@@ -357,10 +357,17 @@ void
 IncrementalCompression::restoreDelta(
     const CompressionLevelDelta &delta)
 {
-    const Index d = params_->dim();
     std::string why;
     CTA_REQUIRE(canRestore(delta, false, &why),
                 "corrupt compression delta: ", why);
+    applyCheckedDelta(delta);
+}
+
+void
+IncrementalCompression::applyCheckedDelta(
+    const CompressionLevelDelta &delta)
+{
+    const Index d = params_->dim();
     table_.restoreSuffix(delta.tableSuffix, delta.codeSuffix);
     members_ = delta.members;
     const auto refreshRow = [&](Index c) {
@@ -497,6 +504,14 @@ IncrementalTwoLevelCompression::restoreDelta(const TwoLevelDelta &delta)
     CTA_REQUIRE(mismatch.empty(), mismatch);
     level1_.restoreDelta(delta.level1);
     level2_.restoreDelta(delta.level2);
+}
+
+void
+IncrementalTwoLevelCompression::applyCheckedDelta(
+    const TwoLevelDelta &delta)
+{
+    level1_.applyCheckedDelta(delta.level1);
+    level2_.applyCheckedDelta(delta.level2);
 }
 
 void

@@ -22,6 +22,10 @@
 #include "cta/cluster_tree.h"
 #include "cta/lsh.h"
 
+namespace cta::serve {
+class DecodeSession;
+} // namespace cta::serve
+
 namespace cta::alg {
 
 /** One clustering level: centroids plus the token -> cluster table. */
@@ -234,10 +238,16 @@ class IncrementalCompression
     }
 
   private:
+    friend class IncrementalTwoLevelCompression;
+
     /** Adds @p token into cluster @p c's running sum (creating the
      *  row when @p c is new) and refreshes its centroid. */
     void accumulate(std::span<const core::Real> token, core::Index c,
                     core::OpCounts *counts);
+
+    /** restoreDelta() for a delta canRestore() has already accepted
+     *  against this state: the apply step alone, no check. */
+    void applyCheckedDelta(const CompressionLevelDelta &delta);
 
     std::shared_ptr<const LshParams> params_;
     std::shared_ptr<core::PageArena> arena_;
@@ -334,6 +344,14 @@ class IncrementalTwoLevelCompression
     core::Index size() const { return level1_.size(); }
 
   private:
+    // The session's restore checks a snapshot with canRestore() against
+    // the state it then copies in, so it applies without a re-check.
+    friend class serve::DecodeSession;
+
+    /** restoreDelta() for a delta canRestore() has already accepted
+     *  against this exact state (or, from empty, an empty one). */
+    void applyCheckedDelta(const TwoLevelDelta &delta);
+
     IncrementalCompression level1_;
     IncrementalCompression level2_;
 };

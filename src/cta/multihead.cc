@@ -1,5 +1,7 @@
 #include "cta/multihead.h"
 
+#include <algorithm>
+
 #include "core/logging.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -10,6 +12,26 @@ namespace cta::alg {
 using core::Index;
 using core::Matrix;
 using core::OpCounts;
+
+namespace {
+
+/** Copies one head's output into columns [offset, offset + cols) of
+ *  the concatenated matrix, one row span at a time. */
+void
+copyHeadColumns(const Matrix &head, Index offset, Matrix &all)
+{
+    CTA_ASSERT(head.rows() == all.rows() &&
+                   offset + head.cols() <= all.cols(),
+               "head output ", head.rows(), "x", head.cols(),
+               " does not fit at column ", offset, " of ", all.rows(),
+               "x", all.cols());
+    for (Index i = 0; i < head.rows(); ++i) {
+        const auto src = head.row(i);
+        std::copy(src.begin(), src.end(), all.row(i).begin() + offset);
+    }
+}
+
+} // namespace
 
 CtaMultiHeadAttention::CtaMultiHeadAttention(Index d_model,
                                              Index num_heads,
@@ -80,9 +102,7 @@ CtaMultiHeadAttention::forward(const Matrix &x, OpCounts *counts) const
         const Index offset = h * headDim_;
         if (counts)
             *counts += r.totalOps();
-        for (Index i = 0; i < x.rows(); ++i)
-            for (Index j = 0; j < headDim_; ++j)
-                all(i, offset + j) = r.output(i, j);
+        copyHeadColumns(r.output, offset, all);
     }
     lastStats_ = results.back().stats;
     return outputProj_.forward(all, counts);
@@ -111,9 +131,7 @@ CtaMultiHeadAttention::forwardExact(const Matrix &x,
         const Index offset = h * headDim_;
         if (counts)
             *counts += head_counts[slot];
-        for (Index i = 0; i < x.rows(); ++i)
-            for (Index j = 0; j < headDim_; ++j)
-                all(i, offset + j) = outputs[slot](i, j);
+        copyHeadColumns(outputs[slot], offset, all);
     }
     return outputProj_.forward(all, counts);
 }

@@ -1,12 +1,12 @@
 #include "nn/transformer.h"
 
 #include <cmath>
-#include <numbers>
 
 #include "core/backend.h"
 #include "core/logging.h"
 #include "core/op_counter.h"
 #include "core/rng.h"
+#include "core/simd.h"
 
 namespace cta::nn {
 
@@ -26,28 +26,33 @@ LayerNorm::forward(const Matrix &x, OpCounts *counts) const
 {
     CTA_REQUIRE(x.cols() == gamma_.cols(), "layernorm dim mismatch");
     Matrix out(x.rows(), x.cols());
+    const Index d = x.cols();
+    const Real *gamma = gamma_.data();
+    const Real *beta = beta_.data();
     // Rows normalize independently: row-parallel map with per-row
     // state only (disjoint writes into out).
     core::activeBackend().mapRows(
         x.rows(), [&](Index row_begin, Index row_end) {
             for (Index i = row_begin; i < row_end; ++i) {
+                const Real *xrow = x.row(i).data();
+                Real *orow = out.row(i).data();
                 Wide sum = 0;
-                for (Index j = 0; j < x.cols(); ++j)
-                    sum += x(i, j);
-                const Wide mu = sum / x.cols();
+                for (Index j = 0; j < d; ++j)
+                    sum += xrow[j];
+                const Wide mu = sum / d;
                 Wide var = 0;
-                for (Index j = 0; j < x.cols(); ++j) {
-                    const Wide diff = x(i, j) - mu;
+                for (Index j = 0; j < d; ++j) {
+                    const Wide diff = xrow[j] - mu;
                     var += diff * diff;
                 }
-                var /= x.cols();
+                var /= d;
                 const Real inv_std =
                     1.0f /
                     std::sqrt(static_cast<Real>(var) + epsilon_);
-                for (Index j = 0; j < x.cols(); ++j) {
-                    const Real norm =
-                        (x(i, j) - static_cast<Real>(mu)) * inv_std;
-                    out(i, j) = norm * gamma_(0, j) + beta_(0, j);
+                const Real mu_real = static_cast<Real>(mu);
+                for (Index j = 0; j < d; ++j) {
+                    const Real norm = (xrow[j] - mu_real) * inv_std;
+                    orow[j] = norm * gamma[j] + beta[j];
                 }
             }
         });
@@ -64,18 +69,11 @@ Matrix
 gelu(const Matrix &x, OpCounts *counts)
 {
     Matrix out(x.rows(), x.cols());
-    const Real c = std::sqrt(2.0f / std::numbers::pi_v<Real>);
     core::activeBackend().mapRows(
         x.rows(), [&](Index row_begin, Index row_end) {
             const Index lo = row_begin * x.cols();
-            const Index hi = row_end * x.cols();
-            for (Index i = lo; i < hi; ++i) {
-                const Real v = x.data()[i];
-                out.data()[i] =
-                    0.5f * v *
-                    (1.0f +
-                     std::tanh(c * (v + 0.044715f * v * v * v)));
-            }
+            core::simdGeluRow(x.data() + lo,
+                              row_end * x.cols() - lo, out.data() + lo);
         });
     if (counts) {
         // Count a GELU as ~6 muls + 2 adds + 1 exp-class op per cell.

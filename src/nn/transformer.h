@@ -66,7 +66,9 @@ class EncoderLayer
     FeedForward ffn_;
 };
 
-/** GELU activation applied element-wise (tanh approximation). */
+/** GELU activation applied element-wise (tanh approximation), row
+ *  by row through core::simdGeluRow: tanh is computed in-tree, so the
+ *  result is bit-identical at every ISA level and thread count. */
 core::Matrix gelu(const core::Matrix &x,
                   core::OpCounts *counts = nullptr);
 

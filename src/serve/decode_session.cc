@@ -787,7 +787,8 @@ DecodeSession::tryRestore(const SessionSnapshot &snap,
     if (snap.prefixId >= 0) {
         // Re-adopt the donor state CoW (O(pages) refcount bumps —
         // this also rolls back any divergence this instance had),
-        // then apply the private delta on top.
+        // then apply the private delta on top — canRestore() above
+        // checked it against this same donor state.
         const DecodeSession &donor = prefix_->donor();
         kv_ = donor.kv_;
         kBar1_ = donor.kBar1_;
@@ -795,7 +796,7 @@ DecodeSession::tryRestore(const SessionSnapshot &snap,
         vBar1_ = donor.vBar1_;
         vBar2_ = donor.vBar2_;
         pairs_ = donor.pairs_;
-        kv_.restoreDelta(snap.kv);
+        kv_.applyCheckedDelta(snap.kv);
 
         // The donor's pair multiset already covers the prefix tokens;
         // replaying only the suffix records the pairs, in token
@@ -822,13 +823,13 @@ DecodeSession::tryRestore(const SessionSnapshot &snap,
         refreshLevel(kv_.level2(), snap.kv.level2, kBar2_, vBar2_);
     } else {
         // Standalone snapshot: rebuild everything from the full
-        // (base-less) delta.
+        // (base-less) delta, which canRestore() checked from empty.
         prefix_.reset();
         kv_ = alg::IncrementalTwoLevelCompression(
             std::shared_ptr<const alg::LshParams>(lsh_, &lsh_->lsh1),
             std::shared_ptr<const alg::LshParams>(lsh_, &lsh_->lsh2),
             arena_);
-        kv_.restoreDelta(snap.kv);
+        kv_.applyCheckedDelta(snap.kv);
 
         // The pair multiset is fully determined by the two cluster
         // tables: replaying them in token order records the pairs the

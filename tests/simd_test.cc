@@ -7,10 +7,14 @@
  * ragged shapes, scattered rows and non-finite inputs), and the
  * SimdBackend GEMM's one-FMA-chain-per-element contract: bit-identical
  * across ISA levels, thread counts, row blocks, ragged column blocks
- * and depth slices.
+ * and depth slices. The in-tree GELU is bit-identical across levels,
+ * within its bound of the double-precision formula over 2^24 samples
+ * and equal to the libm formula on special values.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -371,17 +375,20 @@ TEST(SimdAccumulateRowsTest, MatchesScalarChainsAtEveryLevel)
 }
 
 /** Shapes covering full and ragged column blocks, the 6/4/1 row
- *  blocks, short A, and the pooled depth-sliced path (70 x 300 x 200
- *  is past the serial cutover and two depth slices deep). */
+ *  blocks, short A, and the pooled column-blocked, depth-sliced path:
+ *  every shape from 70 x 300 x 200 on is past the 4M-MAC serial
+ *  cutover, with widths straddling the 256-column block and the FFN's
+ *  4096 and depths straddling the 256-deep slice. */
 struct GemmShape
 {
     Index m, k, n;
 };
 
 const std::vector<GemmShape> kGemmShapes = {
-    {1, 8, 16},   {2, 17, 63},  {3, 64, 64},   {4, 16, 64},
-    {5, 33, 65},  {17, 64, 128}, {64, 64, 64}, {70, 128, 96},
-    {70, 300, 200}, {1, 1024, 1000},
+    {1, 8, 16},     {2, 17, 63},    {3, 64, 64},    {4, 16, 64},
+    {5, 33, 65},    {17, 64, 128},  {64, 64, 64},   {70, 128, 96},
+    {1, 1024, 1000}, {70, 300, 200}, {70, 255, 255}, {70, 257, 256},
+    {70, 513, 257}, {22, 255, 4096}, {22, 257, 4100},
 };
 
 TEST(SimdGemmTest, BitIdenticalAcrossLevelsThreadsAndRouting)
@@ -392,12 +399,12 @@ TEST(SimdGemmTest, BitIdenticalAcrossLevelsThreadsAndRouting)
         const Matrix a = Matrix::randomNormal(m, k, rng);
         const Matrix b = Matrix::randomNormal(k, n, rng);
 
-        // Reference: scalar level, single thread.
+        // Reference: one serial, unblocked scalar call — the plain
+        // k-ascending fmaf chain of every element.
         Matrix ref(m, n);
         {
             ScopedSimdLevel guard(SimdLevel::Scalar);
-            SimdBackend backend(1);
-            backend.gemm(a, b, ref);
+            cta::core::simdGemmRows(a, b, ref, 0, m);
         }
         for (const SimdLevel level : levels) {
             ScopedSimdLevel guard(level);
@@ -428,6 +435,123 @@ TEST(SimdGemmTest, CloseToNaiveReference)
     Matrix out(m, n);
     SimdBackend(1).gemm(a, b, out);
     EXPECT_LT(maxAbsDiff(out, ref), 1e-3f);
+}
+
+/** The GELU formula with libm's float tanh — what nn::gelu computed
+ *  before tanh moved in-tree. */
+Real
+geluLibm(Real v)
+{
+    const Real c = std::sqrt(2.0f / 3.14159265f);
+    return 0.5f * v * (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
+}
+
+/** The GELU formula in double precision. */
+double
+geluDouble(double v)
+{
+    const double c = std::sqrt(2.0 / 3.14159265358979323846);
+    return 0.5 * v * (1.0 + std::tanh(c * (v + 0.044715 * v * v * v)));
+}
+
+std::vector<Real>
+geluOf(const std::vector<Real> &x)
+{
+    std::vector<Real> out(x.size());
+    cta::core::simdGeluRow(x.data(), static_cast<Index>(x.size()),
+                           out.data());
+    return out;
+}
+
+TEST(SimdGeluTest, BitIdenticalAcrossLevelsAndLengths)
+{
+    Rng rng(21);
+    for (Index n = 0; n <= 70; ++n) {
+        std::vector<Real> x(static_cast<std::size_t>(n));
+        for (Real &v : x)
+            v = rng.uniform(-12.0f, 12.0f);
+        std::vector<Real> ref;
+        {
+            ScopedSimdLevel guard(SimdLevel::Scalar);
+            ref = geluOf(x);
+        }
+        for (const SimdLevel level : supportedLevels()) {
+            ScopedSimdLevel guard(level);
+            EXPECT_TRUE(sameValues(geluOf(x), ref))
+                << "n=" << n << " level=" << cta::core::simdLevelName(level);
+            // In place, as the contract allows.
+            std::vector<Real> inplace = x;
+            cta::core::simdGeluRow(inplace.data(), n, inplace.data());
+            EXPECT_TRUE(sameValues(inplace, ref))
+                << "in place, n=" << n
+                << " level=" << cta::core::simdLevelName(level);
+        }
+    }
+}
+
+TEST(SimdGeluTest, WithinBoundOfDoublePrecisionFormula)
+{
+    // 2^24 samples over [-12, 12]: the bound is absolute below |y| = 1
+    // (where 1 + tanh cancels, for the libm formula too) and relative
+    // above it.
+    constexpr Index kSamples = Index{1} << 24;
+    constexpr Index kChunk = 4096;
+    constexpr double kBound = 4e-7;
+    Rng rng(23);
+    std::vector<Real> x(kChunk), y(kChunk);
+    double worst = 0, worst_libm = 0;
+    Real worst_at = 0;
+    for (Index done = 0; done < kSamples; done += kChunk) {
+        for (Real &v : x)
+            v = rng.uniform(-12.0f, 12.0f);
+        cta::core::simdGeluRow(x.data(), kChunk, y.data());
+        for (Index j = 0; j < kChunk; ++j) {
+            const double ref = geluDouble(x[j]);
+            const double scale = std::max(1.0, std::fabs(ref));
+            const double err = std::fabs(y[j] - ref) / scale;
+            if (err > worst) {
+                worst = err;
+                worst_at = x[j];
+            }
+            if ((j & 15) == 0)
+                worst_libm = std::max(
+                    worst_libm, std::fabs(geluLibm(x[j]) - ref) / scale);
+        }
+    }
+    const auto sci = [](double v) {
+        char text[32];
+        std::snprintf(text, sizeof(text), "%.3g", v);
+        return std::string(text);
+    };
+    RecordProperty("max_error", sci(worst));
+    RecordProperty("max_error_libm_formula", sci(worst_libm));
+    EXPECT_LE(worst, kBound) << "at v = " << worst_at
+                             << " (libm formula: " << worst_libm << ")";
+}
+
+TEST(SimdGeluTest, SpecialValuesMatchLibmFormula)
+{
+    constexpr Real kInf = std::numeric_limits<Real>::infinity();
+    constexpr Real kMax = std::numeric_limits<Real>::max();
+    const std::vector<Real> specials = {
+        0.0f,   -0.0f,  kInf,   -kInf,  std::numeric_limits<Real>::quiet_NaN(),
+        kMax,   -kMax,  1e13f,  -1e13f, 7e12f,  -7e12f,
+        std::numeric_limits<Real>::min(), -std::numeric_limits<Real>::min(),
+        1e-40f, -1e-40f, std::numeric_limits<Real>::denorm_min(),
+        9.0f,   -9.0f,  12.0f,  -12.0f};
+    for (const SimdLevel level : supportedLevels()) {
+        ScopedSimdLevel guard(level);
+        // Pad to a full 16-lane vector so every level's vector body,
+        // not only its scalar tail, sees each special value.
+        for (const Real v : specials) {
+            const std::vector<Real> x(16, v);
+            EXPECT_TRUE(sameValues(geluOf(x),
+                                   std::vector<Real>(16, geluLibm(v))))
+                << "v=" << v << " got " << geluOf(x)[0] << " want "
+                << geluLibm(v)
+                << " level=" << cta::core::simdLevelName(level);
+        }
+    }
 }
 
 TEST(SimdBackendTest, NameCarriesLevelAndThreads)

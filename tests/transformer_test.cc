@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the transformer substrate (layer norm, GELU, FFN,
- * encoder layer).
+ * encoder layer). Layer norm must equal a per-element reference bit
+ * for bit, and gelu() the core::simdGeluRow kernel, at any thread
+ * count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
+#include "core/backend.h"
 #include "core/matrix.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "nn/transformer.h"
 
 namespace {
@@ -18,6 +24,22 @@ using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::Real;
 using cta::core::Rng;
+using cta::core::SimdBackend;
+using cta::core::Wide;
+
+/** Makes @p backend the active one for a scope. */
+class ScopedBackend
+{
+  public:
+    explicit ScopedBackend(cta::core::Backend *backend)
+        : previous_(cta::core::setActiveBackend(backend))
+    {
+    }
+    ~ScopedBackend() { cta::core::setActiveBackend(previous_); }
+
+  private:
+    cta::core::Backend *previous_;
+};
 
 TEST(LayerNormTest, RowsHaveZeroMeanUnitVar)
 {
@@ -45,6 +67,74 @@ TEST(LayerNormTest, ConstantRowMapsToZero)
     const Matrix y = norm.forward(x);
     for (Index j = 0; j < 8; ++j)
         EXPECT_NEAR(y(0, j), 0.0f, 1e-2f);
+}
+
+/** LayerNorm with gamma = 1, beta = 0, one element at a time through
+ *  the checked accessors: the per-element sequence forward() must
+ *  keep. */
+Matrix
+layerNormReference(const Matrix &x, Real epsilon)
+{
+    Matrix out(x.rows(), x.cols());
+    for (Index i = 0; i < x.rows(); ++i) {
+        Wide sum = 0;
+        for (Index j = 0; j < x.cols(); ++j)
+            sum += x(i, j);
+        const Wide mu = sum / x.cols();
+        Wide var = 0;
+        for (Index j = 0; j < x.cols(); ++j) {
+            const Wide diff = x(i, j) - mu;
+            var += diff * diff;
+        }
+        var /= x.cols();
+        const Real inv_std =
+            1.0f / std::sqrt(static_cast<Real>(var) + epsilon);
+        for (Index j = 0; j < x.cols(); ++j) {
+            const Real norm = (x(i, j) - static_cast<Real>(mu)) * inv_std;
+            out(i, j) = norm * 1.0f + 0.0f;
+        }
+    }
+    return out;
+}
+
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(Real)) == 0;
+}
+
+TEST(LayerNormTest, MatchesPerElementReferenceBitForBit)
+{
+    Rng rng(7);
+    for (const auto &[rows, cols] :
+         {std::pair<Index, Index>{37, 1024}, {5, 33}, {1, 1}}) {
+        const cta::nn::LayerNorm norm(cols);
+        const Matrix x = Matrix::randomNormal(rows, cols, rng, 0.5f, 3.0f);
+        const Matrix want = layerNormReference(x, 1e-5f);
+        for (const int threads : {1, 3}) {
+            SimdBackend backend(threads);
+            ScopedBackend guard(&backend);
+            EXPECT_TRUE(bitIdentical(norm.forward(x), want))
+                << rows << "x" << cols << " threads=" << threads;
+        }
+    }
+}
+
+TEST(GeluTest, MatrixIsTheRowKernelAtEveryThreadCount)
+{
+    Rng rng(8);
+    const Matrix x = Matrix::randomNormal(37, 100, rng, 0.0f, 4.0f);
+    Matrix want(x.rows(), x.cols());
+    cta::core::simdGeluRow(x.data(), x.size(), want.data());
+    for (const int threads : {1, 3}) {
+        SimdBackend backend(threads);
+        ScopedBackend guard(&backend);
+        EXPECT_TRUE(bitIdentical(cta::nn::gelu(x), want))
+            << "threads=" << threads;
+    }
 }
 
 TEST(GeluTest, KnownValues)
