@@ -272,22 +272,33 @@ Batcher::beginFlush()
         plan.perSession[static_cast<std::size_t>(
                             plan.batch[i].session)]
             .push_back(i);
-    for (std::size_t s = 0; s < plan.perSession.size(); ++s)
-        if (!plan.perSession[s].empty())
-            plan.active.push_back(static_cast<Index>(s));
-
-    // Resolve every session serially before fanning out: this is
-    // where evicted sessions restore, and keeping the
-    // restores (and the LRU ticks they take) outside the parallel
-    // region keeps eviction decisions thread-count-invariant. A
-    // session whose snapshot fails integrity checks resolves to
-    // nullptr (quarantined) and its steps come back Corrupted.
-    plan.resolved.resize(plan.active.size());
-    for (std::size_t t = 0; t < plan.active.size(); ++t)
-        plan.resolved[t] = manager_.tryAcquire(plan.active[t]);
+    for (std::size_t s = 0; s < plan.perSession.size(); ++s) {
+        if (plan.perSession[s].empty())
+            continue;
+        plan.active.push_back(static_cast<Index>(s));
+        plan.restoring = plan.restoring ||
+                         manager_.isEvicted(static_cast<Index>(s));
+    }
     plan.expired.assign(plan.active.size(), 0);
     plan.corrupted.assign(plan.active.size(), 0);
     return plan;
+}
+
+void
+Batcher::resolveFlush(FlushPlan &plan)
+{
+    // Resolve every session serially before fanning out: this is
+    // where evicted sessions restore, and keeping the restores (and
+    // the LRU ticks they take) in one ordered loop per batcher keeps
+    // eviction decisions thread-count-invariant. A session whose
+    // snapshot fails integrity checks resolves to nullptr
+    // (quarantined) and its steps come back Corrupted.
+    if (plan.active.empty())
+        return;
+    std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
+    plan.resolved.resize(plan.active.size());
+    for (std::size_t t = 0; t < plan.active.size(); ++t)
+        plan.resolved[t] = manager_.tryAcquire(plan.active[t]);
 }
 
 void
@@ -354,13 +365,13 @@ Batcher::runPlanTask(FlushPlan &plan, Index t)
     CTA_OBS_COUNT("serve.flushed", ran);
 }
 
-std::vector<StepResult>
+Batcher::FlushResult
 Batcher::finishFlush(FlushPlan &&plan)
 {
     if (plan.batch.empty()) {
         std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-        manager_.enforceBudget();
-        return std::move(plan.results);
+        const std::size_t resident = manager_.enforceBudget();
+        return {std::move(plan.results), resident};
     }
 
     std::uint64_t expiredTotal = 0;
@@ -383,13 +394,11 @@ Batcher::finishFlush(FlushPlan &&plan)
 
     // Recency follows submission order — deterministic for any
     // thread count — then the budget pass may evict stragglers.
-    {
-        std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
-        for (const Pending &p : plan.batch)
-            manager_.touch(p.session);
-        manager_.enforceBudget();
-    }
-    return std::move(plan.results);
+    std::lock_guard<std::mutex> lifecycle(sessionsMutex_);
+    for (const Pending &p : plan.batch)
+        manager_.touch(p.session);
+    const std::size_t resident = manager_.enforceBudget();
+    return {std::move(plan.results), resident};
 }
 
 std::vector<StepResult>
@@ -398,7 +407,7 @@ Batcher::bounceFlush(FlushPlan &&plan)
     // The wedged-shard exit: every drained step is returned Bounced
     // and NOTHING else happens — no step runs, no recency is marked,
     // no budget pass evicts. The sessions are bitwise exactly where
-    // they were before dispatch (beginFlush() may have restored
+    // they were before dispatch (resolveFlush() may have restored
     // evicted sessions, which is read-repair, not mutation), so the
     // caller may safely resubmit every bounced token.
     for (const Pending &p : plan.batch) {
@@ -419,10 +428,11 @@ Batcher::flush()
 {
     CTA_TRACE_SCOPE("serve.flush");
     FlushPlan plan = beginFlush();
+    resolveFlush(plan);
     if (!plan.empty())
         pool().run(plan.taskCount(),
                    [&](Index t) { runPlanTask(plan, t); });
-    return finishFlush(std::move(plan));
+    return finishFlush(std::move(plan)).results;
 }
 
 } // namespace cta::serve

@@ -46,12 +46,16 @@
  *
  * Sessions are owned by a SessionManager (a zero byte budget means
  * unlimited). flush() restores evicted sessions before fanning out
- * and enforces the byte budget after — both outside the parallel
- * region, so eviction decisions stay deterministic for any thread
- * count. The beginFlush()/runPlanTask()/finishFlush() split exposes
- * those same three phases to the sharded serving front-end
- * (serve/frontend.h), which merges many shards' session tasks into
- * one pool batch so idle workers steal flush work across shards.
+ * and enforces the byte budget after — both serial within the
+ * batcher, outside its per-session fan-out, so eviction decisions
+ * stay deterministic for any thread count. The beginFlush()/
+ * resolveFlush()/runPlanTask()/finishFlush() split exposes those same
+ * phases to the sharded serving front-end (serve/frontend.h), which
+ * runs every shard's resolve and finish as one pool task per shard
+ * (a shard's manager is never shared, so its serial order — and with
+ * it every tick and eviction — is unchanged) and merges many shards'
+ * session tasks into one pool batch so idle workers steal flush work
+ * across shards.
  */
 
 #pragma once
@@ -155,14 +159,14 @@ class Batcher
 
     /**
      * One drained flush batch: the pending steps swapped out by
-     * beginFlush(), grouped per session, with every session resolved
-     * to a live pointer (restores happen inside beginFlush, serially,
-     * so eviction decisions stay thread-count-invariant). The
-     * taskCount() session tasks are mutually independent — run them
-     * in any order, concurrently, via runPlanTask() — then hand the
-     * plan back to finishFlush() for accounting. Lifecycle mutation
-     * (removeSession) must not run between beginFlush() and
-     * finishFlush() of the same batcher.
+     * beginFlush(), grouped per session; resolveFlush() then resolves
+     * every session to a live pointer (restores happen there, serially
+     * within the batcher, so eviction decisions stay
+     * thread-count-invariant). The taskCount() session tasks are
+     * mutually independent — run them in any order, concurrently, via
+     * runPlanTask() — then hand the plan back to finishFlush() for
+     * accounting. Lifecycle mutation (removeSession) must not run
+     * between beginFlush() and finishFlush() of the same batcher.
      */
     struct FlushPlan
     {
@@ -174,8 +178,13 @@ class Batcher
 
         bool empty() const { return batch.empty(); }
 
+        /** True when resolveFlush() has an evicted session to
+         *  restore (otherwise it only marks recency). */
+        bool needsRestore() const { return restoring; }
+
       private:
         friend class Batcher;
+        bool restoring = false;
         std::vector<Pending> batch;
         /** Indices into batch per session id, submission order. */
         std::vector<std::vector<std::size_t>> perSession;
@@ -184,6 +193,14 @@ class Batcher
         std::vector<StepResult> results;    ///< slot-indexed
         std::vector<std::uint64_t> expired;   ///< per active session
         std::vector<std::uint64_t> corrupted; ///< per active session
+    };
+
+    /** What finishFlush() hands back. */
+    struct FlushResult
+    {
+        std::vector<StepResult> results; ///< submission order
+        /** The manager's residentBytes() after the budget pass. */
+        std::size_t residentBytes = 0;
     };
 
     /**
@@ -279,20 +296,29 @@ class Batcher
      * quarantined and its queued steps come back Corrupted — the
      * other sessions in the same flush are unaffected.
      *
-     * Equivalent to beginFlush() + runPlanTask() over every task on
-     * the pool + finishFlush().
+     * Equivalent to beginFlush() + resolveFlush() + runPlanTask()
+     * over every task on the pool + finishFlush().
      */
     std::vector<StepResult> flush();
 
     /**
-     * Sharding hook, phase 1 of flush(): drains the pending queue and
-     * resolves every session with work to a live pointer — this is
-     * where evicted sessions restore, serially, keeping eviction
-     * decisions thread-count-invariant. The front-end calls
-     * this per shard (in shard order), merges every plan's tasks into
-     * one pool batch, then finishes each shard in order.
+     * Sharding hook, phase 1a of flush(): drains the pending queue and
+     * groups it per session, noting whether any session with work is
+     * evicted (FlushPlan::needsRestore()). The front-end calls this
+     * per shard, serially in shard order.
      */
     FlushPlan beginFlush();
+
+    /**
+     * Sharding hook, phase 1b: resolves every session of @p plan to a
+     * live pointer, in session order — this is where evicted sessions
+     * restore, serially within this batcher, so its LRU ticks and
+     * eviction decisions are thread-count-invariant. Must run exactly
+     * once per plan, before any runPlanTask(). Distinct batchers' plans
+     * may resolve concurrently (the front-end runs one pool task per
+     * shard).
+     */
+    void resolveFlush(FlushPlan &plan);
 
     /**
      * Sharding hook, phase 2: executes session task @p t of @p plan
@@ -305,13 +331,16 @@ class Batcher
     /**
      * Sharding hook, phase 3: folds @p plan's expiry/corruption
      * totals into the counters, marks recency and enforces the
-     * manager budget, and returns the results in submission order.
+     * manager budget, and returns the results in submission order
+     * with the resident total the budget pass ended at. Distinct
+     * batchers may finish concurrently (one pool task per shard).
      */
-    std::vector<StepResult> finishFlush(FlushPlan &&plan);
+    FlushResult finishFlush(FlushPlan &&plan);
 
     /**
      * Failure-path alternative to runPlanTask()+finishFlush(): the
-     * shard wedged after beginFlush(), so no task of @p plan may run.
+     * shard wedged after resolveFlush(), so no task of @p plan may
+     * run.
      * Every drained step comes back StepStatus::Bounced and no
      * session is stepped, touched or evicted — the sessions' token
      * streams are exactly as if the steps were never dispatched, so

@@ -542,13 +542,36 @@ ServeFrontend::flushOnce()
     // with it the whole shard-fault schedule — is deterministic.
     const std::uint64_t ordinal = ++flushOrdinal_;
 
-    // Phase 1 per shard, serially in shard order: drains each shard's
-    // queue and restores evicted sessions — the thread-count-
-    // invariant part.
+    // Runs @p task once per shard: as one pool batch when @p fan_out,
+    // else inline in shard order. Each task touches only its own
+    // shard's batcher and manager, so both routes give the same
+    // result; an idle phase skips the pool call.
+    const auto perShard = [&](bool fan_out, const auto &task) {
+        if (!fan_out) {
+            for (std::size_t s = 0; s < shards_.size(); ++s)
+                task(s);
+            return;
+        }
+        pool().run(shardCount(), [&](Index s) {
+            task(static_cast<std::size_t>(s));
+        });
+    };
+
+    // Phase 1: drain and group every shard's queue serially in shard
+    // order, then resolve — restoring evicted sessions — one pool
+    // task per shard. A shard's restores keep their serial order
+    // inside its task, and no two tasks share a manager, so every LRU
+    // tick and eviction decision is thread-count-invariant.
     std::vector<Batcher::FlushPlan> plans;
     plans.reserve(shards_.size());
-    for (Shard &shard : shards_)
+    bool restoring = false;
+    for (Shard &shard : shards_) {
         plans.push_back(shard.batcher->beginFlush());
+        restoring = restoring || plans.back().needsRestore();
+    }
+    perShard(restoring, [&](std::size_t s) {
+        shards_[s].batcher->resolveFlush(plans[s]);
+    });
 
     // Shard-fault draw: one per (shard, flush ordinal), after the
     // drain so a wedge bounces exactly the steps it would have run.
@@ -610,21 +633,40 @@ ServeFrontend::flushOnce()
                                       t);
         });
 
-    // Phase 3 per shard, serially in shard order: accounting, LRU
-    // touches and budget enforcement (or the bounce path for wedged
-    // shards), then map slot-indexed results back to global sessions
-    // via the dispatch tags (both sides are in shard submission
-    // order, so they align one-to-one), then the health transition —
-    // including failover the moment a shard crosses the threshold.
+    // Phase 3: accounting, LRU touches and the budget pass with its
+    // evictions (or the bounce path for wedged shards), one pool task
+    // per shard when any shard has a budget to enforce. Then, serially
+    // in shard order, map slot-indexed results back to global
+    // sessions via the dispatch tags (both sides are in shard
+    // submission order, so they align one-to-one), then the health
+    // transition — including failover the moment a shard crosses the
+    // threshold.
     std::vector<Completion> completions;
     const auto doneAt = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);
+    const bool budgeted =
+        std::any_of(shards_.begin(), shards_.end(), [](const Shard &sh) {
+            return sh.manager->memBudgetBytes() > 0;
+        });
+    std::vector<std::vector<StepResult>> shardResults(shards_.size());
+    std::vector<std::size_t> resident(shards_.size(), 0);
+    perShard(budgeted, [&](std::size_t s) {
+        Shard &shard = shards_[s];
+        if (wedged[s]) {
+            shardResults[s] =
+                shard.batcher->bounceFlush(std::move(plans[s]));
+            resident[s] = shard.manager->residentBytes();
+            return;
+        }
+        Batcher::FlushResult done =
+            shard.batcher->finishFlush(std::move(plans[s]));
+        shardResults[s] = std::move(done.results);
+        resident[s] = done.residentBytes;
+    });
+    bool failedOver = false;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         Shard &shard = shards_[s];
-        std::vector<StepResult> results =
-            wedged[s]
-                ? shard.batcher->bounceFlush(std::move(plans[s]))
-                : shard.batcher->finishFlush(std::move(plans[s]));
+        std::vector<StepResult> &results = shardResults[s];
         CTA_REQUIRE(results.size() == shard.inflight.size(),
                     "shard ", s, " returned ", results.size(),
                     " results for ", shard.inflight.size(),
@@ -701,14 +743,18 @@ ServeFrontend::flushOnce()
                          " corruption events this epoch); failing "
                          "over");
                 failoverLocked(static_cast<Index>(s));
+                failedOver = true;
             }
         }
     }
-    // Refresh the placement load cache now that every manager is
-    // quiescent again; the tie-break counters restart with it.
-    for (Shard &shard : shards_) {
-        shard.loadBytes = shard.manager->residentBytes();
-        shard.placements = 0;
+    // Refresh the placement load cache from phase 3's totals; a
+    // failover moved sessions after them, so it walks every manager
+    // again. The tie-break counters restart with the cache.
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        shards_[s].loadBytes = failedOver
+                                   ? shards_[s].manager->residentBytes()
+                                   : resident[s];
+        shards_[s].placements = 0;
     }
     return completions;
 }

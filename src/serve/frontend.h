@@ -41,15 +41,23 @@
  *     FIFO, and a dispatch-time QueueFull — or a fenced shard — stops
  *     that tenant's round *at the head*, never skipping past it).
  *  2. **Sharded flush with cross-shard work stealing.** Each shard's
- *     Batcher::beginFlush() runs serially in shard order (evicted
- *     sessions restore here, keeping eviction decisions
- *     thread-count-invariant per shard), then every shard's
- *     session tasks are merged into ONE ThreadPool::run batch — the
+ *     Batcher::beginFlush() drains and groups its queue serially in
+ *     shard order; then Batcher::resolveFlush() (where evicted
+ *     sessions restore) runs as one pool task per shard. Inside a
+ *     task a shard's restores keep their serial order, and no two
+ *     tasks share a SessionManager, so every LRU tick, eviction and
+ *     fault ordinal is thread-count-invariant. Every shard's session
+ *     tasks are then merged into ONE ThreadPool::run batch — the
  *     pool's ticket-claiming workers steal across shards, so a
  *     worker done with shard 0's sessions immediately picks up shard
  *     3's instead of idling at a per-shard barrier. finishFlush()
- *     then runs serially in shard order (budget enforcement).
- *  3. **Completion mapping.** Results come back per shard in
+ *     (recency, the budget pass and its evictions) again runs as one
+ *     pool task per shard. A phase with nothing to restore, or no
+ *     budget to enforce, runs inline in shard order instead of
+ *     paying for a pool call.
+ *  3. **Completion mapping.** Serially, in shard order, under the
+ *     front-end lock — as are the health state machine and failover.
+ *     Results come back per shard in
  *     submission order (the per-shard determinism contract) and are
  *     tagged with tenant, global session id and queue-wait; per-
  *     tenant queue-wait/latency/shed gauges go to the obs layer
@@ -438,8 +446,10 @@ class ServeFrontend
          *  construction) — the epoch the fail-after threshold sees;
          *  stats.corruptionEvents is the cumulative mirror. */
         std::uint64_t corruptionsInEpoch = 0;
-        /** Placement load cache: residentBytes() refreshed at the end
-         *  of each flush (manager calls are not safe mid-flush). */
+        /** Placement load cache: residentBytes() as of the end of the
+         *  last flush — the total its budget pass ended at, walked
+         *  again only after a failover (manager calls are not safe
+         *  mid-flush). */
         std::size_t loadBytes = 0;
         /** Placements since the last refresh — tie-break so burst
          *  creations between flushes still spread out. */

@@ -319,9 +319,10 @@ SessionManager::evict(Index id)
     s.live.reset();
     s.state = State::Evicted;
     ++evictions_;
-    // Snapshot-blob fault site, keyed on the serial eviction ordinal
-    // (evict runs outside any parallel region, so the ordinal — and
-    // with it the whole fault set — is thread-count-invariant).
+    // Snapshot-blob fault site, keyed on the eviction ordinal (a
+    // manager evicts serially — the front-end runs each shard's
+    // budget pass as one task — so the ordinal, and with it the
+    // whole fault set, is thread-count-invariant).
     if (fault::corruptBlob(fault::Site::SnapshotBlob, evictions_,
                            s.blob)) {
         s.corruptionInjected = true;
@@ -570,18 +571,18 @@ SessionManager::evictPrefixIfCold(std::int64_t id)
     return true;
 }
 
-void
+std::size_t
 SessionManager::enforceBudget()
 {
+    std::size_t total = residentBytes();
     if (memBudgetBytes_ == 0) {
-        publishGauges();
-        return;
+        publishGauges(total);
+        return total;
     }
     // Collect live sessions, LRU first. stateBytes() is O(pages)
     // per session, and only live sessions (bounded by the budget) are
     // visited — the whole pass stays far below one decode step.
     std::vector<std::pair<std::uint64_t, Index>> live;
-    std::size_t total = residentBytes();
     for (Index id = 0; id < sessionCount(); ++id) {
         const Slot &s = slots_[static_cast<std::size_t>(id)];
         if (s.state != State::Live)
@@ -628,7 +629,8 @@ SessionManager::enforceBudget()
                 total = residentBytes();
         }
     }
-    publishGauges();
+    publishGauges(total);
+    return total;
 }
 
 std::size_t
@@ -720,14 +722,14 @@ SessionManager::stats() const
 }
 
 void
-SessionManager::publishGauges() const
+SessionManager::publishGauges(std::size_t resident) const
 {
     CTA_OBS_GAUGE_SET("serve.manager.live_bytes",
                       static_cast<double>(liveStateBytes()));
     CTA_OBS_GAUGE_SET("serve.manager.evicted_blob_bytes",
                       static_cast<double>(evictedBlobBytes()));
     CTA_OBS_GAUGE_SET("serve.manager.resident_bytes",
-                      static_cast<double>(residentBytes()));
+                      static_cast<double>(resident));
     CTA_OBS_GAUGE_SET("serve.manager.shared_page_bytes",
                       static_cast<double>(arena_->sharedBytes()));
 }

@@ -28,8 +28,11 @@
  * just its snapshot blob.
  *
  * Thread-safety: none — the manager is externally synchronized.
- * Batcher drives it only outside its parallel flush region, keeping
- * eviction decisions deterministic for any thread count.
+ * Batcher drives it from one thread at a time, never inside its
+ * per-session fan-out; the sharded front-end runs each shard's
+ * restores and budget pass as one pool task per shard, so a manager's
+ * ticks and eviction ordinal advance serially and eviction decisions
+ * stay deterministic for any thread count.
  */
 
 #pragma once
@@ -297,8 +300,11 @@ class SessionManager
      * until residentBytes() fits the budget. The most-recently-used
      * session is never evicted, so a budget smaller than one session
      * degrades to one-resident-at-a-time serving instead of livelock.
+     * Returns the residentBytes() total the pass ends with (the
+     * walk it already made, kept exact through every eviction), so
+     * callers need not walk the sessions again.
      */
-    void enforceBudget();
+    std::size_t enforceBudget();
 
     /** Sum of live sessions' stateBytes() (recomputed). */
     std::size_t liveStateBytes() const;
@@ -398,8 +404,9 @@ class SessionManager
      *  prefix @p id. */
     bool prefixIsCold(std::int64_t id) const;
 
-    /** Publishes byte/count gauges to the obs layer. */
-    void publishGauges() const;
+    /** Publishes byte/count gauges to the obs layer; @p resident is
+     *  the current residentBytes(). */
+    void publishGauges(std::size_t resident) const;
 
     std::shared_ptr<const nn::AttentionHeadParams> params_;
     ServeConfig config_;

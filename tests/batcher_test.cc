@@ -126,7 +126,9 @@ TEST(BatcherTest, FlushMatchesStandaloneSessions)
 TEST(BatcherTest, DeterministicAcrossThreadCounts)
 {
     ThreadPool serial(1);
-    ThreadPool wide(8);
+    // Forced fan-out: without it a pool wider than the host's
+    // hardware threads runs inline and both runs would be serial.
+    ThreadPool wide(8, /*force_fanout=*/true);
     const auto one = runWorkload(&serial);
     const auto eight = runWorkload(&wide);
     ASSERT_EQ(one.size(), eight.size());

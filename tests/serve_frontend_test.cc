@@ -33,6 +33,7 @@ using cta::serve::DecodeSession;
 using cta::serve::FrontendConfig;
 using cta::serve::ServeConfig;
 using cta::serve::ServeFrontend;
+using cta::serve::SessionManagerStats;
 using cta::serve::StepStatus;
 using cta::serve::SubmitResult;
 using cta::serve::TenantConfig;
@@ -181,7 +182,9 @@ runFrontendWorkload(ThreadPool *pool)
 TEST(ServeFrontendTest, DeterministicAcrossThreadCounts)
 {
     ThreadPool serial(1);
-    ThreadPool wide(8);
+    // Forced fan-out: without it a pool wider than the host's
+    // hardware threads runs inline and both runs would be serial.
+    ThreadPool wide(8, /*force_fanout=*/true);
     const auto one = runFrontendWorkload(&serial);
     const auto eight = runFrontendWorkload(&wide);
     ASSERT_EQ(one.size(), eight.size());
@@ -194,6 +197,144 @@ TEST(ServeFrontendTest, DeterministicAcrossThreadCounts)
             << "slot " << i;
     }
 }
+
+/** Every output and per-shard manager ledger of one schedule. */
+struct ForkHeavyRun
+{
+    std::vector<Completion> completions;
+    std::vector<SessionManagerStats> shards;
+};
+
+/**
+ * fork_resume at test scale: two shards under a byte budget well
+ * below the working set, one 96-token prompt per shard with six forks
+ * each, resumed four at a time in round-robin order alternating
+ * between shards, two steps per resume — so every flush restores and
+ * evicts on both shards, and phases 1 and 3 fan out. A final probe
+ * flush steps every session still admitted (prompts included), so
+ * every blob evicted during the schedule is restored once and any
+ * injected corruption is judged.
+ */
+ForkHeavyRun
+runForkHeavyWorkload(ThreadPool *pool)
+{
+    FrontendConfig fc;
+    fc.shards = 2;
+    fc.pool = pool;
+    fc.memBudgetBytes = 48 * 1024;
+    // Corruption quarantines must not fail a shard over: this schedule
+    // is about restores and evictions, not failover.
+    fc.shardFailAfter = 64;
+    ServeFrontend frontend(testParams(), ServeConfig{}, kDim, fc);
+    const Index tenant = frontend.registerTenant({"solo", 1, 256});
+    std::vector<Index> prompts;
+    std::vector<Index> forks;
+    for (Index p = 0; p < 2; ++p) {
+        prompts.push_back(frontend.createSession(
+            tenant, sampleTokens(96, kDim, 300 + p)));
+        for (Index f = 0; f < 6; ++f)
+            forks.push_back(frontend.forkSession(prompts.back()));
+    }
+    EXPECT_NE(frontend.shardOf(prompts[0]), frontend.shardOf(prompts[1]));
+
+    const Matrix steps = sampleTokens(16, kDim, 310);
+    ForkHeavyRun run;
+    const auto flush = [&] {
+        for (Completion &c : frontend.flushOnce())
+            run.completions.push_back(std::move(c));
+    };
+    for (Index round = 0; round < 12; ++round) {
+        for (Index k = 0; k < 4; ++k) {
+            const Index i = 4 * round + k;
+            const Index sid =
+                forks[static_cast<std::size_t>(6 * (i % 2) + (i / 2) % 6)];
+            for (Index t = 0; t < 2; ++t)
+                frontend.admit(sid, steps.row((i + t) % 16));
+        }
+        flush();
+    }
+    // Disarmed, the probe flush's own evictions inject nothing.
+    cta::fault::setConfig(cta::fault::FaultConfig{});
+    for (const std::vector<Index> *group : {&prompts, &forks})
+        for (const Index sid : *group)
+            frontend.admit(sid, steps.row(sid % 16));
+    flush();
+    for (Index s = 0; s < frontend.shardCount(); ++s)
+        run.shards.push_back(frontend.manager(s).stats());
+    return run;
+}
+
+void
+expectSameForkHeavyRun(const ForkHeavyRun &one, const ForkHeavyRun &four)
+{
+    ASSERT_EQ(one.completions.size(), four.completions.size());
+    for (std::size_t i = 0; i < one.completions.size(); ++i) {
+        const Completion &a = one.completions[i];
+        const Completion &b = four.completions[i];
+        EXPECT_EQ(a.session, b.session) << "completion " << i;
+        EXPECT_EQ(a.shard, b.shard) << "completion " << i;
+        EXPECT_EQ(a.status, b.status) << "completion " << i;
+        EXPECT_TRUE(bitIdentical(a.output, b.output))
+            << "completion " << i;
+    }
+    ASSERT_EQ(one.shards.size(), four.shards.size());
+    for (std::size_t s = 0; s < one.shards.size(); ++s) {
+        const SessionManagerStats &a = one.shards[s];
+        const SessionManagerStats &b = four.shards[s];
+        EXPECT_GT(a.restores, 0u) << "shard " << s;
+        EXPECT_GT(a.evictions, 0u) << "shard " << s;
+        EXPECT_EQ(a.restores, b.restores) << "shard " << s;
+        EXPECT_EQ(a.evictions, b.evictions) << "shard " << s;
+        EXPECT_EQ(a.cowCopies, b.cowCopies) << "shard " << s;
+        EXPECT_EQ(a.evictedBytes, b.evictedBytes) << "shard " << s;
+        EXPECT_EQ(a.quarantined, b.quarantined) << "shard " << s;
+        EXPECT_EQ(a.residentBytes, b.residentBytes) << "shard " << s;
+        EXPECT_EQ(a.corruptionsInjected, b.corruptionsInjected)
+            << "shard " << s;
+        EXPECT_EQ(a.corruptionsDetected, b.corruptionsDetected)
+            << "shard " << s;
+    }
+}
+
+TEST(ServeFrontendTest, BudgetedForkHeavyFlushesAreThreadCountInvariant)
+{
+    ThreadPool serial(1);
+    ThreadPool wide(4, /*force_fanout=*/true);
+    const ForkHeavyRun one = runForkHeavyWorkload(&serial);
+    const ForkHeavyRun four = runForkHeavyWorkload(&wide);
+    expectSameForkHeavyRun(one, four);
+    for (const Completion &c : one.completions)
+        EXPECT_EQ(c.status, StepStatus::Ok);
+}
+
+#ifndef CTA_FAULT_DISABLED
+TEST(ServeFrontendTest, CorruptedEvictionsUnderFannedOutFlushesAreAllCaught)
+{
+    // Snapshot-blob corruption at evict time: the eviction ordinal
+    // keying each draw advances serially per shard, so the fault set
+    // — and every quarantine it causes — is the same at any thread
+    // count, and the probe flush restores every corrupted blob.
+    cta::fault::FaultConfig corrupting;
+    corrupting.seed = 23;
+    corrupting.rate = 0.1;
+    corrupting.sites =
+        1u << static_cast<unsigned>(cta::fault::Site::SnapshotBlob);
+    ThreadPool serial(1);
+    ThreadPool wide(4, /*force_fanout=*/true);
+    cta::fault::setConfig(corrupting);
+    const ForkHeavyRun one = runForkHeavyWorkload(&serial);
+    cta::fault::setConfig(corrupting);
+    const ForkHeavyRun four = runForkHeavyWorkload(&wide);
+    expectSameForkHeavyRun(one, four);
+    std::uint64_t injected = 0;
+    for (const SessionManagerStats &s : four.shards) {
+        EXPECT_EQ(s.corruptionsDetected, s.corruptionsInjected);
+        EXPECT_EQ(s.corruptionsSilent, 0u);
+        injected += s.corruptionsInjected;
+    }
+    EXPECT_GT(injected, 0u);
+}
+#endif // CTA_FAULT_DISABLED
 
 TEST(ServeFrontendTest, DrrDispatchesProportionallyUnderSaturation)
 {

@@ -277,6 +277,42 @@ TEST(ManagedBatcherTest, FlushRestoresEvictedSessionsAndEnforces)
               SubmitResult::SessionRemoved);
 }
 
+TEST(ManagedBatcherTest, PlanFlagsRestoresBeforeResolving)
+{
+    // beginFlush() only drains and groups; it reports whether an
+    // evicted session has work, and resolveFlush() restores it.
+    SessionManager manager(headParams(), ServeConfig{}, kDim, 0);
+    const Index a = manager.createSession(sampleTokens(16, 620));
+    const Index b = manager.createSession(sampleTokens(16, 621));
+    Batcher batcher(manager);
+    const Matrix decode = sampleTokens(2, 622);
+
+    ASSERT_EQ(batcher.trySubmit(a, decode.row(0)),
+              SubmitResult::Accepted);
+    Batcher::FlushPlan live = batcher.beginFlush();
+    EXPECT_FALSE(live.needsRestore());
+    batcher.resolveFlush(live);
+    for (Index t = 0; t < live.taskCount(); ++t)
+        batcher.runPlanTask(live, t);
+    EXPECT_EQ(batcher.finishFlush(std::move(live)).results.size(), 1u);
+
+    manager.evict(b);
+    ASSERT_EQ(batcher.trySubmit(b, decode.row(1)),
+              SubmitResult::Accepted);
+    Batcher::FlushPlan evicted = batcher.beginFlush();
+    EXPECT_TRUE(evicted.needsRestore());
+    EXPECT_TRUE(manager.isEvicted(b));
+    batcher.resolveFlush(evicted);
+    EXPECT_TRUE(manager.isLive(b));
+    for (Index t = 0; t < evicted.taskCount(); ++t)
+        batcher.runPlanTask(evicted, t);
+    const Batcher::FlushResult done =
+        batcher.finishFlush(std::move(evicted));
+    ASSERT_EQ(done.results.size(), 1u);
+    EXPECT_EQ(done.results[0].status, StepStatus::Ok);
+    EXPECT_EQ(done.residentBytes, manager.residentBytes());
+}
+
 TEST(SessionManagerForkTest, ForkSharesPagesAndStepsBitIdentically)
 {
     const Index prefill = 64, steps = 4;
@@ -383,6 +419,53 @@ TEST(SessionManagerForkTest, PrefixEvictsOnlyWhenColdAndResolvesBack)
     }
     EXPECT_TRUE(manager.isPrefixLive(0));
     EXPECT_EQ(manager.stats().prefixRestores, 1u);
+}
+
+TEST(SessionManagerForkTest, BudgetPassReturnsTheResidentTotal)
+{
+    // The front-end caches enforceBudget()'s result as its placement
+    // load instead of walking the sessions again, so after every pass
+    // of a fork-heavy schedule it must equal residentBytes() exactly —
+    // through session evictions, cold-prefix evictions, restores and
+    // forks of evicted sessions, at every budget from none to tiny.
+    const Matrix decode = sampleTokens(8, 811);
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1}, std::size_t{6000},
+          std::size_t{20000}, std::size_t{60000}}) {
+        SessionManager manager(headParams(), ServeConfig{}, kDim,
+                               budget, 256);
+        std::vector<Index> forks;
+        for (Index p = 0; p < 2; ++p) {
+            const Index prompt =
+                manager.createSession(sampleTokens(64, 810 + p));
+            for (Index f = 0; f < 4; ++f)
+                forks.push_back(manager.forkSession(prompt));
+        }
+        for (Index round = 0; round < 16; ++round) {
+            // From round 8 on only the first prompt's forks resume, so
+            // the second prompt's donor goes cold.
+            const Index span = round < 8 ? 8 : 4;
+            for (Index k = 0; k < 3; ++k) {
+                const Index id = forks[static_cast<std::size_t>(
+                    (3 * round + k) % span)];
+                manager.acquire(id).step(decode.row((round + k) % 8));
+            }
+            if (round == 4) // a fork of a (possibly evicted) fork
+                forks.insert(forks.begin(),
+                             manager.forkSession(forks[0]));
+            const std::size_t total = manager.enforceBudget();
+            EXPECT_EQ(total, manager.residentBytes())
+                << "budget " << budget << " round " << round;
+        }
+        const auto stats = manager.stats();
+        if (budget > 0 && budget < 20000) {
+            EXPECT_GT(stats.evictions, 0u) << "budget " << budget;
+            EXPECT_GT(stats.restores, 0u) << "budget " << budget;
+        }
+        if (budget == 1) {
+            EXPECT_GT(stats.prefixEvictions, 0u);
+        }
+    }
 }
 
 } // namespace
