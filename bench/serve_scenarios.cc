@@ -8,7 +8,7 @@
  *   serve_scenarios <scenario> [--smoke]
  *
  *   serve_soak    waves of sessions through a budget-bound
- *                 SessionManager + Batcher; asserts the live-byte
+ *                 SessionManager; asserts the live-byte
  *                 plateau (BENCH_serve_soak.json, mode "classic").
  *   prefix_share  one prompt served standalone vs forked
  *                 copy-on-write at equal budget; twin probes are
@@ -51,7 +51,6 @@
 #include "nn/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/batcher.h"
 #include "serve/frontend.h"
 #include "serve/loadgen.h"
 #include "serve/session_manager.h"
@@ -63,7 +62,6 @@ using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::Rng;
 using cta::nn::AttentionHeadParams;
-using cta::serve::Batcher;
 using cta::serve::Completion;
 using cta::serve::ServeConfig;
 using cta::serve::ServeFrontend;
@@ -250,7 +248,7 @@ class Report
 constexpr Index kLifecycleHeadDim = 16;
 
 /** Waves of sessions prefilled, stepped and retired through a
- *  budget-bound SessionManager + Batcher. */
+ *  budget-bound SessionManager. */
 struct Lifecycle
 {
     Index sessions = 0;
@@ -294,8 +292,6 @@ struct LifecycleRun
     std::vector<SessionRecord> sessions; ///< by SessionManager id
     std::vector<SessionManagerStats> series; ///< one sample per round
     SessionManagerStats stats;
-    std::uint64_t expiredSteps = 0;
-    std::uint64_t corruptedSteps = 0;
     Index completed = 0;
     bool ok = false; ///< the run hit no protocol error
 };
@@ -312,7 +308,6 @@ runLifecycle(const Lifecycle &shape)
         AttentionHeadParams::randomInit(kTokenDim, kLifecycleHeadDim, rng);
     SessionManager manager(params, ServeConfig{}, kTokenDim,
                            shape.budget);
-    Batcher batcher(manager);
 
     struct Active
     {
@@ -337,7 +332,7 @@ runLifecycle(const Lifecycle &shape)
             else
                 rec.tainted = manager.isFaultTainted(s.id);
         }
-        batcher.removeSession(s.id);
+        manager.removeSession(s.id);
         s.done = true;
         ++run.completed;
     };
@@ -359,7 +354,7 @@ runLifecycle(const Lifecycle &shape)
         // quarantined the session since its last step.
         for (Active &s : active) {
             const auto verdict =
-                batcher.trySubmit(s.id, s.decode.row(s.stepsDone));
+                manager.trySubmit(s.id, s.decode.row(s.stepsDone));
             if (verdict == SubmitResult::Accepted) {
                 s.submitted = true;
             } else if (verdict == SubmitResult::Corrupted) {
@@ -373,7 +368,7 @@ runLifecycle(const Lifecycle &shape)
             }
         }
 
-        const auto results = batcher.flush();
+        const auto results = manager.flush();
         std::size_t ri = 0;
         for (Active &s : active) {
             if (!s.submitted)
@@ -397,7 +392,7 @@ runLifecycle(const Lifecycle &shape)
                 break;
             case StepStatus::Bounced:
                 // Only the front-end's wedged flush bounces steps.
-                CTA_FATAL("Batcher::flush returned Bounced");
+                CTA_FATAL("SessionManager::flush returned Bounced");
             }
             ++s.stepsDone;
         }
@@ -410,8 +405,6 @@ runLifecycle(const Lifecycle &shape)
     }
 
     run.stats = manager.stats();
-    run.expiredSteps = batcher.expiredSteps();
-    run.corruptedSteps = batcher.corruptedSteps();
     run.ok = true;
     return run;
 }
@@ -684,8 +677,8 @@ faultSoak(bool smoke)
         .put("tainted_sessions", tainted)
         .put("degraded_sessions", degraded)
         .put("mismatched_sessions", mismatched)
-        .put("expired_steps", faulted.expiredSteps)
-        .put("corrupted_steps", faulted.corruptedSteps)
+        .put("expired_steps", fs.expiredSteps)
+        .put("corrupted_steps", fs.corruptedSteps)
         .put("evictions", fs.evictions)
         .put("restores", fs.restores)
         .put("corruptions_injected", fs.corruptionsInjected)
@@ -738,7 +731,6 @@ runSharePhase(bool share, Index sessions, const AttentionHeadParams &params,
 {
     SessionManager manager(params, ServeConfig{}, kTokenDim, budget,
                            kSharePageBytes);
-    Batcher batcher(manager);
     PhaseResult result;
 
     const auto trackPeak = [&] {
@@ -755,7 +747,7 @@ runSharePhase(bool share, Index sessions, const AttentionHeadParams &params,
     std::vector<Index> ids;
     ids.reserve(at(sessions));
     for (Index i = 0; i < sessions; ++i)
-        ids.push_back(share ? batcher.forkSession(parent)
+        ids.push_back(share ? manager.forkSession(parent)
                             : manager.createSession(prompt));
     trackPeak();
 
@@ -763,7 +755,7 @@ runSharePhase(bool share, Index sessions, const AttentionHeadParams &params,
     for (Index round = 0; round < kShareRounds; ++round) {
         for (Index i = 0; i < sessions; ++i) {
             const auto verdict =
-                batcher.trySubmit(ids[at(i)], decode[at(i)].row(round));
+                manager.trySubmit(ids[at(i)], decode[at(i)].row(round));
             if (verdict != SubmitResult::Accepted) {
                 std::fprintf(stderr, "round %lld: submit rejected: %s\n",
                              static_cast<long long>(round),
@@ -772,7 +764,7 @@ runSharePhase(bool share, Index sessions, const AttentionHeadParams &params,
                 return result;
             }
         }
-        const auto results = batcher.flush();
+        const auto results = manager.flush();
         for (Index p = 0; p < probe_pairs * 2; ++p)
             probe_out[at(p)].push_back(results[at(p)].output);
         trackPeak();

@@ -16,7 +16,7 @@
  * lock-free — PageRef caches the data and refcount pointers, page
  * storage is segmented so pages never move, and a refcount of 1 can
  * only change from the owning buffer's own thread. This is exactly
- * the access pattern of the Batcher: forked sessions step in parallel
+ * the access pattern of a serving flush: forked sessions step in parallel
  * and CoW concurrently, but a given page is written only by the one
  * session that solely owns it.
  */

@@ -58,7 +58,8 @@ enum class Site : unsigned
     PagOperand,   ///< cta_accel/pag: faulty CS/AP buffer read
     LshBucket,    ///< cta/lsh: off-by-one bucket in a token's code
     SnapshotBlob, ///< serve: byte corruption / truncation of a blob
-    QueueDelay,   ///< serve/batcher: artificial deadline pressure
+    QueueDelay,   ///< serve/session_manager: artificial deadline
+                  ///< pressure
     ShardFault,   ///< serve/frontend: a whole shard wedges (its flush
                   ///< fails and every dispatched step bounces) or is
                   ///< poisoned (a resident snapshot is corrupted) —

@@ -42,7 +42,7 @@ namespace cta::obs {
  *
  * Internally striped: adds land in one of kStripes cache-line-padded
  * slots picked per thread, so concurrent sessions bumping the same
- * counter (e.g. "lsh.tokens_hashed" from every Batcher worker) don't
+ * counter (e.g. "lsh.tokens_hashed" from every flush worker) don't
  * ping-pong a single cache line — that contention measurably slowed
  * the serve bench with a single atomic. value() sums the stripes;
  * totals stay exact and thread-count-invariant because addition

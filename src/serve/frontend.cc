@@ -175,8 +175,6 @@ ServeFrontend::ServeFrontend(nn::AttentionHeadParams params,
         shard.manager = std::make_unique<SessionManager>(
             params, config, token_dim,
             budgets[static_cast<std::size_t>(s)]);
-        shard.batcher = std::make_unique<Batcher>(
-            *shard.manager, pool_, frontend.queueCapPerShard);
         shard.stateGauge = &obs::gauge(obs::labeled(
             "serve.shard.state", "shard", std::to_string(s)));
         shard.stateGauge->set(
@@ -397,10 +395,10 @@ ServeFrontend::admit(Index session,
         shedLocked(t, ShedReason::Fenced);
         return {SubmitResult::ShardFenced, retryHintLocked(t)};
     }
-    // Same dead-on-arrival rule as Batcher::trySubmit — a step whose
-    // deadline passed can never complete, so it must not consume the
-    // tenant's quota.
-    if (deadline != Batcher::kNoDeadline && now >= deadline) {
+    // Same dead-on-arrival rule as SessionManager::trySubmit — a step
+    // whose deadline passed can never complete, so it must not consume
+    // the tenant's quota.
+    if (deadline != SessionManager::kNoDeadline && now >= deadline) {
         ++t.counters.shedDeadline;
         t.shed->add(1.0);
         return {SubmitResult::DeadlineExpired, 0};
@@ -483,7 +481,7 @@ ServeFrontend::dispatchLocked()
                     blocked[i] = 1;
                     break;
                 }
-                const SubmitResult result = shard.batcher->trySubmit(
+                const SubmitResult result = shard.manager->trySubmit(
                     ref.local, head.token, head.deadline);
                 if (result == SubmitResult::QueueFull) {
                     blocked[i] = 1;
@@ -516,7 +514,7 @@ ServeFrontend::dispatchLocked()
                     shedLocked(t, ShedReason::Corrupted);
                 } else {
                     // SessionRemoved: removed behind the front-end's
-                    // back (direct batcher access).
+                    // back (direct manager access).
                     ref.removed = true;
                     shedLocked(t, ShedReason::Removed);
                 }
@@ -544,8 +542,8 @@ ServeFrontend::flushOnce()
 
     // Runs @p task once per shard: as one pool batch when @p fan_out,
     // else inline in shard order. Each task touches only its own
-    // shard's batcher and manager, so both routes give the same
-    // result; an idle phase skips the pool call.
+    // shard's manager, so both routes give the same result; an idle
+    // phase skips the pool call.
     const auto perShard = [&](bool fan_out, const auto &task) {
         if (!fan_out) {
             for (std::size_t s = 0; s < shards_.size(); ++s)
@@ -562,15 +560,15 @@ ServeFrontend::flushOnce()
     // task per shard. A shard's restores keep their serial order
     // inside its task, and no two tasks share a manager, so every LRU
     // tick and eviction decision is thread-count-invariant.
-    std::vector<Batcher::FlushPlan> plans;
+    std::vector<SessionManager::FlushPlan> plans;
     plans.reserve(shards_.size());
     bool restoring = false;
     for (Shard &shard : shards_) {
-        plans.push_back(shard.batcher->beginFlush());
+        plans.push_back(shard.manager->beginFlush());
         restoring = restoring || plans.back().needsRestore();
     }
     perShard(restoring, [&](std::size_t s) {
-        shards_[s].batcher->resolveFlush(plans[s]);
+        shards_[s].manager->resolveFlush(plans[s]);
     });
 
     // Shard-fault draw: one per (shard, flush ordinal), after the
@@ -629,7 +627,7 @@ ServeFrontend::flushOnce()
         pool().run(static_cast<Index>(tasks.size()), [&](Index i) {
             const auto &[s, t] = tasks[static_cast<std::size_t>(i)];
             shards_[static_cast<std::size_t>(s)]
-                .batcher->runPlanTask(plans[static_cast<std::size_t>(s)],
+                .manager->runPlanTask(plans[static_cast<std::size_t>(s)],
                                       t);
         });
 
@@ -651,15 +649,10 @@ ServeFrontend::flushOnce()
     std::vector<std::vector<StepResult>> shardResults(shards_.size());
     std::vector<std::size_t> resident(shards_.size(), 0);
     perShard(budgeted, [&](std::size_t s) {
-        Shard &shard = shards_[s];
-        if (wedged[s]) {
-            shardResults[s] =
-                shard.batcher->bounceFlush(std::move(plans[s]));
-            resident[s] = shard.manager->residentBytes();
-            return;
-        }
-        Batcher::FlushResult done =
-            shard.batcher->finishFlush(std::move(plans[s]));
+        SessionManager &m = *shards_[s].manager;
+        SessionManager::FlushResult done =
+            wedged[s] ? m.bounceFlush(std::move(plans[s]))
+                      : m.finishFlush(std::move(plans[s]));
         shardResults[s] = std::move(done.results);
         resident[s] = done.residentBytes;
     });
@@ -958,7 +951,7 @@ ServeFrontend::removeSession(Index session)
     ref.removed = true;
     Tenant &t = tenants_[static_cast<std::size_t>(ref.tenant)];
     // Drop this session's queued-but-undispatched steps; steps
-    // already inside the shard batcher are purged by its own
+    // already in the shard's queue are purged by the manager's
     // removeSession below.
     const std::size_t before = t.queue.size();
     t.queue.erase(std::remove_if(t.queue.begin(), t.queue.end(),
@@ -969,7 +962,7 @@ ServeFrontend::removeSession(Index session)
     shedLocked(t, ShedReason::Removed,
                static_cast<std::uint64_t>(before - t.queue.size()));
     shards_[static_cast<std::size_t>(ref.shard)]
-        .batcher->removeSession(ref.local);
+        .manager->removeSession(ref.local);
 }
 
 Index
@@ -1021,14 +1014,6 @@ ServeFrontend::manager(Index s) const
     CTA_REQUIRE(s >= 0 && s < shardCount(), "shard id ", s,
                 " out of range [0, ", shardCount(), ")");
     return *shards_[static_cast<std::size_t>(s)].manager;
-}
-
-Batcher &
-ServeFrontend::batcher(Index s)
-{
-    CTA_REQUIRE(s >= 0 && s < shardCount(), "shard id ", s,
-                " out of range [0, ", shardCount(), ")");
-    return *shards_[static_cast<std::size_t>(s)].batcher;
 }
 
 } // namespace cta::serve

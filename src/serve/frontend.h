@@ -6,9 +6,9 @@
  * batching, cross-shard work stealing at flush, and shard fault
  * domains with snapshot failover.
  *
- * Topology: the front-end owns CTA_SHARDS shards, each a
- * SessionManager (its own page arena and a slice of the byte budget)
- * plus a manager-backed Batcher (its own bounded pending queue).
+ * Topology: the front-end owns CTA_SHARDS shards, each one
+ * SessionManager: its own page arena, a slice of the byte budget, its
+ * own bounded submit queue and the flush phases, under one lock.
  * Sessions are placed on the healthy shard with the fewest resident
  * bytes (ties broken by placements-since-last-flush, then shard
  * index) — a pure function of the observable event order, so shard
@@ -23,7 +23,7 @@
  * rejections (QuotaExceeded, ShardFenced) carry a deterministic
  * exponential-backoff retry hint (CTA_RETRY_BASE doubling per
  * consecutive rejection up to CTA_RETRY_MAX). Steps do NOT go to the
- * shard batchers at submit time; dispatch is the scheduler's job.
+ * shards at submit time; dispatch is the scheduler's job.
  *
  * Flush path (one driver thread — continuous batching is this
  * driver looping flushOnce() while submitters keep arriving):
@@ -31,7 +31,7 @@
  *  1. **DRR dispatch.** Every tenant with queued work banks quantum
  *     = weight * drrQuantumScale deficit (an idle tenant's deficit
  *     resets — no banking while idle), then round-robin passes move
- *     steps tenant-queue -> shard batcher, each step costing one
+ *     steps tenant-queue -> shard queue, each step costing one
  *     deficit, until every queue is empty, every deficit is spent,
  *     or maxDispatchPerFlush is reached. Under contention each
  *     tenant's share of a flush converges to weight_i / sum(weights)
@@ -41,8 +41,8 @@
  *     FIFO, and a dispatch-time QueueFull — or a fenced shard — stops
  *     that tenant's round *at the head*, never skipping past it).
  *  2. **Sharded flush with cross-shard work stealing.** Each shard's
- *     Batcher::beginFlush() drains and groups its queue serially in
- *     shard order; then Batcher::resolveFlush() (where evicted
+ *     SessionManager::beginFlush() drains and groups its queue
+ *     serially in shard order; then resolveFlush() (where evicted
  *     sessions restore) runs as one pool task per shard. Inside a
  *     task a shard's restores keep their serial order, and no two
  *     tasks share a SessionManager, so every LRU tick, eviction and
@@ -81,6 +81,16 @@
  * twin's. Quarantined sessions are dropped; fallback-pinned ones
  * stay fenced until recoverShard() returns the shard to rotation.
  *
+ * Locking: the front-end mutex_ guards tenants, the session registry
+ * and shard health; each shard's SessionManager has its own lock. The
+ * order is front-end mutex_ before a shard lock, never the reverse.
+ * flushOnce() takes the front-end lock for dispatch and for phase 3
+ * but not for phases 1 and 2, so admit() and createSession() may run
+ * on other threads while it flushes. forkSession(), removeSession(),
+ * failShard() and recoverShard() may not: forking freezes the
+ * parent's state, which phase 2 may be stepping, and the others
+ * remove or move sessions a running flush holds.
+ *
  * Determinism: for a fixed sequence of admit() calls between
  * flushes and a fixed fault seed, dispatch order, shard placement,
  * health transitions, failover targets, eviction decisions and every
@@ -102,7 +112,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/batcher.h"
 #include "serve/session_manager.h"
 
 namespace cta::serve {
@@ -145,7 +154,7 @@ struct TenantCounters
     /** Admissions rejected ShardFenced: the session sits on a Failed
      *  shard awaiting recovery or deferred re-home — retryable. */
     std::uint64_t shedFenced = 0;
-    std::uint64_t dispatched = 0; ///< handed to a shard batcher
+    std::uint64_t dispatched = 0; ///< handed to a shard's queue
     std::uint64_t completed = 0;  ///< StepStatus::Ok results
     std::uint64_t expired = 0;    ///< deadline passed while queued
     std::uint64_t corrupted = 0;  ///< session quarantined mid-flight
@@ -196,8 +205,6 @@ struct FrontendConfig
 {
     /** Shard count; 0 reads CTA_SHARDS (default 4). */
     core::Index shards = 0;
-    /** Per-shard Batcher queue bound; 0 reads CTA_QUEUE_CAP. */
-    core::Index queueCapPerShard = 0;
     /**
      * Total resident byte budget, split across the shards'
      * SessionManagers so the per-shard budgets sum to it *exactly*
@@ -300,10 +307,12 @@ class ServeFrontend
 
     /** Creates an empty session owned by @p tenant on the healthy
      *  shard with the fewest resident bytes; returns its front-end
-     *  global id. Fatal when every shard is Failed. */
+     *  global id. Fatal when every shard is Failed. May run
+     *  concurrently with flushOnce(). */
     core::Index createSession(core::Index tenant);
 
-    /** Creates a session prefilled with @p tokens (n x tokenDim). */
+    /** Creates a session prefilled with @p tokens (n x tokenDim). May
+     *  run concurrently with flushOnce(). */
     core::Index createSession(core::Index tenant,
                               const core::Matrix &tokens);
 
@@ -312,7 +321,9 @@ class ServeFrontend
      * the child shares the parent's state pages copy-on-write, so it
      * lands on the parent's shard regardless of load — and inherits
      * that shard's fence while it is Failed. Fatal for removed or
-     * quarantined parents.
+     * quarantined parents. Must not run concurrently with flushOnce():
+     * forking freezes the parent's state, which the flush may be
+     * stepping.
      */
     core::Index forkSession(core::Index parent);
 
@@ -329,18 +340,19 @@ class ServeFrontend
     Admission admit(core::Index session,
                     std::span<const core::Real> token,
                     std::chrono::steady_clock::time_point deadline =
-                        Batcher::kNoDeadline);
+                        SessionManager::kNoDeadline);
 
     /**
      * One continuous-batching round (single driver thread): DRR-
-     * dispatches queued steps to the shard batchers, runs every
+     * dispatches queued steps to the shard queues, runs every
      * shard's flush as one work-stealing pool batch, and returns the
      * completions — shards in index order, submission order within a
      * shard. A shard whose deterministic ShardFault draw fires this
      * round wedges: its steps come back Bounced and its health
      * degrades (Failed after shardFailAfter consecutive wedges,
      * triggering failover). Concurrent admit() calls keep landing in
-     * the tenant queues while the flush runs.
+     * the tenant queues while the flush runs, and concurrent
+     * createSession() calls may add sessions (see the file header).
      */
     std::vector<Completion> flushOnce();
 
@@ -393,9 +405,6 @@ class ServeFrontend
     /** Shard @p s's manager (stats/budget introspection). */
     const SessionManager &manager(core::Index s) const;
 
-    /** Shard @p s's batcher (stats introspection). */
-    Batcher &batcher(core::Index s);
-
   private:
     struct QueuedStep
     {
@@ -403,7 +412,7 @@ class ServeFrontend
         std::vector<core::Real> token;
         std::chrono::steady_clock::time_point submitted{};
         std::chrono::steady_clock::time_point deadline{
-            Batcher::kNoDeadline};
+            SessionManager::kNoDeadline};
     };
 
     struct Tenant
@@ -427,7 +436,7 @@ class ServeFrontend
     };
 
     /** Dispatch-order metadata of one in-flight step; parallel to
-     *  the shard batcher's pending queue (empty between flushes). */
+     *  the shard's pending queue (empty between flushes). */
     struct DispatchTag
     {
         core::Index session = 0; ///< global id
@@ -439,7 +448,6 @@ class ServeFrontend
     struct Shard
     {
         std::unique_ptr<SessionManager> manager;
-        std::unique_ptr<Batcher> batcher;
         std::vector<DispatchTag> inflight;
         ShardStats stats; ///< stats.health is the live health field
         /** Corruption events since the last recovery (or

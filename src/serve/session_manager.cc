@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "core/env.h"
@@ -13,6 +14,28 @@
 namespace cta::serve {
 
 using core::Index;
+
+const char *
+toString(SubmitResult result)
+{
+    switch (result) {
+    case SubmitResult::Accepted:
+        return "Accepted";
+    case SubmitResult::QueueFull:
+        return "QueueFull";
+    case SubmitResult::SessionRemoved:
+        return "SessionRemoved";
+    case SubmitResult::Corrupted:
+        return "Corrupted";
+    case SubmitResult::DeadlineExpired:
+        return "DeadlineExpired";
+    case SubmitResult::QuotaExceeded:
+        return "QuotaExceeded";
+    case SubmitResult::ShardFenced:
+        return "ShardFenced";
+    }
+    return "?";
+}
 
 namespace {
 
@@ -49,7 +72,8 @@ SessionManager::SessionManager(nn::AttentionHeadParams params,
                           : core::PageArena::pageBytesFromEnv())),
       tokenDim_(token_dim),
       memBudgetBytes_(mem_budget_bytes),
-      modelBytes_(computeModelBytes(*params_, *lsh_))
+      modelBytes_(computeModelBytes(*params_, *lsh_)),
+      queueCapacity_(queueCapacityFromEnv())
 {
     CTA_REQUIRE(params_->wq.inDim() == token_dim &&
                 params_->wk.inDim() == token_dim &&
@@ -65,6 +89,18 @@ SessionManager::memBudgetFromEnv()
     return parsed ? *parsed : 0; // unset -> unlimited
 }
 
+Index
+SessionManager::queueCapacityFromEnv()
+{
+    const auto parsed = core::envInt("CTA_QUEUE_CAP");
+    if (!parsed)
+        return kDefaultQueueCapacity;
+    CTA_REQUIRE(*parsed > 0,
+                "CTA_QUEUE_CAP must be a positive queue bound, got ",
+                *parsed);
+    return static_cast<Index>(*parsed);
+}
+
 std::unique_ptr<DecodeSession>
 SessionManager::makeSession() const
 {
@@ -73,29 +109,43 @@ SessionManager::makeSession() const
 }
 
 Index
+SessionManager::pushSlotLocked(Slot slot)
+{
+    slots_.push_back(std::move(slot));
+    return static_cast<Index>(slots_.size()) - 1;
+}
+
+Index
 SessionManager::createSession()
 {
     Slot slot;
-    slot.state = State::Live;
     slot.live = makeSession();
+    std::lock_guard<std::mutex> lock(mutex_);
     slot.lastUsed = ++tick_;
-    slots_.push_back(std::move(slot));
     CTA_OBS_COUNT("serve.manager.created", 1);
-    return static_cast<Index>(slots_.size()) - 1;
+    return pushSlotLocked(std::move(slot));
 }
 
 Index
 SessionManager::createSession(const core::Matrix &tokens)
 {
-    const Index id = createSession();
-    slots_[static_cast<std::size_t>(id)].live->prefill(tokens);
-    return id;
+    // The prefill touches only the new session (and the thread-safe
+    // arena), so it runs outside the lock; only the insert and its
+    // tick are serialized.
+    Slot slot;
+    slot.live = makeSession();
+    slot.live->prefill(tokens);
+    std::lock_guard<std::mutex> lock(mutex_);
+    slot.lastUsed = ++tick_;
+    CTA_OBS_COUNT("serve.manager.created", 1);
+    return pushSlotLocked(std::move(slot));
 }
 
 Index
 SessionManager::forkSession(Index parent)
 {
-    DecodeSession &donor_source = acquire(parent);
+    std::lock_guard<std::mutex> lock(mutex_);
+    DecodeSession &donor_source = acquireLocked(parent);
     CTA_REQUIRE(!donor_source.fallbackActive(), "session ", parent,
                 " fell back to exact attention; it cannot donate a "
                 "shared prefix");
@@ -122,21 +172,27 @@ SessionManager::forkSession(Index parent)
     }
 
     Slot slot;
-    slot.state = State::Live;
     slot.live = DecodeSession::forkFrom(prefix);
     slot.prefixId = prefix->id();
     slot.lastUsed = ++tick_;
-    slots_.push_back(std::move(slot));
     ++forks_;
     CTA_OBS_COUNT("serve.manager.forks", 1);
-    return static_cast<Index>(slots_.size()) - 1;
+    return pushSlotLocked(std::move(slot));
+}
+
+Index
+SessionManager::sessionCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<Index>(slots_.size());
 }
 
 SessionManager::Slot &
 SessionManager::slot(Index id, const char *verb)
 {
-    CTA_REQUIRE(id >= 0 && id < sessionCount(), "session id ", id,
-                " out of range [0, ", sessionCount(), ") in ", verb);
+    CTA_REQUIRE(id >= 0 && id < static_cast<Index>(slots_.size()),
+                "session id ", id, " out of range [0, ", slots_.size(),
+                ") in ", verb);
     Slot &s = slots_[static_cast<std::size_t>(id)];
     CTA_REQUIRE(s.state != State::Removed, "session ", id,
                 " was removed; cannot ", verb, " it");
@@ -149,38 +205,46 @@ SessionManager::slot(Index id, const char *verb) const
     return const_cast<SessionManager *>(this)->slot(id, verb);
 }
 
+SessionManager::State
+SessionManager::stateLocked(Index id) const
+{
+    if (id < 0 || id >= static_cast<Index>(slots_.size()))
+        return State::Removed;
+    return slots_[static_cast<std::size_t>(id)].state;
+}
+
 bool
 SessionManager::exists(Index id) const
 {
-    return id >= 0 && id < sessionCount() &&
-           slots_[static_cast<std::size_t>(id)].state !=
-               State::Removed;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stateLocked(id) != State::Removed;
 }
 
 bool
 SessionManager::isLive(Index id) const
 {
-    return exists(id) &&
-           slots_[static_cast<std::size_t>(id)].state == State::Live;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stateLocked(id) == State::Live;
 }
 
 bool
 SessionManager::isEvicted(Index id) const
 {
-    return exists(id) && slots_[static_cast<std::size_t>(id)].state ==
-                             State::Evicted;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stateLocked(id) == State::Evicted;
 }
 
 bool
 SessionManager::isQuarantined(Index id) const
 {
-    return exists(id) && slots_[static_cast<std::size_t>(id)].state ==
-                             State::Quarantined;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stateLocked(id) == State::Quarantined;
 }
 
 bool
 SessionManager::isFaultTainted(Index id) const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     const Slot &s = slot(id, "query taint of");
     return s.taint || (s.live && s.live->faultTainted());
 }
@@ -227,7 +291,14 @@ SessionManager::resolvePrefix(std::int64_t id)
 DecodeSession &
 SessionManager::acquire(Index id)
 {
-    DecodeSession *session = tryAcquire(id);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return acquireLocked(id);
+}
+
+DecodeSession &
+SessionManager::acquireLocked(Index id)
+{
+    DecodeSession *session = tryAcquireLocked(id);
     CTA_REQUIRE(session != nullptr, "session ", id,
                 " is quarantined (corrupt snapshot); cannot acquire "
                 "it (use tryAcquire to degrade gracefully)");
@@ -236,6 +307,13 @@ SessionManager::acquire(Index id)
 
 DecodeSession *
 SessionManager::tryAcquire(Index id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return tryAcquireLocked(id);
+}
+
+DecodeSession *
+SessionManager::tryAcquireLocked(Index id)
 {
     Slot &s = slot(id, "acquire");
     if (s.state == State::Quarantined)
@@ -299,11 +377,19 @@ SessionManager::tryAcquire(Index id)
 void
 SessionManager::touch(Index id)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     slot(id, "touch").lastUsed = ++tick_;
 }
 
 void
 SessionManager::evict(Index id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    evictLocked(id);
+}
+
+void
+SessionManager::evictLocked(Index id)
 {
     Slot &s = slot(id, "evict");
     if (s.state == State::Evicted || s.state == State::Quarantined)
@@ -334,24 +420,41 @@ SessionManager::evict(Index id)
 void
 SessionManager::removeSession(Index id)
 {
+    // Slot and queue change under one lock, so a concurrent trySubmit
+    // either enqueues before the purge or sees the session removed.
+    std::lock_guard<std::mutex> lock(mutex_);
     Slot &s = slot(id, "remove");
     s.live.reset();
     s.blob.clear();
     s.blob.shrink_to_fit();
     s.state = State::Removed;
     CTA_OBS_COUNT("serve.manager.removed", 1);
+    // Drop queued steps for the freed session; re-number the
+    // submission slots so flush results stay dense.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        if (pending_[i].session == id)
+            continue;
+        if (kept != i)
+            pending_[kept] = std::move(pending_[i]);
+        pending_[kept].slot = kept;
+        ++kept;
+    }
+    pending_.resize(kept);
 }
 
 bool
 SessionManager::isPinnedResident(Index id) const
 {
-    return isLive(id) &&
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stateLocked(id) == State::Live &&
            slots_[static_cast<std::size_t>(id)].live->fallbackActive();
 }
 
 SessionExport
 SessionManager::exportSession(Index id)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Slot &s = slot(id, "export");
     CTA_REQUIRE(s.state != State::Quarantined, "session ", id,
                 " is quarantined; it has no state to export — drop "
@@ -411,6 +514,7 @@ Index
 SessionManager::adoptSession(SessionExport exported,
                              std::int64_t new_prefix_id)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Slot adopted;
     adopted.taint = exported.taint;
     adopted.prefixId = new_prefix_id;
@@ -431,9 +535,8 @@ SessionManager::adoptSession(SessionExport exported,
         CTA_WARN("adopted session snapshot failed integrity check (",
                  error, "); quarantining it on arrival");
         adopted.state = State::Quarantined;
-        slots_.push_back(std::move(adopted));
         CTA_OBS_COUNT("serve.manager.quarantined", 1);
-        return static_cast<Index>(slots_.size()) - 1;
+        return pushSlotLocked(std::move(adopted));
     }
     // An injection that got this far is judged where the blob is
     // restored: tryAcquire() counts it detected or silent.
@@ -445,14 +548,14 @@ SessionManager::adoptSession(SessionExport exported,
         adopted.blob = std::move(exported.blob);
     }
     adopted.state = State::Evicted;
-    slots_.push_back(std::move(adopted));
     CTA_OBS_COUNT("serve.manager.adopted", 1);
-    return static_cast<Index>(slots_.size()) - 1;
+    return pushSlotLocked(std::move(adopted));
 }
 
 PrefixExport
 SessionManager::exportPrefix(std::int64_t id)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     CTA_REQUIRE(id >= 0 &&
                     id < static_cast<std::int64_t>(prefixes_.size()),
                 "shared prefix id ", id, " out of range [0, ",
@@ -488,6 +591,7 @@ SessionManager::adoptPrefix(PrefixExport exported,
     // Same policy as resolvePrefix(): a prefix blob that does not
     // decode is fatal, and its parent reference must land inside this
     // manager's registry (the importer migrates chains root-first).
+    std::lock_guard<std::mutex> lock(mutex_);
     SessionSnapshot snap;
     std::string error;
     CTA_REQUIRE(tryDeserializeSnapshot(exported.blob, &snap, &error),
@@ -518,13 +622,14 @@ SessionManager::adoptPrefix(PrefixExport exported,
 bool
 SessionManager::poisonSession(Index id, std::uint64_t key)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Slot &s = slot(id, "poison");
     if (s.state == State::Quarantined)
         return false;
     if (s.state == State::Live && s.live->fallbackActive())
         return false;
     if (s.state == State::Live)
-        evict(id);
+        evictLocked(id);
     if (s.corruptionInjected)
         return true; // already corrupt; a second flip could cancel it
     CTA_ASSERT(!s.blob.empty(), "evicted session ", id,
@@ -556,6 +661,13 @@ SessionManager::prefixIsCold(std::int64_t id) const
 bool
 SessionManager::evictPrefixIfCold(std::int64_t id)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return evictPrefixIfColdLocked(id);
+}
+
+bool
+SessionManager::evictPrefixIfColdLocked(std::int64_t id)
+{
     CTA_REQUIRE(id >= 0 &&
                     id < static_cast<std::int64_t>(prefixes_.size()),
                 "shared prefix id ", id, " out of range [0, ",
@@ -574,7 +686,14 @@ SessionManager::evictPrefixIfCold(std::int64_t id)
 std::size_t
 SessionManager::enforceBudget()
 {
-    std::size_t total = residentBytes();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return enforceBudgetLocked();
+}
+
+std::size_t
+SessionManager::enforceBudgetLocked()
+{
+    std::size_t total = residentBytesLocked();
     if (memBudgetBytes_ == 0) {
         publishGauges(total);
         return total;
@@ -583,7 +702,7 @@ SessionManager::enforceBudget()
     // per session, and only live sessions (bounded by the budget) are
     // visited — the whole pass stays far below one decode step.
     std::vector<std::pair<std::uint64_t, Index>> live;
-    for (Index id = 0; id < sessionCount(); ++id) {
+    for (Index id = 0; id < static_cast<Index>(slots_.size()); ++id) {
         const Slot &s = slots_[static_cast<std::size_t>(id)];
         if (s.state != State::Live)
             continue;
@@ -607,7 +726,7 @@ SessionManager::enforceBudget()
         const Index id = live[i].second;
         const std::size_t bytes =
             slots_[static_cast<std::size_t>(id)].live->stateBytes();
-        evict(id);
+        evictLocked(id);
         total -= std::min(bytes, total);
     }
     // Still over (or the survivors alone exceed the budget): shed
@@ -625,8 +744,8 @@ SessionManager::enforceBudget()
         for (const auto &[tick, id] : cold) {
             if (total <= memBudgetBytes_)
                 break;
-            if (evictPrefixIfCold(id))
-                total = residentBytes();
+            if (evictPrefixIfColdLocked(id))
+                total = residentBytesLocked();
         }
     }
     publishGauges(total);
@@ -635,6 +754,13 @@ SessionManager::enforceBudget()
 
 std::size_t
 SessionManager::liveStateBytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return liveStateBytesLocked();
+}
+
+std::size_t
+SessionManager::liveStateBytesLocked() const
 {
     std::size_t total = 0;
     for (const Slot &s : slots_)
@@ -646,6 +772,13 @@ SessionManager::liveStateBytes() const
 std::size_t
 SessionManager::evictedBlobBytes() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return evictedBlobBytesLocked();
+}
+
+std::size_t
+SessionManager::evictedBlobBytesLocked() const
+{
     std::size_t total = 0;
     for (const Slot &s : slots_)
         if (s.state == State::Evicted)
@@ -656,7 +789,14 @@ SessionManager::evictedBlobBytes() const
 std::size_t
 SessionManager::residentBytes() const
 {
-    std::size_t total = liveStateBytes();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return residentBytesLocked();
+}
+
+std::size_t
+SessionManager::residentBytesLocked() const
+{
+    std::size_t total = liveStateBytesLocked();
     for (const PrefixEntry &entry : prefixes_)
         if (entry.live)
             total += entry.live->donor().stateBytes() +
@@ -665,9 +805,17 @@ SessionManager::residentBytes() const
     return total;
 }
 
+Index
+SessionManager::prefixCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<Index>(prefixes_.size());
+}
+
 bool
 SessionManager::isPrefixLive(std::int64_t id) const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     return id >= 0 &&
            id < static_cast<std::int64_t>(prefixes_.size()) &&
            prefixes_[static_cast<std::size_t>(id)].live != nullptr;
@@ -676,8 +824,9 @@ SessionManager::isPrefixLive(std::int64_t id) const
 SessionManagerStats
 SessionManager::stats() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     SessionManagerStats stats;
-    stats.created = sessionCount();
+    stats.created = static_cast<Index>(slots_.size());
     for (const Slot &s : slots_) {
         switch (s.state) {
         case State::Live:
@@ -701,7 +850,7 @@ SessionManager::stats() const
     stats.corruptionsInjected = corruptionsInjected_;
     stats.corruptionsDetected = corruptionsDetected_;
     stats.corruptionsSilent = corruptionsSilent_;
-    stats.prefixes = prefixCount();
+    stats.prefixes = static_cast<Index>(prefixes_.size());
     for (const PrefixEntry &entry : prefixes_) {
         if (entry.live) {
             ++stats.prefixesLive;
@@ -712,12 +861,16 @@ SessionManager::stats() const
         }
     }
     stats.sharedPageBytes = arena_->sharedBytes();
-    stats.residentBytes = residentBytes();
+    stats.residentBytes = residentBytesLocked();
     stats.modelBytes = modelBytes_;
     stats.forks = forks_;
     stats.cowCopies = arena_->cowCopies();
     stats.prefixEvictions = prefixEvictions_;
     stats.prefixRestores = prefixRestores_;
+    stats.rejections = rejections_;
+    stats.expiredSteps = expiredSteps_;
+    stats.corruptedSteps = corruptedSteps_;
+    stats.bouncedSteps = bouncedSteps_;
     return stats;
 }
 
@@ -725,13 +878,266 @@ void
 SessionManager::publishGauges(std::size_t resident) const
 {
     CTA_OBS_GAUGE_SET("serve.manager.live_bytes",
-                      static_cast<double>(liveStateBytes()));
+                      static_cast<double>(liveStateBytesLocked()));
     CTA_OBS_GAUGE_SET("serve.manager.evicted_blob_bytes",
-                      static_cast<double>(evictedBlobBytes()));
+                      static_cast<double>(evictedBlobBytesLocked()));
     CTA_OBS_GAUGE_SET("serve.manager.resident_bytes",
                       static_cast<double>(resident));
     CTA_OBS_GAUGE_SET("serve.manager.shared_page_bytes",
                       static_cast<double>(arena_->sharedBytes()));
+}
+
+void
+SessionManager::submit(Index session, std::span<const core::Real> token)
+{
+    const SubmitResult result = trySubmit(session, token);
+    CTA_REQUIRE(result == SubmitResult::Accepted, "submit to session ",
+                session, " rejected: ", toString(result),
+                " (use trySubmit to shed load)");
+}
+
+SubmitResult
+SessionManager::recordRejectionLocked(SubmitResult reason)
+{
+    // Shed-load volume is workload/timing dependent; it stays out of
+    // the deterministic counter domain and is exported as gauges —
+    // one per reason, summing to rejections_.total().
+    switch (reason) {
+    case SubmitResult::QueueFull:
+        ++rejections_.queueFull;
+        CTA_OBS_GAUGE_ADD("serve.rejected.queue_full", 1.0);
+        break;
+    case SubmitResult::SessionRemoved:
+        ++rejections_.sessionRemoved;
+        CTA_OBS_GAUGE_ADD("serve.rejected.session_removed", 1.0);
+        break;
+    case SubmitResult::Corrupted:
+        ++rejections_.corrupted;
+        CTA_OBS_GAUGE_ADD("serve.rejected.corrupted", 1.0);
+        break;
+    case SubmitResult::DeadlineExpired:
+        ++rejections_.deadlineExpired;
+        CTA_OBS_GAUGE_ADD("serve.rejected.deadline_expired", 1.0);
+        break;
+    case SubmitResult::Accepted:
+    case SubmitResult::QuotaExceeded:
+    case SubmitResult::ShardFenced:
+        CTA_FATAL("not a SessionManager rejection reason: ",
+                  toString(reason));
+    }
+    return reason;
+}
+
+SubmitResult
+SessionManager::trySubmit(Index session,
+                          std::span<const core::Real> token,
+                          std::chrono::steady_clock::time_point deadline)
+{
+    const auto now = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Out-of-range is a caller bug, not load — always fatal. A
+    // removed session is a normal race with lifecycle management and
+    // gets a recoverable rejection.
+    CTA_REQUIRE(session >= 0 &&
+                    session < static_cast<Index>(slots_.size()),
+                "session id ", session, " out of range [0, ",
+                slots_.size(), ")");
+    const State state = stateLocked(session);
+    if (state == State::Removed)
+        return recordRejectionLocked(SubmitResult::SessionRemoved);
+    if (state == State::Quarantined)
+        return recordRejectionLocked(SubmitResult::Corrupted);
+    // Dead on arrival: a deadline that already passed can only come
+    // back Expired from the flush, so admitting it would burn a
+    // bounded-queue slot on work that can never run. Rejecting here
+    // lets load-shedding react a whole flush earlier.
+    if (deadline != kNoDeadline && now >= deadline)
+        return recordRejectionLocked(SubmitResult::DeadlineExpired);
+    if (static_cast<Index>(pending_.size()) >= queueCapacity_)
+        return recordRejectionLocked(SubmitResult::QueueFull);
+    Pending pending;
+    pending.session = session;
+    pending.token.assign(token.begin(), token.end());
+    pending.submitted = now;
+    pending.deadline = deadline;
+    pending.slot = pending_.size();
+    pending_.push_back(std::move(pending));
+    CTA_OBS_COUNT("serve.submitted", 1);
+    return SubmitResult::Accepted;
+}
+
+Index
+SessionManager::pendingCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<Index>(pending_.size());
+}
+
+SessionManager::FlushPlan
+SessionManager::beginFlush()
+{
+    FlushPlan plan;
+    std::lock_guard<std::mutex> lock(mutex_);
+    plan.batch.swap(pending_);
+    plan.results.resize(plan.batch.size());
+    if (plan.batch.empty())
+        return plan;
+
+    // Group by session, preserving submission order within each: a
+    // session is sequential state, so its queued steps form one
+    // serial task; distinct sessions fan out over the pool.
+    plan.perSession.resize(slots_.size());
+    for (std::size_t i = 0; i < plan.batch.size(); ++i)
+        plan.perSession[static_cast<std::size_t>(
+                            plan.batch[i].session)]
+            .push_back(i);
+    for (std::size_t s = 0; s < plan.perSession.size(); ++s) {
+        if (plan.perSession[s].empty())
+            continue;
+        plan.active.push_back(static_cast<Index>(s));
+        plan.restoring = plan.restoring ||
+                         slots_[s].state == State::Evicted;
+    }
+    return plan;
+}
+
+void
+SessionManager::resolveFlush(FlushPlan &plan)
+{
+    // Resolve every session serially before fanning out: this is
+    // where evicted sessions restore, and keeping the restores (and
+    // the LRU ticks they take) in one ordered loop per manager keeps
+    // eviction decisions thread-count-invariant. A session whose
+    // snapshot fails integrity checks resolves to nullptr
+    // (quarantined) and its steps come back Corrupted.
+    if (plan.active.empty())
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    plan.resolved.resize(plan.active.size());
+    for (std::size_t t = 0; t < plan.active.size(); ++t)
+        plan.resolved[t] = tryAcquireLocked(plan.active[t]);
+}
+
+void
+SessionManager::runPlanTask(FlushPlan &plan, Index t)
+{
+    const Index sid = plan.active[static_cast<std::size_t>(t)];
+    CTA_TRACE_SCOPE_ID("serve.session_flush", sid);
+    DecodeSession *sess = plan.resolved[static_cast<std::size_t>(t)];
+    if (sess == nullptr) {
+        for (const std::size_t i :
+             plan.perSession[static_cast<std::size_t>(sid)]) {
+            const Pending &p = plan.batch[i];
+            plan.results[p.slot].session = p.session;
+            plan.results[p.slot].status = StepStatus::Corrupted;
+        }
+        return;
+    }
+    // Once one step misses its deadline, every later step of the
+    // same session expires with it: running them anyway would
+    // append tokens after a hole and break the stream-prefix
+    // invariant.
+    bool cascaded = false;
+    std::uint64_t ran = 0;
+    for (const std::size_t i :
+         plan.perSession[static_cast<std::size_t>(sid)]) {
+        const Pending &p = plan.batch[i];
+        const auto begin = std::chrono::steady_clock::now();
+        // Queue wait: submit() to the moment the step would start.
+        // Recorded for *every* step — expired ones included, since
+        // the longest waits are exactly the ones that cause the
+        // expiry and hiding them would blind the overload gauges.
+        // Timing-domain, so gauges only (counters stay deterministic
+        // across thread counts).
+        const double wait =
+            std::chrono::duration<double>(begin - p.submitted)
+                .count();
+        CTA_OBS_GAUGE_MAX("serve.queue_wait_max_s", wait);
+        CTA_OBS_GAUGE_ADD("serve.queue_wait_total_s", wait);
+        // Queue-delay fault site: a content-keyed draw treats
+        // this step as having overstayed its deadline, exercising
+        // the expiry cascade without wall-clock flakiness.
+        const bool forcedExpiry =
+            !cascaded &&
+            fault::inject(
+                fault::Site::QueueDelay,
+                fault::hashBytes(p.token.data(),
+                                 p.token.size() *
+                                     sizeof(core::Real)) ^
+                    static_cast<std::uint64_t>(p.session));
+        if (cascaded || forcedExpiry ||
+            (p.deadline != kNoDeadline && begin >= p.deadline)) {
+            cascaded = true;
+            plan.results[p.slot].session = p.session;
+            plan.results[p.slot].status = StepStatus::Expired;
+            continue;
+        }
+        core::Matrix out = sess->step(p.token);
+        plan.results[p.slot] =
+            StepResult{p.session, StepStatus::Ok, std::move(out)};
+        ++ran;
+    }
+    CTA_OBS_COUNT("serve.flushed", ran);
+}
+
+SessionManager::FlushResult
+SessionManager::finishFlush(FlushPlan &&plan)
+{
+    std::uint64_t expiredTotal = 0;
+    std::uint64_t corruptedTotal = 0;
+    for (const StepResult &r : plan.results) {
+        expiredTotal += r.status == StepStatus::Expired ? 1 : 0;
+        corruptedTotal += r.status == StepStatus::Corrupted ? 1 : 0;
+    }
+    if (expiredTotal > 0)
+        CTA_OBS_GAUGE_ADD("serve.expired_steps",
+                          static_cast<double>(expiredTotal));
+    if (corruptedTotal > 0)
+        CTA_OBS_GAUGE_ADD("serve.corrupted_steps",
+                          static_cast<double>(corruptedTotal));
+
+    // Recency follows submission order — deterministic for any
+    // thread count — then the budget pass may evict stragglers.
+    std::lock_guard<std::mutex> lock(mutex_);
+    expiredSteps_ += expiredTotal;
+    corruptedSteps_ += corruptedTotal;
+    for (const Pending &p : plan.batch)
+        slot(p.session, "touch").lastUsed = ++tick_;
+    const std::size_t resident = enforceBudgetLocked();
+    return {std::move(plan.results), resident};
+}
+
+SessionManager::FlushResult
+SessionManager::bounceFlush(FlushPlan &&plan)
+{
+    // The wedged-shard exit: every drained step is returned Bounced
+    // and NOTHING else happens — no step runs, no recency is marked,
+    // no budget pass evicts. The sessions are bitwise exactly where
+    // they were before dispatch (resolveFlush() may have restored
+    // evicted sessions, which is read-repair, not mutation), so the
+    // caller may safely resubmit every bounced token.
+    for (const Pending &p : plan.batch) {
+        plan.results[p.slot].session = p.session;
+        plan.results[p.slot].status = StepStatus::Bounced;
+    }
+    if (!plan.batch.empty())
+        CTA_OBS_GAUGE_ADD("serve.bounced_steps",
+                          static_cast<double>(plan.batch.size()));
+    std::lock_guard<std::mutex> lock(mutex_);
+    bouncedSteps_ += static_cast<std::uint64_t>(plan.batch.size());
+    return {std::move(plan.results), residentBytesLocked()};
+}
+
+std::vector<StepResult>
+SessionManager::flush(core::ThreadPool &pool)
+{
+    CTA_TRACE_SCOPE("serve.flush");
+    FlushPlan plan = beginFlush();
+    resolveFlush(plan);
+    if (!plan.empty())
+        pool.run(plan.taskCount(),
+                 [&](Index t) { runPlanTask(plan, t); });
+    return finishFlush(std::move(plan)).results;
 }
 
 } // namespace cta::serve

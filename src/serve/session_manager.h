@@ -27,25 +27,118 @@
  * realistic serving shape, and what lets an evicted session drop to
  * just its snapshot blob.
  *
- * Thread-safety: none — the manager is externally synchronized.
- * Batcher drives it from one thread at a time, never inside its
- * per-session fan-out; the sharded front-end runs each shard's
- * restores and budget pass as one pool task per shard, so a manager's
- * ticks and eviction ordinal advance serially and eviction decisions
- * stay deterministic for any thread count.
+ * A manager also batches its sessions' decode steps: it owns a
+ * bounded submit queue and flushes it. Within a session,
+ * queued steps run in submission order on one worker; across
+ * sessions, work fans out over the pool (one task per session with
+ * pending work). Outputs come back in submission order, and because
+ * sessions are independent and each is processed serially, results
+ * are deterministic for any thread count. The queue is bounded
+ * (default 64Ki entries, CTA_QUEUE_CAP overrides): trySubmit()
+ * reports QueueFull instead of growing without limit. A step whose
+ * deadline already passed at submission is rejected there
+ * (DeadlineExpired); one whose deadline passes while queued comes
+ * back Expired, and so does every later queued step of its session
+ * in that flush, so the session's token stream stays a prefix. Every
+ * rejection reason is counted (SessionManagerStats::rejections) and
+ * exported as a "serve.rejected.*" gauge.
+ *
+ * A flush is three phases, exposed separately for the sharded
+ * front-end (serve/frontend.h): beginFlush() drains and groups the
+ * queue; resolveFlush() resolves every session with work to a live
+ * pointer, restoring evicted ones serially in session order;
+ * runPlanTask() steps one session's queued work; finishFlush() marks
+ * recency in submission order and enforces the budget. Restores,
+ * ticks and evictions thus advance serially per manager, so eviction
+ * decisions stay deterministic for any thread count.
+ *
+ * Thread-safety: one mutex guards all of the manager's state, and
+ * every public method that reads or writes it takes that lock.
+ * runPlanTask() takes none: it only steps the sessions resolveFlush()
+ * handed out, which no other call touches until finishFlush(). So
+ * trySubmit(), createSession(), pendingCount() and the slot-state
+ * queries (exists(), isLive(), ...) may run on other threads during a
+ * flush. What may not overlap phase 2 is any call that reads or
+ * mutates a live session: acquire()/tryAcquire(), forkSession() (it
+ * freezes the parent's state), removeSession(), evict(),
+ * enforceBudget(), exportSession(), poisonSession(),
+ * isFaultTainted(), isPinnedResident(), stats() and the byte totals.
+ * A reference returned by acquire() is used outside the lock; the
+ * caller keeps it from racing a flush.
  */
 
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/page_arena.h"
+#include "core/parallel.h"
 #include "serve/decode_session.h"
 
 namespace cta::serve {
+
+/** Admission verdict of one trySubmit() call. */
+enum class SubmitResult
+{
+    Accepted,        ///< queued for the next flush
+    QueueFull,       ///< bounded queue at capacity — shed load
+    SessionRemoved,  ///< target session was removed
+    Corrupted,       ///< target session is quarantined (corrupt
+                     ///< snapshot); its state is unrecoverable
+    DeadlineExpired, ///< the step's deadline had already passed at
+                     ///< submission — dead on arrival, never queued
+    QuotaExceeded,   ///< the tenant's admission quota is exhausted
+                     ///< (returned by the serving front-end's
+                     ///< per-tenant admission, never by a manager)
+    ShardFenced,     ///< the target session sits on a Failed shard
+                     ///< that has no healthy destination to re-home
+                     ///< to yet — temporary, retry after recovery
+                     ///< (front-end only, never returned by a manager)
+};
+
+/** Human-readable name of a SubmitResult. */
+const char *toString(SubmitResult result);
+
+/** Per-reason breakdown of trySubmit() rejections (disjoint). */
+struct SubmitRejections
+{
+    std::uint64_t queueFull = 0;
+    std::uint64_t sessionRemoved = 0;
+    std::uint64_t corrupted = 0;
+    std::uint64_t deadlineExpired = 0;
+
+    std::uint64_t total() const
+    {
+        return queueFull + sessionRemoved + corrupted +
+               deadlineExpired;
+    }
+};
+
+/** Outcome of one queued step. */
+enum class StepStatus
+{
+    Ok,        ///< step ran; output is valid
+    Expired,   ///< deadline passed before the step started; no output
+    Corrupted, ///< session was quarantined (corrupt snapshot) before
+               ///< the step could run; no output
+    Bounced,   ///< the step's shard wedged before the step ran; the
+               ///< session's stream is untouched, so resubmitting the
+               ///< same token is always safe
+};
+
+/** One completed decode step, in submission order. */
+struct StepResult
+{
+    core::Index session = 0;          ///< target session id
+    StepStatus status = StepStatus::Ok;
+    core::Matrix output;              ///< 1 x d output (empty if Expired)
+};
 
 /** Point-in-time summary of a SessionManager. */
 struct SessionManagerStats
@@ -80,6 +173,13 @@ struct SessionManagerStats
     std::uint64_t cowCopies = 0;  ///< arena copy-on-write page copies
     std::uint64_t prefixEvictions = 0;
     std::uint64_t prefixRestores = 0;
+
+    // Submit-queue and flush accounting (cumulative; timing-dependent,
+    // so outside the deterministic counter domain).
+    SubmitRejections rejections;     ///< trySubmit() rejections
+    std::uint64_t expiredSteps = 0;  ///< steps flushed as Expired
+    std::uint64_t corruptedSteps = 0; ///< steps flushed as Corrupted
+    std::uint64_t bouncedSteps = 0;  ///< steps bounceFlush() returned
 };
 
 /**
@@ -114,10 +214,70 @@ struct PrefixExport
     std::int64_t parentId = -1;
 };
 
-/** Owns decode sessions under a global memory budget (LRU evict). */
+/** Owns one shard's decode sessions under a memory budget (LRU
+ *  evict), and batches their queued decode steps. */
 class SessionManager
 {
+  private:
+    struct Pending
+    {
+        core::Index session = 0;
+        std::vector<core::Real> token;
+        std::size_t slot = 0; ///< submission index within the flush
+        std::chrono::steady_clock::time_point submitted{};
+        std::chrono::steady_clock::time_point deadline{
+            std::chrono::steady_clock::time_point::max()};
+    };
+
   public:
+    /** Queue bound used when CTA_QUEUE_CAP is unset. */
+    static constexpr core::Index kDefaultQueueCapacity = 1 << 16;
+
+    /** No-deadline sentinel for trySubmit(). */
+    static constexpr std::chrono::steady_clock::time_point kNoDeadline =
+        std::chrono::steady_clock::time_point::max();
+
+    /**
+     * One drained flush batch: the pending steps swapped out by
+     * beginFlush(), grouped per session; resolveFlush() then resolves
+     * every session to a live pointer. The taskCount() session tasks
+     * are mutually independent — run them in any order, concurrently,
+     * via runPlanTask() — then hand the plan back to finishFlush() (or
+     * bounceFlush()).
+     */
+    struct FlushPlan
+    {
+        /** Independent per-session tasks ready for runPlanTask(). */
+        core::Index taskCount() const
+        {
+            return static_cast<core::Index>(active.size());
+        }
+
+        bool empty() const { return batch.empty(); }
+
+        /** True when resolveFlush() has an evicted session to
+         *  restore (otherwise it only marks recency). */
+        bool needsRestore() const { return restoring; }
+
+      private:
+        friend class SessionManager;
+        bool restoring = false;
+        std::vector<Pending> batch;
+        /** Indices into batch per session id, submission order. */
+        std::vector<std::vector<std::size_t>> perSession;
+        std::vector<core::Index> active;    ///< session ids with work
+        std::vector<DecodeSession *> resolved; ///< parallel to active
+        std::vector<StepResult> results;    ///< slot-indexed
+    };
+
+    /** What finishFlush() and bounceFlush() hand back. */
+    struct FlushResult
+    {
+        std::vector<StepResult> results; ///< submission order
+        /** residentBytes() when the flush ended. */
+        std::size_t residentBytes = 0;
+    };
+
     /**
      * @param params shared projection weights of the served model
      * @param config shared CTA serving configuration
@@ -128,6 +288,9 @@ class SessionManager
      *        K/M/G suffixes work and malformed values are fatal).
      * @param page_bytes arena page size; 0 means the CTA_PAGE_BYTES
      *        environment knob (absent → PageArena::kDefaultPageBytes)
+     *
+     * The submit-queue bound is read from CTA_QUEUE_CAP
+     * (queueCapacityFromEnv()).
      */
     SessionManager(nn::AttentionHeadParams params, ServeConfig config,
                    core::Index token_dim,
@@ -138,10 +301,18 @@ class SessionManager
      *  (unlimited) when unset. */
     static std::size_t memBudgetFromEnv();
 
+    /** Parses CTA_QUEUE_CAP (must be positive); kDefaultQueueCapacity
+     *  when unset. */
+    static core::Index queueCapacityFromEnv();
+
     /** Creates an empty session; returns its id (dense, from 0). */
     core::Index createSession();
 
-    /** Creates a session prefilled with @p tokens (n x tokenDim). */
+    /**
+     * Creates a session prefilled with @p tokens (n x tokenDim). The
+     * prefill runs before the lock is taken, so it may overlap a
+     * flush; the lock covers only the slot insert.
+     */
     core::Index createSession(const core::Matrix &tokens);
 
     /**
@@ -154,10 +325,7 @@ class SessionManager
     core::Index forkSession(core::Index parent);
 
     /** Ids ever created (including evicted and removed ones). */
-    core::Index sessionCount() const
-    {
-        return static_cast<core::Index>(slots_.size());
-    }
+    core::Index sessionCount() const;
 
     /** True when @p id was created and not yet removed. */
     bool exists(core::Index id) const;
@@ -175,8 +343,8 @@ class SessionManager
     /**
      * Returns the live session for @p id, restoring it from its blob
      * first when evicted, and marks it most-recently-used. Fatal for
-     * unknown or removed ids. The reference stays valid until the
-     * next evict/remove of this id.
+     * unknown, removed or quarantined ids. The reference stays valid
+     * until the next evict/remove of this id.
      */
     DecodeSession &acquire(core::Index id);
 
@@ -213,8 +381,12 @@ class SessionManager
      */
     void evict(core::Index id);
 
-    /** Frees @p id entirely (live state or blob). The id stays
-     *  allocated but every later access is fatal. */
+    /**
+     * Frees @p id entirely (live state or blob) and discards its
+     * queued steps. The id stays allocated but every later access is
+     * fatal, and a later trySubmit() to it is rejected
+     * SessionRemoved. Ids are not reused.
+     */
     void removeSession(core::Index id);
 
     /**
@@ -322,10 +494,7 @@ class SessionManager
     std::size_t residentBytes() const;
 
     /** Prefixes ever registered by forkSession(). */
-    core::Index prefixCount() const
-    {
-        return static_cast<core::Index>(prefixes_.size());
-    }
+    core::Index prefixCount() const;
 
     /** True when prefix @p id's donor is resident. */
     bool isPrefixLive(std::int64_t id) const;
@@ -340,7 +509,8 @@ class SessionManager
 
     std::size_t memBudgetBytes() const { return memBudgetBytes_; }
 
-    /** Consistent summary of counts and byte totals. */
+    /** Consistent summary of counts, byte totals and the submit and
+     *  flush accounting. */
     SessionManagerStats stats() const;
 
     const ServeConfig &config() const { return config_; }
@@ -349,6 +519,86 @@ class SessionManager
 
     /** The page arena every session of this manager allocates from. */
     const core::PageArena &arena() const { return *arena_; }
+
+    /** Queues one decode step (copies @p token). Fatal on any
+     *  rejection — use trySubmit() to shed load instead. */
+    void submit(core::Index session, std::span<const core::Real> token);
+
+    /**
+     * Admission-controlled submit: returns QueueFull when the bounded
+     * queue is at capacity, SessionRemoved when the target session
+     * was removed, Corrupted when it was quarantined over a corrupt
+     * snapshot, and DeadlineExpired when @p deadline had already
+     * passed at submission (dead-on-arrival work never occupies a
+     * queue slot) — instead of aborting. Out-of-range ids are still
+     * fatal (caller bug, not load). @p deadline: steps not *started*
+     * by then come back Expired from the flush.
+     */
+    SubmitResult trySubmit(core::Index session,
+                           std::span<const core::Real> token,
+                           std::chrono::steady_clock::time_point
+                               deadline = kNoDeadline);
+
+    /** Queued steps not yet flushed. */
+    core::Index pendingCount() const;
+
+    /** Configured submit-queue bound. */
+    core::Index queueCapacity() const { return queueCapacity_; }
+
+    /**
+     * Runs every queued step — per-session sequential, cross-session
+     * parallel on @p pool — and returns outputs in submission order.
+     * Steps past their deadline come back Expired; the steps of a
+     * session whose snapshot fails integrity checks at restore time
+     * come back Corrupted, and the other sessions are unaffected.
+     *
+     * Equivalent to beginFlush() + resolveFlush() + runPlanTask()
+     * over every task on @p pool + finishFlush().
+     */
+    std::vector<StepResult>
+    flush(core::ThreadPool &pool = core::ThreadPool::global());
+
+    /**
+     * Flush phase 1a: drains the pending queue and groups it per
+     * session, noting whether any session with work is evicted
+     * (FlushPlan::needsRestore()).
+     */
+    FlushPlan beginFlush();
+
+    /**
+     * Flush phase 1b: resolves every session of @p plan to a live
+     * pointer, in session order — evicted sessions restore here, so
+     * LRU ticks and eviction decisions are thread-count-invariant.
+     * Must run exactly once per plan, before any runPlanTask().
+     */
+    void resolveFlush(FlushPlan &plan);
+
+    /**
+     * Flush phase 2: executes session task @p t of @p plan (all
+     * queued steps of one session, in submission order). Takes no
+     * lock. Tasks of one plan are mutually independent and may run
+     * concurrently; each must run exactly once before finishFlush().
+     */
+    void runPlanTask(FlushPlan &plan, core::Index t);
+
+    /**
+     * Flush phase 3: folds @p plan's expiry/corruption totals into
+     * the stats, marks recency in submission order, enforces the
+     * budget, and returns the results in submission order with the
+     * resident total the budget pass ended at.
+     */
+    FlushResult finishFlush(FlushPlan &&plan);
+
+    /**
+     * Failure-path alternative to runPlanTask()+finishFlush(): the
+     * shard wedged after resolveFlush(), so no task of @p plan may
+     * run. Every drained step comes back StepStatus::Bounced and no
+     * session is stepped, touched or evicted — the sessions' token
+     * streams are exactly as if the steps were never dispatched, so
+     * the caller can resubmit them (possibly to another shard after
+     * failover) without breaking the stream-prefix invariant.
+     */
+    FlushResult bounceFlush(FlushPlan &&plan);
 
   private:
     enum class State { Live, Evicted, Removed, Quarantined };
@@ -379,11 +629,29 @@ class SessionManager
         std::uint64_t lastUsed = 0;
     };
 
+    // Every private helper below except makeSession() runs with
+    // mutex_ held.
+
     Slot &slot(core::Index id, const char *verb);
     const Slot &slot(core::Index id, const char *verb) const;
 
+    /** @p id's state; Removed for ids never handed out. */
+    State stateLocked(core::Index id) const;
+
+    /** Appends @p slot and returns its id. */
+    core::Index pushSlotLocked(Slot slot);
+
     /** Builds an empty session from the shared model state. */
     std::unique_ptr<DecodeSession> makeSession() const;
+
+    DecodeSession &acquireLocked(core::Index id);
+    DecodeSession *tryAcquireLocked(core::Index id);
+    void evictLocked(core::Index id);
+    bool evictPrefixIfColdLocked(std::int64_t id);
+    std::size_t enforceBudgetLocked();
+    std::size_t liveStateBytesLocked() const;
+    std::size_t evictedBlobBytesLocked() const;
+    std::size_t residentBytesLocked() const;
 
     /** adoptSession()'s non-fatal check of a decoded @p snap that the
      *  source slot recorded under @p source_prefix_id and that lands
@@ -408,6 +676,11 @@ class SessionManager
      *  the current residentBytes(). */
     void publishGauges(std::size_t resident) const;
 
+    /** Counts one rejection for @p reason and bumps the matching
+     *  per-reason gauge; returns @p reason. */
+    SubmitResult recordRejectionLocked(SubmitResult reason);
+
+    // Immutable after construction: read without the lock.
     std::shared_ptr<const nn::AttentionHeadParams> params_;
     ServeConfig config_;
     std::shared_ptr<const alg::LshParamSet> lsh_;
@@ -415,8 +688,13 @@ class SessionManager
     core::Index tokenDim_ = 0;
     std::size_t memBudgetBytes_ = 0;
     std::size_t modelBytes_ = 0;
+    core::Index queueCapacity_ = kDefaultQueueCapacity;
+
+    /** Guards everything below. */
+    mutable std::mutex mutex_;
     std::vector<Slot> slots_;
     std::vector<PrefixEntry> prefixes_;
+    std::vector<Pending> pending_;
     std::uint64_t tick_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t restores_ = 0;
@@ -426,6 +704,10 @@ class SessionManager
     std::uint64_t corruptionsInjected_ = 0;
     std::uint64_t corruptionsDetected_ = 0;
     std::uint64_t corruptionsSilent_ = 0;
+    SubmitRejections rejections_;
+    std::uint64_t expiredSteps_ = 0;
+    std::uint64_t corruptedSteps_ = 0;
+    std::uint64_t bouncedSteps_ = 0;
 };
 
 } // namespace cta::serve

@@ -6,7 +6,7 @@
  * "serve.fallback" bump, fallback sessions are pinned against
  * eviction, non-finite input tokens are sanitized, and — with the
  * fault layer armed — a corrupted snapshot quarantines only its own
- * session while the Batcher reports Corrupted instead of crashing.
+ * session while its flush reports Corrupted instead of crashing.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "fault/fault.h"
 #include "nn/workload.h"
 #include "obs/metrics.h"
-#include "serve/batcher.h"
 #include "serve/session_manager.h"
 
 namespace {
@@ -29,7 +28,6 @@ using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::Real;
 using cta::core::Rng;
-using cta::serve::Batcher;
 using cta::serve::DecodeSession;
 using cta::serve::ServeConfig;
 using cta::serve::SessionManager;
@@ -211,7 +209,7 @@ TEST(QualityGuardTest, CorruptSnapshotQuarantinesOnlyThatSession)
     EXPECT_FALSE(manager.exists(doomed));
 }
 
-TEST(QualityGuardTest, BatcherDegradesQuarantinedSessionsToCorrupted)
+TEST(QualityGuardTest, FlushDegradesQuarantinedSessionsToCorrupted)
 {
     FaultConfigGuard guard;
     cta::fault::setConfig(
@@ -220,31 +218,30 @@ TEST(QualityGuardTest, BatcherDegradesQuarantinedSessionsToCorrupted)
 
     SessionManager manager(headParams(), ServeConfig{}, kDim,
                            /*mem_budget_bytes=*/0);
-    Batcher batcher(manager);
     const Index doomed = manager.createSession(variedTokens(12, 30));
     const Index healthy = manager.createSession(variedTokens(12, 31));
     manager.evict(doomed);
 
     const Matrix tokens = variedTokens(2, 32);
-    ASSERT_EQ(batcher.trySubmit(doomed, tokens.row(0)),
+    ASSERT_EQ(manager.trySubmit(doomed, tokens.row(0)),
               SubmitResult::Accepted); // evicted, not yet quarantined
-    ASSERT_EQ(batcher.trySubmit(healthy, tokens.row(1)),
+    ASSERT_EQ(manager.trySubmit(healthy, tokens.row(1)),
               SubmitResult::Accepted);
 
-    const auto results = batcher.flush();
+    const auto results = manager.flush();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, StepStatus::Corrupted);
     EXPECT_EQ(results[0].output.size(), 0);
     EXPECT_EQ(results[1].status, StepStatus::Ok);
     EXPECT_TRUE(cta::alg::allFinite(results[1].output));
-    EXPECT_EQ(batcher.corruptedSteps(), 1u);
+    EXPECT_EQ(manager.stats().corruptedSteps, 1u);
 
     // Later submits against the quarantined id are refused up front.
-    EXPECT_EQ(batcher.trySubmit(doomed, tokens.row(0)),
+    EXPECT_EQ(manager.trySubmit(doomed, tokens.row(0)),
               SubmitResult::Corrupted);
-    EXPECT_EQ(batcher.trySubmit(healthy, tokens.row(1)),
+    EXPECT_EQ(manager.trySubmit(healthy, tokens.row(1)),
               SubmitResult::Accepted);
-    const auto again = batcher.flush();
+    const auto again = manager.flush();
     ASSERT_EQ(again.size(), 1u);
     EXPECT_EQ(again[0].status, StepStatus::Ok);
 }

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.h"
@@ -335,6 +339,104 @@ TEST(ServeFrontendTest, CorruptedEvictionsUnderFannedOutFlushesAreAllCaught)
     EXPECT_GT(injected, 0u);
 }
 #endif // CTA_FAULT_DISABLED
+
+/**
+ * createSession() on another thread while the driver runs budgeted
+ * flushes: the creates overlap flush phases 1 and 2, which restore
+ * on the pool one task per shard and step sessions without the
+ * front-end lock. Every flushed output, and the first step of every
+ * concurrently created session, must be bit-identical to a standalone
+ * session. Run under TSan in CI.
+ */
+TEST(ServeFrontendTest, CreateSessionOverlapsBudgetedFlushes)
+{
+    constexpr Index kDriven = 6;
+    constexpr int kFlushes = 40;
+    constexpr std::size_t kMaxCreated = 400;
+    const auto params = testParams();
+    ThreadPool pool(4, /*force_fanout=*/true);
+    FrontendConfig fc;
+    fc.shards = 2;
+    fc.pool = &pool;
+    fc.memBudgetBytes = 2; // one resident session per shard
+    ServeFrontend frontend(params, ServeConfig{}, kDim, fc);
+    const Index tenant = frontend.registerTenant({"solo", 1, 512});
+
+    std::vector<std::unique_ptr<DecodeSession>> refs;
+    for (Index i = 0; i < kDriven; ++i) {
+        const Matrix ctx = sampleTokens(24, kDim, 400 + i);
+        EXPECT_EQ(frontend.createSession(tenant, ctx), i);
+        refs.push_back(
+            std::make_unique<DecodeSession>(params, ServeConfig{}, kDim));
+        refs.back()->prefill(ctx);
+    }
+    std::vector<Matrix> prompts;
+    for (Index p = 0; p < 3; ++p)
+        prompts.push_back(sampleTokens(8, kDim, 410 + p));
+
+    // The creator runs unpaced (up to kMaxCreated sessions) until the
+    // driver is done; the driver waits only for its first session.
+    std::atomic<bool> started{false};
+    std::atomic<bool> done{false};
+    std::vector<Index> created;
+    std::thread creator([&] {
+        while (!done.load(std::memory_order_acquire) &&
+               created.size() < kMaxCreated) {
+            created.push_back(frontend.createSession(
+                tenant, prompts[created.size() % prompts.size()]));
+            started.store(true, std::memory_order_release);
+        }
+    });
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+
+    // EXPECT, not ASSERT, until the creator is joined.
+    const Matrix steps = sampleTokens(16, kDim, 420);
+    for (int round = 0; round < kFlushes; ++round) {
+        for (Index i = 0; i < kDriven; ++i)
+            EXPECT_EQ(frontend.admit(i, steps.row((round + i) % 16)).result,
+                      SubmitResult::Accepted);
+        const auto completions = frontend.flushOnce();
+        EXPECT_EQ(completions.size(), static_cast<std::size_t>(kDriven));
+        for (const Completion &c : completions) {
+            EXPECT_EQ(c.status, StepStatus::Ok);
+            const Matrix want =
+                refs[static_cast<std::size_t>(c.session)]->step(
+                    steps.row((round + c.session) % 16));
+            EXPECT_TRUE(bitIdentical(c.output, want))
+                << "session " << c.session << " round " << round;
+        }
+    }
+    done.store(true, std::memory_order_release);
+    creator.join();
+    ASSERT_FALSE(created.empty());
+
+    // Every concurrently created session steps like a fresh one.
+    std::vector<Matrix> firstStep;
+    for (const Matrix &prompt : prompts) {
+        DecodeSession ref(params, ServeConfig{}, kDim);
+        ref.prefill(prompt);
+        firstStep.push_back(ref.step(steps.row(0)));
+    }
+    for (const Index id : created)
+        ASSERT_EQ(frontend.admit(id, steps.row(0)).result,
+                  SubmitResult::Accepted);
+    std::size_t checked = 0;
+    while (frontend.queuedSteps(tenant) > 0) {
+        for (const Completion &c : frontend.flushOnce()) {
+            ASSERT_EQ(c.status, StepStatus::Ok);
+            const auto k = static_cast<std::size_t>(
+                std::find(created.begin(), created.end(), c.session) -
+                created.begin());
+            ASSERT_LT(k, created.size());
+            EXPECT_TRUE(
+                bitIdentical(c.output, firstStep[k % prompts.size()]))
+                << "created session " << c.session;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, created.size());
+}
 
 TEST(ServeFrontendTest, DrrDispatchesProportionallyUnderSaturation)
 {
