@@ -242,11 +242,13 @@ BM_ProbabilityAggregation(benchmark::State &state)
         cta::nn::AttentionHeadParams::randomInit(64, 64, rng);
     cta::alg::CtaConfig config;
     const auto pre = cta::alg::ctaAttention(x, x, head, config);
-    Matrix ap, sums;
+    const auto tokens = cta::alg::tokenPairs(pre.inter.kvComp);
+    const Index k_total = pre.stats.k1 + pre.stats.k2;
+    Matrix ap(pre.stats.k0, k_total), sums(pre.stats.k0, 1);
     for (auto _ : state) {
-        cta::alg::aggregateProbabilities(
-            pre.inter.sBar, pre.inter.kvComp.level1.table,
-            pre.inter.kvComp.level2.table, pre.stats.k1, ap, sums);
+        cta::alg::aggregatePairs(pre.inter.sBar.data(), pre.stats.k0,
+                                 pre.stats.k1, k_total, tokens,
+                                 ap.data(), sums.data());
         benchmark::DoNotOptimize(ap);
     }
     state.SetItemsProcessed(state.iterations() * pre.stats.k0 * n);

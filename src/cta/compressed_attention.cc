@@ -7,6 +7,7 @@
 
 #include "core/logging.h"
 #include "core/rng.h"
+#include "cta/fused_decode.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -16,7 +17,6 @@ using core::Index;
 using core::Matrix;
 using core::OpCounts;
 using core::Real;
-using core::Wide;
 
 Real
 CompressionStats::rl() const
@@ -48,43 +48,6 @@ CtaResult::measuredRl() const
         nn::exactLinearOps(stats.m, stats.n, stats.dw, stats.d);
     return static_cast<Real>(linearOps.flops()) /
            static_cast<Real>(exact.flops());
-}
-
-void
-aggregateProbabilities(const Matrix &s_bar,
-                       const std::vector<Index> &ct1,
-                       const std::vector<Index> &ct2, Index k1,
-                       Matrix &ap, Matrix &row_sums, OpCounts *counts)
-{
-    CTA_TRACE_SCOPE("aggregate.probabilities");
-    CTA_REQUIRE(ct1.size() == ct2.size(), "CT1/CT2 size mismatch");
-    const Index k0 = s_bar.rows();
-    const Index k_total = s_bar.cols();
-    const auto n = static_cast<Index>(ct1.size());
-    ap = Matrix(k0, k_total);
-    row_sums = Matrix(k0, 1);
-    for (Index i = 0; i < k0; ++i) {
-        const Real *srow = s_bar.row(i).data();
-        Real *aprow = ap.row(i).data();
-        Wide total = 0;
-        for (Index j = 0; j < n; ++j) {
-            const Index c1 = ct1[static_cast<std::size_t>(j)];
-            const Index c2 = k1 + ct2[static_cast<std::size_t>(j)];
-            CTA_ASSERT(c1 >= 0 && c1 < k1 && c2 >= k1 && c2 < k_total,
-                       "cluster index out of range");
-            const Real p = std::exp(srow[c1] + srow[c2]);
-            aprow[c1] += p;
-            aprow[c2] += p;
-            total += 2.0 * p;
-        }
-        row_sums(i, 0) = static_cast<Real>(total);
-    }
-    if (counts) {
-        const auto k0u = static_cast<std::uint64_t>(k0);
-        const auto nu = static_cast<std::uint64_t>(n);
-        counts->exps += k0u * nu;      // one exp per (row, token)
-        counts->adds += 3 * k0u * nu;  // s1+s2 and two AP merges
-    }
 }
 
 ClusterPairCounts::ClusterPairCounts()
@@ -181,43 +144,16 @@ ClusterPairCounts::stateBytes() const
     return pairs_.privateBytes();
 }
 
-void
-aggregateProbabilitiesGrouped(const Matrix &s_bar,
-                              const ClusterPairCounts &pairs, Index k1,
-                              Matrix &ap, Matrix &row_sums,
-                              OpCounts *counts)
+std::vector<ClusterPairCounts::Pair>
+tokenPairs(const TwoLevelCompression &kv_comp)
 {
-    CTA_TRACE_SCOPE("aggregate.probabilities_grouped");
-    const Index k0 = s_bar.rows();
-    const Index k_total = s_bar.cols();
-    ap = Matrix(k0, k_total);
-    row_sums = Matrix(k0, 1);
-    for (Index i = 0; i < k0; ++i) {
-        const Real *srow = s_bar.row(i).data();
-        Real *aprow = ap.row(i).data();
-        Wide total = 0;
-        for (Index pi = 0; pi < pairs.pairCount(); ++pi) {
-            const ClusterPairCounts::Pair pair = pairs.pair(pi);
-            const Index c1 = pair.c1;
-            const Index c2 = k1 + pair.c2;
-            CTA_ASSERT(c1 < k1 && c2 < k_total,
-                       "cluster index out of range");
-            const Real p = std::exp(srow[c1] + srow[c2]);
-            const Real weighted =
-                static_cast<Real>(pair.count) * p;
-            aprow[c1] += weighted;
-            aprow[c2] += weighted;
-            total += 2.0 * weighted;
-        }
-        row_sums(i, 0) = static_cast<Real>(total);
-    }
-    if (counts) {
-        const auto k0u = static_cast<std::uint64_t>(k0);
-        const auto pu = static_cast<std::uint64_t>(pairs.pairCount());
-        counts->exps += k0u * pu;
-        counts->muls += k0u * pu;      // count weighting
-        counts->adds += 3 * k0u * pu;  // s1+s2 and two AP merges
-    }
+    const std::vector<Index> &ct1 = kv_comp.level1.table;
+    const std::vector<Index> &ct2 = kv_comp.level2.table;
+    CTA_REQUIRE(ct1.size() == ct2.size(), "CT1/CT2 size mismatch");
+    std::vector<ClusterPairCounts::Pair> pairs(ct1.size());
+    for (std::size_t j = 0; j < ct1.size(); ++j)
+        pairs[j] = {ct1[j], ct2[j], 1};
+    return pairs;
 }
 
 void
@@ -328,59 +264,42 @@ ctaAttentionFromCompression(const CompressionLevel &query_comp,
     }
     const Index d = result.inter.qBar.cols();
 
-    // --- Stage 3: compressed scores (eq. 5). ---
+    // --- Stages 3-4: compressed scores (eq. 5) and probability
+    // aggregation (Fig. 6), each token a pair of count 1. ---
     CTA_TRACE_SCOPE("attention.scores_to_output");
-    const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
-    result.inter.sBar = matmulTransB(result.inter.qBar,
-                                     result.inter.kBar,
-                                     &result.attnOps);
-    result.inter.sBar =
-        scale(result.inter.sBar, inv_sqrt_d, &result.attnOps);
-
-    if (subtract_row_max) {
-        // PPE behaviour (SIV-B score phase): per row, subtract the max
-        // of the first k1 scores from the k2 level-2 scores. Since
-        // every aggregated score is (level1 + level2), this shifts all
-        // of a row's scores by the same constant, which cancels after
-        // normalization but keeps exp() arguments small.
-        for (Index i = 0; i < k0; ++i) {
-            Real *row = result.inter.sBar.row(i).data();
-            Real row_max = row[0];
-            for (Index j = 1; j < k1; ++j)
-                row_max = std::max(row_max, row[j]);
-            for (Index j = k1; j < k1 + k2; ++j)
-                row[j] -= row_max;
-        }
-        result.attnOps.cmps +=
-            static_cast<std::uint64_t>(k0) * (k1 - 1);
-        result.attnOps.adds += static_cast<std::uint64_t>(k0) * k2;
-    }
-
-    // --- Stage 4: probability aggregation (Fig. 6). ---
+    const Index k_total = k1 + k2;
+    CtaIntermediates &inter = result.inter;
+    std::vector<const Real *> k_rows(static_cast<std::size_t>(k_total));
+    for (Index j = 0; j < k_total; ++j)
+        k_rows[static_cast<std::size_t>(j)] = inter.kBar.row(j).data();
+    inter.sBar = Matrix(k0, k_total);
+    compressedScores(inter.qBar, k_rows.data(), k1, k2,
+                     1.0f / std::sqrt(static_cast<Real>(d)),
+                     subtract_row_max, inter.sBar.data(),
+                     &result.attnOps);
+    inter.ap = Matrix(k0, k_total);
+    inter.apRowSums = Matrix(k0, 1);
     OpCounts agg_ops;
-    aggregateProbabilities(result.inter.sBar,
-                           result.inter.kvComp.level1.table,
-                           result.inter.kvComp.level2.table, k1,
-                           result.inter.ap, result.inter.apRowSums,
-                           &agg_ops);
+    aggregatePairs(inter.sBar.data(), k0, k1, k_total,
+                   tokenPairs(inter.kvComp), inter.ap.data(),
+                   inter.apRowSums.data(), &agg_ops);
     // Paper SIII-D: the exps count against the (reduced) softmax
     // stage; the 3*k0*n merge additions are approximation overhead.
     result.attnOps.exps += agg_ops.exps;
     result.overheadOps.adds += agg_ops.adds;
 
     // --- Stage 5: output calculation (eq. 8). ---
-    result.inter.oBar =
-        matmul(result.inter.ap, result.inter.vBar, &result.attnOps);
+    const Matrix o_bar = matmul(inter.ap, inter.vBar, &result.attnOps);
 
     // Normalize per compressed query: divide by rowsum(AP)/2 (the
     // probabilities were accumulated twice per row). k0*d divisions,
     // matching the paper's "output divisions reduced from nd to k0d".
     Matrix o_norm(k0, d);
     for (Index i = 0; i < k0; ++i) {
-        const Real denom = result.inter.apRowSums(i, 0) * 0.5f;
+        const Real denom = inter.apRowSums(i, 0) * 0.5f;
         CTA_ASSERT(denom > 0, "zero attention denominator");
         const Real inv = 1.0f / denom;
-        const Real *src = result.inter.oBar.row(i).data();
+        const Real *src = o_bar.row(i).data();
         Real *dst = o_norm.row(i).data();
         for (Index j = 0; j < d; ++j)
             dst[j] = src[j] * inv;
@@ -390,8 +309,7 @@ ctaAttentionFromCompression(const CompressionLevel &query_comp,
     // Expand to the original sequence: O_i = O_norm[CT0[i]].
     result.output = Matrix(m, d);
     for (Index i = 0; i < m; ++i) {
-        const Index c =
-            result.inter.queryComp.table[static_cast<std::size_t>(i)];
+        const Index c = inter.queryComp.table[static_cast<std::size_t>(i)];
         const Real *src = o_norm.row(c).data();
         Real *dst = result.output.row(i).data();
         for (Index j = 0; j < d; ++j)

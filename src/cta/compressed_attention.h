@@ -19,6 +19,11 @@
  * k1 scores is subtracted from its k2 remaining scores, keeping
  * aggregated scores small for the exp LUT; it cancels in the final
  * normalization.
+ *
+ * Stages 3 and 4 are compressedScores() and aggregatePairs()
+ * (cta/fused_decode.h), shared with the fixed-point path and the
+ * decode step; this path passes its KV tokens as pairs of count 1
+ * (tokenPairs()).
  */
 
 #pragma once
@@ -87,7 +92,6 @@ struct CtaIntermediates
     core::Matrix sBar;             ///< k0 x (k1+k2) compressed scores
     core::Matrix ap;               ///< k0 x (k1+k2) aggregated probs
     core::Matrix apRowSums;        ///< k0 x 1 (twice the denominator)
-    core::Matrix oBar;             ///< k0 x d un-normalized outputs
 };
 
 /** Result of one CTA attention evaluation. */
@@ -164,24 +168,14 @@ CtaResult ctaAttentionFromCompression(
     bool subtract_row_max = true);
 
 /**
- * Attention probability aggregation (paper Fig. 6), exposed for the
- * PAG hardware model and tests. Fills @p ap (k0 x (k1+k2)) and
- * @p row_sums (k0 x 1).
- */
-void aggregateProbabilities(const core::Matrix &s_bar,
-                            const std::vector<core::Index> &ct1,
-                            const std::vector<core::Index> &ct2,
-                            core::Index k1, core::Matrix &ap,
-                            core::Matrix &row_sums,
-                            core::OpCounts *counts = nullptr);
-
-/**
  * Multiset of (level-1, level-2) cluster-pair occurrences over the KV
  * tokens, in first-seen order. A token's aggregated probability
  * p_j = exp(Sb[CT1[j]] + Sb[k1+CT2[j]]) depends only on its pair, so
  * a decode session maintains these counts as it appends tokens and
- * aggregates probabilities per distinct pair instead of per
- * token (fusedDecodeAttend, cta/fused_decode.h).
+ * aggregates probabilities per distinct pair instead of per token
+ * (aggregatePairs, cta/fused_decode.h). Summing per pair reorders
+ * the per-token sums, so a decode step agrees with the batch path to
+ * rounding, not bit for bit (tests/serve_test.cc bounds it at 1e-4).
  */
 class ClusterPairCounts
 {
@@ -241,22 +235,12 @@ class ClusterPairCounts
 };
 
 /**
- * Grouped attention probability aggregation: algebraically identical
- * to aggregateProbabilities() — each distinct (c1, c2) pair's
- * probability is computed once and weighted by its multiplicity — at
- * O(k0 * pairs) cost instead of O(k0 * n). Floating-point
- * accumulation order differs from the per-token version (count-
- * weighted adds in first-seen pair order), so results agree to
- * rounding, not bit-for-bit (tests/serve_test.cc bounds a decode
- * step against the per-token batch path at 1e-4). Decode steps run
- * the fused kernel (cta/fused_decode.h), which replicates this loop;
- * this function is its reference in tests/fused_decode_test.cc.
+ * The KV tokens' (CT1[j], CT2[j]) assignments of @p kv_comp as pairs
+ * of count 1, in token order: aggregatePairs() over them is the
+ * batch path's per-token aggregation (paper Fig. 6).
  */
-void aggregateProbabilitiesGrouped(const core::Matrix &s_bar,
-                                   const ClusterPairCounts &pairs,
-                                   core::Index k1, core::Matrix &ap,
-                                   core::Matrix &row_sums,
-                                   core::OpCounts *counts = nullptr);
+std::vector<ClusterPairCounts::Pair>
+tokenPairs(const TwoLevelCompression &kv_comp);
 
 /**
  * Re-projects the centroids @p rows of @p level through @p linear

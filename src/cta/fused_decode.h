@@ -1,44 +1,44 @@
 /**
  * @file
- * Fused online-softmax decode-attention kernel: CTA stages 3-5 for a
- * single query in ONE pass over the cached cluster projections,
- * replacing the materialize-concatenate-multiply pipeline of the
- * unfused grouped decode (matmulTransB, scale, row-max shift,
- * aggregateProbabilitiesGrouped, matmul), which survives only as the
- * reference in tests/fused_decode_test.cc.
+ * CTA stages 3-4 — compressed scores (eq. 5) with the level-1
+ * row-max shift (SIV-B), and probability aggregation (Fig. 6) — as
+ * the one implementation every path calls: the batch path
+ * (ctaAttentionFromCompression: encode, ctaAttention, the figure
+ * benches), the fixed-point path (ctaAttentionQuantized, which
+ * quantizes the scores between the two calls) and a decode step
+ * (fusedDecodeAttend below, over a DecodeSession's paged cluster
+ * projections). Stage 5 stays with the caller: the batch paths run
+ * the backend GEMM over their contiguous V-bar, a decode step
+ * core::simdFmaRows / simdMulAddRows over its paged rows; both are
+ * the backend's k-ascending chain.
  *
- * What fusion removes per step — all pure overhead, no math:
- *  - the K-bar / V-bar matrix materializations (PagedRows::toMatrix
- *    plus appendRows copies two (k1+k2) x d matrices per token),
- *  - three intermediate Matrix allocations (scores, AP, output),
- *  - separate full passes for the score scale and the row-max shift.
+ * Neither stage is an online softmax: a row's scores are all
+ * computed, then shifted by one maximum, then exponentiated. Online
+ * softmax over score tiles rescales partial sums and would change
+ * results.
  *
- * Bit-exactness contract (tests/fused_decode_test.cc): the kernel
- * performs the exact per-element operation sequence of the unfused
- * grouped path. The scores run through core::simdDotRows, the
- * lane-per-row kernel behind SimdBackend::gemmTransposedB — the
- * reference Wide k-ascending chain per row, 8 rows at a time, read
- * straight from the paged rows — then the same cast-then-scale. Then
- * come the same sequential row-max scan, the same pair-ordered
- * exp/aggregate loop with one Wide total chain, and the same
- * k-ascending AV accumulation (core::simdFmaRows / simdMulAddRows,
- * the output row held in registers across the cluster rows), using
- * FMA steps when the active backend's GEMM does (fma_chains — see
- * Backend::gemmFmaChains) and mul-then-add steps otherwise. Outputs
- * are therefore bit-identical to the unfused path under EVERY
- * backend, ISA level and thread count, and OpCounts match exactly.
+ * Bit-exactness contract: each score is the reference Wide
+ * k-ascending chain of gemmTransposedB (core::simdDotRows, one row
+ * per lane, read through row pointers so paged rows need no copy),
+ * narrowed, then multiplied by 1/sqrt(d) — bit for bit the
+ * transposed-B matrix product followed by scale(). The shift is one
+ * sequential max scan and one subtraction per level-2 score.
+ * Aggregation runs one exp per (row, pair) in pair order and one
+ * Wide total chain per row. A per-token caller passes each token as
+ * a pair of count 1, and Real(1) * p == p exactly, so the per-token
+ * and the grouped aggregation are one loop. Results are a pure function of the
+ * inputs under every backend, ISA level and thread count
+ * (tests/fused_decode_test.cc pins both callers to test-local copies
+ * of the unshared chains).
  *
  * fused_decode.cc is compiled with -ffp-contract=off (see
  * src/CMakeLists.txt), matching core/backend.cc and core/simd.cc, so
- * its scalar steps round exactly as written. The pair loop
- * replicated from cta/compressed_attention.cc (a default-flags TU)
- * contains no operation a baseline x86 build could contract;
- * tests/fused_decode_test.cc verifies the resulting bit-identity on
- * the build host.
+ * its scalar steps round exactly as written.
  */
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/matrix.h"
@@ -50,6 +50,44 @@ struct OpCounts;
 } // namespace cta::core
 
 namespace cta::alg {
+
+/**
+ * Stage 3 for every row i of @p q_bar (rows x d): scores[i * (k1 + k2)
+ * + j] = Real(q_i . k_j) * @p inv_sqrt_d over the cluster rows
+ * @p k_rows (the k1 K1-bar rows, then the k2 K2-bar rows), then, when
+ * @p subtract_row_max, the max of the row's first k1 scores
+ * subtracted from its k2 level-2 scores. Since every aggregated score
+ * is (level1 + level2), the shift moves all of a row's scores by one
+ * constant, which cancels after normalization but keeps exp()
+ * arguments small. A single row runs inline; more fan out over the
+ * active backend's row map.
+ *
+ * Charges rows * (k1+k2) * d MACs and rows * (k1+k2) scale muls, and
+ * with the shift rows * (k1-1) compares and rows * k2 adds.
+ */
+void compressedScores(const core::Matrix &q_bar,
+                      const core::Real *const *k_rows, core::Index k1,
+                      core::Index k2, core::Real inv_sqrt_d,
+                      bool subtract_row_max, core::Real *scores,
+                      core::OpCounts *counts = nullptr);
+
+/**
+ * Stage 4 for @p rows score rows of width k_total (row-major
+ * @p scores): for each (c1, c2, count) of @p pairs in order, adds
+ * Real(count) * exp(s[c1] + s[k1 + c2]) into ap[c1] and ap[k1 + c2]
+ * of the matching row of @p ap (rows x k_total, zeroed by the
+ * caller), and stores the row's probability mass (twice the softmax
+ * denominator, one Wide chain) in row_sums[i]. Rows fan out like
+ * compressedScores().
+ *
+ * Charges one exp and three adds (s1 + s2, two AP merges) per
+ * (row, pair); a grouped caller charges its count muls itself.
+ */
+void aggregatePairs(const core::Real *scores, core::Index rows,
+                    core::Index k1, core::Index k_total,
+                    std::span<const ClusterPairCounts::Pair> pairs,
+                    core::Real *ap, core::Real *row_sums,
+                    core::OpCounts *counts = nullptr);
 
 /**
  * Reusable per-session buffers of fusedDecodeAttend(). Holding them
@@ -65,25 +103,27 @@ struct FusedDecodeScratch
 };
 
 /**
- * Computes the un-normalized decode-attention output of the single
- * query @p q_bar (1 x d) over the cached cluster projections, leaving
- * the result row in @p scratch.out and returning the probability-mass
- * row sum (the unfused path's row_sums(0, 0)). The caller owns the
- * shared tail: denominator halving, quality-guard probes and the
- * final normalization.
+ * CTA stages 3-5 of one decode step, for the single query @p q_bar
+ * (1 x d) over the paged cached cluster projections, with no K-bar or
+ * V-bar materialization: compressedScores(), aggregatePairs() over
+ * the session's (c1, c2) multiset, then the AV accumulation. Leaves
+ * the un-normalized output row in @p scratch.out and returns the
+ * probability-mass row sum. The caller owns the shared tail:
+ * denominator halving, quality-guard probes and the final
+ * normalization.
  *
  * @param q_bar      projected query, 1 x d
  * @param k_bar1/2   cached W^K projections of the level-1/2 centroids
  * @param v_bar1/2   cached W^V projections of the level-1/2 centroids
- * @param pairs      the session's (c1, c2) multiset (grouped
- *                   aggregation — the fused path requires it)
+ * @param pairs      the session's (c1, c2) multiset
  * @param inv_sqrt_d the 1/sqrt(d) score scale
  * @param subtract_row_max apply the level-1 row-max shift to the
  *                   level-2 scores (CtaConfig::subtractRowMax)
  * @param fma_chains accumulate AV with one-rounding FMA steps (true
  *                   when the active backend's GEMM uses FMA chains)
- *                   instead of mul-then-add steps
- * @param counts     charged exactly as the unfused pipeline charges
+ *                   instead of mul-then-add steps, so AV matches the
+ *                   backend matmul bit for bit
+ * @param counts     charged per pair, count muls included
  */
 core::Real fusedDecodeAttend(const core::Matrix &q_bar,
                              const core::PagedRows &k_bar1,

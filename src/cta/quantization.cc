@@ -4,6 +4,7 @@
 
 #include "core/logging.h"
 #include "core/rng.h"
+#include "cta/fused_decode.h"
 #include "nn/softmax.h"
 
 namespace cta::alg {
@@ -95,53 +96,46 @@ ctaAttentionQuantized(const Matrix &xq, const Matrix &xkv,
         scheme.centroids);
     const Index d = result.inter.qBar.cols();
 
-    const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
-    result.inter.sBar = scale(
-        matmulTransB(result.inter.qBar, result.inter.kBar,
-                     &result.attnOps),
-        inv_sqrt_d, &result.attnOps);
     // Row-max subtraction is mandatory in fixed point: it bounds the
-    // exp-LUT input range (paper SIV-B score phase).
-    for (Index i = 0; i < k0; ++i) {
-        Real *row = result.inter.sBar.row(i).data();
-        Real row_max = row[0];
-        for (Index j = 1; j < k1; ++j)
-            row_max = std::max(row_max, row[j]);
-        for (Index j = k1; j < k1 + k2; ++j)
-            row[j] -= row_max;
-    }
-    result.attnOps.cmps += static_cast<std::uint64_t>(k0) * (k1 - 1);
-    result.attnOps.adds += static_cast<std::uint64_t>(k0) * k2;
-    result.inter.sBar =
-        quantizeMatrix(result.inter.sBar, scheme.scores);
+    // exp-LUT input range (paper SIV-B score phase). The scores are
+    // written back at Q7.9 before aggregation.
+    const Index k_total = k1 + k2;
+    CtaIntermediates &inter = result.inter;
+    std::vector<const Real *> k_rows(static_cast<std::size_t>(k_total));
+    for (Index j = 0; j < k_total; ++j)
+        k_rows[static_cast<std::size_t>(j)] = inter.kBar.row(j).data();
+    inter.sBar = Matrix(k0, k_total);
+    compressedScores(inter.qBar, k_rows.data(), k1, k2,
+                     1.0f / std::sqrt(static_cast<Real>(d)),
+                     /*subtract_row_max=*/true, inter.sBar.data(),
+                     &result.attnOps);
+    inter.sBar = quantizeMatrix(inter.sBar, scheme.scores);
 
+    inter.ap = Matrix(k0, k_total);
+    inter.apRowSums = Matrix(k0, 1);
     core::OpCounts agg_ops;
-    aggregateProbabilities(result.inter.sBar,
-                           result.inter.kvComp.level1.table,
-                           result.inter.kvComp.level2.table, k1,
-                           result.inter.ap, result.inter.apRowSums,
-                           &agg_ops);
+    aggregatePairs(inter.sBar.data(), k0, k1, k_total,
+                   tokenPairs(inter.kvComp), inter.ap.data(),
+                   inter.apRowSums.data(), &agg_ops);
     result.attnOps.exps += agg_ops.exps;
     result.overheadOps.adds += agg_ops.adds;
 
-    result.inter.oBar =
-        matmul(result.inter.ap, result.inter.vBar, &result.attnOps);
+    const Matrix o_bar = matmul(inter.ap, inter.vBar, &result.attnOps);
 
     Matrix o_norm(k0, d);
     for (Index i = 0; i < k0; ++i) {
-        const Real denom = result.inter.apRowSums(i, 0) * 0.5f;
+        const Real denom = inter.apRowSums(i, 0) * 0.5f;
         CTA_ASSERT(denom > 0, "zero attention denominator");
         const Real inv = 1.0f / denom;
         for (Index j = 0; j < d; ++j)
-            o_norm(i, j) = result.inter.oBar(i, j) * inv;
+            o_norm(i, j) = o_bar(i, j) * inv;
     }
     result.attnOps.divs += static_cast<std::uint64_t>(k0) * d;
     o_norm = quantizeMatrix(o_norm, scheme.tokens);
 
     result.output = Matrix(m, d);
     for (Index i = 0; i < m; ++i) {
-        const Index c =
-            result.inter.queryComp.table[static_cast<std::size_t>(i)];
+        const Index c = inter.queryComp.table[static_cast<std::size_t>(i)];
         for (Index j = 0; j < d; ++j)
             result.output(i, j) = o_norm(c, j);
     }

@@ -21,7 +21,7 @@
  * Span names must be string literals (the buffer stores the pointer,
  * not a copy) and use dot-separated hierarchical phase names:
  * "<subsystem>.<phase>" — e.g. "lsh.hash", "cluster.append",
- * "aggregate.probabilities", "attention.scores", "decode.step",
+ * "attention.fused_decode", "attention.scores", "decode.step",
  * "serve.flush", "accel.schedule".
  *
  * Thread-safety: recording only touches the calling thread's buffer

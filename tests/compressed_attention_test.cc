@@ -17,6 +17,7 @@
 #include "cta/compressed_attention.h"
 #include "cta/config.h"
 #include "cta/error.h"
+#include "cta/fused_decode.h"
 #include "nn/workload.h"
 
 namespace {
@@ -200,10 +201,12 @@ TEST(AggregateProbabilitiesTest, MatchesHandComputation)
     s_bar(0, 0) = 0.1f; // level-1 cluster 0
     s_bar(0, 1) = 0.2f; // level-1 cluster 1
     s_bar(0, 2) = 0.3f; // level-2 cluster 0 (column k1+0)
-    const std::vector<Index> ct1{0, 1};
-    const std::vector<Index> ct2{0, 0};
-    Matrix ap, sums;
-    cta::alg::aggregateProbabilities(s_bar, ct1, ct2, 2, ap, sums);
+    // Two tokens, (c1, c2) = (0, 0) and (1, 0), each of count 1.
+    const std::vector<cta::alg::ClusterPairCounts::Pair> tokens{
+        {0, 0, 1}, {1, 0, 1}};
+    Matrix ap(1, 3), sums(1, 1);
+    cta::alg::aggregatePairs(s_bar.data(), 1, 2, 3, tokens, ap.data(),
+                             sums.data());
     const Real p0 = std::exp(0.1f + 0.3f);
     const Real p1 = std::exp(0.2f + 0.3f);
     EXPECT_NEAR(ap(0, 0), p0, 1e-5f);

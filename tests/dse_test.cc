@@ -203,6 +203,10 @@ TEST(DseTest, RepeatRunsAreBitIdentical)
 
 TEST(DseTest, RejectsBadInputs)
 {
+    // Earlier cases left the DSE's pool workers running; a forked
+    // child of a threaded process can hang (seen under TSan), so the
+    // death tests re-execute the binary instead.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(exploreDesignSpace(HwConfig::paperDefault(), {},
                                     {8}, {16}),
                  "at least one shape");

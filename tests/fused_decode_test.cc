@@ -1,12 +1,17 @@
 /**
  * @file
- * Determinism torture tests for the fused online-softmax decode
- * kernel (cta/fused_decode.h): a session decoding through the fused
- * kernel must produce bit-identical outputs to the unfused grouped
- * pipeline it replaced — kept here as the test reference — at EVERY
- * prefix length, under every compute backend, thread count and
- * dispatched ISA level, and the kernel must charge identical
- * operation counts.
+ * Determinism torture tests for the shared CTA score and aggregation
+ * stages (cta/fused_decode.h) through both of their callers:
+ *  - a session decoding through the fused decode kernel must produce
+ *    bit-identical outputs to the unfused grouped pipeline at EVERY
+ *    prefix length, under every compute backend, thread count and
+ *    dispatched ISA level, and charge identical operation counts;
+ *  - the batch path (ctaAttention) must reproduce the per-token
+ *    chain it used before the stages were shared, intermediates,
+ *    outputs and op counts bit for bit.
+ * Both references are test-local copies of the unshared chains.
+ * This file is compiled with -ffp-contract=off (tests/CMakeLists.txt)
+ * so the copies round exactly as written, like the production TU.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +47,7 @@ using cta::core::PagedRows;
 using cta::core::Real;
 using cta::core::Rng;
 using cta::core::SimdLevel;
+using cta::core::Wide;
 using cta::serve::DecodeSession;
 using cta::serve::ServeConfig;
 
@@ -118,8 +124,8 @@ struct ReferenceAttend
  * @p session's public state after it ingested the token whose
  * projected query is @p q_bar: materialize [K1-bar; K2-bar] and
  * [V1-bar; V2-bar], then matmulTransB -> scale -> level-1 row-max
- * shift -> aggregateProbabilitiesGrouped -> matmul, and step()'s
- * normalization tail.
+ * shift -> a grouped pair loop -> matmul, and step()'s normalization
+ * tail.
  */
 ReferenceAttend
 unfusedGroupedAttend(const DecodeSession &session, const Matrix &q_bar)
@@ -146,12 +152,28 @@ unfusedGroupedAttend(const DecodeSession &session, const Matrix &q_bar)
         ref.ops.cmps += static_cast<std::uint64_t>(k1 - 1);
         ref.ops.adds += static_cast<std::uint64_t>(k2);
     }
-    Matrix ap;
-    Matrix row_sums;
-    cta::alg::aggregateProbabilitiesGrouped(s_bar, session.pairs(), k1,
-                                            ap, row_sums, &ref.ops);
+    // Grouped aggregation: one exp per distinct pair, weighted by its
+    // token count, one Wide total chain in pair order.
+    Matrix ap(1, k1 + k2);
+    Wide total = 0;
+    const Real *srow = s_bar.row(0).data();
+    const cta::alg::ClusterPairCounts &pairs = session.pairs();
+    for (Index pi = 0; pi < pairs.pairCount(); ++pi) {
+        const cta::alg::ClusterPairCounts::Pair pair = pairs.pair(pi);
+        const Index c1 = pair.c1;
+        const Index c2 = k1 + pair.c2;
+        const Real p = std::exp(srow[c1] + srow[c2]);
+        const Real weighted = static_cast<Real>(pair.count) * p;
+        ap(0, c1) += weighted;
+        ap(0, c2) += weighted;
+        total += 2.0 * weighted;
+    }
+    const auto pu = static_cast<std::uint64_t>(pairs.pairCount());
+    ref.ops.exps += pu;
+    ref.ops.muls += pu;
+    ref.ops.adds += 3 * pu;
     ref.unnormalized = matmul(ap, v_bar, &ref.ops);
-    ref.rowSum = row_sums(0, 0);
+    ref.rowSum = static_cast<Real>(total);
 
     const Real inv = 1.0f / (ref.rowSum * 0.5f);
     ref.out = Matrix(1, d);
@@ -404,6 +426,141 @@ TEST(FusedDecodeTest, SteadyStateStepsDoNotRegrowScratch)
                 << "step " << i << " col " << j;
     }
     EXPECT_FALSE(session.fallbackActive());
+}
+
+/** The batch path's stage 3-5 results and its op counts. */
+struct BatchReference
+{
+    Matrix sBar, ap, apRowSums, output;
+    OpCounts attnOps, overheadOps;
+};
+
+/**
+ * The batch path's stages 3-5 as they ran before the score and
+ * aggregation stages were shared, over @p inter's projections and
+ * cluster tables: matmulTransB -> scale -> level-1 row-max shift -> a
+ * plain per-token aggregation loop -> matmul -> normalization ->
+ * expansion to the @p m query rows.
+ */
+BatchReference
+perTokenChain(const cta::alg::CtaIntermediates &inter, Index m,
+              bool subtract_row_max)
+{
+    BatchReference ref;
+    const Index k0 = inter.qBar.rows();
+    const Index k1 = inter.kvComp.level1.numClusters;
+    const Index k2 = inter.kvComp.level2.numClusters;
+    const Index d = inter.qBar.cols();
+    ref.sBar = matmulTransB(inter.qBar, inter.kBar, &ref.attnOps);
+    ref.sBar = scale(ref.sBar, 1.0f / std::sqrt(static_cast<Real>(d)),
+                     &ref.attnOps);
+    if (subtract_row_max) {
+        for (Index i = 0; i < k0; ++i) {
+            Real *row = ref.sBar.row(i).data();
+            Real row_max = row[0];
+            for (Index j = 1; j < k1; ++j)
+                row_max = std::max(row_max, row[j]);
+            for (Index j = k1; j < k1 + k2; ++j)
+                row[j] -= row_max;
+        }
+        ref.attnOps.cmps += static_cast<std::uint64_t>(k0) * (k1 - 1);
+        ref.attnOps.adds += static_cast<std::uint64_t>(k0) * k2;
+    }
+
+    const std::vector<Index> &ct1 = inter.kvComp.level1.table;
+    const std::vector<Index> &ct2 = inter.kvComp.level2.table;
+    ref.ap = Matrix(k0, k1 + k2);
+    ref.apRowSums = Matrix(k0, 1);
+    for (Index i = 0; i < k0; ++i) {
+        const Real *srow = ref.sBar.row(i).data();
+        Real *aprow = ref.ap.row(i).data();
+        Wide total = 0;
+        for (std::size_t j = 0; j < ct1.size(); ++j) {
+            const Index c1 = ct1[j];
+            const Index c2 = k1 + ct2[j];
+            const Real p = std::exp(srow[c1] + srow[c2]);
+            aprow[c1] += p;
+            aprow[c2] += p;
+            total += 2.0 * p;
+        }
+        ref.apRowSums(i, 0) = static_cast<Real>(total);
+    }
+    const auto tokens = static_cast<std::uint64_t>(k0) * ct1.size();
+    ref.attnOps.exps += tokens;
+    ref.overheadOps.adds += 3 * tokens;
+
+    const Matrix o_bar = matmul(ref.ap, inter.vBar, &ref.attnOps);
+    ref.output = Matrix(m, d);
+    for (Index i = 0; i < m; ++i) {
+        const Index c = inter.queryComp.table[static_cast<std::size_t>(i)];
+        const Real inv = 1.0f / (ref.apRowSums(c, 0) * 0.5f);
+        for (Index j = 0; j < d; ++j)
+            ref.output(i, j) = o_bar(c, j) * inv;
+    }
+    ref.attnOps.divs += static_cast<std::uint64_t>(k0) * d;
+    return ref;
+}
+
+TEST(CtaAttentionChainTest, BitIdenticalToPerTokenChain)
+{
+    // ctaAttention runs the shared stages with each token as a pair
+    // of count 1; Real(1) * p == p, so every intermediate, the output
+    // and every op count must equal the per-token chain's.
+    const Index n = 160, dim = 32, d = 16;
+    const Matrix x = sampleTokens(n, dim, 41);
+    Rng rng(42);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    for (const bool row_max : {true, false}) {
+        cta::alg::CtaConfig config;
+        config.subtractRowMax = row_max;
+        // Stages 1-2 are not shared; charge them as ctaAttention does.
+        const auto lsh = cta::alg::sampleLshParams(config, dim);
+        OpCounts compression_ops;
+        const auto kv = cta::alg::compressTwoLevel(x, lsh.lsh1, lsh.lsh2,
+                                                   &compression_ops);
+        const auto qc =
+            cta::alg::compressTokens(x, lsh.lsh0, &compression_ops);
+        Matrix c_cat = kv.level1.centroids;
+        c_cat.appendRows(kv.level2.centroids);
+        OpCounts linear_ops;
+        params.wq.forward(qc.centroids, &linear_ops);
+        params.wk.forward(c_cat, &linear_ops);
+        params.wv.forward(c_cat, &linear_ops);
+        // More than one backend row chunk, so simd:4 fans rows out.
+        ASSERT_GT(qc.numClusters, 8);
+
+        for (const char *spec : {"naive", "simd:1", "simd:4"}) {
+            const auto backend = cta::core::makeBackend(spec);
+            ScopedBackend backend_guard(backend.get());
+            for (const SimdLevel level :
+                 {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512,
+                  SimdLevel::Neon}) {
+                if (!cta::core::simdLevelSupported(level))
+                    continue;
+                ScopedSimdLevel level_guard(level);
+                const std::string what =
+                    std::string(spec) + " level " +
+                    cta::core::simdLevelName(level) +
+                    (row_max ? ", row max" : ", no row max");
+                const cta::alg::CtaResult r =
+                    cta::alg::ctaAttention(x, x, params, config);
+                const BatchReference ref =
+                    perTokenChain(r.inter, n, row_max);
+                EXPECT_TRUE(bitIdentical(r.inter.sBar, ref.sBar)) << what;
+                EXPECT_TRUE(bitIdentical(r.inter.ap, ref.ap)) << what;
+                EXPECT_TRUE(bitIdentical(r.inter.apRowSums,
+                                         ref.apRowSums))
+                    << what;
+                EXPECT_TRUE(bitIdentical(r.output, ref.output)) << what;
+                EXPECT_EQ(r.attnOps, ref.attnOps) << what;
+                EXPECT_EQ(r.overheadOps,
+                          ref.overheadOps + compression_ops)
+                    << what;
+                EXPECT_EQ(r.linearOps, linear_ops) << what;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "core/rng.h"
 #include "cta/compressed_attention.h"
 #include "cta/compression.h"
+#include "cta/fused_decode.h"
 #include "cta_accel/sa_functional.h"
 #include "nn/workload.h"
 
@@ -164,9 +165,10 @@ TEST(PipelineIntegrationTest, FunctionalHardwareMatchesAlgorithm)
     EXPECT_LT(maxAbsDiff(s_bar, reference.inter.sBar), 1e-3f);
 
     // PAG + output phase (dataflow 2) + normalization + expansion.
-    Matrix ap, sums;
-    cta::alg::aggregateProbabilities(s_bar, kv.level1.table,
-                                     kv.level2.table, k1, ap, sums);
+    Matrix ap(k0, k1 + k2), sums(k0, 1);
+    cta::alg::aggregatePairs(s_bar.data(), k0, k1, k1 + k2,
+                             cta::alg::tokenPairs(kv), ap.data(),
+                             sums.data());
     Matrix o_bar(k0, kDim);
     for (Index start = 0; start < k0; start += sa.width()) {
         const Index end = std::min(k0, start + sa.width());
