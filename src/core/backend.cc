@@ -1,6 +1,7 @@
 #include "core/backend.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "core/env.h"
@@ -31,9 +32,9 @@ constexpr Index kRowGrain = 8;
 constexpr Index kSerialGemmMacs = 4 * 1024 * 1024;
 
 /**
- * Reference ikj GEMM over output rows [row_begin, row_end): for each
- * output element, k ascends 0..K-1 — the accumulation order every
- * backend must reproduce bit-exactly.
+ * Reference ikj GEMM over output rows [row_begin, row_end): each
+ * output element is one fmaf chain, k ascending 0..K-1 — the
+ * dot-product contract every backend reproduces bit-exactly.
  */
 void
 gemmRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
@@ -45,24 +46,7 @@ gemmRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
             const Real aik = a(i, k);
             const Real *brow = b.row(k).data();
             for (Index j = 0; j < b.cols(); ++j)
-                crow[j] += aik * brow[j];
-        }
-    }
-}
-
-/** Reference dot-product A * B^T over output rows [row_begin, row_end). */
-void
-gemmTransBRowsNaive(const Matrix &a, const Matrix &b, Matrix &c,
-                    Index row_begin, Index row_end)
-{
-    for (Index i = row_begin; i < row_end; ++i) {
-        const Real *arow = a.row(i).data();
-        for (Index j = 0; j < b.rows(); ++j) {
-            const Real *brow = b.row(j).data();
-            Wide acc = 0;
-            for (Index k = 0; k < a.cols(); ++k)
-                acc += static_cast<Wide>(arow[k]) * brow[k];
-            c(i, j) = static_cast<Real>(acc);
+                crow[j] = std::fmaf(aik, brow[j], crow[j]);
         }
     }
 }
@@ -88,13 +72,6 @@ void
 NaiveBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
 {
     gemmRowsNaive(a, b, c, 0, a.rows());
-}
-
-void
-NaiveBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
-                              Matrix &c) const
-{
-    gemmTransBRowsNaive(a, b, c, 0, a.rows());
 }
 
 void
@@ -183,29 +160,6 @@ SimdBackend::gemm(const Matrix &a, const Matrix &b, Matrix &c) const
                         /*grain=*/16);
         }
     }
-}
-
-void
-SimdBackend::gemmTransposedB(const Matrix &a, const Matrix &b,
-                             Matrix &c) const
-{
-    // Every element is the reference Wide chain, run one B row per
-    // SIMD lane (core/simd.h), so neither routing nor the row
-    // partition can change a bit.
-    const Index n = b.rows();
-    std::vector<const Real *> rows(static_cast<std::size_t>(n));
-    for (Index j = 0; j < n; ++j)
-        rows[static_cast<std::size_t>(j)] = b.row(j).data();
-    const auto dotRange = [&](Index row_begin, Index row_end) {
-        for (Index i = row_begin; i < row_end; ++i)
-            simdDotRows(a.row(i).data(), rows.data(), n, a.cols(),
-                        c.row(i).data());
-    };
-    if (a.rows() * a.cols() * n <= kSerialGemmMacs) {
-        dotRange(0, a.rows());
-        return;
-    }
-    parallelFor(pool(), 0, a.rows(), dotRange, /*grain=*/4);
 }
 
 void

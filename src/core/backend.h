@@ -2,37 +2,30 @@
  * @file
  * Pluggable compute-backend layer behind the core::Matrix kernels.
  *
- * Every dense kernel in the library (GEMM, transposed-B GEMM, the
- * element-wise maps and row reductions) dispatches through the
- * process-active Backend, so an algorithm path never names an
- * implementation: swapping the reference loops for pooled vector
- * kernels — or, later, batched / sharded ones — is a matter of
- * installing another backend.
+ * Every dense kernel in the library (GEMM, the element-wise maps and
+ * row reductions) dispatches through the process-active Backend, so
+ * an algorithm path never names an implementation: swapping the
+ * reference loops for pooled vector kernels — or, later, batched /
+ * sharded ones — is a matter of installing another backend.
  *
  * Two implementations ship today:
- *  - NaiveBackend: the original single-threaded reference kernels,
- *    kept verbatim as the op-count and bit-exactness reference.
+ *  - NaiveBackend: single-threaded reference loops, kept as the
+ *    op-count and bit-exactness cross-check.
  *  - SimdBackend: the production backend — a vectorized GEMM that
  *    reads B in place, with runtime ISA dispatch (core/simd.h;
- *    CTA_SIMD knob), plus a lane-per-row transposed-B GEMM, row maps
- *    and row reductions, all fanned out over a persistent thread
- *    pool (core/parallel.h).
+ *    CTA_SIMD knob), plus row maps and row reductions, all fanned out
+ *    over a persistent thread pool (core/parallel.h).
  *
- * Determinism contract: every backend produces results that are a
- * pure function of the inputs — independent of thread count. Work is
- * partitioned over OUTPUT rows only and each output element keeps a
- * fixed accumulation order (ascending k); reductions combine
- * per-chunk partials in ascending chunk order with
- * thread-count-independent chunking (core/parallel.h chunkSpans).
- * simd is bit-identical to naive for gemmTransposedB, mapRows and
- * reduceRows, while its gemm uses one k-ascending FMA chain per
- * output element regardless of shape — bit-identical across every
- * ISA level, thread count and internal kernel routing, differing
- * from the reference chain only by FMA's removed intermediate
- * roundings (so the incremental-equals-batch serving contracts hold
- * within each backend). OpCounts are charged analytically by the
- * calling kernel wrappers and therefore never depend on the backend
- * or thread count.
+ * Determinism contract: every backend produces the same bits for
+ * the same inputs, at any thread count. Each gemm output element is
+ * ONE k-ascending FP32 fused multiply-add chain (the dot-product
+ * contract of core/simd.h) in both backends; work is partitioned
+ * over OUTPUT rows only; reductions combine per-chunk partials in
+ * ascending chunk order with thread-count-independent chunking
+ * (core/parallel.h chunkSpans). So NaiveBackend is a bit-identical
+ * cross-check of SimdBackend, not a second numeric path. OpCounts
+ * are charged analytically by the calling kernel wrappers and
+ * therefore never depend on the backend or thread count.
  *
  * Selection: the default backend is chosen once from the CTA_BACKEND
  * environment variable ("simd", the default, or "naive"), with the
@@ -66,23 +59,11 @@ class Backend
     virtual int threadCount() const = 0;
 
     /**
-     * True when gemm() accumulates each output element with a fused
-     * multiply-add chain (one rounding per step) instead of the
-     * naive mul-then-add chain. Kernels that must replicate a gemm's
-     * numerics exactly (the fused decode kernel) dispatch on this.
-     */
-    virtual bool gemmFmaChains() const { return false; }
-
-    /**
-     * C = A * B. @p c is pre-sized to rows(A) x cols(B) and
-     * zero-filled by the caller.
+     * C = A * B, each element one k-ascending FP32 FMA chain. @p c is
+     * pre-sized to rows(A) x cols(B) and zero-filled by the caller.
      */
     virtual void gemm(const Matrix &a, const Matrix &b,
                       Matrix &c) const = 0;
-
-    /** C = A * B^T. @p c is pre-sized to rows(A) x rows(B). */
-    virtual void gemmTransposedB(const Matrix &a, const Matrix &b,
-                                 Matrix &c) const = 0;
 
     /**
      * Row-parallel map: invokes body(row_begin, row_end) over
@@ -104,8 +85,8 @@ class Backend
 };
 
 /**
- * The original single-threaded kernels, unchanged — the reference
- * every other backend is validated against (tests/backend_test.cc).
+ * Single-threaded plain loops — the reference every other backend is
+ * checked against bit for bit (tests/backend_test.cc).
  */
 class NaiveBackend final : public Backend
 {
@@ -114,8 +95,6 @@ class NaiveBackend final : public Backend
     int threadCount() const override { return 1; }
     void gemm(const Matrix &a, const Matrix &b,
               Matrix &c) const override;
-    void gemmTransposedB(const Matrix &a, const Matrix &b,
-                         Matrix &c) const override;
     void mapRows(Index rows, const std::function<void(Index, Index)>
                                  &body) const override;
     Wide reduceRows(Index rows, const std::function<Wide(Index, Index)>
@@ -128,11 +107,8 @@ class NaiveBackend final : public Backend
  * runtime and forceable via CTA_SIMD) over a persistent thread pool.
  * Every gemm output element is one k-ascending FMA chain, whatever
  * the shape, row block, ISA level or thread count (core::simdGemmRows,
- * core/simd.h).
- * gemmTransposedB (one B row per SIMD lane, core::simdDotRows),
- * mapRows and reduceRows are bit-identical to NaiveBackend at any
- * thread count and ISA level (row-range partitioning plus one
- * ascending-k accumulation per output element).
+ * core/simd.h), so gemm, mapRows and reduceRows are bit-identical to
+ * NaiveBackend at any thread count and ISA level.
  */
 class SimdBackend final : public Backend
 {
@@ -146,11 +122,8 @@ class SimdBackend final : public Backend
 
     std::string name() const override;
     int threadCount() const override;
-    bool gemmFmaChains() const override { return true; }
     void gemm(const Matrix &a, const Matrix &b,
               Matrix &c) const override;
-    void gemmTransposedB(const Matrix &a, const Matrix &b,
-                         Matrix &c) const override;
     void mapRows(Index rows, const std::function<void(Index, Index)>
                                  &body) const override;
     Wide reduceRows(Index rows, const std::function<Wide(Index, Index)>

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/backend.h"
 #include "core/logging.h"
 #include "core/op_counter.h"
 #include "core/rng.h"
+#include "core/simd.h"
 
 namespace cta::core {
 
@@ -169,13 +171,37 @@ matmulTransB(const Matrix &a, const Matrix &b, OpCounts *counts)
     CTA_REQUIRE(a.cols() == b.cols(), "matmulTransB shape mismatch: ",
                 a.rows(), "x", a.cols(), " * (", b.rows(), "x", b.cols(),
                 ")^T");
-    Matrix c(a.rows(), b.rows());
-    activeBackend().gemmTransposedB(a, b, c);
+    std::vector<const Real *> rows(static_cast<std::size_t>(b.rows()));
+    for (Index j = 0; j < b.rows(); ++j)
+        rows[static_cast<std::size_t>(j)] = b.row(j).data();
+    Matrix c;
+    matmulTransBInto(a, rows, c, counts);
+    return c;
+}
+
+void
+matmulTransBInto(const Matrix &a, std::span<const Real *const> b_rows,
+                 Matrix &c, OpCounts *counts)
+{
+    const auto n = static_cast<Index>(b_rows.size());
+    if (a.rows() == 1) {
+        c.resize(1, n);
+        simdDotRows(a.data(), b_rows.data(), n, a.cols(), c.data());
+    } else {
+        Matrix bt(a.cols(), n);
+        activeBackend().mapRows(a.cols(), [&](Index begin, Index end) {
+            for (Index k = begin; k < end; ++k) {
+                Real *dst = bt.row(k).data();
+                for (Index j = 0; j < n; ++j)
+                    dst[j] = b_rows[static_cast<std::size_t>(j)][k];
+            }
+        });
+        matmulInto(a, bt, c);
+    }
     if (counts)
         counts->macs += static_cast<std::uint64_t>(a.rows()) *
-                        static_cast<std::uint64_t>(b.rows()) *
+                        static_cast<std::uint64_t>(n) *
                         static_cast<std::uint64_t>(a.cols());
-    return c;
 }
 
 Matrix

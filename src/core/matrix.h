@@ -121,9 +121,26 @@ Matrix matmul(const Matrix &a, const Matrix &b,
 void matmulInto(const Matrix &a, const Matrix &b, Matrix &c,
                 OpCounts *counts = nullptr);
 
-/** C = A * B^T (the natural shape for Q . K^T). */
+/**
+ * C = A * B^T (the natural shape for Q . K^T), bit for bit
+ * matmul(A, transpose(B)): each element is one k-ascending FP32 FMA
+ * chain (core/simd.h).
+ *
+ * @param counts when non-null, charged rows(A)*rows(B)*cols(A) MACs.
+ */
 Matrix matmulTransB(const Matrix &a, const Matrix &b,
                     OpCounts *counts = nullptr);
+
+/**
+ * matmulTransB() into @p c, resized to rows(A) x n, for the n rows of
+ * B given by address, each cols(A) floats — so paged rows need no
+ * copy. One A row (a decode step) runs the lane-per-row kernel
+ * core::simdDotRows straight off the row pointers; more rows gather
+ * B^T once and run the backend GEMM. Both compute the same chain, so
+ * the routing is a scheduling choice, invisible in the results.
+ */
+void matmulTransBInto(const Matrix &a, std::span<const Real *const> b_rows,
+                      Matrix &c, OpCounts *counts = nullptr);
 
 /** Returns A^T. */
 Matrix transpose(const Matrix &a);

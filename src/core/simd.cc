@@ -91,45 +91,35 @@ gemmRowsScalar(const Matrix &a, const Matrix &b, Matrix &c,
     }
 }
 
-/** One multi-row accumulation step: the simdFmaRows element step
- *  when @p Fma, the simdMulAddRows one otherwise. */
-template <bool Fma>
-inline Real
-accStep(Real w, Real x, Real acc)
-{
-    return Fma ? std::fmaf(w, x, acc) : acc + w * x;
-}
-
-template <bool Fma>
 void
-accumulateRowsScalar(Real *acc, const Real *const *rows, const Real *w,
-                     Index n, Index d)
+fmaRowsScalar(Real *acc, const Real *const *rows, const Real *w, Index n,
+              Index d)
 {
     for (Index j = 0; j < n; ++j)
         for (Index t = 0; t < d; ++t)
-            acc[t] = accStep<Fma>(w[j], rows[j][t], acc[t]);
+            acc[t] = std::fmaf(w[j], rows[j][t], acc[t]);
 }
 
-// Lane-per-row dot products (simd.h contract). The scalar level runs
-// kSimdDotRows independent chains side by side — one per row, each
-// exactly the reference element's sequence. Out = Real narrows each
-// chain once at the store; Out = Wide stores it as is.
+// Lane-per-row dot products (simd.h contract): each output is its
+// row's own chain, so the scalar level runs them one row at a time.
 
-template <typename Out>
 void
 dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
-              Out *out)
+              Real *out)
 {
-    for (Index j = 0; j < n; j += kSimdDotRows) {
-        const Index lanes = std::min(kSimdDotRows, n - j);
-        Wide acc[kSimdDotRows] = {};
-        for (Index k = 0; k < d; ++k) {
-            const Wide qk = q[k];
-            for (Index l = 0; l < lanes; ++l)
-                acc[l] += qk * rows[j + l][k];
-        }
-        for (Index l = 0; l < lanes; ++l)
-            out[j + l] = static_cast<Out>(acc[l]);
+    for (Index j = 0; j < n; ++j)
+        out[j] = fmaChain(q, rows[j], 1, 0, d, 0.0f);
+}
+
+void
+dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
+              Wide *out)
+{
+    for (Index j = 0; j < n; ++j) {
+        Wide acc = 0;
+        for (Index k = 0; k < d; ++k)
+            acc += static_cast<Wide>(q[k]) * rows[j][k];
+        out[j] = acc;
     }
 }
 
@@ -431,18 +421,9 @@ struct Avx2Gemm
     }
 };
 
-template <bool Fma>
-__attribute__((target("avx2,fma"))) inline __m256
-accStepAvx2(__m256 w, __m256 x, __m256 acc)
-{
-    return Fma ? _mm256_fmadd_ps(w, x, acc)
-               : _mm256_add_ps(acc, _mm256_mul_ps(w, x));
-}
-
-template <bool Fma>
 __attribute__((target("avx2,fma"))) void
-accumulateRowsAvx2(Real *acc, const Real *const *rows, const Real *w,
-                   Index n, Index d)
+fmaRowsAvx2(Real *acc, const Real *const *rows, const Real *w, Index n,
+            Index d)
 {
     Index t = 0;
     for (; t + 32 <= d; t += 32) {
@@ -453,10 +434,10 @@ accumulateRowsAvx2(Real *acc, const Real *const *rows, const Real *w,
         for (Index j = 0; j < n; ++j) {
             const __m256 wv = _mm256_set1_ps(w[j]);
             const Real *x = rows[j] + t;
-            s0 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x), s0);
-            s1 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 8), s1);
-            s2 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 16), s2);
-            s3 = accStepAvx2<Fma>(wv, _mm256_loadu_ps(x + 24), s3);
+            s0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(x), s0);
+            s1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(x + 8), s1);
+            s2 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(x + 16), s2);
+            s3 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(x + 24), s3);
         }
         _mm256_storeu_ps(acc + t, s0);
         _mm256_storeu_ps(acc + t + 8, s1);
@@ -466,14 +447,14 @@ accumulateRowsAvx2(Real *acc, const Real *const *rows, const Real *w,
     for (; t + 8 <= d; t += 8) {
         __m256 s0 = _mm256_loadu_ps(acc + t);
         for (Index j = 0; j < n; ++j)
-            s0 = accStepAvx2<Fma>(_mm256_set1_ps(w[j]),
-                                  _mm256_loadu_ps(rows[j] + t), s0);
+            s0 = _mm256_fmadd_ps(_mm256_set1_ps(w[j]),
+                                 _mm256_loadu_ps(rows[j] + t), s0);
         _mm256_storeu_ps(acc + t, s0);
     }
     for (; t < d; ++t) {
         Real s = acc[t];
         for (Index j = 0; j < n; ++j)
-            s = accStep<Fma>(w[j], rows[j][t], s);
+            s = std::fmaf(w[j], rows[j][t], s);
         acc[t] = s;
     }
 }
@@ -519,7 +500,7 @@ rowsColumn8(const Real *const r[kSimdDotRows], Index k)
                           r[5][k], r[6][k], r[7][k]);
 }
 
-/** Stores the first @p lanes of the 8 narrowed outputs @p v. */
+/** Stores the first @p lanes of the 8 outputs @p v. */
 __attribute__((target("avx2"))) inline void
 storeLanes8(Real *out, __m256 v, Index lanes)
 {
@@ -532,7 +513,55 @@ storeLanes8(Real *out, __m256 v, Index lanes)
     std::memcpy(out, tmp, static_cast<std::size_t>(lanes) * sizeof(Real));
 }
 
-/** One k step of the two 4-lane chains of an AVX2 dot block. */
+/** The 8 rows of dot block @p j: lanes past n repeat the last row so
+ *  every load stays in bounds; their outputs are never stored. */
+inline void
+blockRows(const Real *const *rows, Index n, Index j,
+          const Real *r[kSimdDotRows])
+{
+    for (Index l = 0; l < kSimdDotRows; ++l)
+        r[l] = rows[std::min(j + l, n - 1)];
+}
+
+/** Fetches rows [j, j + count) at k, a block ahead of their use: the
+ *  rows sit on scattered arena pages, which the hardware prefetcher
+ *  does not follow from one row to the next. */
+inline void
+prefetchRows(const Real *const *rows, Index n, Index j, Index count,
+             Index k)
+{
+    for (Index l = 0; l < count; ++l)
+        _mm_prefetch(reinterpret_cast<const char *>(
+                         rows[std::min(j + l, n - 1)] + k),
+                     _MM_HINT_T0);
+}
+
+/** AVX2 FP32 dot block: one 8-lane fmadd chain per 8 rows. */
+__attribute__((target("avx2,fma"))) void
+dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
+            Real *out)
+{
+    for (Index j = 0; j < n; j += kSimdDotRows) {
+        const Real *r[kSimdDotRows];
+        blockRows(rows, n, j, r);
+        __m256 acc = _mm256_setzero_ps();
+        Index k = 0;
+        for (; k + 4 <= d; k += 4) {
+            if (k % 16 == 0)
+                prefetchRows(rows, n, j + kSimdDotRows, kSimdDotRows, k);
+            __m256 c[4];
+            transposeRows8x4(r, k, c);
+            for (int s = 0; s < 4; ++s)
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(q[k + s]), c[s], acc);
+        }
+        for (; k < d; ++k)
+            acc = _mm256_fmadd_ps(_mm256_set1_ps(q[k]), rowsColumn8(r, k),
+                                  acc);
+        storeLanes8(out + j, acc, std::min(kSimdDotRows, n - j));
+    }
+}
+
+/** One k step of the two 4-lane chains of an AVX2 Wide dot block. */
 __attribute__((target("avx2,fma"))) inline void
 dotStepAvx2(Real qk, __m256 col, __m256d &lo, __m256d &hi)
 {
@@ -543,39 +572,15 @@ dotStepAvx2(Real qk, __m256 col, __m256d &lo, __m256d &hi)
                          hi);
 }
 
-/** Stores the first @p lanes of an AVX2 dot block's chains (rows
- *  0-3 in @p lo, 4-7 in @p hi), narrowed to float. */
-__attribute__((target("avx2"))) inline void
-storeDotLanesAvx2(Real *out, __m256d lo, __m256d hi, Index lanes)
-{
-    storeLanes8(out,
-                _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)),
-                lanes);
-}
-
-/** The same store without the narrowing: the chains as doubles. */
-__attribute__((target("avx2"))) inline void
-storeDotLanesAvx2(Wide *out, __m256d lo, __m256d hi, Index lanes)
-{
-    Wide tmp[kSimdDotRows];
-    _mm256_storeu_pd(tmp, lo);
-    _mm256_storeu_pd(tmp + 4, hi);
-    std::memcpy(out, tmp, static_cast<std::size_t>(lanes) * sizeof(Wide));
-}
-
-/** AVX2 dot block: rows 0-3 and 4-7 of each block run as two 4-lane
- *  double chains (lo, hi). Lanes past n repeat the last row so every
- *  load stays in bounds; their outputs are never stored. */
-template <typename Out>
+/** AVX2 Wide dot block: rows 0-3 and 4-7 of each block run as two
+ *  4-lane double chains (lo, hi). */
 __attribute__((target("avx2,fma"))) void
 dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
-            Out *out)
+            Wide *out)
 {
     for (Index j = 0; j < n; j += kSimdDotRows) {
-        const Index lanes = std::min(kSimdDotRows, n - j);
         const Real *r[kSimdDotRows];
-        for (Index l = 0; l < kSimdDotRows; ++l)
-            r[l] = rows[std::min(j + l, n - 1)];
+        blockRows(rows, n, j, r);
         __m256d lo = _mm256_setzero_pd();
         __m256d hi = _mm256_setzero_pd();
         Index k = 0;
@@ -587,7 +592,12 @@ dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
         }
         for (; k < d; ++k)
             dotStepAvx2(q[k], rowsColumn8(r, k), lo, hi);
-        storeDotLanesAvx2(out + j, lo, hi, lanes);
+        Wide tmp[kSimdDotRows];
+        _mm256_storeu_pd(tmp, lo);
+        _mm256_storeu_pd(tmp + 4, hi);
+        std::memcpy(out + j, tmp,
+                    static_cast<std::size_t>(std::min(kSimdDotRows, n - j)) *
+                        sizeof(Wide));
     }
 }
 
@@ -763,21 +773,12 @@ struct Avx512Gemm
     }
 };
 
-template <bool Fma>
-__attribute__((target("avx512f"))) inline __m512
-accStepAvx512(__m512 w, __m512 x, __m512 acc)
-{
-    return Fma ? _mm512_fmadd_ps(w, x, acc)
-               : _mm512_add_ps(acc, _mm512_mul_ps(w, x));
-}
-
 /** Column blocks of 64 (four zmm accumulators), then of 16, then
  *  one masked tail; each block's accumulators live across all n
  *  rows. */
-template <bool Fma>
 __attribute__((target("avx512f"))) void
-accumulateRowsAvx512(Real *acc, const Real *const *rows, const Real *w,
-                     Index n, Index d)
+fmaRowsAvx512(Real *acc, const Real *const *rows, const Real *w, Index n,
+              Index d)
 {
     Index t = 0;
     for (; t + 64 <= d; t += 64) {
@@ -788,10 +789,10 @@ accumulateRowsAvx512(Real *acc, const Real *const *rows, const Real *w,
         for (Index j = 0; j < n; ++j) {
             const __m512 wv = _mm512_set1_ps(w[j]);
             const Real *x = rows[j] + t;
-            s0 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x), s0);
-            s1 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 16), s1);
-            s2 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 32), s2);
-            s3 = accStepAvx512<Fma>(wv, _mm512_loadu_ps(x + 48), s3);
+            s0 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(x), s0);
+            s1 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(x + 16), s1);
+            s2 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(x + 32), s2);
+            s3 = _mm512_fmadd_ps(wv, _mm512_loadu_ps(x + 48), s3);
         }
         _mm512_storeu_ps(acc + t, s0);
         _mm512_storeu_ps(acc + t + 16, s1);
@@ -803,97 +804,68 @@ accumulateRowsAvx512(Real *acc, const Real *const *rows, const Real *w,
         const auto m = static_cast<__mmask16>((1u << rem) - 1u);
         __m512 s0 = _mm512_maskz_loadu_ps(m, acc + t);
         for (Index j = 0; j < n; ++j)
-            s0 = accStepAvx512<Fma>(_mm512_set1_ps(w[j]),
-                                    _mm512_maskz_loadu_ps(m, rows[j] + t),
-                                    s0);
+            s0 = _mm512_fmadd_ps(_mm512_set1_ps(w[j]),
+                                 _mm512_maskz_loadu_ps(m, rows[j] + t), s0);
         _mm512_mask_storeu_ps(acc + t, m, s0);
     }
 }
 
-// Exact float -> double widening and the final double -> float
-// narrowing of 8 lanes. The merge-masked forms with an all-ones mask
-// compile to the plain instructions; the unmasked intrinsics trip
-// GCC 12's -Wmaybe-uninitialized inside the intrinsic headers.
+/** AVX-512 Wide dot blocks go two at a time: 16 rows per iteration. */
+constexpr Index kDotPair = 2 * kSimdDotRows;
 
+// Exact float -> double widening of 8 lanes. The merge-masked form
+// with an all-ones mask compiles to the plain instruction; the
+// unmasked intrinsic trips GCC 12's -Wmaybe-uninitialized inside the
+// intrinsic headers.
 __attribute__((target("avx512f"))) inline __m512d
 widen8(__m256 x)
 {
     return _mm512_mask_cvtps_pd(_mm512_setzero_pd(), 0xFF, x);
 }
 
-__attribute__((target("avx512f"))) inline __m256
-narrow8(__m512d x)
-{
-    return _mm512_mask_cvtpd_ps(_mm256_setzero_ps(), 0xFF, x);
-}
-
-/** One k step of an AVX-512 dot block's 8-lane chain. */
-__attribute__((target("avx512f"))) inline __m512d
-dotStepAvx512(Real qk, __m256 col, __m512d acc)
-{
-    return _mm512_fmadd_pd(_mm512_set1_pd(qk), widen8(col), acc);
-}
-
-/** Stores the first @p lanes of an 8-lane AVX-512 dot chain,
- *  narrowed to float. */
+/** Stores the first @p lanes of an 8-lane AVX-512 Wide dot chain. */
 __attribute__((target("avx512f"))) inline void
-storeDotLanesAvx512(Real *out, __m512d acc, Index lanes)
+storeWideLanes8(Wide *out, __m512d acc, Index lanes)
 {
-    storeLanes8(out, narrow8(acc), lanes);
+    if (lanes > 0)
+        _mm512_mask_storeu_pd(
+            out, static_cast<__mmask8>((1u << lanes) - 1u), acc);
 }
 
-/** The same store without the narrowing: the chain as doubles. */
-__attribute__((target("avx512f"))) inline void
-storeDotLanesAvx512(Wide *out, __m512d acc, Index lanes)
-{
-    _mm512_mask_storeu_pd(out, static_cast<__mmask8>((1u << lanes) - 1u),
-                          acc);
-}
-
-/** AVX-512 dot blocks, two at a time: 16 rows as two independent
- *  8-lane chains. Lanes past n repeat the last row so every load
- *  stays in bounds; their outputs are never stored. */
-template <typename Out>
+/** AVX-512 Wide dot block pair: 16 rows as two independent 8-lane
+ *  double chains. */
 __attribute__((target("avx512f"))) void
 dotRowsAvx512(const Real *q, const Real *const *rows, Index n, Index d,
-              Out *out)
+              Wide *out)
 {
-    constexpr Index kPair = 2 * kSimdDotRows;
-    for (Index j = 0; j < n; j += kPair) {
-        const Real *r[kPair];
-        for (Index l = 0; l < kPair; ++l)
-            r[l] = rows[std::min(j + l, n - 1)];
+    for (Index j = 0; j < n; j += kDotPair) {
+        const Real *r[kDotPair];
+        blockRows(rows, n, j, r);
+        blockRows(rows, n, j + kSimdDotRows, r + kSimdDotRows);
         __m512d acc0 = _mm512_setzero_pd();
         __m512d acc1 = _mm512_setzero_pd();
         Index k = 0;
         for (; k + 4 <= d; k += 4) {
-            // Fetch the next 16 rows one cache line ahead of use: the
-            // rows sit on scattered arena pages, which the hardware
-            // prefetcher does not follow from one row to the next.
             if (k % 16 == 0)
-                for (Index l = 0; l < kPair; ++l)
-                    _mm_prefetch(reinterpret_cast<const char *>(
-                                     rows[std::min(j + kPair + l, n - 1)] +
-                                     k),
-                                 _MM_HINT_T0);
+                prefetchRows(rows, n, j + kDotPair, kDotPair, k);
             __m256 c0[4], c1[4];
             transposeRows8x4(r, k, c0);
             transposeRows8x4(r + kSimdDotRows, k, c1);
             for (int s = 0; s < 4; ++s) {
-                acc0 = dotStepAvx512(q[k + s], c0[s], acc0);
-                acc1 = dotStepAvx512(q[k + s], c1[s], acc1);
+                const __m512d qv = _mm512_set1_pd(q[k + s]);
+                acc0 = _mm512_fmadd_pd(qv, widen8(c0[s]), acc0);
+                acc1 = _mm512_fmadd_pd(qv, widen8(c1[s]), acc1);
             }
         }
         for (; k < d; ++k) {
-            acc0 = dotStepAvx512(q[k], rowsColumn8(r, k), acc0);
-            acc1 = dotStepAvx512(q[k], rowsColumn8(r + kSimdDotRows, k),
-                                 acc1);
+            const __m512d qv = _mm512_set1_pd(q[k]);
+            acc0 = _mm512_fmadd_pd(qv, widen8(rowsColumn8(r, k)), acc0);
+            acc1 = _mm512_fmadd_pd(
+                qv, widen8(rowsColumn8(r + kSimdDotRows, k)), acc1);
         }
-        storeDotLanesAvx512(out + j, acc0, std::min(kSimdDotRows, n - j));
-        if (n - j > kSimdDotRows)
-            storeDotLanesAvx512(out + j + kSimdDotRows, acc1,
-                                std::min(kSimdDotRows,
-                                         n - j - kSimdDotRows));
+        storeWideLanes8(out + j, acc0, std::min(kSimdDotRows, n - j));
+        storeWideLanes8(out + j + kSimdDotRows, acc1,
+                        std::min(kSimdDotRows, n - j - kSimdDotRows));
     }
 }
 
@@ -1019,18 +991,9 @@ gemmRowsNeon(const Matrix &a, const Matrix &b, Matrix &c,
     }
 }
 
-template <bool Fma>
-inline float32x4_t
-accStepNeon(Real w, float32x4_t x, float32x4_t acc)
-{
-    return Fma ? vfmaq_n_f32(acc, x, w)
-               : vaddq_f32(acc, vmulq_n_f32(x, w));
-}
-
-template <bool Fma>
 void
-accumulateRowsNeon(Real *acc, const Real *const *rows, const Real *w,
-                   Index n, Index d)
+fmaRowsNeon(Real *acc, const Real *const *rows, const Real *w, Index n,
+            Index d)
 {
     Index t = 0;
     for (; t + 16 <= d; t += 16) {
@@ -1040,10 +1003,10 @@ accumulateRowsNeon(Real *acc, const Real *const *rows, const Real *w,
         float32x4_t s3 = vld1q_f32(acc + t + 12);
         for (Index j = 0; j < n; ++j) {
             const Real *x = rows[j] + t;
-            s0 = accStepNeon<Fma>(w[j], vld1q_f32(x), s0);
-            s1 = accStepNeon<Fma>(w[j], vld1q_f32(x + 4), s1);
-            s2 = accStepNeon<Fma>(w[j], vld1q_f32(x + 8), s2);
-            s3 = accStepNeon<Fma>(w[j], vld1q_f32(x + 12), s3);
+            s0 = vfmaq_n_f32(s0, vld1q_f32(x), w[j]);
+            s1 = vfmaq_n_f32(s1, vld1q_f32(x + 4), w[j]);
+            s2 = vfmaq_n_f32(s2, vld1q_f32(x + 8), w[j]);
+            s3 = vfmaq_n_f32(s3, vld1q_f32(x + 12), w[j]);
         }
         vst1q_f32(acc + t, s0);
         vst1q_f32(acc + t + 4, s1);
@@ -1053,7 +1016,7 @@ accumulateRowsNeon(Real *acc, const Real *const *rows, const Real *w,
     for (; t < d; ++t) {
         Real s = acc[t];
         for (Index j = 0; j < n; ++j)
-            s = accStep<Fma>(w[j], rows[j][t], s);
+            s = std::fmaf(w[j], rows[j][t], s);
         acc[t] = s;
     }
 }
@@ -1294,7 +1257,9 @@ simdLevelSupported(SimdLevel level)
         return __builtin_cpu_supports("avx2") &&
                __builtin_cpu_supports("fma");
     case SimdLevel::Avx512:
-        return __builtin_cpu_supports("avx512f");
+        // Its FP32 dot rows run the AVX2 kernel (simdDotRows).
+        return __builtin_cpu_supports("avx512f") &&
+               simdLevelSupported(SimdLevel::Avx2);
 #endif
 #if CTA_SIMD_NEON
     case SimdLevel::Neon:
@@ -1469,52 +1434,45 @@ simdFmaRows(Real *acc, const Real *const *rows, const Real *w, Index n,
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
     case SimdLevel::Avx512:
-        accumulateRowsAvx512<true>(acc, rows, w, n, d);
+        fmaRowsAvx512(acc, rows, w, n, d);
         return;
     case SimdLevel::Avx2:
-        accumulateRowsAvx2<true>(acc, rows, w, n, d);
+        fmaRowsAvx2(acc, rows, w, n, d);
         return;
 #endif
 #if CTA_SIMD_NEON
     case SimdLevel::Neon:
-        accumulateRowsNeon<true>(acc, rows, w, n, d);
+        fmaRowsNeon(acc, rows, w, n, d);
         return;
 #endif
     default:
-        accumulateRowsScalar<true>(acc, rows, w, n, d);
+        fmaRowsScalar(acc, rows, w, n, d);
     }
 }
 
 void
-simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
-               Index n, Index d)
+simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
+            Real *out)
 {
+    // One 8-lane ymm chain per 8 rows serves AVX-512 too: the
+    // register transpose, not the FMA width, bounds this kernel, and
+    // a 16-lane zmm form timed the same on an AVX-512 host. NEON runs
+    // the scalar chains.
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
     case SimdLevel::Avx512:
-        accumulateRowsAvx512<false>(acc, rows, w, n, d);
-        return;
     case SimdLevel::Avx2:
-        accumulateRowsAvx2<false>(acc, rows, w, n, d);
-        return;
-#endif
-#if CTA_SIMD_NEON
-    case SimdLevel::Neon:
-        accumulateRowsNeon<false>(acc, rows, w, n, d);
+        dotRowsAvx2(q, rows, n, d, out);
         return;
 #endif
     default:
-        accumulateRowsScalar<false>(acc, rows, w, n, d);
+        dotRowsScalar(q, rows, n, d, out);
     }
 }
 
-namespace {
-
-/** Level dispatch shared by both output forms of the dot kernel. */
-template <typename Out>
 void
-dotRows(const Real *q, const Real *const *rows, Index n, Index d,
-        Out *out)
+simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
+            Wide *out)
 {
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
@@ -1528,22 +1486,6 @@ dotRows(const Real *q, const Real *const *rows, Index n, Index d,
     default:
         dotRowsScalar(q, rows, n, d, out);
     }
-}
-
-} // namespace
-
-void
-simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
-            Real *out)
-{
-    dotRows(q, rows, n, d, out);
-}
-
-void
-simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
-            Wide *out)
-{
-    dotRows(q, rows, n, d, out);
 }
 
 } // namespace cta::core

@@ -18,31 +18,30 @@
  *  - simdRowMax: max is exact (no rounding), so any scan order gives
  *    the same result for finite/-inf data.
  *  - simdScaleRow / simdAddRow: one multiply or one add per element
- *    — identical at every width. simdFmaRows / simdMulAddRows apply
- *    one fused multiply-add (or one multiply, then one add) per
- *    element for each row in ascending row order; holding the
- *    accumulator in a register between rows stores nothing that
- *    could round.
- *  - simdDotRows: per output ONE k-ascending
- *    chain in double (Wide), the reference transposed-B GEMM
- *    element (narrowed once at the store, or stored as Wide for the
- *    LSH projection). Vectors run one ROW per lane, never one k per
- *    lane, so no chain is split or reassociated: each lane performs
- *    exactly its row's scalar sequence. The chain's vector FMA equals the
- *    scalar multiply-then-add because the product of two widened
- *    floats (24-bit significands) fits a double's 53 bits exactly —
- *    fma(q, r, acc) and acc + q * r both round only the add. The
- *    in-register transpose only moves and widens values (both
- *    exact), so the result is bit-identical to the naive reference
- *    at every ISA level, block width and thread count.
- *  - simdGemmRows: per output element ONE k-ascending
- *    fused-multiply-add chain, whatever the row block, column block,
- *    depth slice or thread partition that computes it. FMA rounds
- *    once per step, and scalar std::fmaf == AVX2 vfmadd == AVX-512
- *    vfmadd == NEON vfma for the same operands, so the result is
- *    bit-identical across every ISA level and thread count — it
- *    differs from the naive (mul+add) reference chain only by the
- *    removed intermediate roundings.
+ *    — identical at every width.
+ *  - The dot-product contract. Every GEMM, transposed-B GEMM, score
+ *    and AV element below LSH is ONE k-ascending FP32 fused
+ *    multiply-add chain, c = fma(a[k], b[k], c) from c = +0, rounded
+ *    once per step. FMA rounds once, and scalar std::fmaf == AVX2
+ *    vfmadd == AVX-512 vfmadd == NEON vfma for the same operands, so
+ *    a chain gives the same bits whichever kernel runs it:
+ *     - simdGemmRows: whatever the row block, column block, depth
+ *       slice or thread partition (consecutive depth slices continue
+ *       a chain through an exact fp32 store/load of its partial);
+ *     - simdFmaRows: one chain per output column over n weighted
+ *       rows, the accumulator held in a register between rows;
+ *     - simdDotRows (Real output): one chain per row, ONE ROW PER
+ *       LANE, never one k per lane, so no chain is split or
+ *       reassociated. The in-register transpose only moves values.
+ *    NaiveBackend::gemm runs the same chain as plain scalar loops, so
+ *    every backend, ISA level and thread count gives the same bits.
+ *  - simdDotRows (Wide output): per output one k-ascending chain in
+ *    double, one row per lane as above. The product of two widened
+ *    floats (24-bit significands) fits a double's 53 bits exactly, so
+ *    the vector FMA rounds like the scalar multiply-then-add: only
+ *    the add rounds. It is the LSH projection alone (hashRows,
+ *    cta/lsh.h, is its only caller), because its codes set k0/k1/k2
+ *    and those feed the cycle-model figures.
  *  - simdGeluRow: per element one fixed sequence of multiplies, adds,
  *    a max/min clamp and one divide, with tanh computed in-tree from
  *    exp(2u) (Cody-Waite reduction, polynomial, exponent-bit scale),
@@ -115,19 +114,13 @@ void simdAddRow(Real *acc, const Real *x, Index n);
 
 /**
  * acc[t] = fma(w[j], rows[j][t], acc[t]) for j = 0..n-1 ascending and
- * t in [0, d) — the SimdBackend GEMM accumulation step (one rounding
- * per element) over n weighted rows, with the d-wide accumulator row
- * kept in registers across all n rows instead of loaded and stored
- * once per row.
+ * t in [0, d) — the GEMM accumulation step (one rounding per element)
+ * over n weighted rows, with the d-wide accumulator row kept in
+ * registers across all n rows instead of loaded and stored once per
+ * row.
  */
 void simdFmaRows(Real *acc, const Real *const *rows, const Real *w,
                  Index n, Index d);
-
-/** simdFmaRows with acc[t] += w[j] * rows[j][t] (multiply, then add —
- *  the reference GEMM accumulation step), in the same row order and
- *  with the same register-resident accumulator. */
-void simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
-                    Index n, Index d);
 
 /**
  * out[j] = GELU(x[j]) for j in [0, n), tanh form:
@@ -142,31 +135,45 @@ void simdMulAddRows(Real *acc, const Real *const *rows, const Real *w,
  */
 void simdGeluRow(const Real *x, Index n, Real *out);
 
-/** Rows per lane-per-row dot block: one double lane per row, 8 rows
- *  per zmm at AVX-512 and per ymm pair at AVX2. */
+/** Rows per lane-per-row dot block: 8 float lanes per ymm, and 8
+ *  double lanes per zmm (a ymm pair at AVX2). */
 inline constexpr Index kSimdDotRows = 8;
 
 /**
  * Lane-per-row dot products:
- *   out[j] = Real(sum over k ascending of Wide(q[k]) * Wide(rows[j][k]))
+ *   out[j] = the FP32 chain acc = fma(q[k], rows[j][k], acc), k
+ *            ascending from acc = +0,
  * for j in [0, n), each row being @p d floats at its own address —
- * bit-identical to the reference transposed-B GEMM element (one Wide
- * accumulator per output, k ascending, one final narrowing). Rows are
- * transposed in registers kSimdDotRows at a time so each SIMD lane
- * runs one row's scalar chain; see the file contract for why that
- * cannot change a bit.
+ * bit for bit the element of matmul(q, B^T) with B's rows @p rows
+ * (see the file contract). Rows are transposed in registers
+ * kSimdDotRows at a time so each SIMD lane runs one row's chain.
  */
 void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Real *out);
 
 /**
- * simdDotRows without the final narrowing: out[j] is row j's Wide
- * chain itself — the same loads, transposes and FMA steps, only the
- * store differs. This is the LSH projection of hashRows (cta/lsh.h):
- * one hash direction or one token per lane, by the batch's shape.
+ * Lane-per-row dot products in double:
+ *   out[j] = sum over k ascending of Wide(q[k]) * Wide(rows[j][k]),
+ * one Wide accumulator per output, unrounded at the store. This is
+ * the LSH projection of hashRows (cta/lsh.h), its only caller: one
+ * hash direction or one token per lane, by the batch's shape.
  */
 void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Wide *out);
+
+/**
+ * Bound on |FP32 chain − Wide chain| / sum_k |q[k] rows[j][k]| for
+ * the two simdDotRows forms at d = 64 — the head dimension of every
+ * preset. Each of the FP32 chain's 64 steps rounds once (relative
+ * error at most u = 2^-24), so its error is at most
+ * gamma_64 = 64u / (1 - 64u) times sum_k |q_k r_k|, the standard
+ * inner-product bound; the Wide chain's own error, gamma_64 at u = 2^-53, adds under 1e-14
+ * of the same sum. Cancellation does not loosen it: the bound is
+ * relative to the sum of magnitudes, not to the result.
+ */
+inline constexpr double kDotChainBound64 =
+    64.0 * 0x1p-24 / (1.0 - 64.0 * 0x1p-24) +
+    64.0 * 0x1p-53 / (1.0 - 64.0 * 0x1p-53);
 
 /**
  * GEMM over output rows [row_begin, row_end) of C += A * B, reading

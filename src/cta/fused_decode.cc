@@ -59,30 +59,29 @@ aggregateRow(const Real *srow, Index k1, Index k_total,
 void
 compressedScores(const core::Matrix &q_bar, const Real *const *k_rows,
                  Index k1, Index k2, Real inv_sqrt_d,
-                 bool subtract_row_max, Real *scores, OpCounts *counts)
+                 bool subtract_row_max, core::Matrix &scores,
+                 OpCounts *counts)
 {
-    const Index d = q_bar.cols();
     const Index k_total = k1 + k2;
     CTA_REQUIRE(k1 > 0, "scores over an empty level-1 context");
-    forRows(q_bar.rows(), [&](Index begin, Index end) {
-        for (Index i = begin; i < end; ++i) {
-            Real *srow = scores + i * k_total;
-            core::simdDotRows(q_bar.row(i).data(), k_rows, k_total, d,
-                              srow);
-            core::simdScaleRow(srow, k_total, inv_sqrt_d);
-            if (!subtract_row_max)
-                continue;
+    core::matmulTransBInto(
+        q_bar, {k_rows, static_cast<std::size_t>(k_total)}, scores);
+    core::simdScaleRow(scores.data(), scores.size(), inv_sqrt_d);
+    if (subtract_row_max) {
+        for (Index i = 0; i < q_bar.rows(); ++i) {
+            Real *srow = scores.row(i).data();
             Real row_max = srow[0];
             for (Index j = 1; j < k1; ++j)
                 row_max = std::max(row_max, srow[j]);
             for (Index j = k1; j < k_total; ++j)
                 srow[j] -= row_max;
         }
-    });
+    }
     if (counts) {
         const auto rows = static_cast<std::uint64_t>(q_bar.rows());
         const auto kt = static_cast<std::uint64_t>(k_total);
-        counts->macs += rows * kt * static_cast<std::uint64_t>(d);
+        counts->macs +=
+            rows * kt * static_cast<std::uint64_t>(q_bar.cols());
         counts->muls += rows * kt; // 1/sqrt(d) scale
         if (subtract_row_max) {
             counts->cmps += rows * static_cast<std::uint64_t>(k1 - 1);
@@ -113,8 +112,8 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
                   const PagedRows &k_bar2, const PagedRows &v_bar1,
                   const PagedRows &v_bar2,
                   const ClusterPairCounts &pairs, Real inv_sqrt_d,
-                  bool subtract_row_max, bool fma_chains,
-                  FusedDecodeScratch &scratch, OpCounts *counts)
+                  bool subtract_row_max, FusedDecodeScratch &scratch,
+                  OpCounts *counts)
 {
     CTA_TRACE_SCOPE("attention.fused_decode");
     const Index d = q_bar.cols();
@@ -132,7 +131,6 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     CTA_REQUIRE(v_bar1.rows() == k1 && v_bar2.rows() == k2,
                 "cached K/V projection row counts disagree");
 
-    scratch.scores.resize(static_cast<std::size_t>(k_total));
     scratch.ap.assign(static_cast<std::size_t>(k_total), Real{0});
     scratch.out.assign(static_cast<std::size_t>(d_v), Real{0});
     std::vector<const Real *> &rows = scratch.rows;
@@ -143,7 +141,7 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     k_bar1.appendRowPointers(rows);
     k_bar2.appendRowPointers(rows);
     compressedScores(q_bar, rows.data(), k1, k2, inv_sqrt_d,
-                     subtract_row_max, scratch.scores.data(), counts);
+                     subtract_row_max, scratch.scores, counts);
     // The paged multiset gathered into one span. Thread-local, not
     // session scratch: a copy per session would double every
     // session's pair bytes.
@@ -155,19 +153,14 @@ fusedDecodeAttend(const core::Matrix &q_bar, const PagedRows &k_bar1,
     aggregatePairs(scratch.scores.data(), 1, k1, k_total, pair_list,
                    scratch.ap.data(), &row_sum, counts);
 
-    // Stage 5 AV accumulation, k-ascending over the cluster rows with
-    // the accumulation step class of the active backend's GEMM: FMA
-    // when its GEMM fuses (SimdBackend), mul-then-add otherwise. The
-    // d_v-wide output row stays in registers across all rows.
+    // Stage 5 AV accumulation: the backend GEMM's k-ascending FMA
+    // chain over the cluster rows, with the d_v-wide output row held
+    // in registers across all rows.
     rows.clear();
     v_bar1.appendRowPointers(rows);
     v_bar2.appendRowPointers(rows);
-    if (fma_chains)
-        core::simdFmaRows(scratch.out.data(), rows.data(),
-                          scratch.ap.data(), k_total, d_v);
-    else
-        core::simdMulAddRows(scratch.out.data(), rows.data(),
-                             scratch.ap.data(), k_total, d_v);
+    core::simdFmaRows(scratch.out.data(), rows.data(), scratch.ap.data(),
+                      k_total, d_v);
 
     if (counts) {
         counts->muls += static_cast<std::uint64_t>(pairs.pairCount());

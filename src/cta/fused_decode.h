@@ -9,25 +9,26 @@
  * (fusedDecodeAttend below, over a DecodeSession's paged cluster
  * projections). Stage 5 stays with the caller: the batch paths run
  * the backend GEMM over their contiguous V-bar, a decode step
- * core::simdFmaRows / simdMulAddRows over its paged rows; both are
- * the backend's k-ascending chain.
+ * core::simdFmaRows over its paged rows; both are the one
+ * k-ascending FP32 FMA chain (core/simd.h).
  *
  * Neither stage is an online softmax: a row's scores are all
  * computed, then shifted by one maximum, then exponentiated. Online
  * softmax over score tiles rescales partial sums and would change
  * results.
  *
- * Bit-exactness contract: each score is the reference Wide
- * k-ascending chain of gemmTransposedB (core::simdDotRows, one row
- * per lane, read through row pointers so paged rows need no copy),
- * narrowed, then multiplied by 1/sqrt(d) — bit for bit the
- * transposed-B matrix product followed by scale(). The shift is one
- * sequential max scan and one subtraction per level-2 score.
- * Aggregation runs one exp per (row, pair) in pair order and one
- * Wide total chain per row. A per-token caller passes each token as
- * a pair of count 1, and Real(1) * p == p exactly, so the per-token
- * and the grouped aggregation are one loop. Results are a pure function of the
- * inputs under every backend, ISA level and thread count
+ * Bit-exactness contract: each score is the FP32 k-ascending FMA
+ * chain of core::matmulTransBInto (the lane-per-row kernel straight
+ * off the row pointers for one query row, so paged rows need no copy;
+ * the backend GEMM over a gathered K-bar^T for more), then multiplied
+ * by 1/sqrt(d) — bit for bit matmul(Q-bar, K-bar^T) followed by
+ * scale(), under every backend. The shift is one sequential max scan
+ * and one subtraction per level-2 score. Aggregation runs one exp per
+ * (row, pair) in pair order and one Wide total chain per row. A
+ * per-token caller passes each token as a pair of count 1, and
+ * Real(1) * p == p exactly, so the per-token and the grouped
+ * aggregation are one loop. Results are a pure function of the inputs
+ * under every backend, ISA level and thread count
  * (tests/fused_decode_test.cc pins both callers to test-local copies
  * of the unshared chains).
  *
@@ -52,15 +53,16 @@ struct OpCounts;
 namespace cta::alg {
 
 /**
- * Stage 3 for every row i of @p q_bar (rows x d): scores[i * (k1 + k2)
- * + j] = Real(q_i . k_j) * @p inv_sqrt_d over the cluster rows
- * @p k_rows (the k1 K1-bar rows, then the k2 K2-bar rows), then, when
- * @p subtract_row_max, the max of the row's first k1 scores
- * subtracted from its k2 level-2 scores. Since every aggregated score
- * is (level1 + level2), the shift moves all of a row's scores by one
- * constant, which cancels after normalization but keeps exp()
- * arguments small. A single row runs inline; more fan out over the
- * active backend's row map.
+ * Stage 3 for every row i of @p q_bar (rows x d): @p scores becomes
+ * rows x (k1 + k2) with scores(i, j) = (q_i . k_j) * @p inv_sqrt_d over
+ * the cluster rows @p k_rows (the k1 K1-bar rows, then the k2 K2-bar
+ * rows), then, when @p subtract_row_max, the max of the row's first
+ * k1 scores subtracted from its k2 level-2 scores. Since every
+ * aggregated score is (level1 + level2), the shift moves all of a
+ * row's scores by one constant, which cancels after normalization but
+ * keeps exp() arguments small. The dot products are
+ * core::matmulTransBInto, which fans more than one row out through
+ * the backend GEMM; @p scores' storage is reused.
  *
  * Charges rows * (k1+k2) * d MACs and rows * (k1+k2) scale muls, and
  * with the shift rows * (k1-1) compares and rows * k2 adds.
@@ -68,7 +70,7 @@ namespace cta::alg {
 void compressedScores(const core::Matrix &q_bar,
                       const core::Real *const *k_rows, core::Index k1,
                       core::Index k2, core::Real inv_sqrt_d,
-                      bool subtract_row_max, core::Real *scores,
+                      bool subtract_row_max, core::Matrix &scores,
                       core::OpCounts *counts = nullptr);
 
 /**
@@ -77,8 +79,8 @@ void compressedScores(const core::Matrix &q_bar,
  * Real(count) * exp(s[c1] + s[k1 + c2]) into ap[c1] and ap[k1 + c2]
  * of the matching row of @p ap (rows x k_total, zeroed by the
  * caller), and stores the row's probability mass (twice the softmax
- * denominator, one Wide chain) in row_sums[i]. Rows fan out like
- * compressedScores().
+ * denominator, one Wide chain) in row_sums[i]. A single row runs
+ * inline; more fan out over the active backend's row map.
  *
  * Charges one exp and three adds (s1 + s2, two AP merges) per
  * (row, pair); a grouped caller charges its count muls itself.
@@ -96,7 +98,7 @@ void aggregatePairs(const core::Real *scores, core::Index rows,
  */
 struct FusedDecodeScratch
 {
-    std::vector<core::Real> scores; ///< k1 + k2 scaled scores
+    core::Matrix scores;            ///< 1 x (k1 + k2) scaled scores
     std::vector<core::Real> ap;     ///< k1 + k2 aggregated probabilities
     std::vector<core::Real> out;    ///< d un-normalized output row
     std::vector<const core::Real *> rows; ///< K- then V-bar row pointers
@@ -119,10 +121,6 @@ struct FusedDecodeScratch
  * @param inv_sqrt_d the 1/sqrt(d) score scale
  * @param subtract_row_max apply the level-1 row-max shift to the
  *                   level-2 scores (CtaConfig::subtractRowMax)
- * @param fma_chains accumulate AV with one-rounding FMA steps (true
- *                   when the active backend's GEMM uses FMA chains)
- *                   instead of mul-then-add steps, so AV matches the
- *                   backend matmul bit for bit
  * @param counts     charged per pair, count muls included
  */
 core::Real fusedDecodeAttend(const core::Matrix &q_bar,
@@ -132,7 +130,7 @@ core::Real fusedDecodeAttend(const core::Matrix &q_bar,
                              const core::PagedRows &v_bar2,
                              const ClusterPairCounts &pairs,
                              core::Real inv_sqrt_d,
-                             bool subtract_row_max, bool fma_chains,
+                             bool subtract_row_max,
                              FusedDecodeScratch &scratch,
                              core::OpCounts *counts = nullptr);
 

@@ -99,13 +99,14 @@ HashMatrix hashTokens(const core::Matrix &x, const LshParams &params,
  * buckets row-major.
  *
  * Each bucket is floor((sum over k ascending of Wide(a[j][k]) *
- * x[i][k] + b[j]) * (1/w)), one core::simdDotRows chain per (token,
- * direction). The batch's shape picks the lane orientation: fewer
- * rows than directions (a decode step's single row) run one direction
- * per lane, otherwise one token per lane. Both perform every chain's
- * exact scalar sequence, so a token's code depends on nothing but
- * the token and the parameters — hashing a prefix one row at a time
- * gives the codes of hashing it whole (tests/lsh_property_test).
+ * x[i][k] + b[j]) * (1/w)), one chain of the Wide-output
+ * core::simdDotRows per (token, direction). The batch's shape picks
+ * the lane orientation: fewer rows than directions (a decode step's
+ * single row) run one direction per lane, otherwise one token per
+ * lane. Both perform every chain's exact scalar sequence, so a
+ * token's code depends on nothing but the token and the parameters —
+ * hashing a prefix one row at a time gives the codes of hashing it
+ * whole (tests/lsh_property_test).
  * Same fault draws (one per token) and op counts either way.
  */
 void hashRows(const core::Matrix &x, const LshParams &params,

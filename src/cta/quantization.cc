@@ -104,10 +104,9 @@ ctaAttentionQuantized(const Matrix &xq, const Matrix &xkv,
     std::vector<const Real *> k_rows(static_cast<std::size_t>(k_total));
     for (Index j = 0; j < k_total; ++j)
         k_rows[static_cast<std::size_t>(j)] = inter.kBar.row(j).data();
-    inter.sBar = Matrix(k0, k_total);
     compressedScores(inter.qBar, k_rows.data(), k1, k2,
                      1.0f / std::sqrt(static_cast<Real>(d)),
-                     /*subtract_row_max=*/true, inter.sBar.data(),
+                     /*subtract_row_max=*/true, inter.sBar,
                      &result.attnOps);
     inter.sBar = quantizeMatrix(inter.sBar, scheme.scores);
 

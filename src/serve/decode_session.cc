@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/backend.h"
 #include "core/crc32.h"
 #include "core/logging.h"
 #include "cta/error.h"
@@ -613,8 +612,7 @@ DecodeSession::step(std::span<const Real> token)
     const Real inv_sqrt_d = 1.0f / std::sqrt(static_cast<Real>(d));
     const Real row_sum = alg::fusedDecodeAttend(
         q_bar, kBar1_, kBar2_, vBar1_, vBar2_, pairs_, inv_sqrt_d,
-        config_.cta.subtractRowMax, core::activeBackend().gemmFmaChains(),
-        fusedScratch_, &ops);
+        config_.cta.subtractRowMax, fusedScratch_, &ops);
     const Real denom = row_sum * 0.5f;
     if (!std::isfinite(denom) || denom <= 0) {
         // The probability mass vanished or went non-finite.

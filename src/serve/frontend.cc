@@ -940,6 +940,10 @@ ServeFrontend::shardStats(Index s) const
 void
 ServeFrontend::removeSession(Index session)
 {
+    // Declared before the lock so it is destroyed after mutex_ is
+    // released: freeing a session's pages and blob needs no
+    // front-end lock.
+    RemovedSession freed;
     std::lock_guard<std::mutex> lock(mutex_);
     CTA_REQUIRE(session >= 0 &&
                     session < static_cast<Index>(sessions_.size()),
@@ -961,8 +965,8 @@ ServeFrontend::removeSession(Index session)
                   t.queue.end());
     shedLocked(t, ShedReason::Removed,
                static_cast<std::uint64_t>(before - t.queue.size()));
-    shards_[static_cast<std::size_t>(ref.shard)]
-        .manager->removeSession(ref.local);
+    freed = shards_[static_cast<std::size_t>(ref.shard)]
+                .manager->removeSession(ref.local);
 }
 
 Index

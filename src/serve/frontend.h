@@ -357,7 +357,8 @@ class ServeFrontend
     std::vector<Completion> flushOnce();
 
     /** Removes @p session (drops its queued steps everywhere). Must
-     *  not run concurrently with flushOnce(). */
+     *  not run concurrently with flushOnce(). The session's pages and
+     *  blob are freed after both locks are released. */
     void removeSession(core::Index session);
 
     /**

@@ -417,16 +417,14 @@ SessionManager::evictLocked(Index id)
     CTA_OBS_COUNT("serve.manager.evictions", 1);
 }
 
-void
+RemovedSession
 SessionManager::removeSession(Index id)
 {
     // Slot and queue change under one lock, so a concurrent trySubmit
     // either enqueues before the purge or sees the session removed.
     std::lock_guard<std::mutex> lock(mutex_);
     Slot &s = slot(id, "remove");
-    s.live.reset();
-    s.blob.clear();
-    s.blob.shrink_to_fit();
+    RemovedSession freed{std::move(s.live), std::move(s.blob)};
     s.state = State::Removed;
     CTA_OBS_COUNT("serve.manager.removed", 1);
     // Drop queued steps for the freed session; re-number the
@@ -441,6 +439,7 @@ SessionManager::removeSession(Index id)
         ++kept;
     }
     pending_.resize(kept);
+    return freed;
 }
 
 bool

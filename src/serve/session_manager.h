@@ -203,6 +203,18 @@ struct SessionExport
     bool taint = false;
 };
 
+/**
+ * What SessionManager::removeSession() frees, moved out under the
+ * shard lock so the caller can destroy it after releasing its own
+ * locks. Its page releases need no shard lock: PageArena takes its
+ * own mutex.
+ */
+struct RemovedSession
+{
+    std::unique_ptr<DecodeSession> live; ///< null unless it was live
+    std::vector<std::uint8_t> blob;      ///< empty unless it was evicted
+};
+
 /** One shared prefix packaged for cross-manager migration. */
 struct PrefixExport
 {
@@ -385,9 +397,11 @@ class SessionManager
      * Frees @p id entirely (live state or blob) and discards its
      * queued steps. The id stays allocated but every later access is
      * fatal, and a later trySubmit() to it is rejected
-     * SessionRemoved. Ids are not reused.
+     * SessionRemoved. Ids are not reused. The freed state is returned
+     * rather than destroyed under the shard lock; dropping the result
+     * destroys it when the call's statement ends.
      */
-    void removeSession(core::Index id);
+    RemovedSession removeSession(core::Index id);
 
     /**
      * True when @p id is live but pinned resident by the quality-

@@ -1,13 +1,13 @@
 /**
  * @file
  * Parity tests for the compute-backend layer (core/backend.h): the
- * SimdBackend's transposed-B GEMM, row maps and row reductions must
- * be bit-identical to NaiveBackend at every thread count (and, for
- * the transposed-B GEMM, at every SIMD level), its GEMM
- * bit-identical across its own thread counts and close to naive,
- * OpCounts must not depend on the installed backend, and the
- * end-to-end CTA pipeline must produce identical op accounting and
- * cluster counts whichever backend runs it.
+ * SimdBackend's GEMM, row maps and row reductions must be
+ * bit-identical to NaiveBackend at every thread count, matmulTransB
+ * bit-identical to the naive GEMM over the transposed B at every SIMD
+ * level, whichever route (lane-per-row kernel or gathered GEMM) it
+ * takes, OpCounts must not depend on the installed backend, and the
+ * end-to-end CTA pipeline must produce identical outputs, op
+ * accounting and cluster counts whichever backend runs it.
  */
 
 #include <algorithm>
@@ -80,23 +80,18 @@ const std::vector<GemmShape> kShapes = {
     {65, 63, 66}, {70, 128, 96}, {128, 96, 130},
 };
 
-TEST(BackendParityTest, GemmBitIdenticalAcrossThreadCountsAndCloseToNaive)
+TEST(BackendParityTest, GemmBitIdenticalToNaiveAcrossThreadCounts)
 {
-    // The simd GEMM is an FMA chain per output element, so it is
-    // bitwise invariant across its own thread counts and within
-    // tolerance of the naive mul-then-add chain.
+    // Both backends run one k-ascending FMA chain per output element,
+    // so the simd GEMM equals naive bit for bit at every thread count.
     NaiveBackend naive;
     Rng rng(7);
     for (const auto &[m, k, n] : kShapes) {
         const Matrix a = Matrix::randomNormal(m, k, rng);
         const Matrix b = Matrix::randomNormal(k, n, rng);
-        Matrix exact(m, n);
-        naive.gemm(a, b, exact);
         Matrix ref(m, n);
-        SimdBackend(1).gemm(a, b, ref);
-        EXPECT_LT(maxAbsDiff(ref, exact), 1e-3f)
-            << "gemm " << m << "x" << k << "x" << n << " vs naive";
-        for (const int threads : {2, 8}) {
+        naive.gemm(a, b, ref);
+        for (const int threads : {1, 2, 8}) {
             SimdBackend simd(threads);
             Matrix out(m, n);
             simd.gemm(a, b, out);
@@ -107,16 +102,18 @@ TEST(BackendParityTest, GemmBitIdenticalAcrossThreadCountsAndCloseToNaive)
     }
 }
 
-TEST(BackendParityTest, GemmTransposedBBitIdenticalToNaiveAtEveryLevel)
+TEST(BackendParityTest, MatmulTransBBitIdenticalToNaiveGemmAtEveryLevel)
 {
-    // Ragged shapes (m, n, depth outside 8Z) for the 8-row dot
-    // blocks: one query row, several rows below the serial-inline
-    // threshold, and one shape past kSerialGemmMacs (300 * 129 * 131
-    // ~ 5.1M MACs > 4M) that fans out over the pool.
+    // matmulTransB(A, B) must equal the naive GEMM of A and B^T bit
+    // for bit on both of its routes: one A row runs the lane-per-row
+    // kernel over B's rows (ragged row counts and depths for its 8-
+    // and 16-row blocks), more rows gather B^T and run the backend
+    // GEMM, one shape past kSerialGemmMacs (300 * 129 * 131 ~ 5.1M
+    // MACs > 4M) fanning out over the pool.
     const std::vector<GemmShape> shapes = {
-        {1, 1, 1},    {1, 65, 449},  {2, 7, 9},     {3, 5, 7},
-        {17, 33, 9},  {65, 63, 66},  {70, 128, 96}, {128, 96, 130},
-        {300, 129, 131},
+        {1, 1, 1},    {1, 65, 449},  {1, 64, 17},   {2, 7, 9},
+        {3, 5, 7},    {17, 33, 9},   {65, 63, 66},  {70, 128, 96},
+        {128, 96, 130}, {300, 129, 131},
     };
     NaiveBackend naive;
     Rng rng(11);
@@ -124,21 +121,24 @@ TEST(BackendParityTest, GemmTransposedBBitIdenticalToNaiveAtEveryLevel)
         const Matrix a = Matrix::randomNormal(m, k, rng);
         const Matrix b = Matrix::randomNormal(n, k, rng);
         Matrix ref(m, n);
-        naive.gemmTransposedB(a, b, ref);
+        naive.gemm(a, transpose(b), ref);
         for (const SimdLevel level :
              {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512,
               SimdLevel::Neon}) {
             if (!cta::core::simdLevelSupported(level))
                 continue;
             const SimdLevel previous = cta::core::setSimdLevel(level);
-            for (const int threads : {1, 2, 8}) {
-                SimdBackend simd(threads);
-                Matrix out(m, n);
-                simd.gemmTransposedB(a, b, out);
-                EXPECT_TRUE(bitIdentical(out, ref))
-                    << "gemmTransB " << m << "x" << k << "x" << n
+            const auto naive_spec = makeBackend("naive");
+            const auto one = makeBackend("simd:1");
+            const auto two = makeBackend("simd:2");
+            const auto eight = makeBackend("simd:8");
+            for (Backend *backend : {naive_spec.get(), one.get(),
+                                     two.get(), eight.get()}) {
+                ScopedBackend guard(backend);
+                EXPECT_TRUE(bitIdentical(matmulTransB(a, b), ref))
+                    << "matmulTransB " << m << "x" << k << "x" << n
                     << " level " << cta::core::simdLevelName(level)
-                    << " with " << threads << " threads";
+                    << " backend " << backend->name();
             }
             cta::core::setSimdLevel(previous);
         }
@@ -184,10 +184,9 @@ TEST(BackendParityTest, FreeFunctionKernelsMatchUnderEitherBackend)
     const auto [prod_naive, norm_naive] = run(&naive);
     const auto [prod_one, norm_one] = run(&one);
     const auto [prod_four, norm_four] = run(&four);
-    // matmul: bitwise across simd thread counts, tolerance vs naive;
-    // frobeniusNorm (a reduceRows): bitwise everywhere.
+    // matmul and frobeniusNorm (a reduceRows): bitwise everywhere.
     EXPECT_TRUE(bitIdentical(prod_four, prod_one));
-    EXPECT_LT(maxAbsDiff(prod_one, prod_naive), 1e-3f);
+    EXPECT_TRUE(bitIdentical(prod_one, prod_naive));
     EXPECT_EQ(norm_one, norm_naive);
     EXPECT_EQ(norm_four, norm_naive);
 }
@@ -272,23 +271,21 @@ runCta(Backend *backend)
     return ctaAttention(tokens, tokens, params, config);
 }
 
-TEST(BackendEndToEndTest, CtaPipelineThreadCountInvariantAndCountsMatch)
+TEST(BackendEndToEndTest, CtaPipelineBitIdenticalToNaiveAndCountsMatch)
 {
-    // The simd backend's GEMM is a different rounding chain than
-    // naive (FMA vs mul+add), so the end-to-end outputs are compared
-    // across ITS OWN thread counts bitwise, and against naive only by
-    // tolerance. Cluster counts and op accounting match naive exactly.
+    // Every GEMM, score and AV element is the same FMA chain under
+    // both backends, so the end-to-end outputs equal naive's bit for
+    // bit at every simd thread count, and so do cluster counts and op
+    // accounting.
     NaiveBackend naive;
     SimdBackend one(1);
     SimdBackend two(2);
     SimdBackend eight(8);
 
     const auto exact = runCta(&naive);
-    const auto ref = runCta(&one);
-    EXPECT_LT(maxAbsDiff(ref.output, exact.output), 1e-3f);
     for (Backend *backend : std::vector<Backend *>{&one, &two, &eight}) {
         const auto result = runCta(backend);
-        EXPECT_TRUE(bitIdentical(result.output, ref.output))
+        EXPECT_TRUE(bitIdentical(result.output, exact.output))
             << backend->name();
         EXPECT_EQ(result.totalOps(), exact.totalOps()) << backend->name();
         EXPECT_EQ(result.stats.k0, exact.stats.k0) << backend->name();

@@ -212,8 +212,7 @@ expectKernelMatchesReference(const DecodeSession &session,
     const Real row_sum = cta::alg::fusedDecodeAttend(
         q_bar, k_bar1, k_bar2, v_bar1, v_bar2, session.pairs(),
         1.0f / std::sqrt(static_cast<Real>(d)),
-        session.config().cta.subtractRowMax,
-        cta::core::activeBackend().gemmFmaChains(), scratch, &ops);
+        session.config().cta.subtractRowMax, scratch, &ops);
     ASSERT_EQ(std::memcmp(&row_sum, &ref.rowSum, sizeof(Real)), 0)
         << what << ": row sums diverge";
     ASSERT_EQ(std::memcmp(scratch.out.data(), ref.unnormalized.data(),
@@ -313,16 +312,34 @@ TEST(FusedDecodeTest, BitIdenticalWithoutRowMaxShift)
 
 TEST(FusedDecodeTest, BitIdenticalAcrossBackendsAndThreadCounts)
 {
-    // The decode step's numerics may differ BETWEEN backends (the
-    // simd backend runs FMA projection chains), but fused and unfused
-    // must agree WITHIN each backend — the kernel dispatches its AV
-    // accumulation on Backend::gemmFmaChains to guarantee it.
+    // Fused must equal unfused under every backend, and — since every
+    // projection, score and AV element is the same FMA chain under
+    // both backends — the decoded outputs must equal naive's too.
+    const Index dim = 32, d = 16, prefill = 16, steps = 24;
+    const Matrix tokens = sampleTokens(prefill + steps, dim, 23);
+    Rng rng(24);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    std::vector<Matrix> reference;
     for (const char *spec :
          {"naive", "simd:1", "simd:4", "simd:8"}) {
         const auto backend = cta::core::makeBackend(spec);
         ScopedBackend guard(backend.get());
         expectFusedMatchesUnfused(16, 24, 23, ServeConfig{},
                                   std::string("backend ") + spec);
+        DecodeSession session(params, ServeConfig{}, dim);
+        session.prefill(tokens.rowSlice(0, prefill));
+        std::vector<Matrix> outputs;
+        for (Index i = prefill; i < prefill + steps; ++i)
+            outputs.push_back(session.step(tokens.row(i)));
+        if (reference.empty()) {
+            reference = std::move(outputs);
+            continue;
+        }
+        for (std::size_t s = 0; s < reference.size(); ++s)
+            EXPECT_TRUE(bitIdentical(outputs[s], reference[s]))
+                << "backend " << spec << " diverges from naive at step "
+                << s;
     }
 }
 
