@@ -285,15 +285,21 @@ BENCHMARK(BM_Gemm)
     ->Args({512, 4096, 1024});
 
 /** nn::gelu over the encoder FFN's hidden activations at 512 tokens
- *  (512 x 4096); items are elements. */
+ *  (512 x 4096), in place as FeedForward runs it; restoring the input
+ *  before each iteration is outside the timed region. Items are
+ *  elements. */
 void
 BM_Gelu(benchmark::State &state)
 {
     Rng rng(18);
     const Matrix x = Matrix::randomNormal(512, 4096, rng);
+    Matrix y;
     for (auto _ : state) {
-        auto y = cta::nn::gelu(x);
-        benchmark::DoNotOptimize(y);
+        state.PauseTiming();
+        y = x;
+        state.ResumeTiming();
+        y = cta::nn::gelu(std::move(y));
+        benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * x.size());
 }
@@ -336,50 +342,107 @@ BM_MatmulTransB(benchmark::State &state)
 BENCHMARK(BM_MatmulTransB)->Args({1, 448})->Args({300, 289})->Args({512, 512});
 
 /**
- * One fused decode-attention step (CTA stages 3-5) over a context of
- * range(0) tokens, at head dim 64, with ctx/8 level-1 and 3ctx/4
- * level-2 cluster rows and one (c1, c2) pair per token — about the
- * 0.84 cluster rows per token the serving workloads decode at.
+ * One decode session's inputs to a fused decode-attention step (CTA
+ * stages 3-5) at a context of @p ctx tokens and head dim 64: ctx/8
+ * level-1 and 3ctx/4 level-2 K-bar and V-bar cluster rows on the
+ * session's own arena pages, one (c1, c2) pair per token — about the
+ * 0.84 cluster rows per token the serving workloads decode at — and
+ * one query row.
  */
-void
-BM_FusedDecodeAttend(benchmark::State &state)
+struct AttendSession
 {
-    const Index ctx = state.range(0);
-    constexpr Index kHeadDim = 64;
-    const Index k1 = ctx / 8, k2 = ctx * 3 / 4;
-    Rng rng(17);
-    const auto arena = std::make_shared<cta::core::PageArena>(4096);
-    const auto paged = [&](Index rows) {
+    static constexpr Index kHeadDim = 64;
+
+    AttendSession(Index ctx, Rng &rng)
+        : k1(ctx / 8), k2(ctx * 3 / 4),
+          arena(std::make_shared<cta::core::PageArena>(4096)),
+          kBar1(paged(k1, rng)), kBar2(paged(k2, rng)),
+          vBar1(paged(k1, rng)), vBar2(paged(k2, rng))
+    {
+        std::vector<Index> c1, c2;
+        for (Index t = 0; t < ctx; ++t) {
+            c1.push_back(static_cast<Index>(
+                rng.uniformInt(static_cast<std::uint64_t>(k1))));
+            c2.push_back(static_cast<Index>(
+                rng.uniformInt(static_cast<std::uint64_t>(k2))));
+        }
+        pairs.addBatch(c1, c2);
+        q = Matrix::randomNormal(1, kHeadDim, rng);
+    }
+
+    /** One attend; leaves the output row in scratch.out. */
+    cta::core::Real attend()
+    {
+        return cta::alg::fusedDecodeAttend(q, kBar1, kBar2, vBar1, vBar2,
+                                           pairs, 0.125f, true, scratch);
+    }
+
+    Index k1, k2;
+    std::shared_ptr<cta::core::PageArena> arena;
+    cta::core::PagedRows kBar1, kBar2, vBar1, vBar2;
+    cta::alg::ClusterPairCounts pairs;
+    Matrix q;
+    cta::alg::FusedDecodeScratch scratch;
+
+  private:
+    cta::core::PagedRows paged(Index rows, Rng &rng) const
+    {
         cta::core::PagedRows out(arena, kHeadDim);
         const Matrix m = Matrix::randomNormal(rows, kHeadDim, rng);
         for (Index r = 0; r < rows; ++r)
             out.appendRow(m.row(r));
         return out;
-    };
-    const cta::core::PagedRows k_bar1 = paged(k1), k_bar2 = paged(k2);
-    const cta::core::PagedRows v_bar1 = paged(k1), v_bar2 = paged(k2);
-    std::vector<Index> c1, c2;
-    for (Index t = 0; t < ctx; ++t) {
-        c1.push_back(static_cast<Index>(
-            rng.uniformInt(static_cast<std::uint64_t>(k1))));
-        c2.push_back(static_cast<Index>(
-            rng.uniformInt(static_cast<std::uint64_t>(k2))));
     }
-    cta::alg::ClusterPairCounts pairs;
-    pairs.addBatch(c1, c2);
-    const Matrix q = Matrix::randomNormal(1, kHeadDim, rng);
-    cta::alg::FusedDecodeScratch scratch;
+};
+
+/** One fused decode-attention step over one session of range(0)
+ *  tokens, its rows cache-resident after the first iteration. */
+void
+BM_FusedDecodeAttend(benchmark::State &state)
+{
+    Rng rng(17);
+    AttendSession session(state.range(0), rng);
     for (auto _ : state) {
-        const auto sum = cta::alg::fusedDecodeAttend(
-            q, k_bar1, k_bar2, v_bar1, v_bar2, pairs, 0.125f, true,
-            scratch);
-        benchmark::DoNotOptimize(sum);
-        benchmark::DoNotOptimize(scratch.out.data());
+        benchmark::DoNotOptimize(session.attend());
+        benchmark::DoNotOptimize(session.scratch.out.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * (k1 + k2));
+    state.SetItemsProcessed(state.iterations() *
+                            (session.k1 + session.k2));
 }
 BENCHMARK(BM_FusedDecodeAttend)->Arg(512)->Arg(1024);
+
+/**
+ * The same step over range(0) sessions of range(1) tokens stepped
+ * round-robin on one thread, as a serving shard steps its sessions:
+ * 32 sessions at 560 tokens hold about 8 MiB of cluster rows, so each
+ * attend starts on rows the other sessions pushed out of L1 and L2 —
+ * the cold pages chat decodes over, which BM_FusedDecodeAttend's
+ * cache-resident session cannot show. µs per attend.
+ */
+void
+BM_FusedDecodeAttendSessions(benchmark::State &state)
+{
+    Rng rng(17);
+    std::vector<std::unique_ptr<AttendSession>> sessions;
+    for (Index i = 0; i < state.range(0); ++i)
+        sessions.push_back(
+            std::make_unique<AttendSession>(state.range(1), rng));
+    std::size_t next = 0;
+    Index rows = 0;
+    for (auto _ : state) {
+        AttendSession &session = *sessions[next];
+        next = (next + 1) % sessions.size();
+        benchmark::DoNotOptimize(session.attend());
+        benchmark::DoNotOptimize(session.scratch.out.data());
+        benchmark::ClobberMemory();
+        rows += session.k1 + session.k2;
+    }
+    state.SetItemsProcessed(rows);
+}
+BENCHMARK(BM_FusedDecodeAttendSessions)
+    ->Args({32, 560})
+    ->Unit(benchmark::kMicrosecond);
 
 /** core::crc32 over a 28 KiB buffer — about the mean evicted CTAS
  *  blob of the fork/resume serving workload. */

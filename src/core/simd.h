@@ -131,7 +131,10 @@ void simdFmaRows(Real *acc, const Real *const *rows, const Real *w,
  * contract); within 4e-7 * max(1, |y|) of the double-precision
  * formula, about what the libm-tanh formula reaches. ±0, ±inf, NaN
  * and the v^3 overflow give what the libm formula gives (or NaN
- * where it does). @p out may alias @p x.
+ * where it does). In place is allowed: with @p out == @p x every
+ * element is read before it is written, at every level and in the
+ * scalar tail, so the result has the out-of-place bits (nn::gelu
+ * relies on it). Partial overlap is not allowed.
  */
 void simdGeluRow(const Real *x, Index n, Real *out);
 

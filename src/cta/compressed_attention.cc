@@ -33,7 +33,7 @@ CompressionStats::effectiveRelationRatio() const
 }
 
 Real
-CtaResult::measuredRa() const
+CtaHeadSummary::measuredRa() const
 {
     const OpCounts exact =
         nn::exactAttentionCalcOps(stats.m, stats.n, stats.d);
@@ -42,7 +42,7 @@ CtaResult::measuredRa() const
 }
 
 Real
-CtaResult::measuredRl() const
+CtaHeadSummary::measuredRl() const
 {
     const OpCounts exact =
         nn::exactLinearOps(stats.m, stats.n, stats.dw, stats.d);
@@ -221,13 +221,117 @@ ctaAttention(const Matrix &xq, const Matrix &xkv,
     CompressionLevel query_comp =
         compressTokens(xq, lsh.lsh0, &compression_ops);
 
-    // --- Stages 2-5 on the compressed tokens. ---
+    // --- Stages 2-5 on the compressed tokens, which then move into
+    // the result (this call owns them). ---
     CtaResult result = ctaAttentionFromCompression(
         query_comp, kv_comp, xq.rows(), params,
         config.subtractRowMax);
     result.overheadOps += compression_ops;
+    result.inter.queryComp = std::move(query_comp);
+    result.inter.kvComp = std::move(kv_comp);
     return result;
 }
+
+Matrix
+projectKvCentroids(const nn::Linear &linear,
+                   const TwoLevelCompression &kv_comp, OpCounts *counts)
+{
+    Matrix projected = linear.forward(kv_comp.level1.centroids, counts);
+    projected.appendRows(linear.forward(kv_comp.level2.centroids, counts));
+    return projected;
+}
+
+namespace {
+
+/**
+ * Stages 2-5 over a borrowed compression: fills @p inter's
+ * projections, scores and AP (never its compressions), charges
+ * @p head's op counts and stats, and writes the out.rows() x d output
+ * into columns [col, col + d) of @p out.
+ */
+void
+runHead(const CompressionLevel &query_comp,
+        const TwoLevelCompression &kv_comp,
+        const nn::AttentionHeadParams &params, bool subtract_row_max,
+        CtaIntermediates &inter, CtaHeadSummary &head, Matrix &out,
+        Index col)
+{
+    CTA_TRACE_SCOPE("attention.from_compression");
+    CTA_REQUIRE(!query_comp.table.empty() &&
+                !kv_comp.level1.table.empty(),
+                "empty compression");
+    const Index m = out.rows();
+    const auto n = static_cast<Index>(kv_comp.level1.table.size());
+    const Index dw = query_comp.centroids.cols();
+    const Index d = params.wq.outDim();
+    CTA_REQUIRE(m <= static_cast<Index>(query_comp.table.size()) &&
+                    col >= 0 && col + d <= out.cols(),
+                "head output ", m, "x", d, " does not fit at column ",
+                col, " of ", out.rows(), "x", out.cols(), " over ",
+                query_comp.table.size(), " queries");
+
+    const Index k0 = query_comp.numClusters;
+    const Index k1 = kv_comp.level1.numClusters;
+    const Index k2 = kv_comp.level2.numClusters;
+
+    // --- Stage 2: linears on compressed tokens (eq. 3). ---
+    {
+        CTA_TRACE_SCOPE("attention.linears");
+        inter.qBar = params.wq.forward(query_comp.centroids,
+                                       &head.linearOps);
+        inter.kBar = projectKvCentroids(params.wk, kv_comp,
+                                        &head.linearOps);
+        inter.vBar = projectKvCentroids(params.wv, kv_comp,
+                                        &head.linearOps);
+    }
+
+    // --- Stages 3-4: compressed scores (eq. 5) and probability
+    // aggregation (Fig. 6), each token a pair of count 1. ---
+    CTA_TRACE_SCOPE("attention.scores_to_output");
+    const Index k_total = k1 + k2;
+    std::vector<const Real *> k_rows(static_cast<std::size_t>(k_total));
+    for (Index j = 0; j < k_total; ++j)
+        k_rows[static_cast<std::size_t>(j)] = inter.kBar.row(j).data();
+    compressedScores(inter.qBar, k_rows.data(), k1, k2,
+                     1.0f / std::sqrt(static_cast<Real>(d)),
+                     subtract_row_max, inter.sBar, &head.attnOps);
+    inter.ap = Matrix(k0, k_total);
+    inter.apRowSums = Matrix(k0, 1);
+    OpCounts agg_ops;
+    aggregatePairs(inter.sBar.data(), k0, k1, k_total,
+                   tokenPairs(kv_comp), inter.ap.data(),
+                   inter.apRowSums.data(), &agg_ops);
+    // Paper SIII-D: the exps count against the (reduced) softmax
+    // stage; the 3*k0*n merge additions are approximation overhead.
+    head.attnOps.exps += agg_ops.exps;
+    head.overheadOps.adds += agg_ops.adds;
+
+    // --- Stage 5: output calculation (eq. 8). ---
+    Matrix o_bar = matmul(inter.ap, inter.vBar, &head.attnOps);
+
+    // Normalize per compressed query: divide by rowsum(AP)/2 (the
+    // probabilities were accumulated twice per row). k0*d divisions,
+    // matching the paper's "output divisions reduced from nd to k0d".
+    for (Index i = 0; i < k0; ++i) {
+        const Real denom = inter.apRowSums(i, 0) * 0.5f;
+        CTA_ASSERT(denom > 0, "zero attention denominator");
+        const Real inv = 1.0f / denom;
+        for (Real &v : o_bar.row(i))
+            v *= inv;
+    }
+    head.attnOps.divs += static_cast<std::uint64_t>(k0) * d;
+
+    // Expand to the original sequence: O_i = O_norm[CT0[i]].
+    for (Index i = 0; i < m; ++i) {
+        const auto src =
+            o_bar.row(query_comp.table[static_cast<std::size_t>(i)]);
+        std::copy(src.begin(), src.end(), out.row(i).begin() + col);
+    }
+
+    head.stats = CompressionStats{m, n, dw, d, k0, k1, k2};
+}
+
+} // namespace
 
 CtaResult
 ctaAttentionFromCompression(const CompressionLevel &query_comp,
@@ -236,87 +340,24 @@ ctaAttentionFromCompression(const CompressionLevel &query_comp,
                             const nn::AttentionHeadParams &params,
                             bool subtract_row_max)
 {
-    CTA_TRACE_SCOPE("attention.from_compression");
-    CTA_REQUIRE(!query_comp.table.empty() &&
-                !kv_comp.level1.table.empty(),
-                "empty compression");
     CtaResult result;
-    result.inter.queryComp = query_comp;
-    result.inter.kvComp = kv_comp;
-    const auto n = static_cast<Index>(kv_comp.level1.table.size());
-    const Index dw = query_comp.centroids.cols();
-
-    const Index k0 = result.inter.queryComp.numClusters;
-    const Index k1 = result.inter.kvComp.level1.numClusters;
-    const Index k2 = result.inter.kvComp.level2.numClusters;
-
-    // --- Stage 2: linears on compressed tokens (eq. 3). ---
-    {
-        CTA_TRACE_SCOPE("attention.linears");
-        Matrix c_cat = result.inter.kvComp.level1.centroids;
-        c_cat.appendRows(result.inter.kvComp.level2.centroids);
-        result.inter.qBar = params.wq.forward(
-            result.inter.queryComp.centroids, &result.linearOps);
-        result.inter.kBar =
-            params.wk.forward(c_cat, &result.linearOps);
-        result.inter.vBar =
-            params.wv.forward(c_cat, &result.linearOps);
-    }
-    const Index d = result.inter.qBar.cols();
-
-    // --- Stages 3-4: compressed scores (eq. 5) and probability
-    // aggregation (Fig. 6), each token a pair of count 1. ---
-    CTA_TRACE_SCOPE("attention.scores_to_output");
-    const Index k_total = k1 + k2;
-    CtaIntermediates &inter = result.inter;
-    std::vector<const Real *> k_rows(static_cast<std::size_t>(k_total));
-    for (Index j = 0; j < k_total; ++j)
-        k_rows[static_cast<std::size_t>(j)] = inter.kBar.row(j).data();
-    compressedScores(inter.qBar, k_rows.data(), k1, k2,
-                     1.0f / std::sqrt(static_cast<Real>(d)),
-                     subtract_row_max, inter.sBar,
-                     &result.attnOps);
-    inter.ap = Matrix(k0, k_total);
-    inter.apRowSums = Matrix(k0, 1);
-    OpCounts agg_ops;
-    aggregatePairs(inter.sBar.data(), k0, k1, k_total,
-                   tokenPairs(inter.kvComp), inter.ap.data(),
-                   inter.apRowSums.data(), &agg_ops);
-    // Paper SIII-D: the exps count against the (reduced) softmax
-    // stage; the 3*k0*n merge additions are approximation overhead.
-    result.attnOps.exps += agg_ops.exps;
-    result.overheadOps.adds += agg_ops.adds;
-
-    // --- Stage 5: output calculation (eq. 8). ---
-    const Matrix o_bar = matmul(inter.ap, inter.vBar, &result.attnOps);
-
-    // Normalize per compressed query: divide by rowsum(AP)/2 (the
-    // probabilities were accumulated twice per row). k0*d divisions,
-    // matching the paper's "output divisions reduced from nd to k0d".
-    Matrix o_norm(k0, d);
-    for (Index i = 0; i < k0; ++i) {
-        const Real denom = inter.apRowSums(i, 0) * 0.5f;
-        CTA_ASSERT(denom > 0, "zero attention denominator");
-        const Real inv = 1.0f / denom;
-        const Real *src = o_bar.row(i).data();
-        Real *dst = o_norm.row(i).data();
-        for (Index j = 0; j < d; ++j)
-            dst[j] = src[j] * inv;
-    }
-    result.attnOps.divs += static_cast<std::uint64_t>(k0) * d;
-
-    // Expand to the original sequence: O_i = O_norm[CT0[i]].
-    result.output = Matrix(m, d);
-    for (Index i = 0; i < m; ++i) {
-        const Index c = inter.queryComp.table[static_cast<std::size_t>(i)];
-        const Real *src = o_norm.row(c).data();
-        Real *dst = result.output.row(i).data();
-        for (Index j = 0; j < d; ++j)
-            dst[j] = src[j];
-    }
-
-    result.stats = CompressionStats{m, n, dw, d, k0, k1, k2};
+    result.output = Matrix(m, params.wq.outDim());
+    runHead(query_comp, kv_comp, params, subtract_row_max, result.inter,
+            result, result.output, 0);
     return result;
+}
+
+CtaHeadSummary
+ctaAttentionInto(const CompressionLevel &query_comp,
+                 const TwoLevelCompression &kv_comp,
+                 const nn::AttentionHeadParams &params,
+                 bool subtract_row_max, Matrix &out, Index col)
+{
+    CtaHeadSummary head;
+    CtaIntermediates inter;
+    runHead(query_comp, kv_comp, params, subtract_row_max, inter, head,
+            out, col);
+    return head;
 }
 
 } // namespace cta::alg

@@ -80,12 +80,20 @@ struct CompressionStats
     core::Real effectiveRelationRatio() const;
 };
 
-/** Every intermediate of a CTA evaluation (consumed by the hardware
- *  model and by tests). */
+/**
+ * Every intermediate of a CTA evaluation (consumed by the hardware
+ * model and by tests).
+ *
+ * Ownership rule: a compression is held once, by whoever built it.
+ * ctaAttention() builds its own and moves it into queryComp/kvComp;
+ * the functions that take a compression (ctaAttentionFromCompression,
+ * ctaAttentionInto) only borrow it and leave queryComp/kvComp empty,
+ * so all heads of a layer read the one copy the layer made.
+ */
 struct CtaIntermediates
 {
-    CompressionLevel queryComp;    ///< C0 / CT0
-    TwoLevelCompression kvComp;    ///< C1, C2 / CT1, CT2
+    CompressionLevel queryComp;    ///< C0 / CT0 (ctaAttention only)
+    TwoLevelCompression kvComp;    ///< C1, C2 / CT1, CT2 (ditto)
     core::Matrix qBar;             ///< k0 x d
     core::Matrix kBar;             ///< (k1+k2) x d
     core::Matrix vBar;             ///< (k1+k2) x d
@@ -94,12 +102,10 @@ struct CtaIntermediates
     core::Matrix apRowSums;        ///< k0 x 1 (twice the denominator)
 };
 
-/** Result of one CTA attention evaluation. */
-struct CtaResult
+/** What one head's evaluation cost and how far it compressed — all a
+ *  multi-head layer keeps of a head once its output is written. */
+struct CtaHeadSummary
 {
-    /** Full m x d output approximating exact attention. */
-    core::Matrix output;
-    CtaIntermediates inter;
     CompressionStats stats;
     /** Token-compression + probability-aggregation bookkeeping ops
      *  (paper SIII-D "overhead": hashing, centroid agg, AP adds). */
@@ -122,6 +128,14 @@ struct CtaResult
     core::Real measuredRl() const;
 };
 
+/** Result of one CTA attention evaluation. */
+struct CtaResult : CtaHeadSummary
+{
+    /** Full m x d output approximating exact attention. */
+    core::Matrix output;
+    CtaIntermediates inter;
+};
+
 /** The three LSH instances one CtaConfig induces. */
 struct LshParamSet
 {
@@ -139,7 +153,8 @@ struct LshParamSet
 LshParamSet sampleLshParams(const CtaConfig &config, core::Index dim);
 
 /**
- * Runs the CTA scheme for one attention head.
+ * Runs the CTA scheme for one attention head. The compression it
+ * builds is moved, not copied, into result.inter.
  *
  * @param xq query token matrix (m x dw); pass the same matrix as
  *        @p xkv for self-attention
@@ -154,7 +169,9 @@ CtaResult ctaAttention(const core::Matrix &xq, const core::Matrix &xkv,
  * linears, compressed scores, probability aggregation and output
  * recovery. This is the per-head work when one token compression is
  * shared by all heads of a layer (clustering depends only on the
- * tokens, not on head weights; see cta/multihead.h). The returned
+ * tokens, not on head weights; see cta/multihead.h). The compressions
+ * are borrowed, not copied: result.inter holds the projections,
+ * scores and AP, and its queryComp/kvComp stay empty. The returned
  * result's overheadOps contains only the probability-aggregation
  * additions; charge the compression overhead once at the layer
  * level.
@@ -166,6 +183,34 @@ CtaResult ctaAttentionFromCompression(
     const TwoLevelCompression &kv_comp, core::Index m,
     const nn::AttentionHeadParams &params,
     bool subtract_row_max = true);
+
+/**
+ * ctaAttentionFromCompression() writing the head's output straight
+ * into columns [col, col + d) of @p out, one row per original query
+ * (m = out.rows()), and keeping nothing else: the intermediates are
+ * freed before it returns. Every output element has the bits of the
+ * same element of ctaAttentionFromCompression(...).output. Writes
+ * only those columns, so heads may fill disjoint column slices of one
+ * matrix concurrently.
+ */
+CtaHeadSummary ctaAttentionInto(const CompressionLevel &query_comp,
+                                const TwoLevelCompression &kv_comp,
+                                const nn::AttentionHeadParams &params,
+                                bool subtract_row_max, core::Matrix &out,
+                                core::Index col);
+
+/**
+ * K-bar or V-bar of a two-level compression: the level-1 centroids
+ * projected through @p linear into rows [0, k1), the level-2
+ * centroids into rows [k1, k1 + k2). Each row is one GEMM row of its
+ * own level's centroid matrix, so it has the bits of the same row of
+ * linear.forward() over the concatenated centroids (core/backend.h)
+ * without materializing that concatenation. Charges (k1 + k2) rows
+ * of the forward's op counts.
+ */
+core::Matrix projectKvCentroids(const nn::Linear &linear,
+                                const TwoLevelCompression &kv_comp,
+                                core::OpCounts *counts = nullptr);
 
 /**
  * Multiset of (level-1, level-2) cluster-pair occurrences over the KV

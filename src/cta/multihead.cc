@@ -13,26 +13,6 @@ using core::Index;
 using core::Matrix;
 using core::OpCounts;
 
-namespace {
-
-/** Copies one head's output into columns [offset, offset + cols) of
- *  the concatenated matrix, one row span at a time. */
-void
-copyHeadColumns(const Matrix &head, Index offset, Matrix &all)
-{
-    CTA_ASSERT(head.rows() == all.rows() &&
-                   offset + head.cols() <= all.cols(),
-               "head output ", head.rows(), "x", head.cols(),
-               " does not fit at column ", offset, " of ", all.rows(),
-               "x", all.cols());
-    for (Index i = 0; i < head.rows(); ++i) {
-        const auto src = head.row(i);
-        std::copy(src.begin(), src.end(), all.row(i).begin() + offset);
-    }
-}
-
-} // namespace
-
 CtaMultiHeadAttention::CtaMultiHeadAttention(Index d_model,
                                              Index num_heads,
                                              core::Rng &rng)
@@ -83,28 +63,25 @@ CtaMultiHeadAttention::forward(const Matrix &x, OpCounts *counts) const
     const auto num_heads = static_cast<Index>(heads_.size());
     Matrix all(x.rows(), headDim_ * num_heads);
     // Per-head fan-out: given the shared compression the heads are
-    // independent, so they run concurrently into per-head slots. The
-    // OpCounts reduction below walks the slots in ascending head
-    // order — counts are bit-identical for any thread count.
-    std::vector<CtaResult> results(heads_.size());
+    // independent, so they run concurrently, each borrowing the one
+    // compression and writing its output straight into its own
+    // columns of `all`. A head keeps only its stats and op counts;
+    // the reduction below walks them in ascending head order, so
+    // counts are bit-identical for any thread count.
+    std::vector<CtaHeadSummary> summaries(heads_.size());
     core::parallelFor(0, num_heads, [&](Index begin, Index end) {
         for (Index h = begin; h < end; ++h) {
             CTA_TRACE_SCOPE_ID("attention.head", h);
-            results[static_cast<std::size_t>(h)] =
-                ctaAttentionFromCompression(
-                    query_comp, kv_comp, x.rows(),
-                    heads_[static_cast<std::size_t>(h)],
-                    cfg.subtractRowMax);
+            const auto slot = static_cast<std::size_t>(h);
+            summaries[slot] = ctaAttentionInto(
+                query_comp, kv_comp, heads_[slot], cfg.subtractRowMax,
+                all, h * headDim_);
         }
     });
-    for (Index h = 0; h < num_heads; ++h) {
-        const CtaResult &r = results[static_cast<std::size_t>(h)];
-        const Index offset = h * headDim_;
-        if (counts)
-            *counts += r.totalOps();
-        copyHeadColumns(r.output, offset, all);
-    }
-    lastStats_ = results.back().stats;
+    if (counts)
+        for (const CtaHeadSummary &head : summaries)
+            *counts += head.totalOps();
+    lastStats_ = summaries.back().stats;
     return outputProj_.forward(all, counts);
 }
 
@@ -114,25 +91,26 @@ CtaMultiHeadAttention::forwardExact(const Matrix &x,
 {
     const auto num_heads = static_cast<Index>(heads_.size());
     Matrix all(x.rows(), headDim_ * num_heads);
-    // Same fan-out as forward(): per-head outputs and OpCounts land
-    // in slots, then reduce in ascending head order.
-    std::vector<Matrix> outputs(heads_.size());
+    // Same fan-out as forward(): each head copies its output into its
+    // columns as soon as it finishes; the OpCounts land in slots and
+    // reduce in ascending head order.
     std::vector<OpCounts> head_counts(heads_.size());
     core::parallelFor(0, num_heads, [&](Index begin, Index end) {
         for (Index h = begin; h < end; ++h) {
             const auto slot = static_cast<std::size_t>(h);
-            outputs[slot] = nn::exactAttention(
+            const Matrix out = nn::exactAttention(
                 x, x, heads_[slot],
                 counts ? &head_counts[slot] : nullptr);
+            for (Index i = 0; i < out.rows(); ++i) {
+                const auto src = out.row(i);
+                std::copy(src.begin(), src.end(),
+                          all.row(i).begin() + h * headDim_);
+            }
         }
     });
-    for (Index h = 0; h < num_heads; ++h) {
-        const auto slot = static_cast<std::size_t>(h);
-        const Index offset = h * headDim_;
-        if (counts)
-            *counts += head_counts[slot];
-        copyHeadColumns(outputs[slot], offset, all);
-    }
+    if (counts)
+        for (const OpCounts &c : head_counts)
+            *counts += c;
     return outputProj_.forward(all, counts);
 }
 

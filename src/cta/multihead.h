@@ -7,7 +7,9 @@
  * *tokens*, not on head weights, so one LSH clustering of a layer's
  * input serves all of its heads — the compression overhead (paper
  * SIII-D) is paid once per layer instead of once per head. The
- * per-head work is ctaAttentionFromCompression().
+ * per-head work is ctaAttentionInto(): each head borrows the layer's
+ * one compression, writes its output into its own columns of the
+ * concatenated matrix and keeps only its stats and op counts.
  */
 
 #pragma once
@@ -67,6 +69,8 @@ class CtaMultiHeadAttention
     {
         return heads_;
     }
+    /** The projection applied to the concatenated head outputs. */
+    const nn::Linear &outputProj() const { return outputProj_; }
 
   private:
     core::Index headDim_;

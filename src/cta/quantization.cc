@@ -82,17 +82,17 @@ ctaAttentionQuantized(const Matrix &xq, const Matrix &xkv,
     const Index k1 = result.inter.kvComp.level1.numClusters;
     const Index k2 = result.inter.kvComp.level2.numClusters;
 
-    Matrix c_cat = result.inter.kvComp.level1.centroids;
-    c_cat.appendRows(result.inter.kvComp.level2.centroids);
     result.inter.qBar = quantizeMatrix(
         params_q.wq.forward(result.inter.queryComp.centroids,
                             &result.linearOps),
         scheme.centroids);
     result.inter.kBar = quantizeMatrix(
-        params_q.wk.forward(c_cat, &result.linearOps),
+        projectKvCentroids(params_q.wk, result.inter.kvComp,
+                           &result.linearOps),
         scheme.centroids);
     result.inter.vBar = quantizeMatrix(
-        params_q.wv.forward(c_cat, &result.linearOps),
+        projectKvCentroids(params_q.wv, result.inter.kvComp,
+                           &result.linearOps),
         scheme.centroids);
     const Index d = result.inter.qBar.cols();
 

@@ -68,8 +68,9 @@ class EncoderLayer
 
 /** GELU activation applied element-wise (tanh approximation), row
  *  by row through core::simdGeluRow: tanh is computed in-tree, so the
- *  result is bit-identical at every ISA level and thread count. */
-core::Matrix gelu(const core::Matrix &x,
-                  core::OpCounts *counts = nullptr);
+ *  result is bit-identical at every ISA level and thread count. It
+ *  transforms @p x in place and returns it, so an rvalue argument
+ *  (FeedForward's up-projection) costs no second matrix. */
+core::Matrix gelu(core::Matrix x, core::OpCounts *counts = nullptr);
 
 } // namespace cta::nn

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,16 @@ using cta::core::Matrix;
 using cta::core::Real;
 using cta::core::Rng;
 using cta::nn::AttentionHeadParams;
+
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return false;
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(Real)) == 0;
+}
 
 /** Clustered self-attention workload shared by the tests. */
 struct Fixture
@@ -168,6 +179,62 @@ TEST(CtaAttentionTest, StatsShapesConsistent)
     EXPECT_EQ(r.inter.sBar.rows(), r.stats.k0);
     EXPECT_EQ(r.inter.sBar.cols(), r.stats.k1 + r.stats.k2);
     EXPECT_EQ(r.inter.ap.rows(), r.stats.k0);
+}
+
+TEST(CtaAttentionTest, KvProjectionIsTheConcatenatedForward)
+{
+    // K-bar and V-bar project each level's centroids on their own;
+    // every row has the bits, and the charge the ops, of one forward
+    // over the concatenated centroids.
+    Fixture fx;
+    const CtaResult r =
+        ctaAttention(fx.tokens, fx.tokens, fx.params, CtaConfig{});
+    Matrix c_cat = r.inter.kvComp.level1.centroids;
+    c_cat.appendRows(r.inter.kvComp.level2.centroids);
+    for (const auto *linear : {&fx.params.wk, &fx.params.wv}) {
+        cta::core::OpCounts want_ops, got_ops;
+        const Matrix want = linear->forward(c_cat, &want_ops);
+        EXPECT_TRUE(bitIdentical(
+            cta::alg::projectKvCentroids(*linear, r.inter.kvComp,
+                                         &got_ops),
+            want));
+        EXPECT_EQ(got_ops, want_ops);
+    }
+    EXPECT_TRUE(bitIdentical(r.inter.kBar, fx.params.wk.forward(c_cat)));
+    EXPECT_TRUE(bitIdentical(r.inter.vBar, fx.params.wv.forward(c_cat)));
+}
+
+TEST(CtaAttentionTest, IntoWritesOnlyItsColumns)
+{
+    // ctaAttentionInto() fills columns [col, col + d) with the bits of
+    // ctaAttentionFromCompression()'s output, charges the same ops,
+    // and leaves every other column alone.
+    Fixture fx;
+    const CtaResult r =
+        ctaAttention(fx.tokens, fx.tokens, fx.params, CtaConfig{});
+    const auto &qc = r.inter.queryComp;
+    const auto &kv = r.inter.kvComp;
+    const Index m = fx.tokens.rows();
+    const Index d = fx.params.wq.outDim();
+    const CtaResult from =
+        cta::alg::ctaAttentionFromCompression(qc, kv, m, fx.params);
+    constexpr Real kUntouched = 7.0f;
+    Matrix out(m, 3 * d, kUntouched);
+    const cta::alg::CtaHeadSummary head =
+        cta::alg::ctaAttentionInto(qc, kv, fx.params, true, out, d);
+    Matrix mid(m, d);
+    for (Index i = 0; i < m; ++i)
+        for (Index j = 0; j < 3 * d; ++j) {
+            if (j >= d && j < 2 * d)
+                mid(i, j - d) = out(i, j);
+            else
+                EXPECT_EQ(out(i, j), kUntouched) << i << "," << j;
+        }
+    EXPECT_TRUE(bitIdentical(mid, from.output));
+    EXPECT_TRUE(bitIdentical(from.output, r.output));
+    EXPECT_EQ(head.totalOps(), from.totalOps());
+    EXPECT_EQ(head.stats.k0, from.stats.k0);
+    EXPECT_EQ(head.stats.k2, from.stats.k2);
 }
 
 TEST(CtaAttentionTest, MoreNoiseMoreClusters)

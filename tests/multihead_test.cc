@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "core/backend.h"
 #include "core/op_counter.h"
 #include "core/rng.h"
 #include "cta/error.h"
@@ -18,10 +22,37 @@ namespace {
 using cta::alg::CtaEncoderLayer;
 using cta::alg::CtaMultiHeadAttention;
 using cta::alg::Preset;
+using cta::core::Backend;
 using cta::core::Index;
 using cta::core::Matrix;
+using cta::core::NaiveBackend;
 using cta::core::OpCounts;
+using cta::core::Real;
 using cta::core::Rng;
+using cta::core::SimdBackend;
+
+class ScopedBackend
+{
+  public:
+    explicit ScopedBackend(Backend *backend)
+        : previous_(cta::core::setActiveBackend(backend))
+    {
+    }
+    ~ScopedBackend() { cta::core::setActiveBackend(previous_); }
+
+  private:
+    Backend *previous_;
+};
+
+bool
+bitIdentical(const Matrix &a, const Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return false;
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) *
+                           sizeof(Real)) == 0;
+}
 
 Matrix
 clusteredTokens(Index n, Index d, std::uint64_t seed)
@@ -91,7 +122,82 @@ TEST(CtaMultiHeadTest, SharedCompressionMatchesPerHeadCta)
     const auto shared = cta::alg::ctaAttentionFromCompression(
         qc, kv, x.rows(), mha.heads()[0],
         mha.config().subtractRowMax);
-    EXPECT_LT(maxAbsDiff(shared.output, direct.output), 1e-6f);
+    EXPECT_TRUE(bitIdentical(shared.output, direct.output));
+}
+
+/** What forward() must equal: the shared compression, each head's
+ *  ctaAttentionFromCompression() output in its columns, then the
+ *  output projection — with every op charged along the way. */
+struct ConcatenatedHeads
+{
+    Matrix output;
+    OpCounts ops;
+};
+
+ConcatenatedHeads
+concatenatedHeads(const CtaMultiHeadAttention &mha, const Matrix &x)
+{
+    ConcatenatedHeads ref;
+    const auto lsh =
+        cta::alg::sampleLshParams(mha.config(), x.cols());
+    const auto kv =
+        cta::alg::compressTwoLevel(x, lsh.lsh1, lsh.lsh2, &ref.ops);
+    const auto qc = cta::alg::compressTokens(x, lsh.lsh0, &ref.ops);
+    const Index d = mha.headDim();
+    const auto heads = static_cast<Index>(mha.heads().size());
+    Matrix all(x.rows(), d * heads);
+    for (Index h = 0; h < heads; ++h) {
+        const auto r = cta::alg::ctaAttentionFromCompression(
+            qc, kv, x.rows(), mha.heads()[static_cast<std::size_t>(h)],
+            mha.config().subtractRowMax);
+        // The compression is borrowed, never copied into the result.
+        EXPECT_TRUE(r.inter.queryComp.table.empty());
+        EXPECT_TRUE(r.inter.kvComp.level1.table.empty());
+        // Stage 2 projects k0 query and k1 + k2 K/V centroids.
+        const auto &st = r.stats;
+        EXPECT_EQ(r.linearOps.macs,
+                  static_cast<std::uint64_t>(st.k0 + 2 * (st.k1 + st.k2)) *
+                      static_cast<std::uint64_t>(st.dw * st.d));
+        ref.ops += r.totalOps();
+        for (Index i = 0; i < x.rows(); ++i)
+            for (Index j = 0; j < d; ++j)
+                all(i, h * d + j) = r.output(i, j);
+    }
+    ref.output = mha.outputProj().forward(all, &ref.ops);
+    return ref;
+}
+
+TEST(CtaMultiHeadTest, ForwardIsProjectedConcatenationOfHeads)
+{
+    // Heads write straight into their columns of the concatenated
+    // matrix from pool threads; that must be bit for bit the
+    // per-head outputs concatenated in head order, with the same op
+    // counts, under every backend — and the same bits across them.
+    Rng rng(15);
+    CtaMultiHeadAttention mha(128, 4, rng);
+    const Matrix x = clusteredTokens(160, 128, 16);
+    mha.calibrate(x, Preset::Cta05);
+    NaiveBackend naive;
+    SimdBackend one(1);
+    SimdBackend two(2);
+    SimdBackend eight(8);
+    Matrix first;
+    OpCounts first_ops;
+    for (Backend *backend :
+         std::vector<Backend *>{&naive, &one, &two, &eight}) {
+        ScopedBackend guard(backend);
+        const ConcatenatedHeads want = concatenatedHeads(mha, x);
+        OpCounts ops;
+        const Matrix got = mha.forward(x, &ops);
+        EXPECT_TRUE(bitIdentical(got, want.output)) << backend->name();
+        EXPECT_EQ(ops, want.ops) << backend->name();
+        if (backend == &naive) {
+            first = got;
+            first_ops = ops;
+        }
+        EXPECT_TRUE(bitIdentical(got, first)) << backend->name();
+        EXPECT_EQ(ops, first_ops) << backend->name();
+    }
 }
 
 TEST(CtaMultiHeadTest, CompressionChargedOncePerLayer)

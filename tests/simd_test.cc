@@ -574,12 +574,14 @@ TEST(SimdGeluTest, BitIdenticalAcrossLevelsAndLengths)
         }
         for (const SimdLevel level : supportedLevels()) {
             ScopedSimdLevel guard(level);
-            EXPECT_TRUE(sameValues(geluOf(x), ref))
+            const std::vector<Real> out_of_place = geluOf(x);
+            EXPECT_TRUE(sameValues(out_of_place, ref))
                 << "n=" << n << " level=" << cta::core::simdLevelName(level);
-            // In place, as the contract allows.
-            std::vector<Real> inplace = x;
-            cta::core::simdGeluRow(inplace.data(), n, inplace.data());
-            EXPECT_TRUE(sameValues(inplace, ref))
+            // In place (out == x), as nn::gelu runs it: the same bits
+            // as out of place, vector body and scalar tail alike.
+            std::vector<Real> in_place = x;
+            cta::core::simdGeluRow(in_place.data(), n, in_place.data());
+            EXPECT_TRUE(sameValues(in_place, out_of_place))
                 << "in place, n=" << n
                 << " level=" << cta::core::simdLevelName(level);
         }
