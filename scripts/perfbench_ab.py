@@ -26,10 +26,19 @@ falls on both sides alike. For every metric the report gives:
   BENCHMARK.json; "-" for a metric it does not list);
 - the parent's interquartile range;
 - the two-sided sign-test p-value over the pairs that differ;
+- for an end-to-end metric of BENCHMARK.json, that p-value after a
+  Holm correction across the workload's end-to-end metrics ("-" for
+  a per-layer metric, which keeps its raw p);
 - a verdict. "no change" when every pair is equal. "unresolved" when
   the change of the median lies inside the parent's interquartile
-  range or the sign test gives p >= 0.05. Otherwise "better" or
-  "worse" ("changed" for a metric without a direction).
+  range or the (Holm-adjusted, for an end-to-end metric) p-value is
+  >= 0.05. Otherwise "better" or "worse" ("changed" for a metric
+  without a direction).
+
+A workload reports 8 end-to-end metrics, so at p < 0.05 each a no-op
+A/B could flag one of them up to a third of the time (1 - 0.95^8);
+the Holm correction holds that family-wise rate at 0.05. At 10 pairs
+an end-to-end verdict then needs every pair that differs on one side.
 
 Every run's output is kept in --work-dir/logs. The script exits 1 when
 a run fails or when the two sides of a pair print different `exact`
@@ -130,8 +139,19 @@ def quartiles(values: list):
     return q1, q3
 
 
+def holm(p_values: dict) -> dict:
+    """Holm step-down adjusted p-values of the family @p p_values."""
+    adjusted, running = {}, 0.0
+    ordered = sorted(p_values.items(), key=lambda item: item[1])
+    for rank, (name, p) in enumerate(ordered):
+        running = max(running, min(1.0, (len(ordered) - rank) * p))
+        adjusted[name] = running
+    return adjusted
+
+
 def summarize(parent: list, change: list, better: str):
-    """One report row for a metric's per-pair values."""
+    """One report row for a metric's per-pair values; the verdict is
+    set by verdict() once the family's p-values are known."""
     sign = {"higher": 1, "lower": -1}.get(better, 0)
     # Without a direction, "wins" are pairs where the change is higher.
     diffs = [(c - p) * (sign or 1) for p, c in zip(parent, change)]
@@ -141,24 +161,31 @@ def summarize(parent: list, change: list, better: str):
               for p, c in zip(parent, change)]
     q1, q3 = quartiles(parent)
     delta = statistics.median(change) - statistics.median(parent)
-    p_value = sign_test(wins, losses)
-    if all(p == c for p, c in zip(parent, change)):
-        verdict = "no change"
-    elif abs(delta) <= q3 - q1 or p_value >= SIGNIFICANCE:
-        verdict = "unresolved"
-    elif not sign:
-        verdict = "changed"
-    else:
-        verdict = "better" if delta * sign > 0 else "worse"
     return {
         "parent": statistics.median(parent),
         "change": statistics.median(change),
         "ratio": statistics.median(ratios),
         "better": f"{wins}/{len(parent)}" if sign else "-",
         "iqr": (q1, q3),
-        "p": p_value,
-        "verdict": verdict,
+        "p": sign_test(wins, losses),
+        "p_holm": None,
+        "sign": sign,
+        "delta": delta,
+        "equal": all(p == c for p, c in zip(parent, change)),
     }
+
+
+def verdict(r: dict) -> str:
+    """The verdict of one report row (see the module docstring)."""
+    p_value = r["p"] if r["p_holm"] is None else r["p_holm"]
+    q1, q3 = r["iqr"]
+    if r["equal"]:
+        return "no change"
+    if abs(r["delta"]) <= q3 - q1 or p_value >= SIGNIFICANCE:
+        return "unresolved"
+    if not r["sign"]:
+        return "changed"
+    return "better" if r["delta"] * r["sign"] > 0 else "worse"
 
 
 def fmt(value: float) -> str:
@@ -168,12 +195,14 @@ def fmt(value: float) -> str:
 def report(workload: str, header: str, rows: dict) -> None:
     print(f"== {workload}: {header}")
     print(f"{'metric':<40} {'parent':>10} {'change':>10} {'ratio':>7} "
-          f"{'better':>7} {'parent IQR':>21} {'sign p':>7}  verdict")
+          f"{'better':>7} {'parent IQR':>21} {'sign p':>7} {'Holm p':>7}  "
+          f"verdict")
     for name, r in rows.items():
         iqr = f"[{fmt(r['iqr'][0])}, {fmt(r['iqr'][1])}]"
+        holm_p = "-" if r["p_holm"] is None else f"{r['p_holm']:.3f}"
         print(f"{name:<40} {fmt(r['parent']):>10} {fmt(r['change']):>10} "
               f"{r['ratio']:>7.3f} {r['better']:>7} {iqr:>21} "
-              f"{r['p']:>7.3f}  {r['verdict']}")
+              f"{r['p']:>7.3f} {holm_p:>7}  {verdict(r)}")
 
 
 def main() -> int:
@@ -207,6 +236,7 @@ def main() -> int:
     declared = json.loads((REPO / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"]
                   for m in declared["end_to_end"] + declared["per_layer"]}
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
 
     exact_mismatch = False
     for workload in opts.workload or WORKLOADS:
@@ -241,6 +271,10 @@ def main() -> int:
             name: summarize(values["parent"][name], values["change"][name],
                             directions.get(name, ""))
             for name in values["parent"] if name in values["change"]}
+        family = holm({name: r["p"] for name, r in rows.items()
+                       if name in end_to_end})
+        for name, p_holm in family.items():
+            rows[name]["p_holm"] = p_holm
         change = opts.change or "working tree"
         report(workload,
                f"{opts.pairs} pairs, seeds {opts.first_seed}-"

@@ -4,8 +4,9 @@
  *
  * panic()  — an internal invariant was violated (a library bug);
  *            aborts so a debugger or core dump can capture state.
- * fatal()  — the caller supplied an invalid configuration; exits
- *            with status 1.
+ * fatal()  — the caller supplied an invalid configuration; flushes
+ *            stdio and exits with status 1 from any thread, without
+ *            running static destructors.
  * warn()   — something suspicious but survivable happened.
  */
 
@@ -20,7 +21,8 @@ namespace cta::core {
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Exits the process with status 1 after printing @p msg. */
+/** Exits the process with status 1 after printing @p msg (std::_Exit
+ *  after flushing stdio: safe from a pool task or a forked child). */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 

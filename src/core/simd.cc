@@ -111,18 +111,6 @@ dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
         out[j] = fmaChain(q, rows[j], 1, 0, d, 0.0f);
 }
 
-void
-dotRowsScalar(const Real *q, const Real *const *rows, Index n, Index d,
-              Wide *out)
-{
-    for (Index j = 0; j < n; ++j) {
-        Wide acc = 0;
-        for (Index k = 0; k < d; ++k)
-            acc += static_cast<Wide>(q[k]) * rows[j][k];
-        out[j] = acc;
-    }
-}
-
 // GELU, tanh form: y = 0.5 v (1 + tanh(u)), u = c (v + 0.044715 v^3),
 // with tanh(u) = (e - 1) / (e + 1), e = exp(2u). exp is Cody-Waite
 // range reduction (2u = n ln2 + r, |r| <= ln2 / 2, ln2 split into an
@@ -561,46 +549,6 @@ dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
     }
 }
 
-/** One k step of the two 4-lane chains of an AVX2 Wide dot block. */
-__attribute__((target("avx2,fma"))) inline void
-dotStepAvx2(Real qk, __m256 col, __m256d &lo, __m256d &hi)
-{
-    const __m256d qv = _mm256_set1_pd(qk);
-    lo = _mm256_fmadd_pd(qv, _mm256_cvtps_pd(_mm256_castps256_ps128(col)),
-                         lo);
-    hi = _mm256_fmadd_pd(qv, _mm256_cvtps_pd(_mm256_extractf128_ps(col, 1)),
-                         hi);
-}
-
-/** AVX2 Wide dot block: rows 0-3 and 4-7 of each block run as two
- *  4-lane double chains (lo, hi). */
-__attribute__((target("avx2,fma"))) void
-dotRowsAvx2(const Real *q, const Real *const *rows, Index n, Index d,
-            Wide *out)
-{
-    for (Index j = 0; j < n; j += kSimdDotRows) {
-        const Real *r[kSimdDotRows];
-        blockRows(rows, n, j, r);
-        __m256d lo = _mm256_setzero_pd();
-        __m256d hi = _mm256_setzero_pd();
-        Index k = 0;
-        for (; k + 4 <= d; k += 4) {
-            __m256 c[4];
-            transposeRows8x4(r, k, c);
-            for (int s = 0; s < 4; ++s)
-                dotStepAvx2(q[k + s], c[s], lo, hi);
-        }
-        for (; k < d; ++k)
-            dotStepAvx2(q[k], rowsColumn8(r, k), lo, hi);
-        Wide tmp[kSimdDotRows];
-        _mm256_storeu_pd(tmp, lo);
-        _mm256_storeu_pd(tmp + 4, hi);
-        std::memcpy(out + j, tmp,
-                    static_cast<std::size_t>(std::min(kSimdDotRows, n - j)) *
-                        sizeof(Wide));
-    }
-}
-
 // ---------------------------------------------------------------
 // AVX-512F kernels (16-lane float).
 // ---------------------------------------------------------------
@@ -807,65 +755,6 @@ fmaRowsAvx512(Real *acc, const Real *const *rows, const Real *w, Index n,
             s0 = _mm512_fmadd_ps(_mm512_set1_ps(w[j]),
                                  _mm512_maskz_loadu_ps(m, rows[j] + t), s0);
         _mm512_mask_storeu_ps(acc + t, m, s0);
-    }
-}
-
-/** AVX-512 Wide dot blocks go two at a time: 16 rows per iteration. */
-constexpr Index kDotPair = 2 * kSimdDotRows;
-
-// Exact float -> double widening of 8 lanes. The merge-masked form
-// with an all-ones mask compiles to the plain instruction; the
-// unmasked intrinsic trips GCC 12's -Wmaybe-uninitialized inside the
-// intrinsic headers.
-__attribute__((target("avx512f"))) inline __m512d
-widen8(__m256 x)
-{
-    return _mm512_mask_cvtps_pd(_mm512_setzero_pd(), 0xFF, x);
-}
-
-/** Stores the first @p lanes of an 8-lane AVX-512 Wide dot chain. */
-__attribute__((target("avx512f"))) inline void
-storeWideLanes8(Wide *out, __m512d acc, Index lanes)
-{
-    if (lanes > 0)
-        _mm512_mask_storeu_pd(
-            out, static_cast<__mmask8>((1u << lanes) - 1u), acc);
-}
-
-/** AVX-512 Wide dot block pair: 16 rows as two independent 8-lane
- *  double chains. */
-__attribute__((target("avx512f"))) void
-dotRowsAvx512(const Real *q, const Real *const *rows, Index n, Index d,
-              Wide *out)
-{
-    for (Index j = 0; j < n; j += kDotPair) {
-        const Real *r[kDotPair];
-        blockRows(rows, n, j, r);
-        blockRows(rows, n, j + kSimdDotRows, r + kSimdDotRows);
-        __m512d acc0 = _mm512_setzero_pd();
-        __m512d acc1 = _mm512_setzero_pd();
-        Index k = 0;
-        for (; k + 4 <= d; k += 4) {
-            if (k % 16 == 0)
-                prefetchRows(rows, n, j + kDotPair, kDotPair, k);
-            __m256 c0[4], c1[4];
-            transposeRows8x4(r, k, c0);
-            transposeRows8x4(r + kSimdDotRows, k, c1);
-            for (int s = 0; s < 4; ++s) {
-                const __m512d qv = _mm512_set1_pd(q[k + s]);
-                acc0 = _mm512_fmadd_pd(qv, widen8(c0[s]), acc0);
-                acc1 = _mm512_fmadd_pd(qv, widen8(c1[s]), acc1);
-            }
-        }
-        for (; k < d; ++k) {
-            const __m512d qv = _mm512_set1_pd(q[k]);
-            acc0 = _mm512_fmadd_pd(qv, widen8(rowsColumn8(r, k)), acc0);
-            acc1 = _mm512_fmadd_pd(
-                qv, widen8(rowsColumn8(r + kSimdDotRows, k)), acc1);
-        }
-        storeWideLanes8(out + j, acc0, std::min(kSimdDotRows, n - j));
-        storeWideLanes8(out + j + kSimdDotRows, acc1,
-                        std::min(kSimdDotRows, n - j - kSimdDotRows));
     }
 }
 
@@ -1461,24 +1350,6 @@ simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
     switch (activeSimdLevel()) {
 #if CTA_SIMD_X86
     case SimdLevel::Avx512:
-    case SimdLevel::Avx2:
-        dotRowsAvx2(q, rows, n, d, out);
-        return;
-#endif
-    default:
-        dotRowsScalar(q, rows, n, d, out);
-    }
-}
-
-void
-simdDotRows(const Real *q, const Real *const *rows, Index n, Index d,
-            Wide *out)
-{
-    switch (activeSimdLevel()) {
-#if CTA_SIMD_X86
-    case SimdLevel::Avx512:
-        dotRowsAvx512(q, rows, n, d, out);
-        return;
     case SimdLevel::Avx2:
         dotRowsAvx2(q, rows, n, d, out);
         return;

@@ -19,8 +19,8 @@
  *    the same result for finite/-inf data.
  *  - simdScaleRow / simdAddRow: one multiply or one add per element
  *    — identical at every width.
- *  - The dot-product contract. Every GEMM, transposed-B GEMM, score
- *    and AV element below LSH is ONE k-ascending FP32 fused
+ *  - The dot-product contract. Every GEMM, transposed-B GEMM, LSH
+ *    projection, score and AV element is ONE k-ascending FP32 fused
  *    multiply-add chain, c = fma(a[k], b[k], c) from c = +0, rounded
  *    once per step. FMA rounds once, and scalar std::fmaf == AVX2
  *    vfmadd == AVX-512 vfmadd == NEON vfma for the same operands, so
@@ -30,18 +30,15 @@
  *       a chain through an exact fp32 store/load of its partial);
  *     - simdFmaRows: one chain per output column over n weighted
  *       rows, the accumulator held in a register between rows;
- *     - simdDotRows (Real output): one chain per row, ONE ROW PER
- *       LANE, never one k per lane, so no chain is split or
- *       reassociated. The in-register transpose only moves values.
+ *     - simdDotRows: one chain per row, ONE ROW PER LANE, never one
+ *       k per lane, so no chain is split or reassociated. The
+ *       in-register transpose only moves values. fma(a, b, c) ==
+ *       fma(b, a, c) exactly, so which operand is the broadcast q
+ *       does not matter either: the LSH projection (hashRows,
+ *       cta/lsh.h) runs one direction or one token per lane and gets
+ *       the same bits.
  *    NaiveBackend::gemm runs the same chain as plain scalar loops, so
  *    every backend, ISA level and thread count gives the same bits.
- *  - simdDotRows (Wide output): per output one k-ascending chain in
- *    double, one row per lane as above. The product of two widened
- *    floats (24-bit significands) fits a double's 53 bits exactly, so
- *    the vector FMA rounds like the scalar multiply-then-add: only
- *    the add rounds. It is the LSH projection alone (hashRows,
- *    cta/lsh.h, is its only caller), because its codes set k0/k1/k2
- *    and those feed the cycle-model figures.
  *  - simdGeluRow: per element one fixed sequence of multiplies, adds,
  *    a max/min clamp and one divide, with tanh computed in-tree from
  *    exp(2u) (Cody-Waite reduction, polynomial, exponent-bit scale),
@@ -138,8 +135,7 @@ void simdFmaRows(Real *acc, const Real *const *rows, const Real *w,
  */
 void simdGeluRow(const Real *x, Index n, Real *out);
 
-/** Rows per lane-per-row dot block: 8 float lanes per ymm, and 8
- *  double lanes per zmm (a ymm pair at AVX2). */
+/** Rows per lane-per-row dot block: 8 float lanes per ymm. */
 inline constexpr Index kSimdDotRows = 8;
 
 /**
@@ -155,24 +151,15 @@ void simdDotRows(const Real *q, const Real *const *rows, Index n,
                  Index d, Real *out);
 
 /**
- * Lane-per-row dot products in double:
- *   out[j] = sum over k ascending of Wide(q[k]) * Wide(rows[j][k]),
- * one Wide accumulator per output, unrounded at the store. This is
- * the LSH projection of hashRows (cta/lsh.h), its only caller: one
- * hash direction or one token per lane, by the batch's shape.
- */
-void simdDotRows(const Real *q, const Real *const *rows, Index n,
-                 Index d, Wide *out);
-
-/**
- * Bound on |FP32 chain − Wide chain| / sum_k |q[k] rows[j][k]| for
- * the two simdDotRows forms at d = 64 — the head dimension of every
- * preset. Each of the FP32 chain's 64 steps rounds once (relative
- * error at most u = 2^-24), so its error is at most
- * gamma_64 = 64u / (1 - 64u) times sum_k |q_k r_k|, the standard
- * inner-product bound; the Wide chain's own error, gamma_64 at u = 2^-53, adds under 1e-14
- * of the same sum. Cancellation does not loosen it: the bound is
- * relative to the sum of magnitudes, not to the result.
+ * Bound on |simdDotRows − the exact chain| / sum_k |q[k] rows[j][k]|
+ * at d = 64, the head dimension of every preset, where the exact
+ * chain is the same k-ascending sum in double. Each of the FP32
+ * chain's 64 steps rounds once (relative error at most u = 2^-24), so
+ * its error is at most gamma_64 = 64u / (1 - 64u) times
+ * sum_k |q_k r_k|, the standard inner-product bound; the double
+ * chain's own error, gamma_64 at u = 2^-53, adds under 1e-14 of the
+ * same sum. Cancellation does not loosen it: the bound is relative to
+ * the sum of magnitudes, not to the result.
  */
 inline constexpr double kDotChainBound64 =
     64.0 * 0x1p-24 / (1.0 - 64.0 * 0x1p-24) +

@@ -97,12 +97,12 @@ toBucket(Wide floored)
     return static_cast<std::int32_t>(floored);
 }
 
-/** Bucket of one projected chain: floor((dot + b) / w) as the
- *  multiply by 1/w, saturated by toBucket. */
+/** Bucket of one projected FP32 chain: floor((dot + b) / w) as the
+ *  multiply by 1/w in double, saturated by toBucket. */
 std::int32_t
-bucketOf(Wide dot, Real bias, Real inv_w)
+bucketOf(Real dot, Real bias, Real inv_w)
 {
-    const Wide shifted = (dot + bias) * inv_w;
+    const Wide shifted = (static_cast<Wide>(dot) + bias) * inv_w;
     return toBucket(std::floor(shifted));
 }
 
@@ -137,8 +137,8 @@ chargeHash(core::OpCounts *counts, Index tokens, Index l, Index d)
     counts->floors += lu;
 }
 
-/** Lanes per dot-kernel call: two kSimdDotRows blocks, the widest
- *  block pair the kernel runs at once. */
+/** Rows per dot-kernel call: two kSimdDotRows blocks, so the
+ *  kernel's prefetch of the next block's rows has one to fetch. */
 constexpr Index kHashLanes = 2 * core::kSimdDotRows;
 
 } // namespace
@@ -160,11 +160,11 @@ hashRows(const Matrix &x, const LshParams &params,
                 "code storage ", codes.size(), " != ", n, " x ", l);
     const Real inv_w = 1.0f / params.w;
     const Real *rows[kHashLanes];
-    Wide dots[kHashLanes];
+    Real dots[kHashLanes];
     if (n < l) {
         // Fewer tokens than directions (a decode step's single row):
         // one direction per lane, so dots[j] is direction j's chain
-        // sum_k Wide(a[j][k]) * x[i][k], k ascending.
+        // acc = fma(x[i][k], a[j][k], acc), k ascending from +0.
         for (Index i = 0; i < n; ++i)
             for (Index j0 = 0; j0 < l; j0 += kHashLanes) {
                 const Index m = std::min(kHashLanes, l - j0);
@@ -177,9 +177,8 @@ hashRows(const Matrix &x, const LshParams &params,
             }
     } else {
         // One token per lane: for each direction j, dots[i] is token
-        // i's chain — the same per-element sequence as above
-        // (multiplication commutes exactly here: the product of two
-        // widened floats is exact in a double).
+        // i's chain — the same bits as above, since fma(a, b, c) ==
+        // fma(b, a, c) exactly.
         for (Index i0 = 0; i0 < n; i0 += kHashLanes) {
             const Index m = std::min(kHashLanes, n - i0);
             for (Index i = 0; i < m; ++i)

@@ -98,15 +98,17 @@ HashMatrix hashTokens(const core::Matrix &x, const LshParams &params,
  * (the incremental levels' batch append). @p codes holds n x l
  * buckets row-major.
  *
- * Each bucket is floor((sum over k ascending of Wide(a[j][k]) *
- * x[i][k] + b[j]) * (1/w)), one chain of the Wide-output
+ * Each bucket is floor((dot + b[j]) * (1/w)) in double, where dot is
+ * the FP32 chain acc = fma(a[j][k], x[i][k], acc), k ascending from
+ * +0 — the one dot-product contract of core/simd.h, run by
  * core::simdDotRows per (token, direction). The batch's shape picks
  * the lane orientation: fewer rows than directions (a decode step's
  * single row) run one direction per lane, otherwise one token per
  * lane. Both perform every chain's exact scalar sequence, so a
  * token's code depends on nothing but the token and the parameters —
  * hashing a prefix one row at a time gives the codes of hashing it
- * whole (tests/lsh_property_test).
+ * whole (tests/lsh_property_test). A leaf — no thread pool, no heap —
+ * so a decode step or a calibration step pays for the dots alone.
  * Same fault draws (one per token) and op counts either way.
  */
 void hashRows(const core::Matrix &x, const LshParams &params,

@@ -5,7 +5,6 @@
 
 #include "core/logging.h"
 #include "core/op_counter.h"
-#include "core/parallel.h"
 #include "core/rng.h"
 #include "nn/softmax.h"
 
@@ -92,51 +91,6 @@ exactLinearOps(Index m, Index n, Index d_w, Index d)
     ops.macs = static_cast<std::uint64_t>(m) * d_w * d    // Q
              + 2ull * static_cast<std::uint64_t>(n) * d_w * d; // K, V
     return ops;
-}
-
-MultiHeadAttention::MultiHeadAttention(Index d_model, Index num_heads,
-                                       core::Rng &rng)
-    : headDim_(d_model / num_heads),
-      outputProj_(Linear::randomInit(d_model, d_model, rng))
-{
-    CTA_REQUIRE(num_heads > 0 && d_model % num_heads == 0,
-                "d_model ", d_model, " not divisible by heads ",
-                num_heads);
-    heads_.reserve(static_cast<std::size_t>(num_heads));
-    for (Index h = 0; h < num_heads; ++h)
-        heads_.push_back(AttentionHeadParams::randomInit(
-            d_model, headDim_, rng));
-}
-
-Matrix
-MultiHeadAttention::forward(const Matrix &x, OpCounts *counts) const
-{
-    const auto num_heads = static_cast<Index>(heads_.size());
-    // Concatenate per-head outputs along the feature dimension.
-    Matrix all(x.rows(), headDim_ * num_heads);
-    // Per-head fan-out into slots; OpCounts reduce in ascending head
-    // order so the totals are identical for any thread count.
-    std::vector<Matrix> outputs(heads_.size());
-    std::vector<OpCounts> head_counts(heads_.size());
-    core::parallelFor(0, num_heads, [&](Index begin, Index end) {
-        for (Index h = begin; h < end; ++h) {
-            const auto slot = static_cast<std::size_t>(h);
-            outputs[slot] = exactAttention(
-                x, x, heads_[slot],
-                counts ? &head_counts[slot] : nullptr);
-        }
-    });
-    for (Index h = 0; h < num_heads; ++h) {
-        const auto slot = static_cast<std::size_t>(h);
-        const Index offset = h * headDim_;
-        if (counts)
-            *counts += head_counts[slot];
-        const Matrix &out = outputs[slot];
-        for (Index i = 0; i < out.rows(); ++i)
-            for (Index j = 0; j < out.cols(); ++j)
-                all(i, offset + j) = out(i, j);
-    }
-    return outputProj_.forward(all, counts);
 }
 
 } // namespace cta::nn

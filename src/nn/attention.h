@@ -8,13 +8,12 @@
  *   P = softmax(S)        (row-wise)
  *   O = P . V
  *
- * Both single-head primitives (what the accelerators process) and a
- * multi-head wrapper (what end-to-end models use) are provided.
+ * These are the single-head primitives (what the accelerators
+ * process); the multi-head layer with exact and CTA forwards is
+ * alg::CtaMultiHeadAttention (cta/multihead.h).
  */
 
 #pragma once
-
-#include <vector>
 
 #include "core/matrix.h"
 #include "nn/linear.h"
@@ -95,35 +94,5 @@ core::OpCounts exactAttentionCalcOps(core::Index m, core::Index n,
  *  denominator. */
 core::OpCounts exactLinearOps(core::Index m, core::Index n,
                               core::Index d_w, core::Index d);
-
-/** Multi-head attention with a final output projection. */
-class MultiHeadAttention
-{
-  public:
-    /**
-     * @param d_model model (token) dimension
-     * @param num_heads number of heads; d_model must divide evenly
-     */
-    MultiHeadAttention(core::Index d_model, core::Index num_heads,
-                       core::Rng &rng);
-
-    /** Self-attention forward over x (n x d_model). */
-    core::Matrix forward(const core::Matrix &x,
-                         core::OpCounts *counts = nullptr) const;
-
-    /** Per-head parameters (exposed for CTA integration). */
-    const std::vector<AttentionHeadParams> &heads() const
-    {
-        return heads_;
-    }
-
-    /** Head dimension d = d_model / num_heads. */
-    core::Index headDim() const { return headDim_; }
-
-  private:
-    core::Index headDim_;
-    std::vector<AttentionHeadParams> heads_;
-    Linear outputProj_;
-};
 
 } // namespace cta::nn

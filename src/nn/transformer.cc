@@ -95,22 +95,4 @@ FeedForward::forward(const Matrix &x, OpCounts *counts) const
     return down_.forward(gelu(up_.forward(x, counts), counts), counts);
 }
 
-EncoderLayer::EncoderLayer(Index d_model, Index num_heads,
-                           Index d_hidden, core::Rng &rng)
-    : norm1_(d_model), attention_(d_model, num_heads, rng),
-      norm2_(d_model), ffn_(d_model, d_hidden, rng)
-{
-}
-
-Matrix
-EncoderLayer::forward(const Matrix &x, OpCounts *counts) const
-{
-    // Pre-norm residual blocks: x + Attn(LN(x)), then x + FFN(LN(x)).
-    Matrix attn_out =
-        attention_.forward(norm1_.forward(x, counts), counts);
-    Matrix mid = add(x, attn_out, counts);
-    Matrix ffn_out = ffn_.forward(norm2_.forward(mid, counts), counts);
-    return add(mid, ffn_out, counts);
-}
-
 } // namespace cta::nn

@@ -1,15 +1,15 @@
 /**
  * @file
- * Minimal transformer-encoder substrate: layer normalization, GELU
- * feed-forward network and a full encoder layer (attention + FFN with
- * residual connections). Used by the end-to-end examples and the
- * end-to-end speedup bench (paper SVI-C "End-to-end performance").
+ * Minimal transformer-encoder substrate: layer normalization and the
+ * GELU feed-forward network. The encoder layer that puts them around
+ * attention (exact or CTA) is alg::CtaEncoderLayer (cta/multihead.h).
+ * Used by the end-to-end examples and the end-to-end speedup bench
+ * (paper SVI-C "End-to-end performance").
  */
 
 #pragma once
 
 #include "core/matrix.h"
-#include "nn/attention.h"
 #include "nn/linear.h"
 
 namespace cta::nn {
@@ -44,26 +44,6 @@ class FeedForward
   private:
     Linear up_;
     Linear down_;
-};
-
-/** One pre-norm transformer encoder layer. */
-class EncoderLayer
-{
-  public:
-    EncoderLayer(core::Index d_model, core::Index num_heads,
-                 core::Index d_hidden, core::Rng &rng);
-
-    core::Matrix forward(const core::Matrix &x,
-                         core::OpCounts *counts = nullptr) const;
-
-    /** The attention block (exposed for CTA substitution). */
-    const MultiHeadAttention &attention() const { return attention_; }
-
-  private:
-    LayerNorm norm1_;
-    MultiHeadAttention attention_;
-    LayerNorm norm2_;
-    FeedForward ffn_;
 };
 
 /** GELU activation applied element-wise (tanh approximation), row

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for exact attention: algebraic identities, op-count
- * formulas and the multi-head wrapper.
+ * formulas and the exact multi-head forward
+ * (alg::CtaMultiHeadAttention::forwardExact).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/matrix.h"
 #include "core/op_counter.h"
 #include "core/rng.h"
+#include "cta/multihead.h"
 #include "nn/attention.h"
 #include "nn/softmax.h"
 
@@ -142,16 +145,19 @@ TEST(AttentionTest, SelfVsCrossSameTokensAgree)
 TEST(MultiHeadAttentionTest, ShapeAndDeterminism)
 {
     Rng rng(9);
-    cta::nn::MultiHeadAttention mha(32, 4, rng);
+    const cta::alg::CtaMultiHeadAttention mha(32, 4, rng);
     EXPECT_EQ(mha.headDim(), 8);
     EXPECT_EQ(mha.heads().size(), 4u);
     Rng data_rng(10);
     const Matrix x = Matrix::randomNormal(6, 32, data_rng);
-    const Matrix a = mha.forward(x);
-    const Matrix b = mha.forward(x);
+    const Matrix a = mha.forwardExact(x);
+    const Matrix b = mha.forwardExact(x);
     EXPECT_EQ(a.rows(), 6);
     EXPECT_EQ(a.cols(), 32);
-    EXPECT_LT(maxAbsDiff(a, b), 1e-9f);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<std::size_t>(a.size()) *
+                              sizeof(Real)),
+              0);
 }
 
 

@@ -191,17 +191,19 @@ TEST(BucketSaturationTest, OneRowHashRowsMatchesHashTokens)
     }
 }
 
-/** The scalar reference bucket: one k-ascending Wide chain, shifted
- *  by b, scaled by 1/w, floored and saturated (NaN -> 0). */
+/** The scalar reference bucket: one k-ascending FP32 fmaf chain from
+ *  +0, widened, shifted by b, scaled by 1/w, floored and saturated
+ *  (NaN -> 0). */
 std::int32_t
 scalarBucket(const LshParams &params, Index j, const Real *token)
 {
     using cta::core::Wide;
-    Wide dot = 0;
+    Real dot = 0;
     for (Index k = 0; k < params.dim(); ++k)
-        dot += static_cast<Wide>(params.a(j, k)) * token[k];
+        dot = std::fmaf(params.a(j, k), token[k], dot);
     const Real inv_w = 1.0f / params.w;
-    const Wide floored = std::floor((dot + params.b(j, 0)) * inv_w);
+    const Wide floored =
+        std::floor((static_cast<Wide>(dot) + params.b(j, 0)) * inv_w);
     constexpr auto lo = std::numeric_limits<std::int32_t>::min();
     constexpr auto hi = std::numeric_limits<std::int32_t>::max();
     if (std::isnan(floored))

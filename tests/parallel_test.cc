@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the thread pool and deterministic parallel-for
  * (core/parallel.h): chunking policy, empty/small ranges, ranges
- * smaller than the thread count, exception propagation, and
- * re-entrant (nested) invocation.
+ * smaller than the thread count, exception propagation,
+ * re-entrant (nested) invocation, and fatal() exiting with status 1
+ * once the global pool has run, from the caller or from a pool task.
  */
 
 #include <atomic>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/logging.h"
 #include "core/parallel.h"
 
 namespace {
@@ -226,6 +228,45 @@ TEST(ParseEnvIntDeathTest, RejectsMalformedValues)
                 ::testing::ExitedWithCode(1), "empty CTA_THREADS");
     EXPECT_EXIT(parseEnvInt("99999999999999999999", "CTA_THREADS"),
                 ::testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(FatalDeathTest, ExitsWithOneAfterThePoolHasRun)
+{
+    // Regression: fatal() ran the static destructors (std::exit),
+    // and the global pool's joins threads a forked death-test child
+    // does not have: the child died by SIGSEGV.
+    std::atomic<Index> visited{0};
+    parallelFor(0, 64, [&](Index begin, Index end) {
+        visited += end - begin;
+    });
+    ASSERT_EQ(visited.load(), 64);
+    EXPECT_EXIT(CTA_REQUIRE(visited.load() < 0, "after the pool ran"),
+                ::testing::ExitedWithCode(1), "requirement failed");
+}
+
+TEST(FatalDeathTest, ExitsWithOneFromInsideAPoolTask)
+{
+    // Regression: fatal() from a worker ran the global pool's
+    // destructor on that worker, which then joined itself and aborted
+    // ("Resource deadlock avoided"), so repeat it. The first task a
+    // worker claims fails; when the pool runs inline (one hardware
+    // thread) the caller fails after the batch instead.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto failInAWorker = [] {
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> failed{false};
+        parallelFor(0, 64, [&](Index, Index) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            if (std::this_thread::get_id() != caller &&
+                !failed.exchange(true))
+                CTA_FATAL("fatal in a pool task");
+        });
+        CTA_FATAL("fatal in a pool task (the pool ran inline)");
+    };
+    for (int run = 0; run < 20; ++run)
+        EXPECT_EXIT(failInAWorker(), ::testing::ExitedWithCode(1),
+                    "fatal in a pool task")
+            << "run " << run;
 }
 
 TEST(ConfiguredThreadCountTest, ReadsValidEnv)

@@ -5,7 +5,7 @@
  * against its scalar reference at every supported ISA level (the
  * lane-per-row dot and multi-row accumulate kernels included, on
  * ragged shapes, scattered rows and non-finite inputs), the FP32 dot
- * chain's stated bound against the Wide chain, and the one
+ * chain's stated bound against the double chain, and the one
  * FMA-chain-per-element contract of the GEMM: bit-identical across
  * ISA levels, thread counts, row blocks, ragged column blocks, depth
  * slices and the naive backend. The in-tree GELU is bit-identical
@@ -331,10 +331,21 @@ TEST(SimdDotRowsTest, NonFiniteRowsGiveSameBitsAtEveryLevel)
     }
 }
 
+/** The exact reference of kDotChainBound64: the same k-ascending
+ *  chain in double (the product of two floats is exact there). */
+double
+doubleDot(const Real *q, const Real *row, Index d)
+{
+    double acc = 0;
+    for (Index k = 0; k < d; ++k)
+        acc += static_cast<double>(q[k]) * row[k];
+    return acc;
+}
+
 TEST(SimdDotRowsTest, Fp32ChainWithinStatedBoundOfWideChain)
 {
     // The numeric contract of core/simd.h at d = 64: the FP32 chain
-    // stays within kDotChainBound64 * sum_k |q_k r_k| of the Wide
+    // stays within kDotChainBound64 * sum_k |q_k r_k| of the double
     // chain, over random rows and over rows built to cancel, where
     // the result is tiny against the sum of magnitudes.
     constexpr Index d = 64, n = 67;
@@ -355,9 +366,6 @@ TEST(SimdDotRowsTest, Fp32ChainWithinStatedBoundOfWideChain)
                     }
                 }
             }
-            std::vector<cta::core::Wide> wide(static_cast<std::size_t>(n));
-            cta::core::simdDotRows(q.data(), b.rows.data(), n, d,
-                                   wide.data());
             for (const SimdLevel level : supportedLevels()) {
                 ScopedSimdLevel guard(level);
                 const auto got = dotRowsOf(q, b.rows, d);
@@ -367,9 +375,9 @@ TEST(SimdDotRowsTest, Fp32ChainWithinStatedBoundOfWideChain)
                     for (Index k = 0; k < d; ++k)
                         magnitude += std::fabs(static_cast<double>(q[k]) *
                                                row[k]);
-                    const double err = std::fabs(
-                        got[static_cast<std::size_t>(j)] -
-                        wide[static_cast<std::size_t>(j)]);
+                    const double err =
+                        std::fabs(got[static_cast<std::size_t>(j)] -
+                                  doubleDot(q.data(), row, d));
                     ASSERT_LE(err, cta::core::kDotChainBound64 * magnitude)
                         << "row " << j << " cancel=" << cancel
                         << " level=" << cta::core::simdLevelName(level);
@@ -381,51 +389,6 @@ TEST(SimdDotRowsTest, Fp32ChainWithinStatedBoundOfWideChain)
     char text[32];
     std::snprintf(text, sizeof(text), "%.3g", worst);
     RecordProperty("max_error_over_magnitude", text);
-}
-
-TEST(SimdDotRowsTest, WideFormMatchesUnnarrowedChainAtEveryLevel)
-{
-    // The Wide-output form (the LSH projection) must store each row's
-    // k-ascending double chain itself: every block count up to two
-    // full AVX-512 block pairs plus a long batch, at depths that are
-    // not a multiple of the 4-step transpose or the 8-row block.
-    std::vector<Index> counts;
-    for (Index n = 1; n <= 17; ++n)
-        counts.push_back(n);
-    counts.push_back(512);
-    Rng rng(29);
-    for (const bool poison : {false, true}) {
-        for (const Index n : counts) {
-            for (const Index d : {1, 7, 13, 61}) {
-                const ScatteredRows b(n, d, rng, poison);
-                const auto q = randomVec(d, rng);
-                std::vector<cta::core::Wide> ref;
-                for (const Real *row : b.rows) {
-                    cta::core::Wide acc = 0;
-                    for (Index k = 0; k < d; ++k)
-                        acc += static_cast<cta::core::Wide>(q[k]) * row[k];
-                    ref.push_back(acc);
-                }
-                for (const SimdLevel level : supportedLevels()) {
-                    ScopedSimdLevel guard(level);
-                    std::vector<cta::core::Wide> got(
-                        static_cast<std::size_t>(n));
-                    cta::core::simdDotRows(q.data(), b.rows.data(), n, d,
-                                           got.data());
-                    for (std::size_t j = 0; j < got.size(); ++j) {
-                        if (std::isnan(got[j]) && std::isnan(ref[j]))
-                            continue;
-                        ASSERT_EQ(std::memcmp(&got[j], &ref[j],
-                                              sizeof(cta::core::Wide)),
-                                  0)
-                            << "n=" << n << " d=" << d << " row=" << j
-                            << " poison=" << poison << " level="
-                            << cta::core::simdLevelName(level);
-                    }
-                }
-            }
-        }
-    }
 }
 
 TEST(SimdAccumulateRowsTest, MatchesScalarChainsAtEveryLevel)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the transformer substrate (layer norm, GELU, FFN,
- * encoder layer). Layer norm must equal a per-element reference bit
- * for bit, and gelu() the core::simdGeluRow kernel, at any thread
- * count.
+ * Unit tests for the transformer substrate (layer norm, GELU, FFN)
+ * and the exact forward of the encoder layer built on it
+ * (alg::CtaEncoderLayer::forwardExact). Layer norm must equal a
+ * per-element reference bit for bit, and gelu() the
+ * core::simdGeluRow kernel, at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/simd.h"
+#include "cta/multihead.h"
 #include "nn/transformer.h"
 
 namespace {
@@ -175,9 +177,9 @@ TEST(FeedForwardTest, ShapePreserved)
 TEST(EncoderLayerTest, ShapeAndFiniteness)
 {
     Rng rng(3);
-    const cta::nn::EncoderLayer layer(32, 4, 64, rng);
+    const cta::alg::CtaEncoderLayer layer(32, 4, 64, rng);
     const Matrix x = Matrix::randomNormal(10, 32, rng);
-    const Matrix y = layer.forward(x);
+    const Matrix y = layer.forwardExact(x);
     EXPECT_EQ(y.rows(), 10);
     EXPECT_EQ(y.cols(), 32);
     for (Index i = 0; i < y.size(); ++i)
@@ -187,19 +189,20 @@ TEST(EncoderLayerTest, ShapeAndFiniteness)
 TEST(EncoderLayerTest, Deterministic)
 {
     Rng rng(4);
-    const cta::nn::EncoderLayer layer(16, 2, 32, rng);
+    const cta::alg::CtaEncoderLayer layer(16, 2, 32, rng);
     Rng data_rng(5);
     const Matrix x = Matrix::randomNormal(6, 16, data_rng);
-    EXPECT_LT(maxAbsDiff(layer.forward(x), layer.forward(x)), 1e-9f);
+    EXPECT_TRUE(
+        bitIdentical(layer.forwardExact(x), layer.forwardExact(x)));
 }
 
 TEST(EncoderLayerTest, ResidualPathDominatesForSmallBlocks)
 {
     // The residual structure means output correlates with input.
     Rng rng(6);
-    const cta::nn::EncoderLayer layer(16, 2, 32, rng);
+    const cta::alg::CtaEncoderLayer layer(16, 2, 32, rng);
     const Matrix x = Matrix::randomNormal(6, 16, rng, 0, 10.0f);
-    const Matrix y = layer.forward(x);
+    const Matrix y = layer.forwardExact(x);
     // With large-scale inputs the residual term dominates the
     // unit-scale block outputs, so relative error to x is < 1.
     EXPECT_LT(relativeError(y, x), 1.0f);
