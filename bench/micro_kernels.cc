@@ -497,6 +497,42 @@ BM_SessionRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_SessionRoundTrip)->Unit(benchmark::kMicrosecond);
 
+/**
+ * A fork's life as the fork/resume serving workload sees it: fork a
+ * session off a frozen 512-token prompt (token and head dim 64,
+ * CTA-0.5 calibrated on the prompt) and step 40 private tokens
+ * through it. µs per fork, single-threaded, beside the deterministic
+ * `private_kib`: the fork's private state bytes after its 40 steps,
+ * which is what the byte budget prices per session.
+ */
+void
+BM_ForkSteps(benchmark::State &state)
+{
+    constexpr Index kPrompt = 512, kPrivate = 40, kDim = 64;
+    const Matrix tokens = clusteredTokens(kPrompt + kPrivate, kDim, 7);
+    const Matrix prompt = tokens.rowSlice(0, kPrompt);
+    Rng rng(8);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kDim, rng);
+    cta::serve::ServeConfig config;
+    config.cta =
+        cta::alg::calibrate(prompt, prompt, cta::alg::Preset::Cta05);
+    cta::serve::DecodeSession parent(params, config, kDim);
+    parent.prefill(prompt);
+    const auto prefix = parent.sharedPrefix(0);
+    std::size_t private_bytes = 0;
+    for (auto _ : state) {
+        auto fork = cta::serve::DecodeSession::forkFrom(prefix);
+        for (Index i = kPrompt; i < tokens.rows(); ++i)
+            benchmark::DoNotOptimize(fork->step(tokens.row(i)));
+        private_bytes = fork->stateBytes();
+    }
+    state.SetItemsProcessed(state.iterations() * kPrivate);
+    state.counters["private_kib"] =
+        static_cast<double>(private_bytes) / 1024.0;
+}
+BENCHMARK(BM_ForkSteps)->Unit(benchmark::kMicrosecond);
+
 /** One GEMM sweep point: median-of-reps wall time on one backend. */
 struct GemmPoint
 {

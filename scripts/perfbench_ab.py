@@ -40,6 +40,13 @@ A/B could flag one of them up to a third of the time (1 - 0.95^8);
 the Holm correction holds that family-wise rate at 0.05. At 10 pairs
 an end-to-end verdict then needs every pair that differs on one side.
 
+A second table checks each end-to-end metric against its regression
+bound in BENCHMARK.json: the median over the pairs of the change's
+relative move in the metric's worse direction (positive = worse), the
+bound, and how many pairs moved past it. For a metric with any pair
+past its bound it lists every pair's values, so a bound a single run
+breaks shows up before anyone else runs the benchmark.
+
 Every run's output is kept in --work-dir/logs. The script exits 1 when
 a run fails or when the two sides of a pair print different `exact`
 lines (deterministic counts such as encode.forward_flops), unless
@@ -205,6 +212,40 @@ def report(workload: str, header: str, rows: dict) -> None:
               f"{r['p']:>7.3f} {holm_p:>7}  {verdict(r)}")
 
 
+def worse_moves(parent: list, change: list, better: str) -> list:
+    """Per pair, the change's relative move in the metric's worse
+    direction: positive when worse, negative when better."""
+    sign = 1 if better == "lower" else -1
+    return [sign * (c - p) / abs(p) if p else
+            (0.0 if c == p else sign * math.copysign(math.inf, c - p))
+            for p, c in zip(parent, change)]
+
+
+def bound_report(workload: str, values: dict, declared: list,
+                 seeds: list) -> None:
+    """The end-to-end bound table (see the module docstring)."""
+    print(f"== {workload}: end-to-end metrics against their "
+          f"BENCHMARK.json bounds (worse-direction move, + = worse)")
+    print(f"{'metric':<40} {'median':>9} {'bound':>7} {'past':>6}  note")
+    for metric in declared:
+        name = metric["name"]
+        if name not in values["parent"] or name not in values["change"]:
+            continue
+        parent, change = values["parent"][name], values["change"][name]
+        moves = worse_moves(parent, change, metric["better"])
+        median = statistics.median(moves)
+        bound = metric["bound"]
+        past = [i for i, m in enumerate(moves) if m > bound]
+        note = "MEDIAN PAST BOUND" if median > bound else ""
+        print(f"{name:<40} {median:>+9.1%} {bound:>7.0%} "
+              f"{len(past):>2}/{len(moves):<3}  {note}")
+        if past:
+            for i, (p, c, m) in enumerate(zip(parent, change, moves)):
+                mark = "  <- past bound" if i in past else ""
+                print(f"    seed {seeds[i]}: parent {fmt(p)} change "
+                      f"{fmt(c)} ({m:+.1%}){mark}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
@@ -281,6 +322,8 @@ def main() -> int:
                f"{opts.first_seed + opts.pairs - 1}, {opts.seconds:g} s, "
                f"trace {opts.trace}; parent {opts.parent}, change {change}",
                rows)
+        bound_report(workload, values, declared["end_to_end"],
+                     [opts.first_seed + i for i in range(opts.pairs)])
     if exact_mismatch and not opts.allow_exact_change:
         print("perfbench_ab: exact lines differ (pass --allow-exact-change "
               "if the change moves them on purpose)", file=sys.stderr)

@@ -181,7 +181,10 @@ PagedRows::PagedRows(const PagedRows &other)
       cols_(other.cols_),
       rowsPerPage_(other.rowsPerPage_),
       pages_(other.pages_),
-      rows_(other.rows_)
+      rows_(other.rows_),
+      overlayIds_(other.overlayIds_),
+      overlaySlots_(other.overlaySlots_),
+      overlayData_(other.overlayData_)
 {
     arena_->addRefs(pages_);
 }
@@ -198,6 +201,11 @@ PagedRows::operator=(const PagedRows &other)
     rowsPerPage_ = other.rowsPerPage_;
     pages_ = other.pages_;
     rows_ = other.rows_;
+    // Fresh vectors sized to the source, so a replaced overlay's
+    // capacity is not kept (it would be priced).
+    overlayIds_ = std::vector<Index>(other.overlayIds_);
+    overlaySlots_ = std::vector<std::uint32_t>(other.overlaySlots_);
+    overlayData_ = std::vector<Real>(other.overlayData_);
     return *this;
 }
 
@@ -206,7 +214,10 @@ PagedRows::PagedRows(PagedRows &&other) noexcept
       cols_(other.cols_),
       rowsPerPage_(other.rowsPerPage_),
       pages_(std::move(other.pages_)),
-      rows_(other.rows_)
+      rows_(other.rows_),
+      overlayIds_(std::move(other.overlayIds_)),
+      overlaySlots_(std::move(other.overlaySlots_)),
+      overlayData_(std::move(other.overlayData_))
 {
     other.pages_.clear();
     other.rows_ = 0;
@@ -224,6 +235,9 @@ PagedRows::operator=(PagedRows &&other) noexcept
     rowsPerPage_ = other.rowsPerPage_;
     pages_ = std::move(other.pages_);
     rows_ = other.rows_;
+    overlayIds_ = std::move(other.overlayIds_);
+    overlaySlots_ = std::move(other.overlaySlots_);
+    overlayData_ = std::move(other.overlayData_);
     other.pages_.clear();
     other.rows_ = 0;
     return *this;
@@ -235,23 +249,51 @@ PagedRows::~PagedRows()
         arena_->releaseAll(pages_);
 }
 
-const Real *
-PagedRows::rowPtr(Index r) const
+Real *
+PagedRows::overlayRow(Index r) const
 {
-    CTA_REQUIRE(r >= 0 && r < rows_, "row ", r, " out of range [0, ",
-                rows_, ")");
-    const std::size_t page_idx =
-        static_cast<std::size_t>(r / rowsPerPage_);
-    const std::size_t offset =
-        static_cast<std::size_t>(r % rowsPerPage_) *
-        static_cast<std::size_t>(cols_) * sizeof(Real);
-    return reinterpret_cast<const Real *>(pages_[page_idx].data +
-                                          offset);
+    const auto it =
+        std::lower_bound(overlayIds_.begin(), overlayIds_.end(), r);
+    if (it == overlayIds_.end() || *it != r)
+        return nullptr;
+    const std::size_t slot =
+        overlaySlots_[static_cast<std::size_t>(it - overlayIds_.begin())];
+    return const_cast<Real *>(overlayData_.data()) +
+           slot * static_cast<std::size_t>(cols_);
+}
+
+Real *
+PagedRows::addOverlayRow(Index r, const Real *init)
+{
+    const auto cols = static_cast<std::size_t>(cols_);
+    const std::size_t slot = overlaySlots_.size();
+    if (overlayData_.size() == overlayData_.capacity()) {
+        // Grow by an eighth, at least a few rows (reserve allocates
+        // exactly what it is asked for): the priced capacity stays
+        // close to the rows, and copying stays amortised O(1) a row.
+        const std::size_t rows =
+            slot + std::max(kOverlayMinGrowthRows, slot / 8);
+        overlayData_.reserve(rows * cols);
+        overlayIds_.reserve(rows);
+        overlaySlots_.reserve(rows);
+    }
+    overlayData_.resize((slot + 1) * cols);
+    Real *dst = overlayData_.data() + slot * cols;
+    if (init)
+        std::memcpy(dst, init, cols * sizeof(Real));
+    const auto at =
+        std::lower_bound(overlayIds_.begin(), overlayIds_.end(), r);
+    const auto pos = at - overlayIds_.begin();
+    overlayIds_.insert(at, r);
+    overlaySlots_.insert(overlaySlots_.begin() + pos,
+                         static_cast<std::uint32_t>(slot));
+    return dst;
 }
 
 void
 PagedRows::appendRowPointers(std::vector<const Real *> &out) const
 {
+    const std::size_t first = out.size();
     const std::size_t row_bytes =
         static_cast<std::size_t>(cols_) * sizeof(Real);
     Index left = rows_;
@@ -262,6 +304,12 @@ PagedRows::appendRowPointers(std::vector<const Real *> &out) const
                 page.data + static_cast<std::size_t>(r) * row_bytes));
         left -= in_page;
     }
+    // Rows past the last page live only in the overlay.
+    out.resize(first + static_cast<std::size_t>(rows_));
+    for (std::size_t i = 0; i < overlayIds_.size(); ++i)
+        out[first + static_cast<std::size_t>(overlayIds_[i])] =
+            overlayData_.data() +
+            overlaySlots_[i] * static_cast<std::size_t>(cols_);
 }
 
 void
@@ -277,9 +325,15 @@ PagedRows::writableRow(Index r)
 {
     CTA_REQUIRE(r >= 0 && r < rows_, "row ", r, " out of range [0, ",
                 rows_, ")");
-    ensureWritable(static_cast<std::size_t>(r / rowsPerPage_));
-    return {const_cast<Real *>(rowPtr(r)),
-            static_cast<std::size_t>(cols_)};
+    const auto cols = static_cast<std::size_t>(cols_);
+    if (!overlayIds_.empty())
+        if (Real *hit = overlayRow(r))
+            return {hit, cols};
+    // Not in the overlay, so the row lies on a page.
+    Real *in_page = pageRow(r);
+    if (pages_[static_cast<std::size_t>(r / rowsPerPage_)].solelyOwned())
+        return {in_page, cols};
+    return {addOverlayRow(r, in_page), cols};
 }
 
 void
@@ -288,22 +342,58 @@ PagedRows::appendRow(std::span<const Real> values)
     CTA_REQUIRE(static_cast<Index>(values.size()) == cols_,
                 "row length ", values.size(), " != ", cols_);
     appendZeroRow();
-    std::memcpy(const_cast<Real *>(rowPtr(rows_ - 1)), values.data(),
+    std::memcpy(writableRow(rows_ - 1).data(), values.data(),
                 static_cast<std::size_t>(cols_) * sizeof(Real));
 }
 
 void
 PagedRows::appendZeroRow()
 {
-    if (rows_ == static_cast<Index>(pages_.size()) * rowsPerPage_)
-        pages_.push_back(arena_->allocate());
-    else
-        ensureWritable(static_cast<std::size_t>(rows_ / rowsPerPage_));
+    const bool tail_full =
+        rows_ >= static_cast<Index>(pages_.size()) * rowsPerPage_;
     ++rows_;
-    // Clear the row region explicitly: a CoW-copied page carries the
-    // donor's bytes beyond the donor's row count.
-    std::memset(const_cast<Real *>(rowPtr(rows_ - 1)), 0,
+    // A buffer that already keeps private rows in its overlay (a fork)
+    // keeps appending there rather than open a page it would mostly
+    // leave empty; so does a row whose slot is on a shared tail page.
+    if (tail_full ? !overlayIds_.empty() : !pages_.back().solelyOwned()) {
+        addOverlayRow(rows_ - 1, nullptr);
+        return;
+    }
+    if (tail_full) {
+        pages_.push_back(arena_->allocate()); // zero-filled
+        return;
+    }
+    // Clear the row region explicitly: a page that was shared earlier
+    // may carry a donor's bytes beyond this buffer's row count.
+    std::memset(pageRow(rows_ - 1), 0,
                 static_cast<std::size_t>(cols_) * sizeof(Real));
+}
+
+void
+PagedRows::dropOverlay()
+{
+    // Assigning fresh vectors frees the capacity, which is priced.
+    overlayIds_ = std::vector<Index>();
+    overlaySlots_ = std::vector<std::uint32_t>();
+    overlayData_ = std::vector<Real>();
+}
+
+void
+PagedRows::foldOverlay()
+{
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(cols_) * sizeof(Real);
+    while (static_cast<Index>(pages_.size()) * rowsPerPage_ < rows_)
+        pages_.push_back(arena_->allocate());
+    for (std::size_t i = 0; i < overlayIds_.size(); ++i) {
+        const Index r = overlayIds_[i];
+        ensureWritable(static_cast<std::size_t>(r / rowsPerPage_));
+        std::memcpy(pageRow(r),
+                    overlayData_.data() +
+                        overlaySlots_[i] * static_cast<std::size_t>(cols_),
+                    row_bytes);
+    }
+    dropOverlay();
 }
 
 void
@@ -312,6 +402,7 @@ PagedRows::clear()
     arena_->releaseAll(pages_);
     pages_.clear();
     rows_ = 0;
+    dropOverlay();
 }
 
 Matrix
@@ -336,9 +427,18 @@ PagedRows::sharedPageCount() const
 }
 
 std::size_t
+PagedRows::overlayBytes() const
+{
+    return overlayData_.capacity() * sizeof(Real) +
+           overlayIds_.capacity() * sizeof(Index) +
+           overlaySlots_.capacity() * sizeof(std::uint32_t);
+}
+
+std::size_t
 PagedRows::privateBytes() const
 {
-    std::size_t bytes = pages_.capacity() * sizeof(PageRef);
+    std::size_t bytes =
+        pages_.capacity() * sizeof(PageRef) + overlayBytes();
     for (const PageRef &ref : pages_)
         if (ref.solelyOwned())
             bytes += arena_->pageBytes();

@@ -6,10 +6,11 @@
  *
  * A PageArena hands out pages of `pageBytes()` bytes each, identified
  * by a PageRef that carries the page id plus cached data/refcount
- * pointers. Buffers built on top (PagedVector, PagedRows) copy by
- * bumping refcounts; the first write to a shared page copies just
- * that page (makeWritable), so forking a session is O(pages touched),
- * not O(session bytes).
+ * pointers. Buffers built on top copy by bumping refcounts. The first
+ * write to a shared page of a PagedVector copies that page
+ * (makeWritable). A PagedRows copies only the row it writes, into a
+ * private row overlay, so forking a session costs O(rows written),
+ * not O(pages touched) and not O(session bytes).
  *
  * Thread-safety: structural operations (allocate, release, the CoW
  * slow path) take the arena mutex. Reads and the sole-owner check are
@@ -18,7 +19,8 @@
  * only change from the owning buffer's own thread. This is exactly
  * the access pattern of a serving flush: forked sessions step in parallel
  * and CoW concurrently, but a given page is written only by the one
- * session that solely owns it.
+ * session that solely owns it, and a row overlay belongs to its one
+ * buffer.
  */
 
 #pragma once
@@ -302,6 +304,17 @@ class PagedVector
  * (rowsPerPage = pageBytes / rowBytes; the page tail beyond the last
  * whole row stays zero). The paged replacement for the monolithic
  * Matrix buffers of the incremental compression state.
+ *
+ * Copy-on-write is row-granular. A write to a row on a solely owned
+ * page lands in place. A write to a row on a shared page copies just
+ * that row into the buffer's private overlay; the shared page stays
+ * as it is. An appended row goes to the overlay too when its slot is
+ * on a shared tail page, or when the tail page is full and the
+ * overlay already holds rows (a fork's few new rows then need no
+ * mostly empty page). Reads see the overlay row in place of the page
+ * row. A buffer that never shares a page (a never-forked session)
+ * never has an overlay. foldOverlay() writes the overlay back into
+ * (privatised or fresh) pages.
  */
 class PagedRows
 {
@@ -323,12 +336,14 @@ class PagedRows
     }
 
     /** Appends a pointer to each row, in row order, to @p out — one
-     *  page walk instead of a per-row page lookup. The pointers are
-     *  valid until the next mutation of this store. */
+     *  page walk instead of a per-row page lookup, then the overlay
+     *  rows patched in. The pointers are valid until the next
+     *  mutation of this store. */
     void appendRowPointers(std::vector<const Real *> &out) const;
 
-    /** CoW: privatises the page holding row @p r before returning a
-     *  writable view. */
+    /** A writable view of row @p r: in place on a solely owned page,
+     *  else the row's overlay copy (made on first write). Valid until
+     *  the next mutation of this store. */
     std::span<Real> writableRow(Index r);
 
     void appendRow(std::span<const Real> values);
@@ -341,13 +356,56 @@ class PagedRows
 
     Matrix toMatrix() const;
 
+    /** Ids of the rows held in the overlay, ascending: every row
+     *  written while its page was shared, and the appended rows the
+     *  class comment names. */
+    std::span<const Index> overlayRows() const { return overlayIds_; }
+
+    /** Writes every overlay row into its page (privatising the page
+     *  CoW) and frees the overlay. Contents are unchanged. */
+    void foldOverlay();
+
     std::size_t pageCount() const { return pages_.size(); }
     std::size_t sharedPageCount() const;
-    /** Same accounting contract as PagedVector::privateBytes. */
+    /** Heap bytes of the overlay at its capacity (row data and ids). */
+    std::size_t overlayBytes() const;
+    /** PagedVector::privateBytes' contract plus overlayBytes(). */
     std::size_t privateBytes() const;
 
   private:
-    const Real *rowPtr(Index r) const;
+    /** The overlay grows by an eighth, but by at least this many
+     *  rows, not by doubling: it is priced at its capacity. */
+    static constexpr std::size_t kOverlayMinGrowthRows = 4;
+
+    const Real *rowPtr(Index r) const
+    {
+        CTA_REQUIRE(r >= 0 && r < rows_, "row ", r, " out of range [0, ",
+                    rows_, ")");
+        if (!overlayIds_.empty())
+            if (const Real *hit = overlayRow(r))
+                return hit;
+        return pageRow(r);
+    }
+
+    /** Row @p r's slot in its page (ignores the overlay; @p r must
+     *  lie on a page). */
+    Real *pageRow(Index r) const
+    {
+        const std::size_t offset =
+            static_cast<std::size_t>(r % rowsPerPage_) *
+            static_cast<std::size_t>(cols_) * sizeof(Real);
+        return reinterpret_cast<Real *>(
+            pages_[static_cast<std::size_t>(r / rowsPerPage_)].data +
+            offset);
+    }
+
+    /** Row @p r's overlay copy, or null when it has none. */
+    Real *overlayRow(Index r) const;
+    /** Adds row @p r to the overlay, initialised from @p init (zeros
+     *  when null); returns its storage. */
+    Real *addOverlayRow(Index r, const Real *init);
+    /** Empties the overlay and frees its capacity. */
+    void dropOverlay();
     void ensureWritable(std::size_t page_idx);
 
     std::shared_ptr<PageArena> arena_;
@@ -355,6 +413,12 @@ class PagedRows
     Index rowsPerPage_;
     std::vector<PageRef> pages_;
     Index rows_ = 0;
+    /** Overlay rows: ids ascending, each with its slot in the data
+     *  (slots are handed out in arrival order, so adding a row never
+     *  reorders the rows already there). */
+    std::vector<Index> overlayIds_;
+    std::vector<std::uint32_t> overlaySlots_;
+    std::vector<Real> overlayData_;
 };
 
 } // namespace cta::core

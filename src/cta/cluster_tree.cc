@@ -1,5 +1,8 @@
 #include "cta/cluster_tree.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -132,6 +135,70 @@ LinearClusterTree::assign(std::span<const std::int32_t> code)
                   [static_cast<std::size_t>(addr)].clusterIdx;
 }
 
+std::uint32_t
+ClusterCodeIndex::hash(std::span<const std::int32_t> code)
+{
+    // Multiply-xorshift over the values, then the 64-bit finalizer of
+    // MurmurHash3: deterministic, and cheap for l of a few values.
+    std::uint64_t h = 0x9E3779B97F4A7C15ull ^ code.size();
+    for (const std::int32_t v : code)
+        h = (h ^ static_cast<std::uint32_t>(v)) * 0xFF51AFD7ED558CCDull;
+    h ^= h >> 33;
+    h *= 0xC4CEB9FE1A85EC53ull;
+    h ^= h >> 33;
+    return static_cast<std::uint32_t>(h);
+}
+
+Index
+ClusterCodeIndex::find(std::span<const std::int32_t> code,
+                       std::uint32_t code_hash,
+                       const core::PagedVector<std::int32_t> &codes) const
+{
+    if (slots_.empty())
+        return -1;
+    const std::size_t mask = slots_.size() - 1;
+    const std::size_t l = code.size();
+    for (std::size_t i = code_hash & mask;; i = (i + 1) & mask) {
+        const Slot slot = slots_[i];
+        if (slot.cluster < 0)
+            return -1;
+        if (slot.hash != code_hash)
+            continue;
+        const std::size_t at = static_cast<std::size_t>(slot.cluster) * l;
+        std::size_t j = 0;
+        while (j < l && codes[at + j] == code[j])
+            ++j;
+        if (j == l)
+            return slot.cluster;
+    }
+}
+
+void
+ClusterCodeIndex::place(Slot slot)
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].cluster >= 0)
+        i = (i + 1) & mask;
+    slots_[i] = slot;
+}
+
+void
+ClusterCodeIndex::insert(Index cluster, std::uint32_t code_hash)
+{
+    CTA_REQUIRE(cluster >= 0 && cluster <= INT32_MAX, "cluster id ",
+                cluster, " outside the code index's range");
+    if (2 * static_cast<std::size_t>(count_ + 1) > slots_.size()) {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(std::max(kMinSlots, 2 * old.size()), Slot{});
+        for (const Slot &slot : old)
+            if (slot.cluster >= 0)
+                place(slot);
+    }
+    place(Slot{code_hash, static_cast<std::int32_t>(cluster)});
+    ++count_;
+}
+
 IncrementalClusterTable::IncrementalClusterTable(Index hash_len)
     : IncrementalClusterTable(hash_len,
                               std::make_shared<core::PageArena>(
@@ -142,39 +209,45 @@ IncrementalClusterTable::IncrementalClusterTable(Index hash_len)
 IncrementalClusterTable::IncrementalClusterTable(
     Index hash_len, std::shared_ptr<core::PageArena> arena)
     : hashLen_(hash_len),
-      overlay_(hash_len),
       assignments_(arena),
       clusterCodes_(std::move(arena))
 {
+    CTA_REQUIRE(hash_len > 0, "hash length must be positive");
+}
+
+Index
+IncrementalClusterTable::find(std::span<const std::int32_t> code,
+                              std::uint32_t code_hash) const
+{
+    if (base_) {
+        const Index hit = base_->find(code, code_hash, clusterCodes_);
+        if (hit >= 0)
+            return hit;
+    }
+    return fresh_.find(code, code_hash, clusterCodes_);
+}
+
+Index
+IncrementalClusterTable::find(std::span<const std::int32_t> code) const
+{
+    CTA_REQUIRE(static_cast<Index>(code.size()) == hashLen_,
+                "code length ", code.size(), " != ", hashLen_);
+    return find(code, ClusterCodeIndex::hash(code));
 }
 
 Index
 IncrementalClusterTable::assignCode(
     std::span<const std::int32_t> code)
 {
-    if (base_) {
-        const Index hit = base_->find(code);
-        if (hit >= 0)
-            return hit;
-    }
-    const Index before = overlay_.numClusters();
-    const Index cluster = baseClusters_ + overlay_.assign(code);
-    if (overlay_.numClusters() != before)
-        for (const std::int32_t v : code)
-            clusterCodes_.push_back(v);
+    const std::uint32_t code_hash = ClusterCodeIndex::hash(code);
+    const Index hit = find(code, code_hash);
+    if (hit >= 0)
+        return hit;
+    const Index cluster = numClusters();
+    for (const std::int32_t v : code)
+        clusterCodes_.push_back(v);
+    fresh_.insert(cluster, code_hash);
     return cluster;
-}
-
-Index
-IncrementalClusterTable::find(std::span<const std::int32_t> code) const
-{
-    if (base_) {
-        const Index hit = base_->find(code);
-        if (hit >= 0)
-            return hit;
-    }
-    const Index hit = overlay_.find(code);
-    return hit >= 0 ? baseClusters_ + hit : -1;
 }
 
 void
@@ -263,29 +336,30 @@ IncrementalClusterTable::restoreSuffix(
 void
 IncrementalClusterTable::shareTree()
 {
-    auto tree = std::make_shared<MapClusterTree>(hashLen_);
+    auto index = std::make_shared<ClusterCodeIndex>();
     const Index k = numClusters();
+    std::vector<std::int32_t> code(static_cast<std::size_t>(hashLen_));
     for (Index c = 0; c < k; ++c) {
-        std::vector<std::int32_t> code(
-            static_cast<std::size_t>(hashLen_));
         for (Index j = 0; j < hashLen_; ++j)
             code[static_cast<std::size_t>(j)] =
                 clusterCodes_[static_cast<std::size_t>(
                     c * hashLen_ + j)];
-        const Index assigned = tree->assign(code);
-        CTA_REQUIRE(assigned == c, "stored cluster codes are not "
-                    "distinct first-seen codes: code ", c,
-                    " reassigned to ", assigned);
+        const std::uint32_t code_hash = ClusterCodeIndex::hash(code);
+        const Index seen = index->find(code, code_hash, clusterCodes_);
+        CTA_REQUIRE(seen < 0, "stored cluster codes are not distinct "
+                    "first-seen codes: code ", c, " repeats code ",
+                    seen);
+        index->insert(c, code_hash);
     }
-    base_ = std::move(tree);
+    base_ = std::move(index);
     baseClusters_ = k;
-    overlay_ = MapClusterTree(hashLen_);
+    fresh_ = ClusterCodeIndex();
 }
 
 std::size_t
 IncrementalClusterTable::stateBytes() const
 {
-    return overlay_.stateBytes() + assignments_.privateBytes() +
+    return fresh_.stateBytes() + assignments_.privateBytes() +
            clusterCodes_.privateBytes();
 }
 

@@ -7,8 +7,8 @@
  *
  * Two implementations with identical observable behaviour:
  *
- *  - MapClusterTree: hash-map children, the fast software path used
- *    by the algorithm library.
+ *  - MapClusterTree: hash-map children, the software path of the
+ *    batch algorithm library (buildClusterTable).
  *  - LinearClusterTree: linearly-allocated per-layer node arrays with
  *    associative (hash value, child address) pairs — the structure
  *    the paper's Cluster Index Module stores in its layer memories
@@ -17,6 +17,10 @@
  *    model can consume them.
  *
  * tests/cluster_tree_test.cc cross-checks the two.
+ *
+ * The streaming IncrementalClusterTable of the serving layer needs no
+ * trie: it keys a flat ClusterCodeIndex on the full codes it already
+ * stores, and assigns the same dense first-seen indices.
  */
 
 #pragma once
@@ -146,30 +150,79 @@ class LinearClusterTree
 ClusterTable buildClusterTable(const HashMatrix &codes);
 
 /**
+ * Flat index from a full hash code to its cluster: one slot per
+ * cluster in an open-addressed table (linear probing, at most half
+ * full). A slot holds the code's hash and the cluster id, not the
+ * code: lookups compare against the first-seen codes the caller
+ * stores (cluster c's code at [c*l, (c+1)*l) of @p codes), so a code
+ * is kept once. An empty index allocates nothing.
+ */
+class ClusterCodeIndex
+{
+  public:
+    /** Hash of one code, the key every find() and insert() takes. */
+    static std::uint32_t hash(std::span<const std::int32_t> code);
+
+    /** The cluster whose stored code equals @p code, or -1. */
+    core::Index find(std::span<const std::int32_t> code,
+                     std::uint32_t code_hash,
+                     const core::PagedVector<std::int32_t> &codes) const;
+
+    /** Adds @p cluster under @p code_hash; the caller guarantees its
+     *  code is not indexed yet. */
+    void insert(core::Index cluster, std::uint32_t code_hash);
+
+    /** Clusters indexed. */
+    core::Index size() const { return count_; }
+
+    /** Heap bytes of the slot table. */
+    std::size_t stateBytes() const
+    {
+        return slots_.capacity() * sizeof(Slot);
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint32_t hash = 0;
+        std::int32_t cluster = -1; ///< -1: empty
+    };
+
+    static constexpr std::size_t kMinSlots = 16;
+
+    void place(Slot slot);
+
+    std::vector<Slot> slots_;
+    core::Index count_ = 0;
+};
+
+/**
  * Streaming cluster table for the serving layer: appendBatch() inserts
  * a batch of codes (a whole prompt, or a decode step's one code) into
- * a live tree instead of rebuilding the table from scratch per step.
+ * a live index instead of rebuilding the table from scratch per step.
  *
- * Equivalence contract: tree assignment is order-streaming (a token's
- * cluster index depends only on the codes before it), so after any
- * sequence of batches table() is bit-identical to buildClusterTable()
- * over the same code prefix — enforced by tests/serve_test.cc.
+ * Equivalence contract: assignment is order-streaming (a token's
+ * cluster index depends only on the codes before it, and a new code
+ * takes the next dense index), so after any sequence of batches
+ * table() is bit-identical to buildClusterTable() over the same code
+ * prefix — enforced by tests/serve_test.cc.
  *
  * State leaves and comes back only as a delta: tableSuffix() and
  * codeSuffix() past a base, applied by restoreSuffix(). The
- * first-seen codes, replayed in index order through a fresh trie,
- * reassign the same dense indices, so the trie itself is never
- * persisted.
+ * first-seen codes, replayed in index order, reassign the same dense
+ * indices, so the index itself is never persisted.
  *
  * Storage is paged (core::PageArena): the per-token assignments and
  * the first-seen cluster codes live in arena pages, so copying a
- * table (session fork) shares every page CoW. The trie itself splits
+ * table (session fork) shares every page CoW. The code index splits
  * into a frozen shared base (built by shareTree() at fork time,
- * lookup-only) plus a small private overlay holding only clusters
- * first seen after the fork — overlay cluster c gets dense index
- * baseClusters + c, which is exactly the index a single tree would
+ * lookup-only) plus a private index of the clusters first seen since
+ * (all of them, for a table never frozen). Both are one
+ * ClusterCodeIndex type keyed on the stored codes, so a standalone
+ * and a forked table run one path. A post-fork cluster gets dense
+ * index baseClusters + c, exactly the index a single index would
  * have assigned, because every base cluster was first seen before
- * every overlay cluster.
+ * every post-fork cluster.
  */
 class IncrementalClusterTable
 {
@@ -203,7 +256,7 @@ class IncrementalClusterTable
 
     core::Index numClusters() const
     {
-        return baseClusters_ + overlay_.numClusters();
+        return baseClusters_ + fresh_.size();
     }
 
     core::Index hashLen() const { return hashLen_; }
@@ -230,28 +283,31 @@ class IncrementalClusterTable
     codeSuffix(core::Index from_cluster) const;
 
     /**
-     * Freezes the current trie into a shared immutable base (replay
-     * of the first-seen codes — provably assigns identical indices)
-     * and resets the overlay. Called on a fork donor so children
-     * share one tree instead of deep-copying it.
+     * Freezes every cluster into a shared immutable base index (built
+     * from the stored first-seen codes) and empties the private one.
+     * Called on a fork donor so children share one index instead of
+     * copying it.
      */
     void shareTree();
 
     /** Privately-owned bytes: solely-owned pages, the page index, and
-     *  the overlay trie. Shared pages and the shared base tree are
-     *  priced elsewhere (arena / sharedTreeBytes). */
+     *  the private code index. Shared pages and the shared base index
+     *  are priced elsewhere (arena / sharedTreeBytes). */
     std::size_t stateBytes() const;
 
-    /** Footprint of the frozen shared base tree, if any. */
+    /** Footprint of the frozen shared base index, if any. */
     std::size_t sharedTreeBytes() const;
 
   private:
+    /** find() for a code whose hash is already known. */
+    core::Index find(std::span<const std::int32_t> code,
+                     std::uint32_t code_hash) const;
     core::Index assignCode(std::span<const std::int32_t> code);
 
     core::Index hashLen_;
-    std::shared_ptr<const MapClusterTree> base_; ///< frozen, lookup-only
+    std::shared_ptr<const ClusterCodeIndex> base_; ///< frozen, lookup-only
     core::Index baseClusters_ = 0;
-    MapClusterTree overlay_; ///< clusters first seen after the fork
+    ClusterCodeIndex fresh_; ///< clusters first seen since the freeze
     core::PagedVector<core::Index> assignments_;
     /** First-seen code of every cluster (numClusters x hashLen). */
     core::PagedVector<std::int32_t> clusterCodes_;

@@ -171,10 +171,8 @@ refreshProjectedRows(const nn::Linear &linear,
     thread_local Matrix centroids;
     thread_local Matrix y;
     centroids.resize(m, in);
-    for (Index r = 0; r < m; ++r) {
-        const std::span<const Real> c = level.centroid(rows[r]);
-        std::copy(c.begin(), c.end(), centroids.row(r).begin());
-    }
+    for (Index r = 0; r < m; ++r)
+        level.centroid(rows[r], centroids.row(r));
     linear.forwardInto(centroids, y, counts);
     for (Index r = 0; r < m; ++r) {
         const Index row = rows[r];

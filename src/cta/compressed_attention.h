@@ -290,7 +290,8 @@ tokenPairs(const TwoLevelCompression &kv_comp);
 /**
  * Re-projects the centroids @p rows of @p level through @p linear
  * into the same rows of @p projected: one Linear::forwardInto (a
- * single backend gemm) over the gathered centroids. Every
+ * single backend gemm) over the centroids, formed from the level's
+ * sums (IncrementalCompression::centroid). Every
  * backend computes each GEMM output row independently with one fixed
  * k-ascending chain whatever the row count (core/backend.h), so a row
  * refreshed here — alone or in any batch — is bit-identical to the
@@ -301,7 +302,8 @@ tokenPairs(const TwoLevelCompression &kv_comp);
  * @p rows must be ascending; ids at or past projected.rows() are
  * appended and must continue it without gaps. The gather and output
  * scratch is thread-local and reused, so once warm the projection
- * allocates nothing; the write privatises each touched page CoW.
+ * allocates nothing; a row on a page shared with a fork donor is
+ * written to @p projected's row overlay (core::PagedRows).
  * Charges the forward's op counts for rows.size() rows.
  */
 void refreshProjectedRows(const nn::Linear &linear,

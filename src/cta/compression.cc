@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "core/logging.h"
@@ -112,16 +113,28 @@ IncrementalCompression::IncrementalCompression(
     : params_(std::move(params)),
       arena_(std::move(arena)),
       table_(params_->hashLen(), arena_),
-      sums_(arena_, params_->dim()),
-      centroids_(arena_, params_->dim())
+      sums_(arena_, params_->dim())
 {
+}
+
+void
+IncrementalCompression::centroid(Index c, std::span<Real> out) const
+{
+    const std::span<const Real> sum = sums_.row(c);
+    // mean = sum * (1/count): the mul aggregateCentroids applies.
+    const Real inv =
+        1.0f / static_cast<Real>(members_[static_cast<std::size_t>(c)]);
+    for (std::size_t j = 0; j < sum.size(); ++j)
+        out[j] = sum[j] * inv;
 }
 
 CompressionLevel
 IncrementalCompression::level() const
 {
     CompressionLevel level;
-    level.centroids = centroids_.toMatrix();
+    level.centroids = Matrix(numClusters(), dim());
+    for (Index c = 0; c < numClusters(); ++c)
+        centroid(c, level.centroids.row(c));
     level.table = table_.tableSuffix(0);
     level.numClusters = numClusters();
     return level;
@@ -161,12 +174,14 @@ IncrementalCompression::appendBatch(const Matrix &tokens,
         accumulate(token, c, counts);
         if (!residuals)
             continue;
-        // Frozen-at-insertion residual against the post-insert mean.
-        const std::span<const Real> mean = centroid(c);
-        Real *rrow = residuals->row(i).data();
+        // Frozen-at-insertion residual against the post-insert mean,
+        // formed in the residual row and then subtracted from.
+        const std::span<Real> rrow = residuals->row(i);
+        centroid(c, rrow);
         for (Index j = 0; j < d; ++j)
-            rrow[j] = token[static_cast<std::size_t>(j)] -
-                      mean[static_cast<std::size_t>(j)];
+            rrow[static_cast<std::size_t>(j)] =
+                token[static_cast<std::size_t>(j)] -
+                rrow[static_cast<std::size_t>(j)];
     }
 }
 
@@ -179,29 +194,27 @@ IncrementalCompression::accumulate(std::span<const Real> token, Index c,
     // index is exactly the next row.
     if (c == static_cast<Index>(members_.size())) {
         sums_.appendZeroRow();
-        centroids_.appendZeroRow();
+        // Grow by an eighth, not by doubling: a fork's copy of the
+        // counts starts full, and its first new cluster would
+        // otherwise double a capacity that is priced.
+        if (members_.size() == members_.capacity())
+            members_.reserve(members_.size() +
+                             std::max<std::size_t>(16, members_.size() / 8));
         members_.push_back(0);
     }
     // Running member sum in ascending token order — the accumulation
     // order aggregateCentroids uses, so sums stay bit-identical to a
-    // batch rebuild of the prefix. writableRow privatises the page
-    // CoW first, so a forked session never touches its donor's rows.
+    // batch rebuild of the prefix. On a page shared with a fork donor
+    // writableRow copies just this row into the private overlay, so a
+    // forked session never touches its donor's rows.
     Real *sum = sums_.writableRow(c).data();
     for (Index j = 0; j < d; ++j)
         sum[j] += token[static_cast<std::size_t>(j)];
     ++members_[static_cast<std::size_t>(c)];
-    // Refresh only the touched centroid: mean = sum * (1/count), the
-    // same mul aggregateCentroids applies.
-    const Real inv =
-        1.0f /
-        static_cast<Real>(members_[static_cast<std::size_t>(c)]);
-    Real *crow = centroids_.writableRow(c).data();
-    for (Index j = 0; j < d; ++j)
-        crow[j] = sum[j] * inv;
     if (counts) {
-        // d adds into the sum plus a d-wide centroid refresh; the
-        // refresh really happens once per append here (the batch path
-        // pays numClusters*d divisions once instead).
+        // d adds into the sum plus the d-wide mean of the touched
+        // cluster, which a decode append forms once per token (the
+        // batch path pays numClusters*d divisions once instead).
         counts->adds += static_cast<std::uint64_t>(d);
         counts->divs += static_cast<std::uint64_t>(d);
     }
@@ -223,22 +236,20 @@ IncrementalCompression::saveDelta(
     delta.tableSuffix = table_.tableSuffix(delta.baseTokens);
     delta.codeSuffix = table_.codeSuffix(delta.baseClusters);
     delta.members = members_;
-    // A base cluster diverged iff this level appended into it:
-    // member count or bitwise sum differs. (Member counts alone are
-    // not enough — an all-zero token leaves the sum bit-identical
-    // while changing the centroid through the count.)
-    for (Index c = 0; c < delta.baseClusters; ++c) {
-        const std::span<const Real> mine = sums_.row(c);
-        const std::span<const Real> theirs = base->sums_.row(c);
-        const bool diverged =
-            members_[static_cast<std::size_t>(c)] !=
-                base->members_[static_cast<std::size_t>(c)] ||
-            std::memcmp(mine.data(), theirs.data(),
-                        static_cast<std::size_t>(d) * sizeof(Real)) !=
-                0;
-        if (diverged)
-            delta.divergedRows.push_back(c);
-    }
+    // A base cluster diverged iff this level appended into it, iff it
+    // wrote the cluster's sum row. Every base row sits on a page
+    // shared with @p base, so each such write went to the overlay (or
+    // was folded from it): those ids below baseClusters are the
+    // diverged rows, ascending.
+    const std::span<const Index> written = sums_.overlayRows();
+    std::set_union(
+        folded_.begin(),
+        std::lower_bound(folded_.begin(), folded_.end(),
+                         delta.baseClusters),
+        written.begin(),
+        std::lower_bound(written.begin(), written.end(),
+                         delta.baseClusters),
+        std::back_inserter(delta.divergedRows));
     delta.divergedSums =
         Matrix(static_cast<Index>(delta.divergedRows.size()), d);
     for (std::size_t i = 0; i < delta.divergedRows.size(); ++i) {
@@ -370,36 +381,37 @@ IncrementalCompression::applyCheckedDelta(
     const Index d = params_->dim();
     table_.restoreSuffix(delta.tableSuffix, delta.codeSuffix);
     members_ = delta.members;
-    const auto refreshRow = [&](Index c) {
-        const Real inv =
-            1.0f /
-            static_cast<Real>(members_[static_cast<std::size_t>(c)]);
-        const std::span<const Real> sum = sums_.row(c);
-        Real *crow = centroids_.writableRow(c).data();
-        for (Index j = 0; j < d; ++j)
-            crow[j] = sum[static_cast<std::size_t>(j)] * inv;
-    };
     for (std::size_t i = 0; i < delta.divergedRows.size(); ++i) {
-        const Index c = delta.divergedRows[i];
         const std::span<const Real> src =
             delta.divergedSums.row(static_cast<Index>(i));
-        std::memcpy(sums_.writableRow(c).data(), src.data(),
+        std::memcpy(sums_.writableRow(delta.divergedRows[i]).data(),
+                    src.data(),
                     static_cast<std::size_t>(d) * sizeof(Real));
-        refreshRow(c);
     }
-    for (Index r = 0; r < delta.appendedSums.rows(); ++r) {
+    for (Index r = 0; r < delta.appendedSums.rows(); ++r)
         sums_.appendRow(delta.appendedSums.row(r));
-        centroids_.appendZeroRow();
-        refreshRow(delta.baseClusters + r);
-    }
+}
+
+void
+IncrementalCompression::foldOverlay()
+{
+    const std::span<const Index> written = sums_.overlayRows();
+    if (written.empty())
+        return;
+    std::vector<Index> merged;
+    merged.reserve(folded_.size() + written.size());
+    std::set_union(folded_.begin(), folded_.end(), written.begin(),
+                   written.end(), std::back_inserter(merged));
+    folded_ = std::move(merged);
+    sums_.foldOverlay();
 }
 
 std::size_t
 IncrementalCompression::stateBytes() const
 {
     return table_.stateBytes() + sums_.privateBytes() +
-           centroids_.privateBytes() +
-           members_.capacity() * sizeof(Index);
+           members_.capacity() * sizeof(Index) +
+           folded_.capacity() * sizeof(Index);
 }
 
 IncrementalTwoLevelCompression::IncrementalTwoLevelCompression(
@@ -519,6 +531,20 @@ IncrementalTwoLevelCompression::shareTrees()
 {
     level1_.shareTree();
     level2_.shareTree();
+}
+
+void
+IncrementalTwoLevelCompression::foldOverlays()
+{
+    level1_.foldOverlay();
+    level2_.foldOverlay();
+}
+
+void
+IncrementalTwoLevelCompression::rebase()
+{
+    level1_.rebase();
+    level2_.rebase();
 }
 
 std::size_t

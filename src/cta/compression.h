@@ -86,19 +86,18 @@ core::Matrix reconstruct(const TwoLevelCompression &compression);
 /**
  * Delta state of one compression level against a shared-prefix base:
  * everything the level accumulated past the fork point, plus the base
- * rows the child diverged from (a cluster diverges when the child
- * appended into it — detected as a member-count or bitwise sum
- * change; member counts alone are not enough because an all-zero
- * token changes the count, and hence the centroid, without changing
- * the sum). With no base (baseTokens == baseClusters == 0) the delta
- * is a complete snapshot: restoreDelta() then rebuilds from empty.
- * The delta is the only form a level's state leaves in.
+ * rows the child diverged from. A cluster diverges exactly when the
+ * child appended a token into it, which is exactly when the child
+ * wrote its sum row (an all-zero token still counts: it changes the
+ * member count, and hence the centroid, without changing the sum).
+ * With no base (baseTokens == baseClusters == 0) the delta is a
+ * complete snapshot: restoreDelta() then rebuilds from empty. The
+ * delta is the only form a level's state leaves in.
  *
- * Centroids are deliberately absent: every centroid row is always
- * written as sum * (1/count), so recomputing diverged and appended
- * rows lands on bit-identical values, and non-diverged rows still
- * live in pages shared with the base. The trie is absent too: the
- * first-seen codes rebuild it (IncrementalClusterTable).
+ * Centroids are absent because no level stores them: a centroid is
+ * always formed as sum * (1/count) from the sums and counts the delta
+ * carries. The code index is absent too: the first-seen codes rebuild
+ * it (IncrementalClusterTable).
  */
 struct CompressionLevelDelta
 {
@@ -119,17 +118,24 @@ struct CompressionLevelDelta
 /**
  * One streaming compression level for autoregressive decode:
  * appendBatch() hashes just the new tokens (a prompt, or a decode
- * step's one row), inserts their codes into the live cluster tree,
- * adds each into its cluster's running sum and refreshes only the
- * touched centroid rows — O(l*d) per token instead of the O(n*l*d)
- * full recompression compressTokens() pays per call.
+ * step's one row), inserts their codes into the live cluster index
+ * and adds each into its cluster's running sum — O(l*d) per token
+ * instead of the O(n*l*d) full recompression compressTokens() pays
+ * per call.
+ *
+ * Centroid contract: the level stores sums and member counts, never
+ * centroids. centroid() forms cluster c's mean on demand as
+ * sum * (1/count), the one expression aggregateCentroids() applies,
+ * wherever a mean is needed: the level-2 residual, re-projection and
+ * level(). So a centroid has the same bits wherever and whenever it
+ * is formed, and a fork writes one row per touched cluster, not two.
  *
  * Equivalence contract: level() after any sequence of batches is
  * bit-identical to compressTokens() over the same token prefix. The
- * table matches because tree assignment is order-streaming; centroids
- * match because each cluster's sum accumulates its members in
- * ascending token order — exactly aggregateCentroids()'s order — and
- * the mean is formed the same way (sum * (1/count)). Enforced by
+ * table matches because index assignment is order-streaming;
+ * centroids match because each cluster's sum accumulates its members
+ * in ascending token order — exactly aggregateCentroids()'s order —
+ * and the mean is formed the same way. Enforced by
  * tests/serve_test.cc.
  */
 class IncrementalCompression
@@ -165,11 +171,9 @@ class IncrementalCompression
     /** Materializes the compression of every token appended so far. */
     CompressionLevel level() const;
 
-    /** Current centroid (mean) of cluster @p c. */
-    std::span<const core::Real> centroid(core::Index c) const
-    {
-        return centroids_.row(c);
-    }
+    /** Writes the current centroid of cluster @p c, sum * (1/count),
+     *  into @p out (dim() values). */
+    void centroid(core::Index c, std::span<core::Real> out) const;
 
     /** Tokens appended so far. */
     core::Index size() const { return table_.size(); }
@@ -184,9 +188,6 @@ class IncrementalCompression
     /** Running member sums, paged (numClusters rows). */
     const core::PagedRows &sums() const { return sums_; }
 
-    /** Current centroids, paged (numClusters rows). */
-    const core::PagedRows &centroidRows() const { return centroids_; }
-
     const std::vector<core::Index> &memberCounts() const
     {
         return members_;
@@ -195,6 +196,11 @@ class IncrementalCompression
     /**
      * Delta against @p base (a frozen shared-prefix donor this level
      * was forked from), or a complete snapshot when @p base is null.
+     * @p base must be the level this one was copied from (and rebased
+     * on), whose pages it still shares: every base cluster this level
+     * appended into then sits in the sums' row overlay or among the
+     * rows a fold kept, and those row ids are the delta's diverged
+     * rows, with no row compared.
      */
     CompressionLevelDelta
     saveDelta(const IncrementalCompression *base) const;
@@ -223,15 +229,28 @@ class IncrementalCompression
      */
     void restoreDelta(const CompressionLevelDelta &delta);
 
-    /** Freezes the cluster trie into a shared base (fork donors). */
+    /** Freezes the cluster code index into a shared base (fork
+     *  donors). */
     void shareTree() { table_.shareTree(); }
 
+    /** Writes the sums' row overlay back into pages (before a fork
+     *  donor is frozen; core::PagedRows::foldOverlay), keeping the
+     *  overlay's row ids as rows this level has written since its
+     *  base, so saveDelta() still lists them. */
+    void foldOverlay();
+
+    /** Makes the current state this level's delta base: forgets the
+     *  rows foldOverlay() kept. A fresh fork of a donor has written
+     *  nothing yet. */
+    void rebase() { folded_ = {}; }
+
     /** Privately-owned heap footprint of the live level: solely-owned
-     *  pages, page indexes, member counts and overlay trie. Shared
-     *  pages and shared base trees are priced elsewhere. */
+     *  pages, row overlays, page indexes, member counts and the
+     *  post-fork code index. Shared pages and shared base indexes are
+     *  priced elsewhere. */
     std::size_t stateBytes() const;
 
-    /** Footprint of the frozen shared cluster tree, if any. */
+    /** Footprint of the frozen shared code index, if any. */
     std::size_t sharedTreeBytes() const
     {
         return table_.sharedTreeBytes();
@@ -240,8 +259,8 @@ class IncrementalCompression
   private:
     friend class IncrementalTwoLevelCompression;
 
-    /** Adds @p token into cluster @p c's running sum (creating the
-     *  row when @p c is new) and refreshes its centroid. */
+    /** Adds @p token into cluster @p c's running sum, creating the
+     *  row when @p c is new. */
     void accumulate(std::span<const core::Real> token, core::Index c,
                     core::OpCounts *counts);
 
@@ -252,9 +271,11 @@ class IncrementalCompression
     std::shared_ptr<const LshParams> params_;
     std::shared_ptr<core::PageArena> arena_;
     IncrementalClusterTable table_;
-    core::PagedRows sums_;      ///< numClusters x d member sums
-    core::PagedRows centroids_; ///< numClusters x d means
+    core::PagedRows sums_; ///< numClusters x d member sums
     std::vector<core::Index> members_;
+    /** Rows written since the base whose overlay copies were folded
+     *  into pages, ascending (a frozen fork's divergence). */
+    std::vector<core::Index> folded_;
 };
 
 /** Delta state of both levels against a shared-prefix base. */
@@ -327,14 +348,21 @@ class IncrementalTwoLevelCompression
      *  Fatal when canRestore() would refuse it. */
     void restoreDelta(const TwoLevelDelta &delta);
 
-    /** Freezes both cluster tries into shared bases (fork donors). */
+    /** Freezes both cluster indexes into shared bases (fork donors). */
     void shareTrees();
+
+    /** Folds both levels' row overlays into pages (fork donors). */
+    void foldOverlays();
+
+    /** Makes the current state both levels' delta base (a fresh fork
+     *  of a donor; IncrementalCompression::rebase). */
+    void rebase();
 
     /** Privately-owned heap footprint of both live levels (see
      *  IncrementalCompression::stateBytes). */
     std::size_t stateBytes() const;
 
-    /** Footprint of the frozen shared cluster trees, if any. */
+    /** Footprint of the frozen shared code indexes, if any. */
     std::size_t sharedTreeBytes() const
     {
         return level1_.sharedTreeBytes() + level2_.sharedTreeBytes();

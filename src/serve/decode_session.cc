@@ -384,10 +384,12 @@ DecodeSession::forkFrom(std::shared_ptr<const SharedPrefix> prefix)
     CTA_REQUIRE(prefix != nullptr, "null shared prefix");
     CTA_OBS_COUNT("serve.session_forks", 1);
     // The CoW copy bumps per-page refcounts — O(pages), no state
-    // copied. The donor's tries were flattened at freeze time, so the
-    // child's private overlay starts empty.
+    // copied. The donor's code indexes were shared and its row
+    // overlays folded at freeze time, so the child's private index and
+    // overlays start empty, and rebase() makes the donor its base.
     auto child = std::unique_ptr<DecodeSession>(
         new DecodeSession(prefix->donor()));
+    child->kv_.rebase();
     child->prefix_ = std::move(prefix);
     child->frozen_.reset();
     child->lastStepOps_ = OpCounts{};
@@ -404,12 +406,21 @@ DecodeSession::sharedPrefix(std::int64_t id)
     if (frozen_)
         return frozen_;
     CTA_OBS_COUNT("serve.prefix_freezes", 1);
-    // Flatten the cluster tries into lookup-only shared bases first,
-    // so this session, the donor, and every child reference one tree
-    // instead of deep-copying trie nodes per fork.
+    // Freeze the cluster indexes into lookup-only shared bases first,
+    // so this session, the donor, and every child reference one index
+    // instead of copying it per fork.
     kv_.shareTrees();
-    auto donor =
-        std::unique_ptr<const DecodeSession>(new DecodeSession(*this));
+    auto donor = std::unique_ptr<DecodeSession>(new DecodeSession(*this));
+    // The donor writes its row overlays back into pages, so each child
+    // starts with every row on a page it shares and an empty overlay.
+    // Its levels keep the folded row ids, which the donor (when it is
+    // a fork) still lists in a delta against its own prefix. This
+    // session keeps its overlay and its pages: its base rows must stay
+    // on pages shared with its own prefix for its delta to be exact.
+    donor->kv_.foldOverlays();
+    for (core::PagedRows *rows : {&donor->kBar1_, &donor->kBar2_,
+                                  &donor->vBar1_, &donor->vBar2_})
+        rows->foldOverlay();
     frozen_ = std::make_shared<const SharedPrefix>(id, std::move(donor));
     return frozen_;
 }
@@ -698,6 +709,16 @@ DecodeSession::stateBytes() const
 }
 
 std::size_t
+DecodeSession::overlayRowCount() const
+{
+    std::size_t rows = kv_.level1().sums().overlayRows().size() +
+                       kv_.level2().sums().overlayRows().size();
+    for (const core::PagedRows *cached : {&kBar1_, &kBar2_, &vBar1_, &vBar2_})
+        rows += cached->overlayRows().size();
+    return rows;
+}
+
+std::size_t
 DecodeSession::modelBytes() const
 {
     std::size_t bytes = 0;
@@ -794,6 +815,7 @@ DecodeSession::tryRestore(const SessionSnapshot &snap,
         vBar1_ = donor.vBar1_;
         vBar2_ = donor.vBar2_;
         pairs_ = donor.pairs_;
+        kv_.rebase();
         kv_.applyCheckedDelta(snap.kv);
 
         // The donor's pair multiset already covers the prefix tokens;

@@ -8,8 +8,8 @@
  *
  *   1. append the rows to the two-level KV compression
  *      (IncrementalTwoLevelCompression::appendBatch: hash only the
- *      new rows, insert into the live cluster trees, refresh only the
- *      touched centroids — O(l*d) per token) and their (c1, c2)
+ *      new rows, insert into the live cluster index, update only the
+ *      touched sums — O(l*d) per token) and their (c1, c2)
  *      pairs to the pair multiset (ClusterPairCounts::addBatch),
  *   2. re-project each touched centroid row once through W^K / W^V
  *      (alg::refreshProjectedRows, O(d*d) each; GEMM rows are
@@ -148,17 +148,19 @@ class DecodeSession
     /**
      * Forks a child session off a frozen shared prefix: the child
      * starts bit-identical to the donor, sharing every state page
-     * CoW — the first divergent write copies one page, not the
-     * session. O(pages) bookkeeping, no state copied.
+     * CoW — a divergent write to a cluster row copies that one row
+     * into the child's row overlay, not the page or the session.
+     * O(pages) bookkeeping, no state copied.
      */
     static std::unique_ptr<DecodeSession>
     forkFrom(std::shared_ptr<const SharedPrefix> prefix);
 
     /**
      * Freezes the current state as a shareable prefix under @p id: a
-     * CoW copy of this session becomes the immutable fork donor, and
-     * the cluster tries are flattened into lookup-only trees shared
-     * by this session, the donor, and every future child. Cached
+     * CoW copy of this session becomes the immutable fork donor, with
+     * its row overlays folded back into pages, and the cluster code
+     * indexes become lookup-only bases shared by this session, the
+     * donor, and every future child. Cached
      * until the next mutation (prefill/step/restore), so repeated
      * forks off an unchanged parent reuse one donor. Fatal on a
      * fallback session (its exact caches cannot be shared CoW).
@@ -229,13 +231,18 @@ class DecodeSession
 
     /**
      * Estimated heap bytes this session *privately* owns: solely-
-     * owned arena pages of the incremental KV state and cached K/V
-     * centroid projections, page indexes, the overlay tries, the
-     * pair multiset, and (for fallback sessions) the exact K/V
-     * caches; scratch buffers are not state and are not priced.
-     * Pages shared with other sessions are priced once by the arena
-     * (PageArena::sharedBytes), shared base tries once per prefix
-     * (sharedTreeBytes), and the model weights once per server
+     * owned arena pages of the incremental KV state (sums, member
+     * counts, cluster assignments and codes; no centroids, which are
+     * formed on demand) and of the cached K/V centroid projections,
+     * the row overlays at their capacity, page indexes, the private
+     * code indexes, the pair multiset, and (for fallback sessions)
+     * the exact K/V caches; scratch buffers are not state and are not
+     * priced. So a fork's private bytes grow with the cluster rows it
+     * writes (about three 4·d-byte rows a touched cluster), not with
+     * the pages they sit on. Pages shared with other sessions are
+     * priced once by the arena (PageArena::sharedBytes), shared base
+     * code indexes once per prefix (sharedTreeBytes), and the model
+     * weights once per server
      * (modelBytes) — every resident byte is counted exactly once
      * across SessionManager::residentBytes().
      */
@@ -245,11 +252,16 @@ class DecodeSession
      *  projection weights and the three LSH parameter matrices. */
     std::size_t modelBytes() const;
 
-    /** Footprint of the frozen shared cluster trees, if any. */
+    /** Footprint of the frozen shared code indexes, if any. */
     std::size_t sharedTreeBytes() const
     {
         return kv_.sharedTreeBytes();
     }
+
+    /** Rows held in the row overlays of the session's paged row
+     *  stores (sums and cached projections): zero for a session that
+     *  has never shared a page. */
+    std::size_t overlayRowCount() const;
 
     /**
      * True once the quality guard demoted this session to exact
@@ -367,7 +379,7 @@ class DecodeSession
  * An immutable fork donor: a CoW-frozen copy of a DecodeSession at
  * the moment sharedPrefix() was called, identified by a manager-
  * scoped id. Children forked from it share all its arena pages and
- * its flattened cluster trees; their snapshots serialize only the
+ * its frozen cluster code indexes; their snapshots serialize only the
  * delta past this state plus the id.
  */
 class SharedPrefix

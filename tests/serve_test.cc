@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,6 +22,8 @@
 #include "core/rng.h"
 #include "cta/compressed_attention.h"
 #include "cta/compression.h"
+#include "cta/config.h"
+#include "nn/model_zoo.h"
 #include "nn/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -531,8 +534,10 @@ TEST(DecodeSessionTest, StateBytesAndBlobCompactness)
     // the per-session state the eviction budget manages.
     EXPECT_GT(session.modelBytes(),
               static_cast<std::size_t>(3 * dim * d) * sizeof(Real));
+    // An empty session owns no state yet: pages, row overlays and the
+    // code index all allocate on first use.
     const std::size_t empty_bytes = session.stateBytes();
-    EXPECT_GT(empty_bytes, 0u);
+    EXPECT_EQ(empty_bytes, 0u);
     session.prefill(tokens);
     const std::size_t full_bytes = session.stateBytes();
     EXPECT_GT(full_bytes, empty_bytes);
@@ -618,6 +623,257 @@ TEST(DecodeSessionTest, ForkedDeltaSnapshotRestoresBitIdentically)
     const Matrix got = restored->step(tokens.row(prefill + steps));
     const Matrix ref = child->step(tokens.row(prefill + steps));
     EXPECT_TRUE(bitIdentical(got, ref));
+}
+
+TEST(DecodeSessionTest, StandaloneSessionNeverBuildsAnOverlay)
+{
+    // Every page of a never-forked session is solely owned, so every
+    // write lands in place and no row overlay is ever made.
+    const Index prompt = 96, steps = 200, dim = 32, d = 16;
+    const Matrix tokens = sampleTokens(prompt + steps, dim, 51);
+    Rng rng(21);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    DecodeSession session(params, ServeConfig{}, dim);
+    session.prefill(tokens.rowSlice(0, prompt));
+    stepAll(session, tokens.rowSlice(prompt, prompt + steps));
+    EXPECT_EQ(session.overlayRowCount(), 0u);
+    EXPECT_EQ(session.arena()->cowCopies(), 0u);
+}
+
+TEST(DecodeSessionTest, ForkPrivateBytesScaleWithRowsWritten)
+{
+    // A fork's private state is the cluster rows it writes, not the
+    // pages they sit on. The serving benchmark's shape: one 64 x 64
+    // head with CTA-0.5 calibrated on a WikiText-2-profile sample, a
+    // 512-token prompt, a template fork of it, and a fork of the
+    // template given 16, 40 and 63 private tokens.
+    const Index dim = 64, d = 64, prompt = 512;
+    Rng rng(20230225);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    ServeConfig config;
+    const Matrix calib =
+        cta::nn::WorkloadGenerator(
+            cta::nn::datasetProfile("WikiText-2", 1024, dim), 7)
+            .sampleTokens();
+    config.cta =
+        cta::alg::calibrate(calib, calib, cta::alg::Preset::Cta05);
+    std::size_t sum = 0;
+    std::size_t at63 = 0;
+    for (const std::uint64_t doc_seed : {101u, 102u, 103u}) {
+        const Matrix doc =
+            cta::nn::WorkloadGenerator(
+                cta::nn::datasetProfile("WikiText-2", prompt + 63, dim),
+                doc_seed)
+                .sampleTokens();
+        DecodeSession parent(params, config, dim);
+        parent.prefill(doc.rowSlice(0, prompt));
+        auto templ = DecodeSession::forkFrom(parent.sharedPrefix(0));
+        auto fork = DecodeSession::forkFrom(templ->sharedPrefix(1));
+        Index stepped = 0;
+        for (const Index tokens : {Index{16}, Index{40}, Index{63}}) {
+            stepAll(*fork, doc.rowSlice(prompt + stepped, prompt + tokens));
+            stepped = tokens;
+            const std::size_t bytes = fork->stateBytes();
+            sum += bytes;
+            std::cout << "[ fork     ] doc " << doc_seed << ", " << tokens
+                      << " private tokens: " << bytes / 1024.0
+                      << " KiB private, " << fork->overlayRowCount()
+                      << " overlay rows\n";
+            if (tokens == 63) {
+                at63 = std::max(at63, bytes);
+                EXPECT_LE(bytes, std::size_t{110} << 10) << doc_seed;
+            }
+        }
+    }
+    EXPECT_LE(sum / 9, std::size_t{80} << 10);
+    EXPECT_GT(at63, 0u);
+}
+
+TEST(DecodeSessionTest, ForkOfForkWithOverlayRowsMatchesTwin)
+{
+    // The middle session of a fork chain holds overlay rows when it is
+    // frozen: the grandchild, the middle session itself and the
+    // donor's own delta must all stay bit-identical to sessions that
+    // were never forked.
+    const Index base = 64, mid = 12, tail = 10, dim = 32, d = 16;
+    const Matrix tokens = sampleTokens(base + mid + 2 * tail, dim, 52);
+    Rng rng(22);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+
+    DecodeSession root(params, ServeConfig{}, dim);
+    root.prefill(tokens.rowSlice(0, base));
+    const auto p0 = root.sharedPrefix(0);
+    auto middle = DecodeSession::forkFrom(p0);
+    stepAll(*middle, tokens.rowSlice(base, base + mid));
+    ASSERT_GT(middle->overlayRowCount(), 0u);
+    const auto middle_blob =
+        cta::serve::serializeSnapshot(middle->snapshot());
+    const auto p1 = middle->sharedPrefix(1);
+    EXPECT_EQ(p1->donor().overlayRowCount(), 0u);
+    // Freezing leaves the middle session's own delta as it was, and
+    // the donor (a fork of p0 too) writes the same delta.
+    EXPECT_EQ(cta::serve::serializeSnapshot(middle->snapshot()),
+              middle_blob);
+    EXPECT_EQ(cta::serve::serializeSnapshot(p1->donor().snapshot()),
+              middle_blob);
+
+    auto grandchild = DecodeSession::forkFrom(p1);
+    EXPECT_EQ(grandchild->overlayRowCount(), 0u);
+    DecodeSession twin(params, ServeConfig{}, dim);
+    stepAll(twin, tokens.rowSlice(0, base + mid));
+    DecodeSession middle_twin(params, ServeConfig{}, dim);
+    stepAll(middle_twin, tokens.rowSlice(0, base + mid));
+    const Index t0 = base + mid;
+    for (Index i = 0; i < tail; ++i) {
+        const Matrix got = grandchild->step(tokens.row(t0 + i));
+        const Matrix want = twin.step(tokens.row(t0 + i));
+        ASSERT_TRUE(bitIdentical(got, want)) << "grandchild step " << i;
+        // The middle session decodes another continuation meanwhile.
+        const Matrix got_mid = middle->step(tokens.row(t0 + tail + i));
+        const Matrix want_mid =
+            middle_twin.step(tokens.row(t0 + tail + i));
+        ASSERT_TRUE(bitIdentical(got_mid, want_mid)) << "middle " << i;
+    }
+    expectSameSessionState(*grandchild, twin, "grandchild");
+    expectSameSessionState(*middle, middle_twin, "middle");
+    DecodeSession donor_twin(params, ServeConfig{}, dim);
+    stepAll(donor_twin, tokens.rowSlice(0, base + mid));
+    expectSameSessionState(p1->donor(), donor_twin, "donor");
+
+    // Every session of the chain round-trips through its delta.
+    for (const DecodeSession *live : {grandchild.get(), middle.get()}) {
+        const auto blob = cta::serve::serializeSnapshot(live->snapshot());
+        auto restored = DecodeSession::forkFrom(live->prefix());
+        restored->restore(cta::serve::deserializeSnapshot(blob));
+        expectSameSessionState(*restored, *live, "restored");
+        EXPECT_EQ(cta::serve::serializeSnapshot(restored->snapshot()),
+                  blob);
+    }
+}
+
+TEST(DecodeSessionTest, EvictRestoreOfForkWithOverlayRowsIsBitIdentical)
+{
+    // A fork evicted and restored mid-stream (its overlay rebuilt from
+    // the delta) must decode bit for bit like a fork that never left,
+    // and write the same CTAS blob for the same state.
+    const Index base = 80, steps = 30, dim = 32, d = 16;
+    const Matrix tokens = sampleTokens(base + steps, dim, 53);
+    Rng rng(23);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, rng);
+    DecodeSession parent(params, ServeConfig{}, dim);
+    parent.prefill(tokens.rowSlice(0, base));
+    const auto prefix = parent.sharedPrefix(0);
+    auto kept = DecodeSession::forkFrom(prefix);
+    auto evicted = DecodeSession::forkFrom(prefix);
+    for (Index i = 0; i < steps; ++i) {
+        if (i % 7 == 3) {
+            const auto blob =
+                cta::serve::serializeSnapshot(evicted->snapshot());
+            EXPECT_EQ(cta::serve::serializeSnapshot(kept->snapshot()),
+                      blob)
+                << "step " << i;
+            evicted = DecodeSession::forkFrom(prefix);
+            evicted->restore(cta::serve::deserializeSnapshot(blob));
+            EXPECT_GT(evicted->overlayRowCount(), 0u) << "step " << i;
+        }
+        const Matrix got = evicted->step(tokens.row(base + i));
+        const Matrix want = kept->step(tokens.row(base + i));
+        ASSERT_TRUE(bitIdentical(got, want)) << "step " << i;
+    }
+    expectSameSessionState(*evicted, *kept, "after restores");
+}
+
+/** The diverged-row rule saveDelta used before it read the sums'
+ *  overlay: a base cluster diverged iff its member count or its
+ *  bitwise sum differs from the base's. */
+std::vector<Index>
+memcmpDivergedRows(const IncrementalCompression &level,
+                   const IncrementalCompression &base)
+{
+    std::vector<Index> rows;
+    for (Index c = 0; c < base.numClusters(); ++c) {
+        const auto mine = level.sums().row(c);
+        const auto theirs = base.sums().row(c);
+        if (level.memberCounts()[static_cast<std::size_t>(c)] !=
+                base.memberCounts()[static_cast<std::size_t>(c)] ||
+            std::memcmp(mine.data(), theirs.data(),
+                        mine.size() * sizeof(Real)) != 0)
+            rows.push_back(c);
+    }
+    return rows;
+}
+
+TEST(IncrementalTwoLevelTest, DivergedRowsMatchTheMemcmpRule)
+{
+    // Random schedules of forks, forks of forks (frozen with overlay
+    // rows), steps (all-zero tokens included: they change a count but
+    // not a sum) and evict/restore round trips: after every action
+    // each fork's delta lists exactly the rows the old rule finds.
+    const Index dim = 32, d = 16;
+    Rng params_rng(24);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(dim, d, params_rng);
+    for (const std::uint64_t seed : {61u, 62u, 63u, 64u}) {
+        const Matrix tokens = sampleTokens(400, dim, seed);
+        Rng rng(seed);
+        Index next = 0;
+        const auto take = [&]() -> std::vector<Real> {
+            std::vector<Real> row(static_cast<std::size_t>(dim), 0);
+            if (rng.uniformInt(10) != 0) {
+                const auto src = tokens.row(next % tokens.rows());
+                std::copy(src.begin(), src.end(), row.begin());
+            }
+            ++next;
+            return row;
+        };
+        auto root = std::make_unique<DecodeSession>(params, ServeConfig{},
+                                                    dim);
+        root->prefill(tokens.rowSlice(0, 48));
+        next = 48;
+        std::vector<std::unique_ptr<DecodeSession>> live;
+        live.push_back(DecodeSession::forkFrom(root->sharedPrefix(0)));
+        std::int64_t ids = 1;
+        for (int action = 0; action < 60; ++action) {
+            const auto pick =
+                static_cast<std::size_t>(rng.uniformInt(live.size()));
+            DecodeSession &s = *live[pick];
+            switch (rng.uniformInt(6)) {
+            case 0: // fork (of a fork, frozen with its overlay rows)
+                if (live.size() < 8)
+                    live.push_back(
+                        DecodeSession::forkFrom(s.sharedPrefix(ids++)));
+                break;
+            case 1: { // evict and restore
+                const auto blob =
+                    cta::serve::serializeSnapshot(s.snapshot());
+                auto back = DecodeSession::forkFrom(s.prefix());
+                back->restore(cta::serve::deserializeSnapshot(blob));
+                live[pick] = std::move(back);
+                break;
+            }
+            default:
+                for (auto k = rng.uniformInt(4) + 1; k > 0; --k)
+                    (void)s.step(take());
+                break;
+            }
+            for (const auto &fork : live) {
+                const auto &base = fork->prefix()->donor().kv();
+                const auto delta = fork->kv().saveDelta(&base);
+                EXPECT_EQ(delta.level1.divergedRows,
+                          memcmpDivergedRows(fork->kv().level1(),
+                                             base.level1()))
+                    << "seed " << seed << " action " << action;
+                EXPECT_EQ(delta.level2.divergedRows,
+                          memcmpDivergedRows(fork->kv().level2(),
+                                             base.level2()))
+                    << "seed " << seed << " action " << action;
+            }
+        }
+    }
 }
 
 TEST(IncrementalTwoLevelTest, StateBytesExactAtPrefixes)
