@@ -11,78 +11,6 @@ namespace cta::alg {
 
 using core::Index;
 
-MapClusterTree::MapClusterTree(Index hash_len) : hashLen_(hash_len)
-{
-    CTA_REQUIRE(hash_len > 0, "hash length must be positive");
-    nodes_.emplace_back(); // root
-}
-
-Index
-MapClusterTree::assign(std::span<const std::int32_t> code)
-{
-    CTA_REQUIRE(static_cast<Index>(code.size()) == hashLen_,
-                "code length ", code.size(), " != ", hashLen_);
-    Index node = 0;
-    // Walk the first l-1 layers through internal nodes.
-    for (Index depth = 0; depth + 1 < hashLen_; ++depth) {
-        auto &children = nodes_[static_cast<std::size_t>(node)].children;
-        auto it = children.find(code[static_cast<std::size_t>(depth)]);
-        if (it == children.end()) {
-            const Index fresh = static_cast<Index>(nodes_.size());
-            children.emplace(code[static_cast<std::size_t>(depth)],
-                             fresh);
-            nodes_.emplace_back();
-            node = fresh;
-        } else {
-            node = it->second;
-        }
-    }
-    // Leaf layer: children map hash value -> cluster index directly.
-    auto &leaves = nodes_[static_cast<std::size_t>(node)].children;
-    auto it = leaves.find(code[static_cast<std::size_t>(hashLen_ - 1)]);
-    if (it == leaves.end()) {
-        const Index idx = clusterCount_++;
-        leaves.emplace(code[static_cast<std::size_t>(hashLen_ - 1)],
-                       idx);
-        return idx;
-    }
-    return it->second;
-}
-
-Index
-MapClusterTree::find(std::span<const std::int32_t> code) const
-{
-    CTA_REQUIRE(static_cast<Index>(code.size()) == hashLen_,
-                "code length ", code.size(), " != ", hashLen_);
-    Index node = 0;
-    for (Index depth = 0; depth < hashLen_; ++depth) {
-        const auto &children =
-            nodes_[static_cast<std::size_t>(node)].children;
-        const auto it =
-            children.find(code[static_cast<std::size_t>(depth)]);
-        if (it == children.end())
-            return -1;
-        node = it->second;
-    }
-    return node; // leaf map stored the cluster index directly
-}
-
-std::size_t
-MapClusterTree::stateBytes() const
-{
-    // Node vector plus, per node, the unordered_map's buckets and
-    // heap-allocated entry nodes. The map internals aren't visible,
-    // so charge one bucket pointer and one (key, value, next) record
-    // per entry — a consistent estimate, not an allocator audit.
-    std::size_t bytes = nodes_.capacity() * sizeof(Node);
-    for (const Node &node : nodes_)
-        bytes += node.children.bucket_count() * sizeof(void *) +
-                 node.children.size() *
-                     (sizeof(std::pair<std::int32_t, Index>) +
-                      sizeof(void *));
-    return bytes;
-}
-
 LinearClusterTree::LinearClusterTree(Index hash_len)
     : hashLen_(hash_len),
       layers_(static_cast<std::size_t>(hash_len))
@@ -147,30 +75,6 @@ ClusterCodeIndex::hash(std::span<const std::int32_t> code)
     h *= 0xC4CEB9FE1A85EC53ull;
     h ^= h >> 33;
     return static_cast<std::uint32_t>(h);
-}
-
-Index
-ClusterCodeIndex::find(std::span<const std::int32_t> code,
-                       std::uint32_t code_hash,
-                       const core::PagedVector<std::int32_t> &codes) const
-{
-    if (slots_.empty())
-        return -1;
-    const std::size_t mask = slots_.size() - 1;
-    const std::size_t l = code.size();
-    for (std::size_t i = code_hash & mask;; i = (i + 1) & mask) {
-        const Slot slot = slots_[i];
-        if (slot.cluster < 0)
-            return -1;
-        if (slot.hash != code_hash)
-            continue;
-        const std::size_t at = static_cast<std::size_t>(slot.cluster) * l;
-        std::size_t j = 0;
-        while (j < l && codes[at + j] == code[j])
-            ++j;
-        if (j == l)
-            return slot.cluster;
-    }
 }
 
 void
@@ -374,12 +278,23 @@ buildClusterTable(const HashMatrix &codes)
 {
     CTA_TRACE_SCOPE("cluster.build");
     CTA_OBS_COUNT("cluster.builds", 1);
-    MapClusterTree tree(codes.cols());
+    CTA_REQUIRE(codes.cols() > 0, "hash length must be positive");
+    ClusterCodeIndex index;
+    std::vector<std::int32_t> first_seen; ///< cluster c's code at c*l
     ClusterTable ct;
     ct.table.reserve(static_cast<std::size_t>(codes.rows()));
-    for (Index i = 0; i < codes.rows(); ++i)
-        ct.table.push_back(tree.assign(codes.code(i)));
-    ct.numClusters = tree.numClusters();
+    for (Index i = 0; i < codes.rows(); ++i) {
+        const std::span<const std::int32_t> code = codes.code(i);
+        const std::uint32_t code_hash = ClusterCodeIndex::hash(code);
+        Index cluster = index.find(code, code_hash, first_seen);
+        if (cluster < 0) {
+            cluster = index.size();
+            first_seen.insert(first_seen.end(), code.begin(), code.end());
+            index.insert(cluster, code_hash);
+        }
+        ct.table.push_back(cluster);
+    }
+    ct.numClusters = index.size();
     return ct;
 }
 

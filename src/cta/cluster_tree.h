@@ -5,22 +5,18 @@
  * each root-to-leaf path is one distinct hash code, each leaf holds
  * the cluster index assigned when that code was first seen.
  *
- * Two implementations with identical observable behaviour:
- *
- *  - MapClusterTree: hash-map children, the software path of the
- *    batch algorithm library (buildClusterTable).
- *  - LinearClusterTree: linearly-allocated per-layer node arrays with
- *    associative (hash value, child address) pairs — the structure
- *    the paper's Cluster Index Module stores in its layer memories
- *    (SIV-B(2): "pointers ... are allocated and managed linearly").
- *    It additionally counts memory probes so the CIM timing/energy
- *    model can consume them.
- *
- * tests/cluster_tree_test.cc cross-checks the two.
- *
- * The streaming IncrementalClusterTable of the serving layer needs no
- * trie: it keys a flat ClusterCodeIndex on the full codes it already
- * stores, and assigns the same dense first-seen indices.
+ * Software needs no trie for that mapping: one flat
+ * ClusterCodeIndex, keyed on full codes, serves both the batch
+ * buildClusterTable() and the serving layer's streaming
+ * IncrementalClusterTable, and both assign the same dense first-seen
+ * indices. The trie itself is modelled by LinearClusterTree:
+ * linearly-allocated per-layer node arrays with associative (hash
+ * value, child address) pairs — the structure the paper's Cluster
+ * Index Module stores in its layer memories (SIV-B(2): "pointers ...
+ * are allocated and managed linearly"). It counts memory probes so
+ * the CIM timing/energy model can consume them, and it is the
+ * independent oracle tests/cluster_tree_test.cc checks both software
+ * tables against.
  */
 
 #pragma once
@@ -28,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/page_arena.h"
@@ -46,44 +41,6 @@ struct ClusterTable
     core::Index numClusters = 0;
 };
 
-/** Trie over hash codes using hash-map children (software path). */
-class MapClusterTree
-{
-  public:
-    /** @param hash_len the code length l (trie depth). */
-    explicit MapClusterTree(core::Index hash_len);
-
-    /**
-     * Looks up (inserting if absent) the cluster for @p code; returns
-     * its dense index. Indices are assigned in first-seen order
-     * starting at 0.
-     */
-    core::Index assign(std::span<const std::int32_t> code);
-
-    /** Lookup without insertion: the cluster index of @p code, or -1
-     *  when the code has never been assigned. */
-    core::Index find(std::span<const std::int32_t> code) const;
-
-    /** Number of distinct clusters assigned so far. */
-    core::Index numClusters() const { return clusterCount_; }
-
-    /** The code length l the trie was built for. */
-    core::Index hashLen() const { return hashLen_; }
-
-    /** Estimated heap footprint of the trie (nodes + child maps). */
-    std::size_t stateBytes() const;
-
-  private:
-    struct Node
-    {
-        std::unordered_map<std::int32_t, core::Index> children;
-    };
-
-    core::Index hashLen_;
-    std::vector<Node> nodes_;       ///< node 0 is the root
-    core::Index clusterCount_ = 0;
-};
-
 /**
  * Hardware-faithful cluster tree with linear node allocation.
  *
@@ -98,7 +55,11 @@ class LinearClusterTree
   public:
     explicit LinearClusterTree(core::Index hash_len);
 
-    /** Same contract as MapClusterTree::assign. */
+    /**
+     * Looks up (inserting if absent) the cluster for @p code; returns
+     * its dense index. Indices are assigned in first-seen order
+     * starting at 0.
+     */
     core::Index assign(std::span<const std::int32_t> code);
 
     core::Index numClusters() const { return clusterCount_; }
@@ -144,8 +105,10 @@ class LinearClusterTree
 };
 
 /**
- * Clusters all rows of @p codes with a MapClusterTree, returning the
- * cluster table CT (paper notation: CT[i] = cluster index of token i).
+ * Clusters all rows of @p codes with a ClusterCodeIndex over their
+ * first-seen codes, returning the cluster table CT (paper notation:
+ * CT[i] = cluster index of token i; indices dense in first-seen
+ * order).
  */
 ClusterTable buildClusterTable(const HashMatrix &codes);
 
@@ -154,7 +117,8 @@ ClusterTable buildClusterTable(const HashMatrix &codes);
  * cluster in an open-addressed table (linear probing, at most half
  * full). A slot holds the code's hash and the cluster id, not the
  * code: lookups compare against the first-seen codes the caller
- * stores (cluster c's code at [c*l, (c+1)*l) of @p codes), so a code
+ * stores (cluster c's code at [c*l, (c+1)*l) of @p codes, any
+ * store with operator[]: a paged vector or a plain one), so a code
  * is kept once. An empty index allocates nothing.
  */
 class ClusterCodeIndex
@@ -164,9 +128,29 @@ class ClusterCodeIndex
     static std::uint32_t hash(std::span<const std::int32_t> code);
 
     /** The cluster whose stored code equals @p code, or -1. */
+    template <class Codes>
     core::Index find(std::span<const std::int32_t> code,
-                     std::uint32_t code_hash,
-                     const core::PagedVector<std::int32_t> &codes) const;
+                     std::uint32_t code_hash, const Codes &codes) const
+    {
+        if (slots_.empty())
+            return -1;
+        const std::size_t mask = slots_.size() - 1;
+        const std::size_t l = code.size();
+        for (std::size_t i = code_hash & mask;; i = (i + 1) & mask) {
+            const Slot slot = slots_[i];
+            if (slot.cluster < 0)
+                return -1;
+            if (slot.hash != code_hash)
+                continue;
+            const std::size_t at =
+                static_cast<std::size_t>(slot.cluster) * l;
+            std::size_t j = 0;
+            while (j < l && codes[at + j] == code[j])
+                ++j;
+            if (j == l)
+                return slot.cluster;
+        }
+    }
 
     /** Adds @p cluster under @p code_hash; the caller guarantees its
      *  code is not indexed yet. */

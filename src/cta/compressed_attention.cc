@@ -202,34 +202,6 @@ sampleLshParams(const CtaConfig &config, Index dim)
     return set;
 }
 
-CtaResult
-ctaAttention(const Matrix &xq, const Matrix &xkv,
-             const nn::AttentionHeadParams &params,
-             const CtaConfig &config)
-{
-    CTA_TRACE_SCOPE("attention.cta");
-    CTA_OBS_COUNT("attention.cta_calls", 1);
-    CTA_REQUIRE(xq.cols() == xkv.cols(), "query/key token dims differ");
-
-    // --- Stage 1: token compression (paper SIII-A/B). ---
-    const LshParamSet lsh = sampleLshParams(config, xq.cols());
-    core::OpCounts compression_ops;
-    TwoLevelCompression kv_comp =
-        compressTwoLevel(xkv, lsh.lsh1, lsh.lsh2, &compression_ops);
-    CompressionLevel query_comp =
-        compressTokens(xq, lsh.lsh0, &compression_ops);
-
-    // --- Stages 2-5 on the compressed tokens, which then move into
-    // the result (this call owns them). ---
-    CtaResult result = ctaAttentionFromCompression(
-        query_comp, kv_comp, xq.rows(), params,
-        config.subtractRowMax);
-    result.overheadOps += compression_ops;
-    result.inter.queryComp = std::move(query_comp);
-    result.inter.kvComp = std::move(kv_comp);
-    return result;
-}
-
 Matrix
 projectKvCentroids(const nn::Linear &linear,
                    const TwoLevelCompression &kv_comp, OpCounts *counts)
@@ -245,14 +217,16 @@ namespace {
  * Stages 2-5 over a borrowed compression: fills @p inter's
  * projections, scores and AP (never its compressions), charges
  * @p head's op counts and stats, and writes the out.rows() x d output
- * into columns [col, col + d) of @p out.
+ * into columns [col, col + d) of @p out. A non-null @p grid snaps
+ * Q-bar/K-bar/V-bar, S-bar and the normalized k0 x d output to its
+ * grids as the hardware writes them back (runCta).
  */
 void
 runHead(const CompressionLevel &query_comp,
         const TwoLevelCompression &kv_comp,
         const nn::AttentionHeadParams &params, bool subtract_row_max,
-        CtaIntermediates &inter, CtaHeadSummary &head, Matrix &out,
-        Index col)
+        const core::QuantScheme *grid, CtaIntermediates &inter,
+        CtaHeadSummary &head, Matrix &out, Index col)
 {
     CTA_TRACE_SCOPE("attention.from_compression");
     CTA_REQUIRE(!query_comp.table.empty() &&
@@ -282,6 +256,11 @@ runHead(const CompressionLevel &query_comp,
         inter.vBar = projectKvCentroids(params.wv, kv_comp,
                                         &head.linearOps);
     }
+    if (grid) {
+        inter.qBar = quantizeMatrix(inter.qBar, grid->centroids);
+        inter.kBar = quantizeMatrix(inter.kBar, grid->centroids);
+        inter.vBar = quantizeMatrix(inter.vBar, grid->centroids);
+    }
 
     // --- Stages 3-4: compressed scores (eq. 5) and probability
     // aggregation (Fig. 6), each token a pair of count 1. ---
@@ -293,6 +272,8 @@ runHead(const CompressionLevel &query_comp,
     compressedScores(inter.qBar, k_rows.data(), k1, k2,
                      1.0f / std::sqrt(static_cast<Real>(d)),
                      subtract_row_max, inter.sBar, &head.attnOps);
+    if (grid)
+        inter.sBar = quantizeMatrix(inter.sBar, grid->scores);
     inter.ap = Matrix(k0, k_total);
     inter.apRowSums = Matrix(k0, 1);
     OpCounts agg_ops;
@@ -318,6 +299,8 @@ runHead(const CompressionLevel &query_comp,
             v *= inv;
     }
     head.attnOps.divs += static_cast<std::uint64_t>(k0) * d;
+    if (grid)
+        o_bar = quantizeMatrix(o_bar, grid->tokens);
 
     // Expand to the original sequence: O_i = O_norm[CT0[i]].
     for (Index i = 0; i < m; ++i) {
@@ -332,6 +315,50 @@ runHead(const CompressionLevel &query_comp,
 } // namespace
 
 CtaResult
+detail::runCta(const Matrix &xq, const Matrix &xkv,
+               const nn::AttentionHeadParams &params,
+               const CtaConfig &config, bool subtract_row_max,
+               const core::QuantScheme *grid)
+{
+    CTA_TRACE_SCOPE("attention.cta");
+    CTA_OBS_COUNT("attention.cta_calls", 1);
+    CTA_REQUIRE(xq.cols() == xkv.cols(), "query/key token dims differ");
+
+    // --- Stage 1: token compression (paper SIII-A/B), KV then Q. On
+    // a grid, A sits in weight memory and the centroids are written
+    // back to result memory, each on its grid. The compression then
+    // stays in the result, which stages 2-5 borrow it from. ---
+    LshParamSet lsh = sampleLshParams(config, xq.cols());
+    CtaResult result;
+    CtaIntermediates &inter = result.inter;
+    if (grid)
+        for (LshParams *p : {&lsh.lsh0, &lsh.lsh1, &lsh.lsh2})
+            p->a = quantizeMatrix(p->a, grid->lshParams);
+    inter.kvComp = compressTwoLevel(xkv, lsh.lsh1, lsh.lsh2,
+                                    &result.overheadOps);
+    inter.queryComp = compressTokens(xq, lsh.lsh0, &result.overheadOps);
+    if (grid)
+        for (Matrix *c : {&inter.queryComp.centroids,
+                          &inter.kvComp.level1.centroids,
+                          &inter.kvComp.level2.centroids})
+            *c = quantizeMatrix(*c, grid->centroids);
+
+    result.output = Matrix(xq.rows(), params.wq.outDim());
+    runHead(inter.queryComp, inter.kvComp, params, subtract_row_max,
+            grid, inter, result, result.output, 0);
+    return result;
+}
+
+CtaResult
+ctaAttention(const Matrix &xq, const Matrix &xkv,
+             const nn::AttentionHeadParams &params,
+             const CtaConfig &config)
+{
+    return detail::runCta(xq, xkv, params, config,
+                          config.subtractRowMax, nullptr);
+}
+
+CtaResult
 ctaAttentionFromCompression(const CompressionLevel &query_comp,
                             const TwoLevelCompression &kv_comp,
                             Index m,
@@ -340,8 +367,8 @@ ctaAttentionFromCompression(const CompressionLevel &query_comp,
 {
     CtaResult result;
     result.output = Matrix(m, params.wq.outDim());
-    runHead(query_comp, kv_comp, params, subtract_row_max, result.inter,
-            result, result.output, 0);
+    runHead(query_comp, kv_comp, params, subtract_row_max, nullptr,
+            result.inter, result, result.output, 0);
     return result;
 }
 
@@ -353,8 +380,8 @@ ctaAttentionInto(const CompressionLevel &query_comp,
 {
     CtaHeadSummary head;
     CtaIntermediates inter;
-    runHead(query_comp, kv_comp, params, subtract_row_max, inter, head,
-            out, col);
+    runHead(query_comp, kv_comp, params, subtract_row_max, nullptr,
+            inter, head, out, col);
     return head;
 }
 

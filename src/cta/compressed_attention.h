@@ -21,9 +21,10 @@
  * normalization.
  *
  * Stages 3 and 4 are compressedScores() and aggregatePairs()
- * (cta/fused_decode.h), shared with the fixed-point path and the
- * decode step; this path passes its KV tokens as pairs of count 1
- * (tokenPairs()).
+ * (cta/fused_decode.h), shared with the decode step; this path passes
+ * its KV tokens as pairs of count 1 (tokenPairs()). The fixed-point
+ * path (cta/quantization.h) runs these same stages, with each stored
+ * tensor snapped to its grid (detail::runCta).
  */
 
 #pragma once
@@ -31,6 +32,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/fixed_point.h"
 #include "core/matrix.h"
 #include "core/op_counter.h"
 #include "core/page_arena.h"
@@ -154,7 +156,7 @@ LshParamSet sampleLshParams(const CtaConfig &config, core::Index dim);
 
 /**
  * Runs the CTA scheme for one attention head. The compression it
- * builds is moved, not copied, into result.inter.
+ * builds is kept, not copied, in result.inter.
  *
  * @param xq query token matrix (m x dw); pass the same matrix as
  *        @p xkv for self-attention
@@ -163,6 +165,23 @@ LshParamSet sampleLshParams(const CtaConfig &config, core::Index dim);
 CtaResult ctaAttention(const core::Matrix &xq, const core::Matrix &xkv,
                        const nn::AttentionHeadParams &params,
                        const CtaConfig &config);
+
+namespace detail {
+
+/**
+ * Stages 1-5 of one head, the one runner of ctaAttention() (float,
+ * @p grid null) and ctaAttentionQuantized(). A non-null @p grid snaps
+ * each tensor where the hardware stores it (paper SIV-C): the LSH A
+ * matrices to grid->lshParams; the centroids, Q-bar, K-bar and V-bar
+ * to grid->centroids; S-bar to grid->scores; and the normalized
+ * k0 x d output to grid->tokens.
+ */
+CtaResult runCta(const core::Matrix &xq, const core::Matrix &xkv,
+                 const nn::AttentionHeadParams &params,
+                 const CtaConfig &config, bool subtract_row_max,
+                 const core::QuantScheme *grid);
+
+} // namespace detail
 
 /**
  * Stages 2-5 of the CTA scheme on *precomputed* compressions —

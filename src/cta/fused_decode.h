@@ -2,9 +2,9 @@
  * @file
  * CTA stages 3-4 — compressed scores (eq. 5) with the level-1
  * row-max shift (SIV-B), and probability aggregation (Fig. 6) — as
- * the one implementation every path calls: the batch path
- * (ctaAttentionFromCompression: encode, ctaAttention, the figure
- * benches), the fixed-point path (ctaAttentionQuantized, which
+ * the one implementation every path calls: the batch head runner
+ * (cta/compressed_attention.cc: encode, ctaAttention, the figure
+ * benches, and the fixed-point ctaAttentionQuantized, whose grid
  * quantizes the scores between the two calls) and a decode step
  * (fusedDecodeAttend below, over a DecodeSession's paged cluster
  * projections). Stage 5 stays with the caller: the batch paths run

@@ -2,14 +2,16 @@
  * @file
  * Fixed-point CTA inference (paper SIV-C "Number Quantization").
  *
- * Runs the same CTA pipeline with every tensor snapped to the paper's
- * fixed-point grids at the points hardware would hold it:
+ * Runs the one CTA runner of ctaAttention() (detail::runCta) with
+ * every tensor snapped to the paper's fixed-point grids at the points
+ * hardware would hold it:
  *
  *   - input tokens            -> 13-bit Q6.7
  *   - linear weights          -> 12-bit, integer bits fit to range
  *   - LSH direction matrix A  -> 12-bit Q3.9 (three-sigma rule)
  *   - centroids, Qb/Kb/Vb     -> 12-bit Q6.6
  *   - scores / probabilities  -> 16-bit Q7.9
+ *   - normalized output       -> 13-bit Q6.7 (the token grid)
  *
  * The paper reports < 0.1 % accuracy loss from this scheme; the
  * reproduction's quantization bench verifies the analogous claim on
@@ -26,9 +28,13 @@ namespace cta::alg {
 /**
  * CTA attention computed on fixed-point-quantized tensors.
  *
- * Identical control flow to ctaAttention(); tensors are quantized at
- * module boundaries (token load, weight load, centroid writeback,
- * compressed Q/K/V writeback, score writeback).
+ * Quantizes the tokens and weights, then calls the same runner as
+ * ctaAttention() with @p scheme as its grid, which quantizes at the
+ * other module boundaries (LSH parameter load, centroid writeback,
+ * compressed Q/K/V writeback, score writeback, output writeback).
+ * The level-1 row-max shift is always on, whatever
+ * config.subtractRowMax says: it bounds the exp-LUT input range
+ * (paper SIV-B score phase).
  */
 CtaResult ctaAttentionQuantized(const core::Matrix &xq,
                                 const core::Matrix &xkv,

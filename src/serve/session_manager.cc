@@ -698,8 +698,10 @@ SessionManager::enforceBudgetLocked()
         return total;
     }
     // Collect live sessions, LRU first. stateBytes() is O(pages)
-    // per session, and only live sessions (bounded by the budget) are
-    // visited — the whole pass stays far below one decode step.
+    // per session, and the walk and sort run on every flush even when
+    // nothing is over budget: traced fork_resume measured about 147 µs
+    // per shard per flush with no eviction. ROADMAP item 2 replaces
+    // them with a running byte total and an intrusive LRU list.
     std::vector<std::pair<std::uint64_t, Index>> live;
     for (Index id = 0; id < static_cast<Index>(slots_.size()); ++id) {
         const Slot &s = slots_[static_cast<std::size_t>(id)];

@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for both cluster-tree implementations, including the
- * cross-check that the hardware-faithful linear tree reproduces the
- * software tree exactly.
+ * Unit tests for cluster assignment: the one software index
+ * (buildClusterTable, and the streaming IncrementalClusterTable over
+ * the same ClusterCodeIndex) and the hardware-faithful
+ * LinearClusterTree, which is the independent oracle both software
+ * tables are cross-checked against.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -16,84 +21,125 @@
 
 namespace {
 
+using cta::alg::ClusterTable;
 using cta::alg::HashMatrix;
+using cta::alg::IncrementalClusterTable;
 using cta::alg::LinearClusterTree;
-using cta::alg::MapClusterTree;
 using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::Rng;
 
-TEST(MapClusterTreeTest, FirstCodeGetsClusterZero)
+/** buildClusterTable() over @p codes, one token per code. */
+ClusterTable
+tableOf(const std::vector<std::vector<std::int32_t>> &codes)
 {
-    MapClusterTree tree(3);
-    const std::array<std::int32_t, 3> code{1, 2, 3};
-    EXPECT_EQ(tree.assign(code), 0);
-    EXPECT_EQ(tree.numClusters(), 1);
+    const auto l = static_cast<Index>(codes.front().size());
+    HashMatrix m(static_cast<Index>(codes.size()), l);
+    for (std::size_t r = 0; r < codes.size(); ++r)
+        for (Index c = 0; c < l; ++c)
+            m(static_cast<Index>(r), c) =
+                codes[r][static_cast<std::size_t>(c)];
+    return buildClusterTable(m);
 }
 
-TEST(MapClusterTreeTest, SameCodeSameCluster)
+TEST(BuildClusterTableTest, FirstCodeGetsClusterZero)
 {
-    MapClusterTree tree(3);
-    const std::array<std::int32_t, 3> code{5, -2, 7};
-    const Index first = tree.assign(code);
-    EXPECT_EQ(tree.assign(code), first);
-    EXPECT_EQ(tree.numClusters(), 1);
+    const ClusterTable ct = tableOf({{1, 2, 3}});
+    EXPECT_EQ(ct.table[0], 0);
+    EXPECT_EQ(ct.numClusters, 1);
 }
 
-TEST(MapClusterTreeTest, DifferentCodesDifferentClusters)
+TEST(BuildClusterTableTest, SameCodeSameCluster)
 {
-    MapClusterTree tree(2);
-    EXPECT_EQ(tree.assign(std::array<std::int32_t, 2>{0, 0}), 0);
-    EXPECT_EQ(tree.assign(std::array<std::int32_t, 2>{0, 1}), 1);
-    EXPECT_EQ(tree.assign(std::array<std::int32_t, 2>{1, 0}), 2);
-    EXPECT_EQ(tree.numClusters(), 3);
+    const ClusterTable ct = tableOf({{5, -2, 7}, {5, -2, 7}});
+    EXPECT_EQ(ct.table[1], ct.table[0]);
+    EXPECT_EQ(ct.numClusters, 1);
 }
 
-TEST(MapClusterTreeTest, PrefixSharingDoesNotCollide)
+TEST(BuildClusterTableTest, DifferentCodesDifferentClusters)
+{
+    const ClusterTable ct = tableOf({{0, 0}, {0, 1}, {1, 0}});
+    EXPECT_EQ(ct.table[0], 0);
+    EXPECT_EQ(ct.table[1], 1);
+    EXPECT_EQ(ct.table[2], 2);
+    EXPECT_EQ(ct.numClusters, 3);
+}
+
+TEST(BuildClusterTableTest, PrefixSharingDoesNotCollide)
 {
     // Codes sharing all but the last value are distinct clusters.
-    MapClusterTree tree(4);
-    const Index a =
-        tree.assign(std::array<std::int32_t, 4>{9, 9, 9, 1});
-    const Index b =
-        tree.assign(std::array<std::int32_t, 4>{9, 9, 9, 2});
-    EXPECT_NE(a, b);
+    const ClusterTable ct = tableOf({{9, 9, 9, 1}, {9, 9, 9, 2}});
+    EXPECT_NE(ct.table[0], ct.table[1]);
 }
 
-TEST(MapClusterTreeTest, NegativeHashValuesSupported)
+TEST(BuildClusterTableTest, NegativeHashValuesSupported)
 {
-    MapClusterTree tree(2);
-    const Index a =
-        tree.assign(std::array<std::int32_t, 2>{-5, -7});
-    const Index b =
-        tree.assign(std::array<std::int32_t, 2>{-5, 7});
-    EXPECT_NE(a, b);
-    EXPECT_EQ(tree.assign(std::array<std::int32_t, 2>{-5, -7}), a);
+    const ClusterTable ct = tableOf({{-5, -7}, {-5, 7}, {-5, -7}});
+    EXPECT_NE(ct.table[0], ct.table[1]);
+    EXPECT_EQ(ct.table[2], ct.table[0]);
 }
 
-TEST(MapClusterTreeTest, IndicesAreDenseFirstSeenOrder)
+TEST(BuildClusterTableTest, IndicesAreDenseFirstSeenOrder)
 {
-    MapClusterTree tree(1);
-    for (std::int32_t v = 0; v < 10; ++v) {
-        EXPECT_EQ(tree.assign(std::array<std::int32_t, 1>{100 - v}),
-                  v);
+    std::vector<std::vector<std::int32_t>> codes;
+    for (std::int32_t v = 0; v < 10; ++v)
+        codes.push_back({100 - v});
+    const ClusterTable ct = tableOf(codes);
+    for (std::int32_t v = 0; v < 10; ++v)
+        EXPECT_EQ(ct.table[static_cast<std::size_t>(v)], v);
+}
+
+TEST(LinearClusterTreeTest, MatchesSoftwareTablesOnRandomCodes)
+{
+    // The trie model, the batch table and the streaming table fed in
+    // random batch splits assign every code the same cluster. Enough
+    // distinct codes that the open-addressed index regrows many
+    // times (16 slots at first, doubling past half full).
+    struct Case
+    {
+        Index l;
+        std::uint64_t alphabet;
+    };
+    constexpr Index kCodes = 20000;
+    for (const Case cs : {Case{1, 4096}, Case{2, 64}, Case{6, 4},
+                          Case{8, 4}}) {
+        SCOPED_TRACE("l = " + std::to_string(cs.l));
+        Rng rng(static_cast<std::uint64_t>(cs.l));
+        HashMatrix codes(kCodes, cs.l);
+        const auto half = static_cast<std::int32_t>(cs.alphabet / 2);
+        for (std::int32_t &v : codes.data())
+            v = static_cast<std::int32_t>(rng.uniformInt(cs.alphabet)) -
+                half;
+        const ClusterTable batch = buildClusterTable(codes);
+
+        IncrementalClusterTable streamed(cs.l);
+        std::vector<Index> clusters(static_cast<std::size_t>(kCodes));
+        for (Index at = 0; at < kCodes;) {
+            const Index len = std::min<Index>(
+                kCodes - at,
+                1 + static_cast<Index>(rng.uniformInt(64)));
+            streamed.appendBatch(
+                std::span<const std::int32_t>(codes.data()).subspan(
+                    static_cast<std::size_t>(at * cs.l),
+                    static_cast<std::size_t>(len * cs.l)),
+                std::span<Index>(clusters).subspan(
+                    static_cast<std::size_t>(at),
+                    static_cast<std::size_t>(len)));
+            at += len;
+        }
+
+        LinearClusterTree lin_tree(cs.l);
+        Index mismatches = 0;
+        for (Index i = 0; i < kCodes; ++i)
+            mismatches += lin_tree.assign(codes.code(i)) !=
+                          batch.table[static_cast<std::size_t>(i)];
+        EXPECT_EQ(mismatches, 0);
+        EXPECT_EQ(clusters, batch.table);
+        EXPECT_EQ(streamed.table().table, batch.table);
+        EXPECT_EQ(lin_tree.numClusters(), batch.numClusters);
+        EXPECT_EQ(streamed.numClusters(), batch.numClusters);
+        EXPECT_GT(batch.numClusters, 1000);
     }
-}
-
-TEST(LinearClusterTreeTest, MatchesMapTreeOnRandomCodes)
-{
-    Rng rng(1);
-    const Index l = 6;
-    MapClusterTree map_tree(l);
-    LinearClusterTree lin_tree(l);
-    for (int i = 0; i < 500; ++i) {
-        std::vector<std::int32_t> code;
-        for (Index j = 0; j < l; ++j)
-            code.push_back(
-                static_cast<std::int32_t>(rng.uniformInt(4)) - 2);
-        EXPECT_EQ(lin_tree.assign(code), map_tree.assign(code));
-    }
-    EXPECT_EQ(lin_tree.numClusters(), map_tree.numClusters());
 }
 
 TEST(LinearClusterTreeTest, CountsMemoryTraffic)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/rng.h"
 #include "cta/error.h"
 #include "cta/quantization.h"
@@ -15,6 +17,7 @@
 namespace {
 
 using cta::alg::CtaConfig;
+using cta::core::FxpFormat;
 using cta::core::Index;
 using cta::core::Matrix;
 using cta::core::QuantScheme;
@@ -115,6 +118,74 @@ TEST(QuantizationTest, CoarserTokensDegradeGracefully)
     const auto err_rough =
         cta::alg::compareOutputs(rough.output, exact);
     EXPECT_GE(err_fine.meanCosine, err_rough.meanCosine - 1e-4f);
+}
+
+/** Counts the elements of @p m that @p fmt's quantizer moves. */
+Index
+offGrid(const Matrix &m, const FxpFormat &fmt)
+{
+    Index off = 0;
+    for (Index i = 0; i < m.rows(); ++i)
+        for (Index j = 0; j < m.cols(); ++j)
+            off += fmt.quantize(m(i, j)) != m(i, j);
+    return off;
+}
+
+/** True when @p a and @p b have the same shape and element bits. */
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(cta::core::Real) *
+                           static_cast<std::size_t>(a.size())) == 0;
+}
+
+TEST(QuantizationTest, IntermediatesLieOnTheirGrids)
+{
+    // Each tensor the hardware stores is snapped to its grid where it
+    // is written back (paper SIV-C), so every stored element is a
+    // fixed point of that grid's quantizer.
+    Fixture fx;
+    CtaConfig config;
+    const QuantScheme scheme = QuantScheme::paperDefault();
+    const auto q = ctaAttentionQuantized(fx.tokens, fx.tokens,
+                                         fx.params, config, scheme);
+    const auto &inter = q.inter;
+    ASSERT_GT(inter.queryComp.centroids.size(), 0);
+    ASSERT_GT(inter.kvComp.level2.centroids.size(), 0);
+    EXPECT_EQ(offGrid(inter.queryComp.centroids, scheme.centroids), 0);
+    EXPECT_EQ(offGrid(inter.kvComp.level1.centroids, scheme.centroids),
+              0);
+    EXPECT_EQ(offGrid(inter.kvComp.level2.centroids, scheme.centroids),
+              0);
+    EXPECT_EQ(offGrid(inter.qBar, scheme.centroids), 0);
+    EXPECT_EQ(offGrid(inter.kBar, scheme.centroids), 0);
+    EXPECT_EQ(offGrid(inter.vBar, scheme.centroids), 0);
+    EXPECT_EQ(offGrid(inter.sBar, scheme.scores), 0);
+    EXPECT_EQ(offGrid(q.output, scheme.tokens), 0);
+    // The float pipeline's intermediates are not on these grids, so
+    // the checks above are not vacuous.
+    const auto fp = ctaAttention(fx.tokens, fx.tokens, fx.params,
+                                 config);
+    EXPECT_GT(offGrid(fp.inter.kBar, scheme.centroids), 0);
+    EXPECT_GT(offGrid(fp.output, scheme.tokens), 0);
+}
+
+TEST(QuantizationTest, RowMaxShiftIsAlwaysOnInFixedPoint)
+{
+    // The shift bounds the exp-LUT input range, so the fixed-point
+    // path applies it whatever config.subtractRowMax says.
+    Fixture fx;
+    CtaConfig on;
+    CtaConfig off;
+    off.subtractRowMax = false;
+    const auto a = ctaAttentionQuantized(fx.tokens, fx.tokens,
+                                         fx.params, on);
+    const auto b = ctaAttentionQuantized(fx.tokens, fx.tokens,
+                                         fx.params, off);
+    EXPECT_TRUE(sameBits(a.output, b.output));
+    EXPECT_TRUE(sameBits(a.inter.sBar, b.inter.sBar));
 }
 
 } // namespace
