@@ -533,6 +533,45 @@ BM_ForkSteps(benchmark::State &state)
 }
 BENCHMARK(BM_ForkSteps)->Unit(benchmark::kMicrosecond);
 
+/**
+ * The budget pass every flush ends with (SessionManager::
+ * enforceBudget, what finishFlush runs), on one fork_resume shard's
+ * shape: 64 forks of a 512-token prompt (token and head dim 64,
+ * CTA-0.5 calibrated on the prompt), each 8 private tokens in, under
+ * a 64 MiB budget they fit. µs per pass, beside the resident total
+ * it returns. A pass that evicts anything is an error.
+ */
+void
+BM_BudgetPass(benchmark::State &state)
+{
+    constexpr Index kPrompt = 512, kForks = 64, kPrivate = 8, kDim = 64;
+    const Matrix tokens = clusteredTokens(kPrompt + kPrivate, kDim, 7);
+    const Matrix prompt = tokens.rowSlice(0, kPrompt);
+    Rng rng(8);
+    const auto params =
+        cta::nn::AttentionHeadParams::randomInit(kDim, kDim, rng);
+    cta::serve::ServeConfig config;
+    config.cta =
+        cta::alg::calibrate(prompt, prompt, cta::alg::Preset::Cta05);
+    cta::serve::SessionManager manager(params, config, kDim,
+                                       std::size_t{64} << 20);
+    const Index parent = manager.createSession(prompt);
+    for (Index f = 0; f < kForks; ++f) {
+        const Index child = manager.forkSession(parent);
+        for (Index i = kPrompt; i < tokens.rows(); ++i)
+            manager.acquire(child).step(tokens.row(i));
+    }
+    std::size_t resident = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(resident = manager.enforceBudget());
+    if (manager.stats().evictions > 0)
+        state.SkipWithError("the budget pass evicted a session");
+    state.SetItemsProcessed(state.iterations());
+    state.counters["resident_kib"] =
+        static_cast<double>(resident) / 1024.0;
+}
+BENCHMARK(BM_BudgetPass)->Unit(benchmark::kMicrosecond);
+
 /** One GEMM sweep point: median-of-reps wall time on one backend. */
 struct GemmPoint
 {

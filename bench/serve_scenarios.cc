@@ -1033,8 +1033,9 @@ struct RoundStat
  * unless a failover happened and every failed shard recovered, no
  * surviving session lost work, detected == injected and silent == 0
  * with every wedged flush matching one ShardFault draw (fault
- * build), and post-recovery goodput re-converges to at least half
- * the baseline.
+ * build), post-recovery goodput re-converges to at least half the
+ * baseline, and after every round each shard's running resident
+ * total equals its page walk (SessionManager::walkedResidentBytes).
  */
 int
 chaosSoak(bool smoke)
@@ -1097,6 +1098,9 @@ chaosSoak(bool smoke)
     std::uint64_t quota_rejections = 0;
     std::uint64_t bounced_total = 0;
     std::uint64_t mismatches = 0;
+    // Rounds in which a shard's O(1) resident total differed from its
+    // page walk; any fails the run.
+    std::uint64_t byte_mismatches = 0;
     double max_retry_hint = 0;
     bool op_drain_done = false;
     bool probes_added = false;
@@ -1227,9 +1231,13 @@ chaosSoak(bool smoke)
                 CTA_FATAL("no deadlines in this soak; Expired is a bug");
             }
         }
-        for (Index s = 0; s < kMixShards; ++s)
+        for (Index s = 0; s < kMixShards; ++s) {
             if (frontend.shardHealth(s) == ShardHealth::Failed)
                 ++stat.failedShards;
+            const SessionManager &m = frontend.manager(s);
+            if (m.residentBytes() != m.walkedResidentBytes())
+                ++byte_mismatches;
+        }
         timeline.push_back(stat);
 
         if (phase_c &&
@@ -1292,6 +1300,7 @@ chaosSoak(bool smoke)
     const bool failover_ok = shards.failovers >= 1 && shards.recoveries >= 1;
     const bool no_lost_work =
         lost_sessions == 0 && mismatches == 0 && ended_at_round >= 0;
+    const bool bytes_exact = byte_mismatches == 0;
     const bool ledger_ok =
         !kFaultBuild ||
         (shards.flushFailures == shard_draws &&
@@ -1299,14 +1308,16 @@ chaosSoak(bool smoke)
          corruption.corruptionsSilent == 0);
     const bool goodput_recovered =
         recovered_rate >= 0.5 * baseline_rate && baseline_rate > 0;
-    const bool pass =
-        failover_ok && no_lost_work && ledger_ok && goodput_recovered;
+    const bool pass = failover_ok && no_lost_work && ledger_ok &&
+                      goodput_recovered && bytes_exact;
     if (!pass)
         std::fprintf(stderr,
                      "CHAOS SOAK FAILED: failover %d, no lost work %d, "
-                     "ledger %d, goodput %d\n",
+                     "ledger %d, goodput %d, resident bytes exact %d "
+                     "(%llu shard-rounds off their walk)\n",
                      failover_ok, no_lost_work, ledger_ok,
-                     goodput_recovered);
+                     goodput_recovered, bytes_exact,
+                     static_cast<unsigned long long>(byte_mismatches));
 
     Report report("chaos_soak");
     report.put("smoke", smoke)

@@ -435,10 +435,15 @@ PagedRows::overlayBytes() const
 }
 
 std::size_t
+PagedRows::heapBytes() const
+{
+    return pages_.capacity() * sizeof(PageRef) + overlayBytes();
+}
+
+std::size_t
 PagedRows::privateBytes() const
 {
-    std::size_t bytes =
-        pages_.capacity() * sizeof(PageRef) + overlayBytes();
+    std::size_t bytes = heapBytes();
     for (const PageRef &ref : pages_)
         if (ref.solelyOwned())
             bytes += arena_->pageBytes();

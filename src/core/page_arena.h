@@ -12,11 +12,18 @@
  * private row overlay, so forking a session costs O(rows written),
  * not O(pages touched) and not O(session bytes).
  *
+ * The arena also keeps a running total of the heap bytes its owners
+ * hold beside their pages (page indexes, overlays, code indexes):
+ * each owner posts its own changes (postHeapBytes()). liveBytes() +
+ * heapBytes() is then the whole footprint of everything allocated
+ * from the arena, read in O(1).
+ *
  * Thread-safety: structural operations (allocate, release, the CoW
- * slow path) take the arena mutex. Reads and the sole-owner check are
- * lock-free — PageRef caches the data and refcount pointers, page
- * storage is segmented so pages never move, and a refcount of 1 can
- * only change from the owning buffer's own thread. This is exactly
+ * slow path) take the arena mutex; a heap post is one atomic add.
+ * Reads and the sole-owner check are lock-free — PageRef caches the
+ * data and refcount pointers, page storage is segmented so pages
+ * never move, and a refcount of 1 can only change from the owning
+ * buffer's own thread. This is exactly
  * the access pattern of a serving flush: forked sessions step in parallel
  * and CoW concurrently, but a given page is written only by the one
  * session that solely owns it, and a row overlay belongs to its one
@@ -108,6 +115,23 @@ class PageArena
     std::size_t sharedBytes() const;
     /** CoW page copies performed since construction. */
     std::uint64_t cowCopies() const;
+
+    /** Replaces an owner's posted heap bytes @p before with @p after
+     *  (lock-free; owners may post concurrently). */
+    void postHeapBytes(std::size_t before, std::size_t after)
+    {
+        if (after != before)
+            heapBytes_.fetch_add(after - before,
+                                 std::memory_order_relaxed);
+    }
+
+    /** Sum of the heap bytes every owner has posted and not yet
+     *  withdrawn. */
+    std::size_t heapBytes() const
+    {
+        return heapBytes_.load(std::memory_order_relaxed);
+    }
+
     /** Cumulative pages ever allocated (monotone; free-list reuse
      *  counts again — an allocation-rate proxy, not a footprint). */
     std::uint64_t allocated() const;
@@ -146,6 +170,8 @@ class PageArena
     std::size_t sharedPages_ = 0;
     std::uint64_t cowCopies_ = 0;
     std::uint64_t allocated_ = 0;
+    /** Unsigned wrap-around makes a negative post subtract. */
+    std::atomic<std::size_t> heapBytes_{0};
 };
 
 /**
@@ -265,11 +291,17 @@ class PagedVector
         return shared;
     }
 
-    /** Bytes owned by this buffer alone: solely-owned pages plus the
-     *  PageRef index. Shared pages are priced once by the arena. */
+    /** Heap bytes beside the pages: the PageRef index. */
+    std::size_t heapBytes() const
+    {
+        return pages_.capacity() * sizeof(PageRef);
+    }
+
+    /** Bytes owned by this buffer alone: solely-owned pages plus
+     *  heapBytes(). Shared pages are priced once by the arena. */
     std::size_t privateBytes() const
     {
-        std::size_t bytes = pages_.capacity() * sizeof(PageRef);
+        std::size_t bytes = heapBytes();
         for (const PageRef &ref : pages_)
             if (ref.solelyOwned())
                 bytes += arena_->pageBytes();
@@ -369,7 +401,10 @@ class PagedRows
     std::size_t sharedPageCount() const;
     /** Heap bytes of the overlay at its capacity (row data and ids). */
     std::size_t overlayBytes() const;
-    /** PagedVector::privateBytes' contract plus overlayBytes(). */
+    /** Heap bytes beside the pages: the PageRef index plus
+     *  overlayBytes(). */
+    std::size_t heapBytes() const;
+    /** Solely-owned pages plus heapBytes() (PagedVector's contract). */
     std::size_t privateBytes() const;
 
   private:

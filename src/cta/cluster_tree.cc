@@ -268,6 +268,13 @@ IncrementalClusterTable::stateBytes() const
 }
 
 std::size_t
+IncrementalClusterTable::heapBytes() const
+{
+    return fresh_.stateBytes() + assignments_.heapBytes() +
+           clusterCodes_.heapBytes();
+}
+
+std::size_t
 IncrementalClusterTable::sharedTreeBytes() const
 {
     return base_ ? base_->stateBytes() : 0;

@@ -279,6 +279,10 @@ class IncrementalClusterTable
      *  are priced elsewhere (arena / sharedTreeBytes). */
     std::size_t stateBytes() const;
 
+    /** stateBytes() without the pages: the page indexes and the
+     *  private code index. */
+    std::size_t heapBytes() const;
+
     /** Footprint of the frozen shared base index, if any. */
     std::size_t sharedTreeBytes() const;
 

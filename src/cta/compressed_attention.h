@@ -293,6 +293,9 @@ class ClusterPairCounts
     /** Privately-owned heap footprint (solely-owned pages + index). */
     std::size_t stateBytes() const;
 
+    /** stateBytes() without the pages: the page index alone. */
+    std::size_t heapBytes() const { return pairs_.heapBytes(); }
+
   private:
     core::PagedVector<Pair> pairs_;
     core::Index tokens_ = 0;

@@ -414,6 +414,14 @@ IncrementalCompression::stateBytes() const
            folded_.capacity() * sizeof(Index);
 }
 
+std::size_t
+IncrementalCompression::heapBytes() const
+{
+    return table_.heapBytes() + sums_.heapBytes() +
+           members_.capacity() * sizeof(Index) +
+           folded_.capacity() * sizeof(Index);
+}
+
 IncrementalTwoLevelCompression::IncrementalTwoLevelCompression(
     LshParams params1, LshParams params2)
     : level1_(std::move(params1)), level2_(std::move(params2))

@@ -250,6 +250,10 @@ class IncrementalCompression
      *  priced elsewhere. */
     std::size_t stateBytes() const;
 
+    /** stateBytes() without the arena pages: what the level holds on
+     *  the heap beside them. */
+    std::size_t heapBytes() const;
+
     /** Footprint of the frozen shared code index, if any. */
     std::size_t sharedTreeBytes() const
     {
@@ -361,6 +365,13 @@ class IncrementalTwoLevelCompression
     /** Privately-owned heap footprint of both live levels (see
      *  IncrementalCompression::stateBytes). */
     std::size_t stateBytes() const;
+
+    /** stateBytes() without the pages (IncrementalCompression::
+     *  heapBytes). */
+    std::size_t heapBytes() const
+    {
+        return level1_.heapBytes() + level2_.heapBytes();
+    }
 
     /** Footprint of the frozen shared code indexes, if any. */
     std::size_t sharedTreeBytes() const

@@ -10,8 +10,14 @@
  *   - linear weights          -> 12-bit, integer bits fit to range
  *   - LSH direction matrix A  -> 12-bit Q3.9 (three-sigma rule)
  *   - centroids, Qb/Kb/Vb     -> 12-bit Q6.6
- *   - scores / probabilities  -> 16-bit Q7.9
+ *   - scores S̄                -> 16-bit Q7.9
  *   - normalized output       -> 13-bit Q6.7 (the token grid)
+ *
+ * The paper also places the probabilities on the 16-bit grid; this
+ * runner does not yet. The exponentiated probabilities AP, their row
+ * sums and the unnormalized output Ō = AP·V̄ stay FP32 until the
+ * output writeback (ROADMAP item 12(d) covers that half of the
+ * fixed-point path).
  *
  * The paper reports < 0.1 % accuracy loss from this scheme; the
  * reproduction's quantization bench verifies the analogous claim on

@@ -376,6 +376,20 @@ DecodeSession::DecodeSession(
                 params_->wv.inDim() == token_dim,
                 "head projections expect token dim ",
                 params_->wq.inDim(), ", session serves ", token_dim);
+    postHeapBytes();
+}
+
+DecodeSession::~DecodeSession()
+{
+    arena_->postHeapBytes(postedHeap_.bytes, 0);
+}
+
+void
+DecodeSession::postHeapBytes(std::size_t extra)
+{
+    const std::size_t bytes = heapBytes() + extra;
+    arena_->postHeapBytes(postedHeap_.bytes, bytes);
+    postedHeap_.bytes = bytes;
 }
 
 std::unique_ptr<DecodeSession>
@@ -394,6 +408,7 @@ DecodeSession::forkFrom(std::shared_ptr<const SharedPrefix> prefix)
     child->frozen_.reset();
     child->lastStepOps_ = OpCounts{};
     child->totalOps_ = OpCounts{};
+    child->postHeapBytes();
     return child;
 }
 
@@ -410,6 +425,7 @@ DecodeSession::sharedPrefix(std::int64_t id)
     // so this session, the donor, and every child reference one index
     // instead of copying it per fork.
     kv_.shareTrees();
+    postHeapBytes();
     auto donor = std::unique_ptr<DecodeSession>(new DecodeSession(*this));
     // The donor writes its row overlays back into pages, so each child
     // starts with every row on a page it shares and an empty overlay.
@@ -421,6 +437,9 @@ DecodeSession::sharedPrefix(std::int64_t id)
     for (core::PagedRows *rows : {&donor->kBar1_, &donor->kBar2_,
                                   &donor->vBar1_, &donor->vBar2_})
         rows->foldOverlay();
+    // The donor prices the shared code indexes, once per prefix, and
+    // never mutates again, so its post stays exact.
+    donor->postHeapBytes(donor->sharedTreeBytes());
     frozen_ = std::make_shared<const SharedPrefix>(id, std::move(donor));
     return frozen_;
 }
@@ -564,6 +583,7 @@ DecodeSession::prefill(const Matrix &tokens)
     faultTainted_ =
         faultTainted_ || fault::threadInjections() != faultsBefore;
     totalOps_ += ops;
+    postHeapBytes();
 }
 
 Matrix
@@ -593,6 +613,7 @@ DecodeSession::step(std::span<const Real> token)
             faultTainted_ || fault::threadInjections() != faultsBefore;
         lastStepOps_ = ops;
         totalOps_ += ops;
+        postHeapBytes();
         return out;
     };
     if (fallback_)
@@ -705,6 +726,14 @@ DecodeSession::stateBytes() const
     return kv_.stateBytes() + pairs_.stateBytes() +
            kBar1_.privateBytes() + kBar2_.privateBytes() +
            vBar1_.privateBytes() + vBar2_.privateBytes() +
+           kCache_.memoryBytes() + vCache_.memoryBytes();
+}
+
+std::size_t
+DecodeSession::heapBytes() const
+{
+    return kv_.heapBytes() + pairs_.heapBytes() + kBar1_.heapBytes() +
+           kBar2_.heapBytes() + vBar1_.heapBytes() + vBar2_.heapBytes() +
            kCache_.memoryBytes() + vCache_.memoryBytes();
 }
 
@@ -876,6 +905,7 @@ DecodeSession::tryRestore(const SessionSnapshot &snap,
     }
     lastStepOps_ = OpCounts{};
     totalOps_ = OpCounts{};
+    postHeapBytes();
     return true;
 }
 

@@ -145,6 +145,9 @@ class DecodeSession
                   std::shared_ptr<const alg::LshParamSet> lsh,
                   std::shared_ptr<core::PageArena> arena);
 
+    /** Withdraws the heap bytes this session posted to its arena. */
+    ~DecodeSession();
+
     /**
      * Forks a child session off a frozen shared prefix: the child
      * starts bit-identical to the donor, sharing every state page
@@ -222,6 +225,10 @@ class DecodeSession
         return prefix_;
     }
 
+    /** The donor sharedPrefix() froze and still caches: null once the
+     *  session has mutated since its last fork. */
+    const SharedPrefix *cachedPrefix() const { return frozen_.get(); }
+
     /** Operation counts of the most recent step() call. */
     const core::OpCounts &lastStepOps() const { return lastStepOps_; }
 
@@ -244,9 +251,22 @@ class DecodeSession
      * code indexes once per prefix (sharedTreeBytes), and the model
      * weights once per server
      * (modelBytes) — every resident byte is counted exactly once
-     * across SessionManager::residentBytes().
+     * across SessionManager::walkedResidentBytes(). O(pages): it asks
+     * every page whether it is shared.
      */
     std::size_t stateBytes() const;
+
+    /**
+     * stateBytes() without the arena pages, in O(1): what the session
+     * holds on the heap beside them. The session posts it to its
+     * arena (core::PageArena::postHeapBytes) at the end of every
+     * mutation — construction, fork, prefill(), step(), restore() —
+     * and withdraws it on destruction; a fork donor posts its shared
+     * code indexes too (sharedTreeBytes()). The arena's liveBytes() +
+     * heapBytes() is then the running resident total a SessionManager
+     * budgets.
+     */
+    std::size_t heapBytes() const;
 
     /** Bytes of the shared model state this session references: head
      *  projection weights and the three LSH parameter matrices. */
@@ -317,8 +337,13 @@ class DecodeSession
 
   private:
     /** CoW copy: shares every arena page with @p other. Used by
-     *  sharedPrefix() (donor) and forkFrom() (children) only. */
+     *  sharedPrefix() (donor) and forkFrom() (children) only, which
+     *  post the copy's heap bytes. */
     DecodeSession(const DecodeSession &other) = default;
+
+    /** Posts heapBytes() + @p extra to the arena in place of what
+     *  this session posted before. */
+    void postHeapBytes(std::size_t extra = 0);
 
     /** The one ingest path of prefill() and step(): appends the
      *  (sanitized) @p rows to the KV state and the pair multiset,
@@ -373,6 +398,16 @@ class DecodeSession
     bool fallback_ = false;
     bool faultTainted_ = false;
     const char *fallbackReason_ = "";
+    /** What this session last posted to arena_->heapBytes(). A copy
+     *  starts at zero, having posted nothing yet, and cannot be
+     *  assigned over (two sessions would then withdraw one post). */
+    struct PostedHeapBytes
+    {
+        std::size_t bytes = 0;
+        PostedHeapBytes() = default;
+        PostedHeapBytes(const PostedHeapBytes &) {}
+        PostedHeapBytes &operator=(const PostedHeapBytes &) = delete;
+    } postedHeap_;
 };
 
 /**

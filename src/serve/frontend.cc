@@ -319,8 +319,7 @@ ServeFrontend::createSession(Index tenant_id)
     ref.tenant = tenant_id;
     ref.local = shards_[static_cast<std::size_t>(ref.shard)]
                     .manager->createSession();
-    sessions_.push_back(ref);
-    return static_cast<Index>(sessions_.size()) - 1;
+    return addSessionLocked(ref);
 }
 
 Index
@@ -334,21 +333,17 @@ ServeFrontend::createSession(Index tenant_id,
     ref.tenant = tenant_id;
     ref.local = shards_[static_cast<std::size_t>(ref.shard)]
                     .manager->createSession(tokens);
-    sessions_.push_back(ref);
-    return static_cast<Index>(sessions_.size()) - 1;
+    return addSessionLocked(ref);
 }
 
 Index
 ServeFrontend::forkSession(Index parent)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    CTA_REQUIRE(parent >= 0 &&
-                    parent < static_cast<Index>(sessions_.size()),
-                "session id ", parent, " out of range [0, ",
-                sessions_.size(), ")");
-    const SessionRef &p =
-        sessions_[static_cast<std::size_t>(parent)];
-    CTA_REQUIRE(!p.removed, "cannot fork removed session ", parent);
+    const SessionRef *found = findLocked(parent);
+    CTA_REQUIRE(found != nullptr, "cannot fork removed session ",
+                parent);
+    const SessionRef p = *found;
     CTA_REQUIRE(!p.corrupted, "cannot fork quarantined session ",
                 parent);
     // The child shares the parent's state pages copy-on-write, which
@@ -360,8 +355,7 @@ ServeFrontend::forkSession(Index parent)
     ref.tenant = p.tenant;
     ref.local = shard.manager->forkSession(p.local);
     ++shard.placements;
-    sessions_.push_back(ref);
-    return static_cast<Index>(sessions_.size()) - 1;
+    return addSessionLocked(ref);
 }
 
 Admission
@@ -371,18 +365,15 @@ ServeFrontend::admit(Index session,
 {
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);
-    CTA_REQUIRE(session >= 0 &&
-                    session < static_cast<Index>(sessions_.size()),
-                "session id ", session, " out of range [0, ",
-                sessions_.size(), ")");
-    const SessionRef &ref =
-        sessions_[static_cast<std::size_t>(session)];
-    Tenant &t = tenants_[static_cast<std::size_t>(ref.tenant)];
+    const SessionRef *found = findLocked(session);
+    Tenant &t = tenants_[static_cast<std::size_t>(
+        tenantOfId_[static_cast<std::size_t>(session)])];
     ++t.counters.submitted;
-    if (ref.removed) {
+    if (found == nullptr) {
         shedLocked(t, ShedReason::Removed);
         return {SubmitResult::SessionRemoved, 0};
     }
+    const SessionRef &ref = *found;
     if (ref.corrupted) {
         shedLocked(t, ShedReason::Corrupted);
         return {SubmitResult::Corrupted, 0};
@@ -461,19 +452,18 @@ ServeFrontend::dispatchLocked()
             while (t.deficit > 0 && !t.queue.empty() && !blocked[i] &&
                    total < maxDispatchPerFlush_) {
                 QueuedStep &head = t.queue.front();
-                SessionRef &ref = sessions_[static_cast<std::size_t>(
-                    head.session)];
-                Shard &shard =
-                    shards_[static_cast<std::size_t>(ref.shard)];
+                SessionRef *ref = findLocked(head.session);
                 // A session removed after admission sheds its queued
                 // steps here; sheds cost no deficit — a tenant is not
                 // billed for work that never ran.
-                if (ref.removed) {
+                if (ref == nullptr) {
                     shedLocked(t, ShedReason::Removed);
                     t.queue.pop_front();
                     progress = true;
                     continue;
                 }
+                Shard &shard =
+                    shards_[static_cast<std::size_t>(ref->shard)];
                 // A fenced shard is temporary: hold at the head like
                 // QueueFull (the step stays queued for after
                 // recovery) instead of shedding terminal work.
@@ -482,7 +472,7 @@ ServeFrontend::dispatchLocked()
                     break;
                 }
                 const SubmitResult result = shard.manager->trySubmit(
-                    ref.local, head.token, head.deadline);
+                    ref->local, head.token, head.deadline);
                 if (result == SubmitResult::QueueFull) {
                     blocked[i] = 1;
                     break;
@@ -509,13 +499,13 @@ ServeFrontend::dispatchLocked()
                     ++t.counters.expired;
                     t.shed->add(1.0);
                 } else if (result == SubmitResult::Corrupted) {
-                    ref.corrupted = true;
+                    ref->corrupted = true;
                     ++t.counters.corrupted;
                     shedLocked(t, ShedReason::Corrupted);
                 } else {
                     // SessionRemoved: removed behind the front-end's
                     // back (direct manager access).
-                    ref.removed = true;
+                    sessions_.erase(head.session);
                     shedLocked(t, ShedReason::Removed);
                 }
                 t.queue.pop_front(); // dispatched or shed either way
@@ -690,8 +680,9 @@ ServeFrontend::flushOnce()
             case StepStatus::Corrupted:
                 ++t.counters.corrupted;
                 ++corruptionsObserved;
-                sessions_[static_cast<std::size_t>(tag.session)]
-                    .corrupted = true;
+                // removeSession() never overlaps a flush, so every
+                // dispatched session still has its ref.
+                findLocked(tag.session)->corrupted = true;
                 break;
             case StepStatus::Bounced:
                 // The shard wedged under the step: stream untouched,
@@ -741,7 +732,7 @@ ServeFrontend::flushOnce()
         }
     }
     // Refresh the placement load cache from phase 3's totals; a
-    // failover moved sessions after them, so it walks every manager
+    // failover moved sessions after them, so it reads every manager
     // again. The tie-break counters restart with the cache.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         shards_[s].loadBytes = failedOver
@@ -772,10 +763,15 @@ ServeFrontend::failoverLocked(Index failed)
     std::vector<std::size_t> adopted(shards_.size(), 0);
     std::map<std::pair<Index, std::int64_t>, std::int64_t> prefixMemo;
     std::uint64_t deferred = 0;
-    for (std::size_t g = 0; g < sessions_.size(); ++g) {
-        SessionRef &ref = sessions_[g];
-        if (ref.shard != failed || ref.removed)
-            continue;
+    // In ascending global id, so every adoption — and the local id it
+    // draws on its destination — is deterministic.
+    std::vector<Index> onShard;
+    for (const auto &[g, ref] : sessions_)
+        if (ref.shard == failed)
+            onShard.push_back(g);
+    std::sort(onShard.begin(), onShard.end());
+    for (const Index g : onShard) {
+        SessionRef &ref = sessions_.at(g);
         if (!srcMgr.exists(ref.local)) {
             // A quarantined tombstone dropped at an earlier failover
             // of this shard: the manager slot is gone, admission
@@ -945,14 +941,11 @@ ServeFrontend::removeSession(Index session)
     // front-end lock.
     RemovedSession freed;
     std::lock_guard<std::mutex> lock(mutex_);
-    CTA_REQUIRE(session >= 0 &&
-                    session < static_cast<Index>(sessions_.size()),
-                "session id ", session, " out of range [0, ",
-                sessions_.size(), ")");
-    SessionRef &ref = sessions_[static_cast<std::size_t>(session)];
-    CTA_REQUIRE(!ref.removed, "session ", session,
+    const SessionRef *found = findLocked(session);
+    CTA_REQUIRE(found != nullptr, "session ", session,
                 " was already removed");
-    ref.removed = true;
+    const SessionRef ref = *found;
+    sessions_.erase(session);
     Tenant &t = tenants_[static_cast<std::size_t>(ref.tenant)];
     // Drop this session's queued-but-undispatched steps; steps
     // already in the shard's queue are purged by the manager's
@@ -973,29 +966,52 @@ Index
 ServeFrontend::sessionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<Index>(sessions_.size());
+    return static_cast<Index>(tenantOfId_.size());
 }
 
 Index
 ServeFrontend::tenantOf(Index session) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    CTA_REQUIRE(session >= 0 &&
-                    session < static_cast<Index>(sessions_.size()),
-                "session id ", session, " out of range [0, ",
-                sessions_.size(), ")");
-    return sessions_[static_cast<std::size_t>(session)].tenant;
+    (void)findLocked(session); // range check
+    return tenantOfId_[static_cast<std::size_t>(session)];
 }
 
 Index
 ServeFrontend::shardOf(Index session) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    const SessionRef *ref = findLocked(session);
+    CTA_REQUIRE(ref != nullptr, "session ", session,
+                " was removed; it has no shard");
+    return ref->shard;
+}
+
+Index
+ServeFrontend::addSessionLocked(const SessionRef &ref)
+{
+    const auto id = static_cast<Index>(tenantOfId_.size());
+    tenantOfId_.push_back(static_cast<std::int32_t>(ref.tenant));
+    sessions_.emplace(id, ref);
+    return id;
+}
+
+ServeFrontend::SessionRef *
+ServeFrontend::findLocked(Index session)
+{
+    return const_cast<SessionRef *>(
+        std::as_const(*this).findLocked(session));
+}
+
+const ServeFrontend::SessionRef *
+ServeFrontend::findLocked(Index session) const
+{
     CTA_REQUIRE(session >= 0 &&
-                    session < static_cast<Index>(sessions_.size()),
+                    session < static_cast<Index>(tenantOfId_.size()),
                 "session id ", session, " out of range [0, ",
-                sessions_.size(), ")");
-    return sessions_[static_cast<std::size_t>(session)].shard;
+                tenantOfId_.size(), ")");
+    const auto it = sessions_.find(session);
+    return it == sessions_.end() ? nullptr : &it->second;
 }
 
 Index

@@ -108,6 +108,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -395,6 +396,8 @@ class ServeFrontend
     core::Index sessionCount() const;
 
     core::Index tenantOf(core::Index session) const;
+
+    /** The shard @p session lives on; fatal once it was removed. */
     core::Index shardOf(core::Index session) const;
 
     /** Steps currently waiting in @p tenant's queue. */
@@ -456,7 +459,7 @@ class ServeFrontend
          *  stats.corruptionEvents is the cumulative mirror. */
         std::uint64_t corruptionsInEpoch = 0;
         /** Placement load cache: residentBytes() as of the end of the
-         *  last flush — the total its budget pass ended at, walked
+         *  last flush — the total its budget pass ended at, read
          *  again only after a failover (manager calls are not safe
          *  mid-flush). */
         std::size_t loadBytes = 0;
@@ -472,7 +475,6 @@ class ServeFrontend
         core::Index shard = 0;
         core::Index local = 0; ///< id within the shard's manager
         core::Index tenant = 0;
-        bool removed = false;
         /** Quarantine observed (sticky) — admission rejects early. */
         bool corrupted = false;
     };
@@ -524,10 +526,27 @@ class ServeFrontend
     /** Phase 1 of flushOnce(): DRR dispatch under mutex_. */
     void dispatchLocked();
 
+    /** Registers @p ref under the next global id and returns it. */
+    core::Index addSessionLocked(const SessionRef &ref);
+
+    /** @p session's ref, or null once it was removed; fatal for ids
+     *  never handed out. */
+    SessionRef *findLocked(core::Index session);
+    const SessionRef *findLocked(core::Index session) const;
+
     mutable std::mutex mutex_; ///< tenant queues, registry, counters
     std::vector<Shard> shards_;
     std::vector<Tenant> tenants_;
-    std::vector<SessionRef> sessions_;
+    /** The refs of the sessions not removed, by global id. A removed
+     *  id keeps only its tenant (tenantOfId_), so a long-running
+     *  front-end's footprint follows its sessions, not every id it
+     *  ever handed out. */
+    std::unordered_map<core::Index, SessionRef> sessions_;
+    /** Tenant of every id ever handed out, indexed by id: a late
+     *  admit to a removed session still bills its tenant. 32 bits,
+     *  since every tenant holds a queue and gauges; a deque grows in
+     *  fixed blocks, never holding a doubled copy. */
+    std::deque<std::int32_t> tenantOfId_;
     core::Index defaultQuota_ = 0;
     core::Index drrQuantumScale_ = 32;
     core::Index maxDispatchPerFlush_ = 256;

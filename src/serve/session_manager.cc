@@ -111,8 +111,8 @@ SessionManager::makeSession() const
 Index
 SessionManager::pushSlotLocked(Slot slot)
 {
-    slots_.push_back(std::move(slot));
-    return static_cast<Index>(slots_.size()) - 1;
+    slots_.emplace(nextId_, std::move(slot));
+    return nextId_++;
 }
 
 Index
@@ -184,19 +184,18 @@ Index
 SessionManager::sessionCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<Index>(slots_.size());
+    return nextId_;
 }
 
 SessionManager::Slot &
 SessionManager::slot(Index id, const char *verb)
 {
-    CTA_REQUIRE(id >= 0 && id < static_cast<Index>(slots_.size()),
-                "session id ", id, " out of range [0, ", slots_.size(),
-                ") in ", verb);
-    Slot &s = slots_[static_cast<std::size_t>(id)];
-    CTA_REQUIRE(s.state != State::Removed, "session ", id,
+    CTA_REQUIRE(id >= 0 && id < nextId_, "session id ", id,
+                " out of range [0, ", nextId_, ") in ", verb);
+    const auto it = slots_.find(id);
+    CTA_REQUIRE(it != slots_.end(), "session ", id,
                 " was removed; cannot ", verb, " it");
-    return s;
+    return it->second;
 }
 
 const SessionManager::Slot &
@@ -208,9 +207,8 @@ SessionManager::slot(Index id, const char *verb) const
 SessionManager::State
 SessionManager::stateLocked(Index id) const
 {
-    if (id < 0 || id >= static_cast<Index>(slots_.size()))
-        return State::Removed;
-    return slots_[static_cast<std::size_t>(id)].state;
+    const auto it = slots_.find(id);
+    return it == slots_.end() ? State::Removed : it->second.state;
 }
 
 bool
@@ -350,8 +348,7 @@ SessionManager::tryAcquireLocked(Index id)
                 ++corruptionsDetected_;
             CTA_WARN("session ", id, " snapshot failed integrity "
                      "check (", error, "); quarantining it");
-            s.blob.clear();
-            s.blob.shrink_to_fit();
+            dropBlobLocked(s);
             s.live.reset();
             s.state = State::Quarantined;
             CTA_OBS_COUNT("serve.manager.quarantined", 1);
@@ -364,8 +361,7 @@ SessionManager::tryAcquireLocked(Index id)
             s.corruptionInjected = false;
         }
         s.live = std::move(restored);
-        s.blob.clear();
-        s.blob.shrink_to_fit();
+        dropBlobLocked(s);
         s.state = State::Live;
         ++restores_;
         CTA_OBS_COUNT("serve.manager.restores", 1);
@@ -414,6 +410,7 @@ SessionManager::evictLocked(Index id)
         s.corruptionInjected = true;
         ++corruptionsInjected_;
     }
+    evictedBlobBytes_ += s.blob.capacity();
     CTA_OBS_COUNT("serve.manager.evictions", 1);
 }
 
@@ -424,8 +421,9 @@ SessionManager::removeSession(Index id)
     // either enqueues before the purge or sees the session removed.
     std::lock_guard<std::mutex> lock(mutex_);
     Slot &s = slot(id, "remove");
+    evictedBlobBytes_ -= s.blob.capacity();
     RemovedSession freed{std::move(s.live), std::move(s.blob)};
-    s.state = State::Removed;
+    slots_.erase(id);
     CTA_OBS_COUNT("serve.manager.removed", 1);
     // Drop queued steps for the freed session; re-number the
     // submission slots so flush results stay dense.
@@ -447,7 +445,7 @@ SessionManager::isPinnedResident(Index id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stateLocked(id) == State::Live &&
-           slots_[static_cast<std::size_t>(id)].live->fallbackActive();
+           slots_.at(id).live->fallbackActive();
 }
 
 SessionExport
@@ -547,6 +545,7 @@ SessionManager::adoptSession(SessionExport exported,
         adopted.blob = std::move(exported.blob);
     }
     adopted.state = State::Evicted;
+    evictedBlobBytes_ += adopted.blob.capacity();
     CTA_OBS_COUNT("serve.manager.adopted", 1);
     return pushSlotLocked(std::move(adopted));
 }
@@ -639,12 +638,29 @@ SessionManager::poisonSession(Index id, std::uint64_t key)
     return true;
 }
 
+void
+SessionManager::dropBlobLocked(Slot &s)
+{
+    evictedBlobBytes_ -= s.blob.capacity();
+    s.blob = std::vector<std::uint8_t>();
+}
+
 bool
 SessionManager::prefixIsCold(std::int64_t id) const
 {
-    for (const Slot &s : slots_)
-        if (s.state == State::Live && s.prefixId == id)
+    // A live session forked from this prefix shares its pages; a live
+    // parent that still caches the donor it froze (its next fork
+    // reuses it) holds the donor itself, so evicting the registry
+    // entry would free nothing and orphan that cache.
+    for (const auto &[sid, s] : slots_) {
+        if (s.state != State::Live)
+            continue;
+        if (s.prefixId == id)
             return false;
+        const SharedPrefix *cached = s.live->cachedPrefix();
+        if (cached != nullptr && cached->id() == id)
+            return false;
+    }
     // A resident child prefix's donor holds this prefix alive through
     // its own prefix_ pointer; evicting the registry entry would not
     // free a byte until the child goes cold too.
@@ -692,43 +708,30 @@ SessionManager::enforceBudget()
 std::size_t
 SessionManager::enforceBudgetLocked()
 {
+    CTA_TRACE_SCOPE("serve.budget_pass");
     std::size_t total = residentBytesLocked();
-    if (memBudgetBytes_ == 0) {
+    if (memBudgetBytes_ == 0 || total <= memBudgetBytes_) {
         publishGauges(total);
         return total;
     }
-    // Collect live sessions, LRU first. stateBytes() is O(pages)
-    // per session, and the walk and sort run on every flush even when
-    // nothing is over budget: traced fork_resume measured about 147 µs
-    // per shard per flush with no eviction. ROADMAP item 2 replaces
-    // them with a running byte total and an intrusive LRU list.
+    // Over budget: collect the live sessions, LRU first. Fallback
+    // sessions count against the budget but are never eviction
+    // candidates (their exact caches are not serializable — see
+    // evict()).
     std::vector<std::pair<std::uint64_t, Index>> live;
-    for (Index id = 0; id < static_cast<Index>(slots_.size()); ++id) {
-        const Slot &s = slots_[static_cast<std::size_t>(id)];
-        if (s.state != State::Live)
-            continue;
-        // Fallback sessions count against the budget but are never
-        // eviction candidates (their exact caches are not
-        // serializable — see evict()).
-        if (s.live->fallbackActive())
-            continue;
-        live.emplace_back(s.lastUsed, id);
-    }
+    for (const auto &[id, s] : slots_)
+        if (s.state == State::Live && !s.live->fallbackActive())
+            live.emplace_back(s.lastUsed, id);
     std::sort(live.begin(), live.end());
     // Evict LRU-first, but never the most-recently-used session: a
     // budget below a single session's footprint then degrades to
-    // one-resident-at-a-time serving rather than livelock. Evicting
-    // a forked session frees exactly its private bytes: pages whose
-    // refcount drops to one migrate from the arena's shared total to
-    // the remaining owner's private total at equal size, so the
-    // decrement stays exact.
+    // one-resident-at-a-time serving rather than livelock. The total
+    // is re-read after each eviction, which frees the session's heap
+    // and its solely-owned pages.
     for (std::size_t i = 0;
          total > memBudgetBytes_ && i + 1 < live.size(); ++i) {
-        const Index id = live[i].second;
-        const std::size_t bytes =
-            slots_[static_cast<std::size_t>(id)].live->stateBytes();
-        evictLocked(id);
-        total -= std::min(bytes, total);
+        evictLocked(live[i].second);
+        total = residentBytesLocked();
     }
     // Still over (or the survivors alone exceed the budget): shed
     // cold prefix donors, LRU first. A donor referenced by any live
@@ -764,7 +767,7 @@ std::size_t
 SessionManager::liveStateBytesLocked() const
 {
     std::size_t total = 0;
-    for (const Slot &s : slots_)
+    for (const auto &[id, s] : slots_)
         if (s.state == State::Live)
             total += s.live->stateBytes();
     return total;
@@ -774,17 +777,7 @@ std::size_t
 SessionManager::evictedBlobBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return evictedBlobBytesLocked();
-}
-
-std::size_t
-SessionManager::evictedBlobBytesLocked() const
-{
-    std::size_t total = 0;
-    for (const Slot &s : slots_)
-        if (s.state == State::Evicted)
-            total += s.blob.capacity();
-    return total;
+    return evictedBlobBytes_;
 }
 
 std::size_t
@@ -797,6 +790,13 @@ SessionManager::residentBytes() const
 std::size_t
 SessionManager::residentBytesLocked() const
 {
+    return arena_->liveBytes() + arena_->heapBytes();
+}
+
+std::size_t
+SessionManager::walkedResidentBytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
     std::size_t total = liveStateBytesLocked();
     for (const PrefixEntry &entry : prefixes_)
         if (entry.live)
@@ -827,8 +827,11 @@ SessionManager::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     SessionManagerStats stats;
-    stats.created = static_cast<Index>(slots_.size());
-    for (const Slot &s : slots_) {
+    stats.created = nextId_;
+    stats.removed = nextId_ - static_cast<Index>(slots_.size());
+    // Like walkedResidentBytes(), this walks every session's pages
+    // (liveBytes); the flush path never calls either.
+    for (const auto &[id, s] : slots_) {
         switch (s.state) {
         case State::Live:
             ++stats.live;
@@ -838,8 +841,7 @@ SessionManager::stats() const
             ++stats.evicted;
             stats.evictedBytes += s.blob.capacity();
             break;
-        case State::Removed:
-            ++stats.removed;
+        case State::Removed: // removed ids hold no slot
             break;
         case State::Quarantined:
             ++stats.quarantined;
@@ -863,6 +865,8 @@ SessionManager::stats() const
     }
     stats.sharedPageBytes = arena_->sharedBytes();
     stats.residentBytes = residentBytesLocked();
+    CTA_OBS_GAUGE_SET("serve.manager.live_bytes",
+                      static_cast<double>(stats.liveBytes));
     stats.modelBytes = modelBytes_;
     stats.forks = forks_;
     stats.cowCopies = arena_->cowCopies();
@@ -878,10 +882,8 @@ SessionManager::stats() const
 void
 SessionManager::publishGauges(std::size_t resident) const
 {
-    CTA_OBS_GAUGE_SET("serve.manager.live_bytes",
-                      static_cast<double>(liveStateBytesLocked()));
     CTA_OBS_GAUGE_SET("serve.manager.evicted_blob_bytes",
-                      static_cast<double>(evictedBlobBytesLocked()));
+                      static_cast<double>(evictedBlobBytes_));
     CTA_OBS_GAUGE_SET("serve.manager.resident_bytes",
                       static_cast<double>(resident));
     CTA_OBS_GAUGE_SET("serve.manager.shared_page_bytes",
@@ -939,10 +941,8 @@ SessionManager::trySubmit(Index session,
     // Out-of-range is a caller bug, not load — always fatal. A
     // removed session is a normal race with lifecycle management and
     // gets a recoverable rejection.
-    CTA_REQUIRE(session >= 0 &&
-                    session < static_cast<Index>(slots_.size()),
-                "session id ", session, " out of range [0, ",
-                slots_.size(), ")");
+    CTA_REQUIRE(session >= 0 && session < nextId_, "session id ",
+                session, " out of range [0, ", nextId_, ")");
     const State state = stateLocked(session);
     if (state == State::Removed)
         return recordRejectionLocked(SubmitResult::SessionRemoved);
@@ -986,19 +986,24 @@ SessionManager::beginFlush()
 
     // Group by session, preserving submission order within each: a
     // session is sequential state, so its queued steps form one
-    // serial task; distinct sessions fan out over the pool.
-    plan.perSession.resize(slots_.size());
+    // serial task; distinct sessions fan out over the pool, as tasks
+    // in ascending session id. O(batch), whatever the ids span.
+    for (const Pending &p : plan.batch)
+        plan.active.push_back(p.session);
+    std::sort(plan.active.begin(), plan.active.end());
+    plan.active.erase(std::unique(plan.active.begin(), plan.active.end()),
+                      plan.active.end());
+    plan.perTask.resize(plan.active.size());
     for (std::size_t i = 0; i < plan.batch.size(); ++i)
-        plan.perSession[static_cast<std::size_t>(
-                            plan.batch[i].session)]
+        plan.perTask[static_cast<std::size_t>(
+                         std::lower_bound(plan.active.begin(),
+                                          plan.active.end(),
+                                          plan.batch[i].session) -
+                         plan.active.begin())]
             .push_back(i);
-    for (std::size_t s = 0; s < plan.perSession.size(); ++s) {
-        if (plan.perSession[s].empty())
-            continue;
-        plan.active.push_back(static_cast<Index>(s));
+    for (const Index sid : plan.active)
         plan.restoring = plan.restoring ||
-                         slots_[s].state == State::Evicted;
-    }
+                         slots_.at(sid).state == State::Evicted;
     return plan;
 }
 
@@ -1027,7 +1032,7 @@ SessionManager::runPlanTask(FlushPlan &plan, Index t)
     DecodeSession *sess = plan.resolved[static_cast<std::size_t>(t)];
     if (sess == nullptr) {
         for (const std::size_t i :
-             plan.perSession[static_cast<std::size_t>(sid)]) {
+             plan.perTask[static_cast<std::size_t>(t)]) {
             const Pending &p = plan.batch[i];
             plan.results[p.slot].session = p.session;
             plan.results[p.slot].status = StepStatus::Corrupted;
@@ -1040,8 +1045,7 @@ SessionManager::runPlanTask(FlushPlan &plan, Index t)
     // invariant.
     bool cascaded = false;
     std::uint64_t ran = 0;
-    for (const std::size_t i :
-         plan.perSession[static_cast<std::size_t>(sid)]) {
+    for (const std::size_t i : plan.perTask[static_cast<std::size_t>(t)]) {
         const Pending &p = plan.batch[i];
         const auto begin = std::chrono::steady_clock::now();
         // Queue wait: submit() to the moment the step would start.

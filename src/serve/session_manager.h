@@ -7,17 +7,22 @@
  * The paper's premise (§III-B) is that compressed cluster state is
  * small enough to keep resident; this layer makes that an enforced
  * property instead of a hope. Every resident byte is counted exactly
- * once (residentBytes()): live sessions report the pages and indexes
- * only they own (DecodeSession::stateBytes()), pages shared between
- * forked sessions are priced once by the arena
- * (core::PageArena::sharedBytes()), frozen prefix donors and their
- * shared cluster trees once per prefix, and the model weights once
- * per manager. When the total exceeds the budget, least-recently-used
- * sessions are *evicted*: their incremental compression state is
- * serialized to a compact blob (serializeSnapshot()) — for a forked
- * session, only the delta past its shared prefix — and the live
- * session is destroyed. A prefix donor itself is evicted only once
- * every session referencing it is cold. Touching an evicted session
+ * once, as a running total read in O(1) (residentBytes()): every
+ * arena page once, however many sessions share it
+ * (core::PageArena::liveBytes()), plus the heap bytes each session
+ * holds beside its pages, which it posts to the arena whenever it
+ * mutates (DecodeSession::heapBytes(); a frozen prefix donor adds its
+ * shared cluster trees). The model weights are priced once per
+ * manager, outside the total. The per-page walk the total replaced
+ * (walkedResidentBytes(): live sessions' private bytes, donors, and
+ * the arena's shared pages) stays as its test oracle, and only it
+ * and stats() walk pages. When the total exceeds the budget,
+ * least-recently-used sessions are *evicted*: their incremental
+ * compression state is serialized to a compact blob
+ * (serializeSnapshot()) — for a forked session, only the delta past
+ * its shared prefix — and the live session is destroyed. A prefix
+ * donor itself is evicted only once no live session is forked from
+ * it or still caches it for its next fork. Touching an evicted session
  * later restores it bit-identically (evict → restore → step equals
  * never-evicted step; enforced in tests/serve_test.cc and
  * tests/session_manager_test.cc).
@@ -75,6 +80,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/page_arena.h"
@@ -275,8 +281,8 @@ class SessionManager
         friend class SessionManager;
         bool restoring = false;
         std::vector<Pending> batch;
-        /** Indices into batch per session id, submission order. */
-        std::vector<std::vector<std::size_t>> perSession;
+        /** Indices into batch per task, submission order. */
+        std::vector<std::vector<std::size_t>> perTask;
         std::vector<core::Index> active;    ///< session ids with work
         std::vector<DecodeSession *> resolved; ///< parallel to active
         std::vector<StepResult> results;    ///< slot-indexed
@@ -482,30 +488,49 @@ class SessionManager
 
     /**
      * Evicts least-recently-used live sessions — then, if still over
-     * budget, cold prefix donors (those no live session references) —
-     * until residentBytes() fits the budget. The most-recently-used
-     * session is never evicted, so a budget smaller than one session
-     * degrades to one-resident-at-a-time serving instead of livelock.
-     * Returns the residentBytes() total the pass ends with (the
-     * walk it already made, kept exact through every eviction), so
-     * callers need not walk the sessions again.
+     * budget, cold prefix donors (prefixIsCold) — until residentBytes()
+     * fits the budget. The most-recently-used session is never
+     * evicted, so a budget smaller than one session degrades to
+     * one-resident-at-a-time serving instead of livelock. Returns the
+     * residentBytes() total the pass ends with.
+     *
+     * Cost: O(1) when the total is within budget (or there is no
+     * budget). Only an over-budget pass collects and sorts the live
+     * sessions by recency, and it re-reads the running total after
+     * each eviction.
      */
     std::size_t enforceBudget();
 
-    /** Sum of live sessions' stateBytes() (recomputed). */
+    /** Sum of live sessions' stateBytes() (walks every page). */
     std::size_t liveStateBytes() const;
 
-    /** Sum of evicted sessions' blob sizes. */
+    /** Sum of evicted sessions' blob sizes (a running total). */
     std::size_t evictedBlobBytes() const;
 
     /**
-     * Every resident byte of session state, counted exactly once:
-     * live sessions' private bytes + resident prefix donors (private
-     * bytes + shared cluster trees) + arena pages shared by two or
-     * more owners. The model (weights + LSH) is excluded — it is
-     * fixed serving cost, reported separately in stats().
+     * Every resident byte of session state, in O(1): the arena's live
+     * pages plus the heap bytes every session posts to it
+     * (DecodeSession::heapBytes(); a fork donor adds its shared code
+     * indexes). The model (weights + LSH) is excluded — it is fixed
+     * serving cost, reported separately in stats().
+     *
+     * It equals walkedResidentBytes() whenever every session alive on
+     * the arena is one of this manager's live sessions or resident
+     * donors, which holds at every flush boundary. It counts, and the
+     * walk does not, a session still owned elsewhere: one that
+     * createSession(tokens) is prefilling outside the lock, and one
+     * that removeSession() handed back but the caller has not dropped
+     * yet.
      */
     std::size_t residentBytes() const;
+
+    /**
+     * The test oracle of residentBytes(), recomputed by walking every
+     * page: live sessions' private bytes (DecodeSession::stateBytes)
+     * + resident prefix donors (private bytes + shared code indexes)
+     * + arena pages shared by two or more owners.
+     */
+    std::size_t walkedResidentBytes() const;
 
     /** Prefixes ever registered by forkSession(). */
     core::Index prefixCount() const;
@@ -515,9 +540,10 @@ class SessionManager
 
     /**
      * Evicts prefix @p id's donor to a blob if it is resident and
-     * cold (no live session forked from it, no resident child
-     * prefix); returns true when it evicted. Exposed for tests; the
-     * budget path calls it automatically.
+     * cold (no live session forked from it or still caching it as its
+     * frozen donor, no resident child prefix); returns true when it
+     * evicted. Exposed for tests; the budget path calls it
+     * automatically.
      */
     bool evictPrefixIfCold(std::int64_t id);
 
@@ -649,7 +675,8 @@ class SessionManager
     Slot &slot(core::Index id, const char *verb);
     const Slot &slot(core::Index id, const char *verb) const;
 
-    /** @p id's state; Removed for ids never handed out. */
+    /** @p id's state; Removed for removed ids and ids never handed
+     *  out. */
     State stateLocked(core::Index id) const;
 
     /** Appends @p slot and returns its id. */
@@ -664,8 +691,10 @@ class SessionManager
     bool evictPrefixIfColdLocked(std::int64_t id);
     std::size_t enforceBudgetLocked();
     std::size_t liveStateBytesLocked() const;
-    std::size_t evictedBlobBytesLocked() const;
     std::size_t residentBytesLocked() const;
+
+    /** Frees @p s's blob and takes it off the evicted-blob total. */
+    void dropBlobLocked(Slot &s);
 
     /** adoptSession()'s non-fatal check of a decoded @p snap that the
      *  source slot recorded under @p source_prefix_id and that lands
@@ -682,8 +711,8 @@ class SessionManager
      */
     std::shared_ptr<const SharedPrefix> resolvePrefix(std::int64_t id);
 
-    /** True when no live session or resident child prefix references
-     *  prefix @p id. */
+    /** True when no live session is forked from or caches prefix @p
+     *  id's donor, and no resident child prefix references it. */
     bool prefixIsCold(std::int64_t id) const;
 
     /** Publishes byte/count gauges to the obs layer; @p resident is
@@ -706,7 +735,11 @@ class SessionManager
 
     /** Guards everything below. */
     mutable std::mutex mutex_;
-    std::vector<Slot> slots_;
+    /** The slot of every id handed out and not removed: a removed id
+     *  keeps no entry, so a long-running manager's footprint follows
+     *  its sessions, not every id it ever created. */
+    std::unordered_map<core::Index, Slot> slots_;
+    core::Index nextId_ = 0; ///< ids handed out so far
     std::vector<PrefixEntry> prefixes_;
     std::vector<Pending> pending_;
     std::uint64_t tick_ = 0;
@@ -718,6 +751,8 @@ class SessionManager
     std::uint64_t corruptionsInjected_ = 0;
     std::uint64_t corruptionsDetected_ = 0;
     std::uint64_t corruptionsSilent_ = 0;
+    /** Sum of evicted sessions' blob capacities, kept as they change. */
+    std::size_t evictedBlobBytes_ = 0;
     SubmitRejections rejections_;
     std::uint64_t expiredSteps_ = 0;
     std::uint64_t corruptedSteps_ = 0;

@@ -63,7 +63,10 @@ bitIdentical(const Matrix &a, const Matrix &b)
 {
     if (a.rows() != b.rows() || a.cols() != b.cols())
         return false;
-    return std::memcmp(a.data(), b.data(),
+    // An empty output (a step that did not run) has no data pointer,
+    // and memcmp must not be handed one even for a zero count.
+    return a.size() == 0 ||
+           std::memcmp(a.data(), b.data(),
                        static_cast<std::size_t>(a.size()) *
                            sizeof(Real)) == 0;
 }
@@ -202,6 +205,16 @@ TEST(ServeFrontendTest, DeterministicAcrossThreadCounts)
     }
 }
 
+/** Each shard's O(1) resident total equals its page walk. */
+void
+expectResidentTotalsExact(const ServeFrontend &frontend, Index flush)
+{
+    for (Index s = 0; s < frontend.shardCount(); ++s)
+        EXPECT_EQ(frontend.manager(s).residentBytes(),
+                  frontend.manager(s).walkedResidentBytes())
+            << "shard " << s << " after flush " << flush;
+}
+
 /** Every output and per-shard manager ledger of one schedule. */
 struct ForkHeavyRun
 {
@@ -243,9 +256,11 @@ runForkHeavyWorkload(ThreadPool *pool)
 
     const Matrix steps = sampleTokens(16, kDim, 310);
     ForkHeavyRun run;
+    Index flushes = 0;
     const auto flush = [&] {
         for (Completion &c : frontend.flushOnce())
             run.completions.push_back(std::move(c));
+        expectResidentTotalsExact(frontend, flushes++);
     };
     for (Index round = 0; round < 12; ++round) {
         for (Index k = 0; k < 4; ++k) {
@@ -309,6 +324,57 @@ TEST(ServeFrontendTest, BudgetedForkHeavyFlushesAreThreadCountInvariant)
     expectSameForkHeavyRun(one, four);
     for (const Completion &c : one.completions)
         EXPECT_EQ(c.status, StepStatus::Ok);
+}
+
+TEST(ServeFrontendTest, ResidentTotalsMatchTheWalkThroughFailover)
+{
+    // The fork-heavy shape under a budget, with shard 0 failed over
+    // mid-schedule (its sessions and their prefix chain migrate to
+    // shard 1 as blobs) and recovered later: after every flush and
+    // every failover each shard's running total equals its walk.
+    ThreadPool pool(4, /*force_fanout=*/true);
+    FrontendConfig fc;
+    fc.shards = 2;
+    fc.pool = &pool;
+    fc.memBudgetBytes = 48 * 1024;
+    fc.shardFailAfter = 64;
+    ServeFrontend frontend(testParams(), ServeConfig{}, kDim, fc);
+    const Index tenant = frontend.registerTenant({"solo", 1, 256});
+    std::vector<Index> forks;
+    for (Index p = 0; p < 2; ++p) {
+        const Index prompt = frontend.createSession(
+            tenant, sampleTokens(96, kDim, 330 + p));
+        for (Index f = 0; f < 4; ++f)
+            forks.push_back(frontend.forkSession(prompt));
+    }
+    const Matrix steps = sampleTokens(16, kDim, 340);
+    for (Index round = 0; round < 12; ++round) {
+        for (Index k = 0; k < 3; ++k) {
+            const Index sid =
+                forks[static_cast<std::size_t>((3 * round + k) % 8)];
+            EXPECT_EQ(frontend.admit(sid, steps.row((round + k) % 16))
+                          .result,
+                      SubmitResult::Accepted);
+        }
+        for (const Completion &c : frontend.flushOnce())
+            EXPECT_EQ(c.status, StepStatus::Ok);
+        expectResidentTotalsExact(frontend, round);
+        if (round == 4) {
+            frontend.failShard(0);
+            expectResidentTotalsExact(frontend, round);
+        }
+        if (round == 8) {
+            frontend.recoverShard(0);
+            // A fork placed on the recovered shard migrates nothing
+            // back, but gives shard 0 a prefix of its own again.
+            forks.push_back(frontend.forkSession(forks[0]));
+            expectResidentTotalsExact(frontend, round);
+        }
+    }
+    EXPECT_EQ(frontend.shardStats(0).failovers, 1u);
+    EXPECT_GT(frontend.shardStats(0).sessionsMigratedOut, 0u);
+    EXPECT_GT(frontend.manager(1).stats().evictions, 0u);
+    EXPECT_GT(frontend.manager(1).stats().restores, 0u);
 }
 
 #ifndef CTA_FAULT_DISABLED

@@ -402,9 +402,13 @@ TEST(SessionManagerForkTest, PrefixEvictsOnlyWhenColdAndResolvesBack)
     ASSERT_EQ(manager.prefixCount(), 1);
     ASSERT_TRUE(manager.isPrefixLive(0));
 
-    // A prefix with a live forked session is hot: not evictable.
+    // A prefix with a live forked session is hot: not evictable. So
+    // is one its live parent still caches for the next fork
+    // (PrefixCachedByALiveParentIsNotCold); evicting both leaves it
+    // cold.
     EXPECT_FALSE(manager.evictPrefixIfCold(0));
     manager.evict(child);
+    manager.evict(parent);
     EXPECT_TRUE(manager.evictPrefixIfCold(0));
     EXPECT_FALSE(manager.isPrefixLive(0));
     EXPECT_EQ(manager.stats().prefixEvictions, 1u);
@@ -422,6 +426,127 @@ TEST(SessionManagerForkTest, PrefixEvictsOnlyWhenColdAndResolvesBack)
     }
     EXPECT_TRUE(manager.isPrefixLive(0));
     EXPECT_EQ(manager.stats().prefixRestores, 1u);
+}
+
+TEST(SessionManagerForkTest, PrefixCachedByALiveParentIsNotCold)
+{
+    // forkSession() freezes the parent into a donor that the parent
+    // caches until it next mutates, so a second fork reuses it.
+    // Evicting the registry entry while that cache lives would free
+    // none of the donor's bytes and hand the next fork a donor the
+    // registry no longer holds.
+    const Matrix prompt = sampleTokens(48, 730);
+    const Matrix decode = sampleTokens(2, 731);
+    SessionManager manager(headParams(), ServeConfig{}, kDim, 0, 256);
+    const Index parent = manager.createSession(prompt);
+    const Index first = manager.forkSession(parent);
+    manager.evict(first);
+    EXPECT_FALSE(manager.evictPrefixIfCold(0));
+    EXPECT_TRUE(manager.isPrefixLive(0));
+    EXPECT_EQ(manager.residentBytes(), manager.walkedResidentBytes());
+
+    // The second fork reuses the cached donor and its registry entry.
+    const Index second = manager.forkSession(parent);
+    EXPECT_EQ(manager.prefixCount(), 1);
+    EXPECT_EQ(manager.stats().forks, 2u);
+    manager.evict(second);
+    EXPECT_EQ(manager.residentBytes(), manager.walkedResidentBytes());
+
+    // Once the parent steps, its cache is gone and the prefix is cold.
+    (void)manager.acquire(parent).step(decode.row(0));
+    EXPECT_TRUE(manager.evictPrefixIfCold(0));
+    EXPECT_FALSE(manager.isPrefixLive(0));
+    EXPECT_EQ(manager.residentBytes(), manager.walkedResidentBytes());
+}
+
+TEST(SessionManagerForkTest, RunningTotalEqualsTheWalkThroughoutASchedule)
+{
+    // A seeded random schedule of every operation that moves bytes:
+    // create, fork (of a standalone or a forked session), steps
+    // through a flush and through acquire(), evict, restore, remove,
+    // migrate-style adopt and cold-prefix evict. After each one the
+    // O(1) running totals must equal their page walks exactly.
+    const Matrix decode = sampleTokens(16, 820);
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1}, std::size_t{6000},
+          std::size_t{20000}, std::size_t{60000}}) {
+        SessionManager manager(headParams(), ServeConfig{}, kDim,
+                               budget, 256);
+        Rng rng(821 + budget);
+        std::vector<Index> forks;
+        const auto pick = [&](bool forked) {
+            std::vector<Index> ids;
+            for (Index id = 0; id < manager.sessionCount(); ++id)
+                if (manager.exists(id) && !manager.isQuarantined(id))
+                    ids.push_back(id);
+            if (forked && !forks.empty())
+                ids = forks;
+            return ids.empty()
+                       ? Index{-1}
+                       : ids[static_cast<std::size_t>(
+                             rng.uniformInt(ids.size()))];
+        };
+        const auto forget = [&](Index id) {
+            std::erase(forks, id);
+        };
+        for (int op = 0; op < 120; ++op) {
+            const std::uint64_t kind = rng.uniformInt(10);
+            Index id = pick(kind == 2);
+            if (kind == 0 || id < 0) {
+                manager.createSession(sampleTokens(
+                    16 + static_cast<Index>(rng.uniformInt(48)),
+                    830 + static_cast<std::uint64_t>(op)));
+            } else if (kind == 1 || kind == 2) {
+                forks.push_back(manager.forkSession(id));
+            } else if (kind == 3) {
+                for (int k = 0; k < 3; ++k) {
+                    const Index target = pick(false);
+                    ASSERT_EQ(manager.trySubmit(
+                                  target, decode.row(op % 16)),
+                              SubmitResult::Accepted);
+                }
+                manager.flush();
+            } else if (kind == 4) {
+                (void)manager.acquire(id).step(decode.row(op % 16));
+                manager.enforceBudget();
+            } else if (kind == 5) {
+                manager.evict(id);
+            } else if (kind == 6) {
+                (void)manager.acquire(id);
+            } else if (kind == 7) {
+                manager.removeSession(id);
+                forget(id);
+            } else if (kind == 8) {
+                cta::serve::SessionExport exported =
+                    manager.exportSession(id);
+                manager.removeSession(id);
+                forget(id);
+                const std::int64_t prefix = exported.prefixId;
+                const Index adopted =
+                    manager.adoptSession(std::move(exported), prefix);
+                if (prefix >= 0)
+                    forks.push_back(adopted);
+            } else if (manager.prefixCount() > 0) {
+                manager.evictPrefixIfCold(static_cast<std::int64_t>(
+                    rng.uniformInt(static_cast<std::uint64_t>(
+                        manager.prefixCount()))));
+            }
+            ASSERT_EQ(manager.residentBytes(),
+                      manager.walkedResidentBytes())
+                << "budget " << budget << " op " << op << " kind "
+                << kind;
+            ASSERT_EQ(manager.evictedBlobBytes(),
+                      manager.stats().evictedBytes)
+                << "budget " << budget << " op " << op << " kind "
+                << kind;
+        }
+        const auto stats = manager.stats();
+        EXPECT_GT(stats.forks, 0u) << "budget " << budget;
+        if (budget > 0 && budget < 20000) {
+            EXPECT_GT(stats.evictions, 0u) << "budget " << budget;
+            EXPECT_GT(stats.restores, 0u) << "budget " << budget;
+        }
+    }
 }
 
 TEST(SessionManagerForkTest, BudgetPassReturnsTheResidentTotal)
@@ -458,6 +583,8 @@ TEST(SessionManagerForkTest, BudgetPassReturnsTheResidentTotal)
                              manager.forkSession(forks[0]));
             const std::size_t total = manager.enforceBudget();
             EXPECT_EQ(total, manager.residentBytes())
+                << "budget " << budget << " round " << round;
+            EXPECT_EQ(total, manager.walkedResidentBytes())
                 << "budget " << budget << " round " << round;
         }
         const auto stats = manager.stats();
